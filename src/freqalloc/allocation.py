@@ -5,9 +5,12 @@ the maximum load sum over an edge (extended here by the maximum single
 vertex load, which covers vertices without neighbours).  The incremental
 allocator serves requests one at a time by drawing, for a request at a
 side-c vertex with new load k while the running optimum is t, the smallest
-unused frequency of the system's (c, t, k) set; the size floor of a sound
-system guarantees one exists, and cross-side disjointness guarantees
-neighbours never share.
+unused frequency of the system's (c, t, k) set (first fit in canonical
+order); the size floor of a sound system guarantees one exists, and
+cross-side disjointness guarantees neighbours never share.  First fit is
+found band by band: each vertex keeps, per pool, a next-free union-find over
+the indices it holds, so a request costs O(bands * log k) amortised rather
+than a canonical scan of O(k).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .frequencies import Frequency, FrequencySet, PoolTag, Side
+from .frequencies import Frequency, FrequencySet, PoolTag, Side, encode_index
 from .systems import FSystemSpec
 
 
@@ -305,12 +308,42 @@ def brute_force_opt(instance: BipartiteInstance, budget_cap: int = 10) -> int:
     return m
 
 
+_POOL_COUNT = len(PoolTag)
+
+
+def _first_free(next_free: dict[int, int], i: int) -> int:
+    """Smallest index >= i that is not a key of next_free.
+
+    next_free maps each held index to an index at or below the next free
+    one above it; the lookup points every index it passes at the answer
+    (path compression), which rewrites existing keys only.
+    """
+    j = next_free.get(i)
+    if j is None:
+        return i
+    path = [i]
+    while (nxt := next_free.get(j)) is not None:
+        path.append(j)
+        j = nxt
+    for p in path:
+        next_free[p] = j
+    return j
+
+
 class Allocator:
     """Sequential request server built from any F-system.
 
     Tracks the running optimum t (largest edge load sum, floored by the
     largest single load), and answers the k-th request at a vertex with the
-    smallest canonical frequency of the (side, t, k) set not yet used there.
+    smallest frequency of the (side, t, k) set not yet used there, in
+    canonical order: by global encoding, then pool rank (first fit).
+
+    Each vertex holds, per pool rank, a next-free union-find: a dict whose
+    keys are exactly the indices the vertex holds.  For each band (pool, lo,
+    hi) of the set, one lookup gives the first free index >= lo, a
+    candidate when it is below hi; the pick is the smallest candidate.  With
+    path compression a lookup is amortised O(log k), so a request costs
+    O(bands * log k) where a scan of the set in canonical order costs O(k).
     """
 
     def __init__(
@@ -327,7 +360,8 @@ class Allocator:
         self.validate = validate
         self.t = 0
         self.assignment: dict[str, list[Frequency]] = {}
-        self._used_enc: dict[str, set[int]] = {}
+        # vertex -> next-free union-find per pool rank (None until used)
+        self._next_free: dict[str, list[Optional[dict[int, int]]]] = {}
         self._all_enc: set[int] = set()
 
     def request(self, v: str) -> Frequency:
@@ -337,24 +371,38 @@ class Allocator:
         if cand > self.t:
             self.t = cand
         fs = self.system.sets(side, self.t, k)
-        used = self._used_enc.setdefault(v, set())
-        pick: Optional[Frequency] = None
-        for enc, pool, index in fs.iter_encoded():
-            if enc not in used:
-                pick = Frequency(pool, index)
-                used.add(enc)
-                break
-        if pick is None:
+        pools = self._next_free.get(v)
+        if pools is None:
+            pools = self._next_free[v] = [None] * _POOL_COUNT
+        best_enc = 0
+        best_pool: Optional[PoolTag] = None
+        best_index = 0
+        # bands ascend by pool rank, so on equal encodings the strict < keeps
+        # the lower rank, as canonical order does
+        for pool, lo, hi in fs.bands:
+            next_free = pools[pool.rank]
+            i = lo if next_free is None else _first_free(next_free, lo)
+            if i < hi:
+                enc = encode_index(pool, i)
+                if best_pool is None or enc < best_enc:
+                    best_enc, best_pool, best_index = enc, pool, i
+        if best_pool is None:
             raise AllocationError(
                 f"system {self.system.name!r} offers only {len(fs)} frequencies "
                 f"for side {side}, t={self.t}, k={k}; the size floor requires {k}"
             )
+        rank = best_pool.rank
+        next_free = pools[rank]
+        if next_free is None:
+            next_free = pools[rank] = {}
+        next_free[best_index] = best_index + 1
+        pick = Frequency(best_pool, best_index)
         self.assignment.setdefault(v, []).append(pick)
-        self._all_enc.add(pick.encode())
+        self._all_enc.add(best_enc)
         if self.validate == "neighbors":
-            enc = pick.encode()
             for w in self.instance.neighbors(v):
-                if enc in self._used_enc.get(w, ()):
+                held = self._next_free.get(w)
+                if held is not None and best_index in (held[rank] or ()):
                     raise AllocationError(
                         f"frequency {pick} assigned to {v} is already used at "
                         f"adjacent {w}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from collections import Counter
@@ -68,9 +69,22 @@ def _load_json(path: str) -> dict:
 
 def _parse_ratio(text: str) -> GoldenNumber:
     try:
-        return parse_exact(text)
+        ratio = parse_exact(text)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    if ratio < 1:
+        raise _CliError(f"competitive ratio must be >= 1, got {text!r}")
+    return ratio
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _open_system(
@@ -84,7 +98,7 @@ def _open_system(
             spec = dataclasses.replace(
                 spec,
                 claimed_ratio=(
-                    _parse_ratio(r_text) if r_text else spec.claimed_ratio
+                    _parse_ratio(r_text) if r_text is not None else spec.claimed_ratio
                 ),
                 claimed_lambda=lam if lam is not None else spec.claimed_lambda,
             )
@@ -131,20 +145,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         unknown = checks - {"f1", "f2", "competitiveness", "lemmas"}
         if unknown:
             raise _CliError(f"unknown checks: {sorted(unknown)}")
+        f2_t_max = (
+            min(args.t_max, 100) if args.f2_t_max is None else args.f2_t_max
+        )
+        lemma_t_max = (
+            min(args.t_max, 200) if args.lemma_t_max is None else args.lemma_t_max
+        )
         report = checker.run_checks(
             spec,
             f1_t_max=args.t_max if "f1" in checks else None,
-            f2_t_max=(
-                (args.f2_t_max or min(args.t_max, 100))
-                if "f2" in checks
-                else None
-            ),
+            f2_t_max=f2_t_max if "f2" in checks else None,
             comp_t_max=args.t_max if "competitiveness" in checks else None,
-            lemma_t_max=(
-                (args.lemma_t_max or min(args.t_max, 200))
-                if "lemmas" in checks
-                else None
-            ),
+            lemma_t_max=lemma_t_max if "lemmas" in checks else None,
             jobs=args.jobs,
         )
         _write_json(args.out, report.to_json())
@@ -257,24 +269,15 @@ def cmd_plot_sets(args: argparse.Namespace) -> int:
                 # boundaries rendered as the exclusive-below / inclusive-above
                 # floor pair: a row (k, pool, lo, hi) holds indices lo+1..hi
                 rows.append((k, pool.token, lo - 1, hi - 1))
-        buf = []
-        writer = csv.writer(_ListWriter(buf), lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "pool", "lo", "hi"])
-        for row in rows:
-            writer.writerow(row)
-        _write_text(args.out, "".join(buf))
+        writer.writerows(rows)
+        _write_text(args.out, buf.getvalue())
         return EXIT_CLEAN
     finally:
         if plugin is not None:
             plugin.close()
-
-
-class _ListWriter:
-    def __init__(self, sink: list) -> None:
-        self.sink = sink
-
-    def write(self, text: str) -> None:
-        self.sink.append(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the defining properties")
     add_system_flags(p)
-    p.add_argument("--t-max", type=int, default=200)
-    p.add_argument("--f2-t-max", type=int)
-    p.add_argument("--lemma-t-max", type=int)
+    p.add_argument("--t-max", type=_positive_int, default=200)
+    p.add_argument("--f2-t-max", type=_positive_int)
+    p.add_argument("--lemma-t-max", type=_positive_int)
     p.add_argument(
         "--checks",
         default="f1,f2,competitiveness",
@@ -316,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("falsify", help="refute a claimed ratio below 10/7")
     add_system_flags(p)
-    p.add_argument("--t-max", type=int, default=500)
-    p.add_argument("--f2-t-max", type=int)
+    p.add_argument("--t-max", type=_positive_int, default=500)
+    p.add_argument("--f2-t-max", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_falsify)
 
@@ -332,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="emit adversarial instances")
     adv = p.add_subparsers(dest="mode", required=True)
     pu = adv.add_parser("universal", help="truncated universal graph")
-    pu.add_argument("--t-max", type=int, required=True)
+    pu.add_argument("--t-max", type=_positive_int, required=True)
     pu.add_argument("--out-graph", required=True)
     pu.add_argument("--out-requests", required=True)
     pu.set_defaults(func=cmd_adversary, mode="universal")
     pl = adv.add_parser("lower-bound", help="doubling-recurrence instance")
-    pl.add_argument("--theta", type=int, required=True)
-    pl.add_argument("--lambda", dest="lam", type=int, required=True)
+    pl.add_argument("--theta", type=_positive_int, required=True)
+    pl.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
     pl.add_argument("--scale-cap", type=int, default=1_000_000)
     pl.add_argument("--out-graph", required=True)
     pl.add_argument("--out-requests", required=True)
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plot-sets", help="band structure of a system's sets as CSV"
     )
     add_system_flags(p)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--side", default="A", choices=["A", "B"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_plot_sets)

@@ -96,9 +96,14 @@ def encode_global(f: Frequency) -> int:
     The five built-in pools interleave: PA1=1, PB1=2, SA1=3, SB1=4, Q1=5,
     PA2=6, ...  Plain frequencies map to their own index.
     """
-    if f.pool is PoolTag.PLAIN:
-        return f.index
-    return _BUILTIN_COUNT * (f.index - 1) + f.pool.rank + 1
+    return encode_index(f.pool, f.index)
+
+
+def encode_index(pool: PoolTag, index: int) -> int:
+    """encode_global of Frequency(pool, index), without building the object."""
+    if pool is PoolTag.PLAIN:
+        return index
+    return _BUILTIN_COUNT * (index - 1) + pool.rank + 1
 
 
 _POOL_BY_RANK = {p.rank: p for p in PoolTag}

@@ -258,7 +258,12 @@ def parse_exact(text: str) -> GoldenNumber:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("sym") is None):
             raise ValueError(f"bad exact-number term {term!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in term {term!r} of {text!r}"
+            ) from None
         sym = m.group("sym")
         if sym == "sqrt5":
             value = GoldenNumber(0, coef)

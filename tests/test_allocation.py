@@ -14,9 +14,15 @@ from freqalloc.allocation import (
     static_allocate,
     static_opt,
 )
-from freqalloc.frequencies import FrequencySet, PoolTag, Side
+from freqalloc.frequencies import FrequencySet, PoolTag, Side, pool_prefix
 from freqalloc.golden import GoldenNumber
-from freqalloc.systems import FSystemSpec, golden_system, trivial_system
+from freqalloc.harness import UniversalGraph
+from freqalloc.systems import (
+    FSystemSpec,
+    golden_system,
+    half_system,
+    trivial_system,
+)
 
 
 def instance(vertices, edges, loads=None):
@@ -224,3 +230,100 @@ class TestAllocator:
         alloc = Allocator(inst, trivial_system())
         alloc.request("v")
         assert alloc.assignment_sets().keys() == {"v"}
+
+
+def scan_picks(inst, system, stream):
+    """Reference first-fit rule: walk F(c, t, k) in canonical order and take
+    the first frequency the vertex does not hold yet."""
+    held = {v: set() for v in inst.vertices}
+    t = 0
+    picks = []
+    for v in stream:
+        k = inst.bump_load(v)
+        t = max(t, inst.opt_candidate(v))
+        fs = system.sets(inst.side(v), t, k)
+        f = next(f for f in fs if f not in held[v])
+        held[v].add(f)
+        picks.append(f)
+    return picks
+
+
+def allocator_picks(inst, system, stream):
+    alloc = Allocator(inst, system)
+    return [alloc.request(v) for v in stream]
+
+
+def random_replay(rng, side_size=5, requests=120):
+    a = [f"a{i}" for i in range(side_size)]
+    b = [f"b{i}" for i in range(side_size)]
+    edges = [(u, w) for u in a for w in b if rng.random() < 0.4]
+    weights = [rng.random() ** 3 for _ in a + b]  # a few hot vertices
+    stream = rng.choices(a + b, weights=weights, k=requests)
+
+    def build():
+        sides = {**dict.fromkeys(a, Side.A), **dict.fromkeys(b, Side.B)}
+        return BipartiteInstance.from_edges(a + b, edges, sides=sides)
+
+    return build, stream
+
+
+def fragmented_system():
+    """Plain-pool sets of one band per frequency, as plugin sets are: side A
+    draws odd, side B even integers up to 2(t + k), skipping one residue
+    mod 3 that moves with t, so a vertex holds frequencies outside the
+    current set."""
+
+    def gen(side, t, k):
+        parity = 1 if side is Side.A else 0
+        return FrequencySet.from_indices(
+            PoolTag.PLAIN,
+            (x for x in range(1, 2 * (t + k) + 1)
+             if x % 2 == parity and x % 3 != t % 3),
+        )
+
+    return FSystemSpec(
+        name="fragmented",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+class TestFirstFitDifferential:
+    """The allocator's band-wise union-find pick equals the canonical scan."""
+
+    @pytest.mark.parametrize(
+        "system", [trivial_system, half_system, golden_system, fragmented_system]
+    )
+    def test_random_replays(self, system):
+        rng = random.Random(f"first-fit {system.__name__}")
+        for _ in range(8):
+            build, stream = random_replay(rng)
+            assert allocator_picks(build(), system(), stream) == scan_picks(
+                build(), system(), stream
+            )
+
+    def test_fragmented_sets_are_one_band_per_frequency(self):
+        fs = fragmented_system().sets(Side.A, 9, 4)
+        assert len(fs.bands) == len(fs) > 1
+
+    def test_universal_phase_stream(self):
+        graph = UniversalGraph(12)
+        stream = list(graph.request_stream())
+        picks = allocator_picks(graph.materialize(), golden_system(), stream)
+        assert picks == scan_picks(graph.materialize(), golden_system(), stream)
+
+
+class TestNeighborValidation:
+    def test_clash_names_adjacent_vertex(self):
+        clashing = FSystemSpec(
+            name="clashing",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: pool_prefix(PoolTag.PLAIN, k),
+        )
+        inst = instance(["u", "v"], [("u", "v")])
+        alloc = Allocator(inst, clashing, validate="neighbors")
+        alloc.request("u")
+        with pytest.raises(AllocationError, match="already used at adjacent u"):
+            alloc.request("v")

@@ -314,6 +314,42 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--system", "golden", "--r", "1/0", "--lambda", "8"],
+            ["verify", "--system", "golden", "--r", "1/2", "--lambda", "8"],
+            ["verify", "--system", "golden", "--r", "", "--lambda", "8"],
+            ["falsify", "--system", "golden", "--r", "1/0*sqrt5", "--lambda", "8"],
+            ["verify", "--system", "golden", "--t-max", "0"],
+            ["verify", "--system", "golden", "--checks", "f2", "--f2-t-max", "-3"],
+            ["verify", "--system", "golden", "--checks", "f2", "--f2-t-max", "0"],
+            ["verify", "--system", "half", "--checks", "lemmas",
+             "--lemma-t-max", "0"],
+            ["verify", "--system", "golden", "--t-max", "ten"],
+            ["falsify", "--system", "golden", "--r", "1.42", "--lambda", "8",
+             "--t-max", "0"],
+            ["plot-sets", "--system", "golden", "--t", "0"],
+            ["adversary", "universal", "--t-max", "0"],
+            ["adversary", "lower-bound", "--theta", "0", "--lambda", "1"],
+            ["adversary", "lower-bound", "--theta", "1", "--lambda", "0"],
+        ],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, argv):
+        if argv[0] == "adversary":
+            argv = argv + ["--out-graph", str(tmp_path / "g.json"),
+                           "--out-requests", str(tmp_path / "r.jsonl")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqalloc.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "report.json"
