@@ -9,11 +9,10 @@ parameters reproduces the failure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .frequencies import SIDES, FrequencySet, Side, union_all
 from .golden import GoldenNumber
@@ -75,45 +74,31 @@ def _jsonable(v: object) -> object:
 
 
 def check_f1(
-    sys: FSystemSpec, t_max: int, *, jobs: int = 1, limit: Optional[int] = None
+    sys: FSystemSpec, t_max: int, *, limit: Optional[int] = None
 ) -> list[Violation]:
     """Size floor: |F(c,t,k)| >= k for both sides and all 1 <= k <= t <= t_max."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-
-    def scan(t_range: range) -> list[Violation]:
-        out = []
-        for t in t_range:
-            for side in SIDES:
-                sizes = sys.row_sizes(side, t)
-                for k in range(1, t + 1):
-                    n = sizes[k - 1]
-                    if n < k:
-                        # recover the witness from the generator proper
-                        fs = sys.sets(side, t, k)
-                        out.append(
-                            Violation(
-                                kind=ViolationKind.F1,
-                                params={"side": side, "t": t, "k": k},
-                                lhs=f"|F| = {len(fs)}",
-                                rhs=f"k = {k}",
-                                witness=fs,
-                            )
+    out = []
+    for t in range(1, t_max + 1):
+        for side in SIDES:
+            sizes = sys.row_sizes(side, t)
+            for k in range(1, t + 1):
+                if sizes[k - 1] < k:
+                    # recover the witness from the generator proper
+                    fs = sys.sets(side, t, k)
+                    out.append(
+                        Violation(
+                            kind=ViolationKind.F1,
+                            params={"side": side, "t": t, "k": k},
+                            lhs=f"|F| = {len(fs)}",
+                            rhs=f"k = {k}",
+                            witness=fs,
                         )
-                        if limit and len(out) >= limit:
-                            return out
-        return out
-
-    if jobs <= 1:
-        return scan(range(1, t_max + 1))
-    chunk = max(1, (t_max + jobs - 1) // jobs)
-    ranges = [
-        range(lo, min(lo + chunk, t_max + 1))
-        for lo in range(1, t_max + 1, chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(scan, ranges))
-    return [v for part in parts for v in part]
+                    )
+                    if limit and len(out) >= limit:
+                        return out
+    return out
 
 
 def check_f2(
@@ -168,27 +153,20 @@ def check_f2(
 
     for t in range(1, t_max + 1):
         rows = {s: [sys.sets(s, t, k) for k in range(1, t + 1)] for s in SIDES}
-        # side A row versus side B history including level t itself
         for m in range(1, t + 1):
             cols[Side.B][m] = cols[Side.B][m] | rows[Side.B][m - 1]
-        prefB = prefixes(Side.B, t - 1) if t > 1 else [FrequencySet.empty()]
-        for k in range(1, t):
-            if not rows[Side.A][k - 1].isdisjoint(prefB[t - k]):
-                v = witness_pair(Side.A, t, k, t)
-                if v is not None:
-                    out.append(v)
-                    if limit and len(out) >= limit:
-                        return out
-        # side B row versus strictly earlier side A history (level-t pairs
-        # were already covered above)
-        prefA = prefixes(Side.A, t - 1) if t > 1 else [FrequencySet.empty()]
-        for k in range(1, t):
-            if not rows[Side.B][k - 1].isdisjoint(prefA[t - k]):
-                v = witness_pair(Side.B, t, k, t - 1)
-                if v is not None:
-                    out.append(v)
-                    if limit and len(out) >= limit:
-                        return out
+        # the side A row meets side B history including level t itself; the
+        # side B row meets strictly earlier side A history, because the
+        # level-t pairs were covered from side A
+        for side, horizon in ((Side.A, t), (Side.B, t - 1)):
+            pref = prefixes(side.other, t - 1)
+            for k in range(1, t):
+                if not rows[side][k - 1].isdisjoint(pref[t - k]):
+                    v = witness_pair(side, t, k, horizon)
+                    if v is not None:
+                        out.append(v)
+                        if limit and len(out) >= limit:
+                            return out
         for m in range(1, t + 1):
             cols[Side.A][m] = cols[Side.A][m] | rows[Side.A][m - 1]
     return out
@@ -288,48 +266,64 @@ def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
 class SharedStats:
     """Shared-frequency statistics at an even level t.
 
-    f_union_a/b are the cumulative per-side unions up to level t; s_t their
-    intersection; s_2t_t the part of the level-2t shared set that the
-    (2t, t) sets actually use; z_3t2_t the overlap of the two (3t/2, t) sets.
+    s_t is the shared set F_A(t) & F_B(t), where F_c(t) unions every side-c
+    set of level at most t; s_2t_t the part of the level-2t shared set that
+    the (2t, t) sets actually use; z_3t2_t the overlap of the two (3t/2, t)
+    sets.
     """
 
     t: int
-    f_union_a: FrequencySet
-    f_union_b: FrequencySet
     s_t: FrequencySet
     s_2t_t: FrequencySet
     z_3t2_t: FrequencySet
 
 
-def _cumulative(sys: FSystemSpec, side: Side, t: int) -> FrequencySet:
-    acc = FrequencySet.empty()
-    for tau in range(1, t + 1):
-        acc = acc | sys.row_union(side, tau)
-    return acc
+def _shared_sets(
+    sys: FSystemSpec, levels: Iterable[int]
+) -> dict[int, FrequencySet]:
+    """The shared set S_tau at each requested level, from one sweep that
+    accumulates both sides' unions up to the highest level."""
+    wanted = set(levels)
+    out = {}
+    fa = fb = FrequencySet.empty()
+    for tau in range(1, max(wanted) + 1):
+        fa = fa | sys.row_union(Side.A, tau)
+        fb = fb | sys.row_union(Side.B, tau)
+        if tau in wanted:
+            out[tau] = fa & fb
+    return out
+
+
+def _overlap(sys: FSystemSpec, t: int, k: int) -> FrequencySet:
+    """Z_{t,k}: the frequencies the two (t, k) sets have in common."""
+    return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
+
+
+def _doubling_bound(
+    prev: int, r: GoldenNumber, lam: int, t: int
+) -> GoldenNumber:
+    """2*prev + (10-7R)t - 3*lambda: the least size the doubling recurrence
+    allows at level 2t when the level-t measure is prev."""
+    return GoldenNumber(2 * prev) + (GoldenNumber(10) - r * 7) * t - 3 * lam
+
+
+def _stats_at(
+    sys: FSystemSpec, t: int, shared: dict[int, FrequencySet]
+) -> SharedStats:
+    """SharedStats at t, given S_tau at tau = t and 2t."""
+    used = sys.sets(Side.A, 2 * t, t) | sys.sets(Side.B, 2 * t, t)
+    return SharedStats(
+        t=t,
+        s_t=shared[t],
+        s_2t_t=shared[2 * t] & used,
+        z_3t2_t=_overlap(sys, 3 * t // 2, t),
+    )
 
 
 def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     if t < 2 or t % 2:
         raise ValueError("t must be even and >= 2")
-    fa = _cumulative(sys, Side.A, t)
-    fb = _cumulative(sys, Side.B, t)
-    fa2 = fa
-    fb2 = fb
-    for tau in range(t + 1, 2 * t + 1):
-        fa2 = fa2 | sys.row_union(Side.A, tau)
-        fb2 = fb2 | sys.row_union(Side.B, tau)
-    s_t = fa & fb
-    s_2t = fa2 & fb2
-    used = sys.sets(Side.A, 2 * t, t) | sys.sets(Side.B, 2 * t, t)
-    z = sys.sets(Side.A, 3 * t // 2, t) & sys.sets(Side.B, 3 * t // 2, t)
-    return SharedStats(
-        t=t,
-        f_union_a=fa,
-        f_union_b=fb,
-        s_t=s_t,
-        s_2t_t=s_2t & used,
-        z_3t2_t=z,
-    )
+    return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
 def _ge_exact(lhs: int, rhs: GoldenNumber) -> bool:
@@ -350,36 +344,26 @@ def lemma_chain_check(
     out: list[Violation] = []
     if t_max < 2:
         return out
-    # cumulative unions and their intersections at every even level <= 2*t_max
-    s_at: dict[int, FrequencySet] = {}
-    fa = FrequencySet.empty()
-    fb = FrequencySet.empty()
-    for tau in range(1, 2 * t_max + 1):
-        fa = fa | sys.row_union(Side.A, tau)
-        fb = fb | sys.row_union(Side.B, tau)
-        if tau % 2 == 0:
-            s_at[tau] = fa & fb
-
-    for t in range(2, t_max + 1, 2):
-        s_t = s_at[t]
-        s_2t = s_at[2 * t]
-        row_a = sys.sets(Side.A, 2 * t, t)
-        row_b = sys.sets(Side.B, 2 * t, t)
-        if not row_a.isdisjoint(row_b):
+    evens = range(2, t_max + 1, 2)
+    shared = _shared_sets(sys, [*evens, *(2 * t for t in evens)])
+    for t in evens:
+        stats = _stats_at(sys, t, shared)
+        s_t, s_2t_t = stats.s_t, stats.s_2t_t
+        s_2t = shared[2 * t]
+        clash = _overlap(sys, 2 * t, t)
+        if clash:
             out.append(
                 Violation(
                     kind=ViolationKind.F2,
                     params={"side": Side.A, "t": 2 * t, "k": t,
                             "t_other": 2 * t, "k_other": t},
-                    lhs=f"|overlap| = {len(row_a & row_b)}",
+                    lhs=f"|overlap| = {len(clash)}",
                     rhs="0",
-                    witness=row_a & row_b,
+                    witness=clash,
                 )
             )
-        s_2t_t = s_2t & (row_a | row_b)
-        z_mid = sys.sets(Side.A, 3 * t // 2, t) & sys.sets(Side.B, 3 * t // 2, t)
-        z_top = sys.sets(Side.A, 3 * t, 2 * t) & sys.sets(Side.B, 3 * t, 2 * t)
-        s_u_z = s_t | z_mid
+        z_top = _overlap(sys, 3 * t, 2 * t)
+        s_u_z = s_t | stats.z_3t2_t
         checks = (
             (
                 ViolationKind.SHARED_LOWER,
@@ -412,8 +396,7 @@ def lemma_chain_check(
             (
                 ViolationKind.RECURRENCE,
                 len(s_2t | z_top),
-                GoldenNumber(2 * len(s_u_z)) + (GoldenNumber(10) - r * 7) * t
-                - 3 * lam,
+                _doubling_bound(len(s_u_z), r, lam, t),
                 f"|S_2t u Z_3t,2t| = {len(s_2t | z_top)}",
                 "2|S_t u Z| + (10-7R)t - 3*lambda",
             ),
@@ -482,50 +465,33 @@ def gamma_trace(
         raise ValueError("trace cannot exceed theta steps")
     trace = GammaTrace(theta=theta, lam=lam)
     scales = [6 * theta * lam * (2**i) for i in range(steps + 1)]
-    numerators: list[FrequencySet] = []
-    s_sets: dict[int, FrequencySet] = {}
-    fa = FrequencySet.empty()
-    fb = FrequencySet.empty()
-    top = 2 * scales[-1]
-    wanted = set(scales) | {2 * s for s in scales}
-    for tau in range(1, top + 1):
-        fa = fa | sys.row_union(Side.A, tau)
-        fb = fb | sys.row_union(Side.B, tau)
-        if tau in wanted:
-            s_sets[tau] = fa & fb
+    shared = _shared_sets(sys, [*scales, *(2 * t for t in scales)])
+    sizes: list[int] = []
     for i, t in enumerate(scales):
-        z = sys.sets(Side.A, 3 * t // 2, t) & sys.sets(Side.B, 3 * t // 2, t)
-        num = s_sets[t] | z
-        numerators.append(num)
+        size = len(shared[t] | _overlap(sys, 3 * t // 2, t))
+        sizes.append(size)
         trace.entries.append(
-            GammaEntry(
-                i=i, t=t, numerator_size=len(num), gamma=Fraction(len(num), t)
-            )
+            GammaEntry(i=i, t=t, numerator_size=size, gamma=Fraction(size, t))
         )
         cap = r * (2 * t) + lam
-        if GoldenNumber(len(num)) > cap or GoldenNumber(len(s_sets[2 * t])) > cap:
+        s_2t = len(shared[2 * t])
+        if GoldenNumber(size) > cap or GoldenNumber(s_2t) > cap:
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_CAP,
                     params={"i": i, "t": t},
-                    lhs=f"|S u Z| = {len(num)}, |S_2t| = {len(s_sets[2 * t])}",
+                    lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
                     rhs=f"2R*t + lambda = {cap}",
                 )
             )
-    for i in range(len(scales) - 1):
-        t = scales[i]
-        gained = GoldenNumber(len(numerators[i + 1]))
-        needed = (
-            GoldenNumber(2 * len(numerators[i]))
-            + (GoldenNumber(10) - r * 7) * t
-            - 3 * lam
-        )
-        if gained < needed:
+    for i, t in enumerate(scales[:-1]):
+        needed = _doubling_bound(sizes[i], r, lam, t)
+        if not _ge_exact(sizes[i + 1], needed):
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_STEP,
                     params={"i": i, "t": t},
-                    lhs=f"|S u Z at 2t| = {len(numerators[i + 1])}",
+                    lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
                     rhs=f"2|S u Z at t| + (10-7R)t - 3*lambda = {needed}",
                 )
             )
@@ -570,7 +536,6 @@ def run_checks(
     f2_t_max: Optional[int] = None,
     comp_t_max: Optional[int] = None,
     lemma_t_max: Optional[int] = None,
-    jobs: int = 1,
 ) -> CheckReport:
     """Run the selected property checks against the system's own claims.
 
@@ -582,7 +547,7 @@ def run_checks(
     horizons: dict = {}
     min_lam: Optional[GoldenNumber] = None
     if f1_t_max is not None:
-        violations += check_f1(sys, f1_t_max, jobs=jobs)
+        violations += check_f1(sys, f1_t_max)
         horizons["f1"] = f1_t_max
     if f2_t_max is not None:
         violations += check_f2(sys, f2_t_max)
@@ -655,81 +620,59 @@ def falsify(
         raise ValueError("competitive ratio must be >= 1")
     if f2_t_max is None:
         f2_t_max = min(t_max, 100)
-    caveats: list[str] = []
-    violations: list[Violation] = []
-    violations += check_f1(sys, t_max, limit=5)
-    violations += check_f2(sys, f2_t_max, limit=5)
-    violations += check_competitiveness(
-        sys, claimed_r, claimed_lambda, t_max, limit=5
-    )
+    violations = [
+        *check_f1(sys, t_max, limit=5),
+        *check_f2(sys, f2_t_max, limit=5),
+        *check_competitiveness(sys, claimed_r, claimed_lambda, t_max, limit=5),
+    ]
     horizons = {"f1": t_max, "f2": f2_t_max, "competitiveness": t_max}
-    if violations:
-        return FalsifyVerdict(
-            system=sys.name,
-            claimed_r=claimed_r,
-            claimed_lambda=claimed_lambda,
-            status="refuted",
-            horizons=horizons,
-            violations=violations,
-            trace=None,
-            certificate=None,
-            caveats=caveats,
-        )
-
-    lam_eff = max(1, claimed_lambda)
-    if lam_eff != claimed_lambda:
-        caveats.append(
-            "additive constant 0 was raised to 1 for the trace scales; any "
-            "(r, 0)-competitive system is (r, 1)-competitive"
-        )
-    # smallest theta with claimed_r < 10/7 - 1/theta, i.e. theta > 1/gap
-    gap = TEN_SEVENTHS - claimed_r  # > 0
-    theta = max(1, (GoldenNumber(1) / gap).floor() + 1)
-    # cap the measured steps so generator queries stay within the horizon
-    budget = t_max // 3
-    steps = 0
-    while steps < theta and 6 * theta * lam_eff * (2 ** (steps + 1)) <= budget:
-        steps += 1
-    feasible = 6 * theta * lam_eff <= budget
-    trace = None
-    if feasible:
-        trace = gamma_trace(sys, claimed_r, lam_eff, theta, steps)
-        violations += trace.violations
-        if trace.violations:
-            return FalsifyVerdict(
-                system=sys.name,
-                claimed_r=claimed_r,
-                claimed_lambda=claimed_lambda,
-                status="refuted",
-                horizons=horizons,
-                violations=violations,
-                trace=trace,
-                certificate=None,
-                caveats=caveats,
+    caveats: list[str] = []
+    trace: Optional[GammaTrace] = None
+    certificate: Optional[dict] = None
+    if not violations:
+        lam_eff = max(1, claimed_lambda)
+        if lam_eff != claimed_lambda:
+            caveats.append(
+                "additive constant 0 was raised to 1 for the trace scales; any "
+                "(r, 0)-competitive system is (r, 1)-competitive"
             )
-    if steps < theta:
-        t_theta = (
-            str(6 * theta * lam_eff * 2**theta)
-            if theta <= 64
-            else f"6*{theta}*{lam_eff}*2^{theta}"
-        )
-        caveats.append(
-            f"gamma trace measured {steps + 1 if feasible else 0} of "
-            f"{theta + 1} scales; t_theta = {t_theta} exceeds the horizon "
-            f"budget {budget}"
-        )
-    caveats.append(
-        f"disjointness was verified only to level {f2_t_max}; the "
-        "extrapolation assumes the direct properties persist beyond the horizon"
-    )
-    certificate = _extrapolate(claimed_r, lam_eff, theta, trace)
+        # smallest theta with claimed_r < 10/7 - 1/theta, i.e. theta > 1/gap
+        gap = TEN_SEVENTHS - claimed_r  # > 0
+        theta = max(1, (GoldenNumber(1) / gap).floor() + 1)
+        # cap the measured steps so generator queries stay within the horizon
+        budget = t_max // 3
+        steps = 0
+        while steps < theta and 6 * theta * lam_eff * (2 ** (steps + 1)) <= budget:
+            steps += 1
+        feasible = 6 * theta * lam_eff <= budget
+        if feasible:
+            trace = gamma_trace(sys, claimed_r, lam_eff, theta, steps)
+            violations += trace.violations
+        if not violations:
+            if steps < theta:
+                t_theta = (
+                    str(6 * theta * lam_eff * 2**theta)
+                    if theta <= 64
+                    else f"6*{theta}*{lam_eff}*2^{theta}"
+                )
+                caveats.append(
+                    f"gamma trace measured {steps + 1 if feasible else 0} of "
+                    f"{theta + 1} scales; t_theta = {t_theta} exceeds the horizon "
+                    f"budget {budget}"
+                )
+            caveats.append(
+                f"disjointness was verified only to level {f2_t_max}; the "
+                "extrapolation assumes the direct properties persist beyond the "
+                "horizon"
+            )
+            certificate = _extrapolate(claimed_r, lam_eff, theta, trace)
     return FalsifyVerdict(
         system=sys.name,
         claimed_r=claimed_r,
         claimed_lambda=claimed_lambda,
-        status="certificate",
+        status="refuted" if violations else "certificate",
         horizons=horizons,
-        violations=[],
+        violations=violations,
         trace=trace,
         certificate=certificate,
         caveats=caveats,

@@ -9,6 +9,7 @@ sorted keys and exact numbers are rendered canonically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -16,7 +17,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import checker, harness
 from .allocation import (
@@ -87,11 +88,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
 def _open_system(
     selector: str,
     r_text: Optional[str],
     lam: Optional[int],
-) -> tuple[FSystemSpec, Optional[PluginSystem]]:
+) -> Iterator[FSystemSpec]:
+    """The selected system with the claims from the command line; a plugin
+    is closed when the block exits."""
     if selector in BUILTIN_SYSTEMS:
         spec = BUILTIN_SYSTEMS[selector]()
         if r_text is not None or lam is not None:
@@ -102,19 +106,20 @@ def _open_system(
                 ),
                 claimed_lambda=lam if lam is not None else spec.claimed_lambda,
             )
-        return spec, None
-    if selector.startswith("plugin:"):
+        yield spec
+    elif selector.startswith("plugin:"):
         path = selector[len("plugin:"):]
         if r_text is None or lam is None:
             raise _CliError(
                 "plugin systems need explicit --r and --lambda claims"
             )
         argv = [sys.executable, path] if path.endswith(".py") else [path]
-        plugin = PluginSystem(argv)
-        return plugin.spec(_parse_ratio(r_text), lam), plugin
-    raise _CliError(
-        f"unknown system {selector!r}; use trivial, half, golden or plugin:PATH"
-    )
+        with PluginSystem(argv) as plugin:
+            yield plugin.spec(_parse_ratio(r_text), lam)
+    else:
+        raise _CliError(
+            f"unknown system {selector!r}; use trivial, half, golden or plugin:PATH"
+        )
 
 
 def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
@@ -139,8 +144,7 @@ def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec, plugin = _open_system(args.system, args.r, getattr(args, "lam"))
-    try:
+    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
         checks = set(args.checks.split(","))
         unknown = checks - {"f1", "f2", "competitiveness", "lemmas"}
         if unknown:
@@ -157,18 +161,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f2_t_max=f2_t_max if "f2" in checks else None,
             comp_t_max=args.t_max if "competitiveness" in checks else None,
             lemma_t_max=lemma_t_max if "lemmas" in checks else None,
-            jobs=args.jobs,
         )
         _write_json(args.out, report.to_json())
         return EXIT_CLEAN if report.clean() else EXIT_VIOLATION
-    finally:
-        if plugin is not None:
-            plugin.close()
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    spec, plugin = _open_system(args.system, args.r, getattr(args, "lam"))
-    try:
+    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
         try:
             verdict = checker.falsify(
                 spec,
@@ -181,14 +180,10 @@ def cmd_falsify(args: argparse.Namespace) -> int:
             raise _CliError(str(exc)) from exc
         _write_json(args.out, verdict.to_json())
         return EXIT_VIOLATION if verdict.status == "refuted" else EXIT_CLEAN
-    finally:
-        if plugin is not None:
-            plugin.close()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec, plugin = _open_system(args.system, args.r, getattr(args, "lam"))
-    try:
+    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
         inst, requests = _load_instance(args.graph, args.requests)
         mode = "full" if args.validate else "neighbors"
         alloc = Allocator(inst, spec, validate=mode)
@@ -211,9 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
         _write_json(args.out, doc)
         return EXIT_CLEAN
-    finally:
-        if plugin is not None:
-            plugin.close()
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
@@ -259,8 +251,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_sets(args: argparse.Namespace) -> int:
-    spec, plugin = _open_system(args.system, args.r, getattr(args, "lam"))
-    try:
+    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
         side = Side(args.side)
         rows = []
         for k in range(0, args.t + 1):
@@ -275,9 +266,6 @@ def cmd_plot_sets(args: argparse.Namespace) -> int:
         writer.writerows(rows)
         _write_text(args.out, buf.getvalue())
         return EXIT_CLEAN
-    finally:
-        if plugin is not None:
-            plugin.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="f1,f2,competitiveness",
         help="comma list from f1,f2,competitiveness,lemmas",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

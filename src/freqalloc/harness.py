@@ -108,10 +108,7 @@ class UniversalGraph:
         for t in range(1, self.horizon + 1):
             for k in range(1, t + 1):
                 u = vertex_id(Side.A, t, k)
-                for t2 in range(1, self.horizon + 1):
-                    top = min(t2, max(t, t2) - k)
-                    for k2 in range(1, top + 1):
-                        edges.append((u, vertex_id(Side.B, t2, k2)))
+                edges.extend((u, w) for w in self.neighbors(Side.A, t, k))
         return BipartiteInstance.from_edges(vertices, edges, sides=sides)
 
     def phase_requests(self, t: int) -> Iterator[str]:

@@ -108,7 +108,6 @@ class PluginSystem:
             claimed_ratio=claimed_ratio,
             claimed_lambda=claimed_lambda,
             generator=self.query,
-            pools=frozenset({PoolTag.PLAIN}),
         )
 
     def close(self) -> None:

@@ -49,7 +49,6 @@ class FSystemSpec:
     generator: Generator
     row_union_fn: Optional[RowUnion] = None
     row_sizes_fn: Optional[RowSizes] = None
-    pools: Optional[frozenset[PoolTag]] = None
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
         if t < 1:
@@ -88,7 +87,6 @@ def trivial_system() -> FSystemSpec:
         # sets grow with k, so the top of the row is the whole row union
         row_union_fn=lambda side, t: gen(side, t, t),
         row_sizes_fn=lambda side, t: range(1, t + 1),
-        pools=frozenset({PoolTag.PRIVATE_A, PoolTag.PRIVATE_B}),
     )
 
 
@@ -119,9 +117,6 @@ def half_system() -> FSystemSpec:
         # the shared band widens as k grows; k = t covers the row
         row_union_fn=lambda side, t: gen(side, t, t),
         row_sizes_fn=sizes,
-        pools=frozenset(
-            {PoolTag.PRIVATE_A, PoolTag.PRIVATE_B, PoolTag.SYMMETRIC}
-        ),
     )
 
 
@@ -240,15 +235,6 @@ def golden_system() -> FSystemSpec:
         # level sets are nested and k = t covers the row
         row_union_fn=lambda side, t: gen(side, t, t),
         row_sizes_fn=sizes,
-        pools=frozenset(
-            {
-                PoolTag.PRIVATE_A,
-                PoolTag.PRIVATE_B,
-                PoolTag.SHARED_A,
-                PoolTag.SHARED_B,
-                PoolTag.SYMMETRIC,
-            }
-        ),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -86,13 +87,6 @@ class TestF1:
         sys_ = mutant_golden_no_padding()
         fs = sys_.sets(first.params["side"], first.params["t"], first.params["k"])
         assert len(fs) < first.params["k"]
-
-    def test_jobs_equivalent(self):
-        seq = check_f1(mutant_golden_no_padding(), 40)
-        par = check_f1(mutant_golden_no_padding(), 40, jobs=4)
-        assert {(v.params["t"], v.params["k"]) for v in seq} == {
-            (v.params["t"], v.params["k"]) for v in par
-        }
 
 
 class TestF2:
@@ -191,25 +185,49 @@ class TestCompetitiveness:
 
 
 def brute_force_stats(sys_, t):
-    """Shared statistics by raw enumeration of generated sets."""
+    """S_t, S_2t, S_2t,t and Z_3t/2,t by raw enumeration of generated sets."""
     def cum(side, lvl):
-        return union_all(
+        return set_to_pyset(union_all(
             sys_.sets(side, tau, k)
             for tau in range(1, lvl + 1)
             for k in range(1, tau + 1)
-        )
+        ))
 
-    fa, fb = cum(Side.A, t), cum(Side.B, t)
-    fa2, fb2 = cum(Side.A, 2 * t), cum(Side.B, 2 * t)
-    s_t = set_to_pyset(fa) & set_to_pyset(fb)
-    s_2t = set_to_pyset(fa2) & set_to_pyset(fb2)
+    s_t = cum(Side.A, t) & cum(Side.B, t)
+    s_2t = cum(Side.A, 2 * t) & cum(Side.B, 2 * t)
     used = set_to_pyset(sys_.sets(Side.A, 2 * t, t)) | set_to_pyset(
         sys_.sets(Side.B, 2 * t, t)
     )
-    z = set_to_pyset(sys_.sets(Side.A, 3 * t // 2, t)) & set_to_pyset(
-        sys_.sets(Side.B, 3 * t // 2, t)
+    return s_t, s_2t, s_2t & used, brute_force_overlap(sys_, 3 * t // 2, t)
+
+
+def brute_force_overlap(sys_, t, k):
+    return set_to_pyset(sys_.sets(Side.A, t, k)) & set_to_pyset(
+        sys_.sets(Side.B, t, k)
     )
-    return s_t, s_2t & used, z
+
+
+def brute_force_lemma_failures(sys_, r, lam, t_max):
+    """(kind, t) of every failing chain inequality, from raw enumeration and
+    rational arithmetic (r is a Fraction)."""
+    failing = set()
+    for t in range(2, t_max + 1, 2):
+        s_t, s_2t, s_2t_t, z = brute_force_stats(sys_, t)
+        z_top = brute_force_overlap(sys_, 3 * t, 2 * t)
+        s_u_z = len(s_t | z)
+        holds = {
+            ViolationKind.SHARED_LOWER: len(s_t) >= (2 - r) * t - lam,
+            ViolationKind.SHARED_SPLIT_LOWER:
+                len(s_2t_t) >= (6 - 4 * r) * t - 2 * lam,
+            ViolationKind.SHARED_PACKING:
+                len(s_2t - z_top) >= s_u_z + len(s_2t_t),
+            ViolationKind.CARRY_LOWER:
+                len(z_top) >= s_u_z - (3 * r - 4) * t - lam,
+            ViolationKind.RECURRENCE:
+                len(s_2t | z_top) >= 2 * s_u_z + (10 - 7 * r) * t - 3 * lam,
+        }
+        failing |= {(kind, t) for kind, ok in holds.items() if not ok}
+    return failing
 
 
 class TestSharedStats:
@@ -233,7 +251,7 @@ class TestSharedStats:
     def test_matches_brute_force(self, t):
         for sys_ in (golden_system(), half_system()):
             st = shared_stats(sys_, t)
-            s_t, s_2t_t, z = brute_force_stats(sys_, t)
+            s_t, _, s_2t_t, z = brute_force_stats(sys_, t)
             assert set_to_pyset(st.s_t) == s_t
             assert set_to_pyset(st.s_2t_t) == s_2t_t
             assert set_to_pyset(st.z_3t2_t) == z
@@ -260,6 +278,26 @@ class TestLemmaChain:
         )
         assert violations
         assert any(v.kind is ViolationKind.SHARED_LOWER for v in violations)
+
+    @pytest.mark.parametrize(
+        "factory, r, lam, counts",
+        [
+            (golden_system, "13/10", 0, {"shared_lower": 10,
+             "shared_split_lower": 10, "carry_lower": 8, "recurrence": 10}),
+            (half_system, "6/5", 1, {"shared_lower": 9,
+             "shared_split_lower": 10, "carry_lower": 9, "recurrence": 9}),
+        ],
+        ids=["golden", "half"],
+    )
+    def test_matches_brute_force(self, factory, r, lam, counts):
+        sys_ = factory()
+        violations = lemma_chain_check(sys_, parse_exact(r), lam, 20)
+        reported = [(v.kind, v.params["t"]) for v in violations]
+        assert len(reported) == len(set(reported))
+        assert set(reported) == brute_force_lemma_failures(
+            sys_, Fraction(r), lam, 20
+        )
+        assert Counter(kind.value for kind, _ in reported) == counts
 
 
 class TestRunChecks:
@@ -329,21 +367,17 @@ class TestGammaTrace:
         )
         assert [e.t for e in trace.entries] == [12, 24, 48]
         for e in trace.entries:
-            s_t, _, z = brute_force_stats_for_gamma(golden_system(), e.t)
+            s_t, _, _, z = brute_force_stats(golden_system(), e.t)
             assert e.numerator_size == len(s_t | z)
             assert e.gamma == Fraction(len(s_t | z), e.t)
 
-
-def brute_force_stats_for_gamma(sys_, t):
-    def cum(side, lvl):
-        return union_all(
-            sys_.sets(side, tau, k)
-            for tau in range(1, lvl + 1)
-            for k in range(1, tau + 1)
-        )
-
-    s_t = set_to_pyset(cum(Side.A, t)) & set_to_pyset(cum(Side.B, t))
-    z = set_to_pyset(sys_.sets(Side.A, 3 * t // 2, t)) & set_to_pyset(
-        sys_.sets(Side.B, 3 * t // 2, t)
+    @pytest.mark.parametrize(
+        "factory, steps",
+        [(half_system, [1, 2]), (trivial_system, [0, 1, 2])],
+        ids=["half", "trivial"],
     )
-    return ({(p, i) for p, i in s_t}, None, z)
+    def test_step_violations(self, factory, steps):
+        trace = gamma_trace(factory(), parse_exact("1.4"), 1, theta=3, steps=3)
+        assert [(v.kind, v.params["i"]) for v in trace.violations] == [
+            (ViolationKind.GAMMA_STEP, i) for i in steps
+        ]

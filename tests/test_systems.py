@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from freqalloc.frequencies import (
@@ -13,8 +14,14 @@ from freqalloc.frequencies import (
     shared_pool,
     union_all,
 )
-from freqalloc.golden import GoldenNumber, constants
-from freqalloc.systems import golden_system, half_system, trivial_system
+from freqalloc.golden import GoldenNumber, constants, floor_linear
+from freqalloc.systems import (
+    _VEC_LIMIT,
+    _floor_linear_vec,
+    golden_system,
+    half_system,
+    trivial_system,
+)
 
 C = constants()
 P = PoolTag
@@ -113,6 +120,29 @@ class TestGolden:
                     k,
                 )
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            lambda t, k: (7 * k, -k),
+            lambda t, k: (k, 3 * k),
+            lambda t, k: (7 * (t - k), -(t - k)),
+            lambda t, k: (t - k, 3 * (t - k)),
+        ],
+        ids=["beta_k", "phi_beta_k", "beta_tk", "phi_beta_tk"],
+    )
+    def test_vectorised_floor_at_limit(self, coeffs):
+        # the row of sizes is vectorised up to t = _VEC_LIMIT; the ends of
+        # that row carry the largest k and the largest t - k
+        t = _VEC_LIMIT
+        k = np.concatenate([
+            np.arange(1, 2001, dtype=np.int64),
+            np.arange(t - 1999, t + 1, dtype=np.int64),
+        ])
+        u, v = coeffs(t, k)
+        got = _floor_linear_vec(u, v, 22)
+        for ui, vi, n in zip(u.tolist(), v.tolist(), got.tolist()):
+            assert n == floor_linear(ui, vi, 22), (ui, vi)
+
     def test_case2_borrowed_band_empty(self):
         # for phi*k <= t the other side's shared band must vanish
         go = golden_system()
@@ -132,6 +162,14 @@ class TestGolden:
                     assert len(go.sets(Side.A, t, k)) >= k
 
 
+# the pools each built-in construction draws from
+POOLS = {
+    "trivial": {P.PRIVATE_A, P.PRIVATE_B},
+    "half": {P.PRIVATE_A, P.PRIVATE_B, P.SYMMETRIC},
+    "golden": {P.PRIVATE_A, P.PRIVATE_B, P.SHARED_A, P.SHARED_B, P.SYMMETRIC},
+}
+
+
 @pytest.mark.parametrize(
     "factory", [trivial_system, half_system, golden_system]
 )
@@ -143,7 +181,7 @@ class TestSpecContracts:
             for t in range(1, 40):
                 for k in range(0, t + 1):
                     seen |= {p for p, _, _ in sys_.sets(side, t, k).bands}
-        assert seen <= sys_.pools
+        assert seen <= POOLS[sys_.name]
 
     def test_determinism(self, factory):
         sys_ = factory()
