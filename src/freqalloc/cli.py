@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = adv.add_parser("lower-bound", help="doubling-recurrence instance")
     pl.add_argument("--theta", type=_positive_int, required=True)
     pl.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
-    pl.add_argument("--scale-cap", type=int, default=1_000_000)
+    pl.add_argument("--scale-cap", type=_positive_int, default=1_000_000)
     pl.add_argument("--out-graph", required=True)
     pl.add_argument("--out-requests", required=True)
     pl.set_defaults(func=cmd_adversary, mode="lower-bound")

@@ -77,15 +77,14 @@ class UniversalGraph:
                 yield vertex_id(other, t2, k2)
 
     def edge_count(self) -> int:
-        """Number of edges: each (A-level, B-level) pair contributes the
-        count of index pairs satisfying the rule."""
-        total = 0
-        for t in range(1, self.horizon + 1):
-            for t2 in range(1, self.horizon + 1):
-                m = max(t, t2)
-                for k2 in range(1, t2 + 1):
-                    total += max(0, min(t, m - k2))
-        return total
+        """Number of edges, T(T-1)(T+1)^2/6 at horizon T.
+
+        Levels t and t2 with s = min(t, t2) contribute the index pairs with
+        k + k2 <= max(t, t2), t*t2 - s(s+1)/2 of them; summing over all level
+        pairs gives the closed form.
+        """
+        n = self.horizon
+        return n * (n - 1) * (n + 1) ** 2 // 6
 
     def materialize(self, *, max_edges: int = 5_000_000) -> BipartiteInstance:
         """Explicit instance with all edges; guarded, they grow as T^4."""

@@ -5,6 +5,12 @@ set.  The two defining properties checked elsewhere are a size floor
 (|F(c,t,k)| >= k) and cross-side disjointness whenever k + k' <= max(t, t');
 a family is r-competitive when the union of all sets up to level t never
 exceeds r*t + lambda frequencies.
+
+Each built-in generator is an ``lru_cache`` owned by the system that built
+it.  The golden system also memoises, per system, the exact floors its band
+boundaries are made of: each is the floor of a linear function of a single
+integer, so a sweep to level t computes O(t) square-root floors rather than
+six per set.
 """
 
 from __future__ import annotations
@@ -168,21 +174,39 @@ def golden_system() -> FSystemSpec:
     (18-sqrt5)/11 with additive constant 8.
     """
 
+    # every boundary is one of four floors of a linear function of a single
+    # integer, memoised per system like gen
+    @lru_cache(maxsize=1 << 16)
+    def beta(n: int) -> int:
+        return floor_linear(7 * n, -n, 22)
+
+    @lru_cache(maxsize=1 << 16)
+    def phi_beta(n: int) -> int:
+        return floor_linear(n, 3 * n, 22)
+
+    @lru_cache(maxsize=1 << 16)
+    def alpha_plus_4(t: int) -> int:
+        return floor_linear(14 * t + 88, -2 * t, 22)
+
+    @lru_cache(maxsize=1 << 16)
+    def rho(t: int) -> int:
+        return floor_linear(-6 * t, 4 * t, 22)
+
     @lru_cache(maxsize=1 << 16)
     def gen(side: Side, t: int, k: int) -> FrequencySet:
         own = shared_pool(side)
         other = shared_pool(side.other)
         tk = t - k
-        p_hi = floor_linear(14 * t + 88, -2 * t, 22)  # alpha*t + 4
+        p_hi = alpha_plus_4(t)
         if _phi_k_le_t(k, t):
-            s_own_hi = floor_linear(k, 3 * k, 22)  # phi*beta*k
-            q_hi = floor_linear(7 * k, -k, 22)  # rho*phi*k = beta*k
+            s_own_hi = phi_beta(k)
+            q_hi = beta(k)  # rho*phi*k = beta*k
         else:
-            s_own_hi = floor_linear(7 * t, -t, 22)  # beta*t
-            q_hi = floor_linear(-6 * t, 4 * t, 22)  # rho*t
-        s_own_lo = floor_linear(7 * tk, -tk, 22)  # beta*(t-k)
-        s_oth_lo = floor_linear(tk, 3 * tk, 22)  # phi*beta*(t-k)
-        s_oth_hi = floor_linear(7 * k, -k, 22)  # beta*k
+            s_own_hi = beta(t)
+            q_hi = rho(t)
+        s_own_lo = beta(tk)
+        s_oth_lo = phi_beta(tk)
+        s_oth_hi = beta(k)
         q_lo = s_own_lo  # phi*rho*(t-k) = beta*(t-k)
 
         shared = [
@@ -213,12 +237,12 @@ def golden_system() -> FSystemSpec:
         s_own_hi = np.where(
             case,
             _floor_linear_vec(k, 3 * k, 22),  # phi*beta*k
-            floor_linear(7 * t, -t, 22),  # beta*t
+            beta(t),
         )
-        q_hi = np.where(case, beta_k, floor_linear(-6 * t, 4 * t, 22))
+        q_hi = np.where(case, beta_k, rho(t))
         s_own_lo = _floor_linear_vec(7 * tk, -tk, 22)  # beta*(t-k)
         s_oth_lo = _floor_linear_vec(tk, 3 * tk, 22)  # phi*beta*(t-k)
-        p_hi = max(0, floor_linear(14 * t + 88, -2 * t, 22))
+        p_hi = max(0, alpha_plus_4(t))
         return (
             p_hi
             + _band_widths(s_own_lo, s_own_hi)

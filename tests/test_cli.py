@@ -334,6 +334,10 @@ class TestBadNumbers:
             ["adversary", "universal", "--t-max", "0"],
             ["adversary", "lower-bound", "--theta", "0", "--lambda", "1"],
             ["adversary", "lower-bound", "--theta", "1", "--lambda", "0"],
+            ["adversary", "lower-bound", "--theta", "1", "--lambda", "1",
+             "--scale-cap", "-5"],
+            ["adversary", "lower-bound", "--theta", "1", "--lambda", "1",
+             "--scale-cap", "0"],
             ["verify", "--system", "golden", "--t-max", "5", "--checks", "f1",
              "--jobs", "0"],
         ],

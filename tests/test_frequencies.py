@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqalloc import frequencies
 from freqalloc.frequencies import (
     Frequency,
     FrequencySet,
@@ -81,6 +82,31 @@ def random_band_set(rng: random.Random) -> FrequencySet:
     return FrequencySet(bands)
 
 
+def split_band_set(rng: random.Random) -> tuple[FrequencySet, FrequencySet]:
+    """Two sets whose bands overlap, touch (hi == lo) and nest across the
+    pair, drawn from one to three pools (PLAIN included)."""
+    pools = rng.sample(POOLS, rng.randint(1, 3))
+    bands = []
+    for _ in range(rng.randint(1, 6)):
+        pool = rng.choice(pools)
+        lo = rng.randint(1, 30)
+        hi = lo + rng.randint(1, 10)
+        bands.append((pool, lo, hi))
+        shape = rng.randrange(4)
+        if shape == 0:  # touching
+            bands.append((pool, hi, hi + rng.randint(1, 5)))
+        elif shape == 1:  # nested
+            inner = rng.randint(lo, hi - 1)
+            bands.append((pool, inner, rng.randint(inner + 1, hi)))
+        elif shape == 2:  # overlapping
+            bands.append(
+                (pool, rng.randint(lo, hi - 1), hi + rng.randint(1, 5))
+            )
+    rng.shuffle(bands)
+    cut = rng.randint(0, len(bands))
+    return FrequencySet(bands[:cut]), FrequencySet(bands[cut:])
+
+
 class TestSetOps:
     def test_ops_against_plain_sets(self):
         rng = random.Random(5)
@@ -93,6 +119,46 @@ class TestSetOps:
             assert len(a) == len(pa)
             assert a.isdisjoint(b) == pa.isdisjoint(pb)
             assert a.issubset(b) == pa.issubset(pb)
+
+    def test_union_is_canonical(self):
+        # the merge must give the very bands the constructor does, or == and
+        # hash break on equal sets; the Python-set oracle above cannot see it
+        rng = random.Random(11)
+        for _ in range(3000):
+            a, b = split_band_set(rng)
+            assert (a | b).bands == FrequencySet(a.bands + b.bands).bands
+            assert (b | a).bands == (a | b).bands
+
+    def test_union_of_fragmented_sets(self):
+        # one band per frequency, the shape plugin sets arrive in
+        rng = random.Random(12)
+        for _ in range(100):
+            a = FrequencySet.from_indices(
+                PoolTag.PLAIN, rng.sample(range(1, 400), 200)
+            )
+            b = FrequencySet.from_indices(
+                PoolTag.PLAIN, rng.sample(range(1, 400), rng.randint(1, 200))
+            )
+            lo = rng.randint(1, 300)
+            wide = FrequencySet(
+                [(PoolTag.PLAIN, lo, lo + rng.randint(1, 100))]
+            )
+            for x, y in ((a, b), (a, wide), (wide, a)):
+                assert (x | y).bands == FrequencySet(x.bands + y.bands).bands
+        assert len(a.bands) > 50
+
+    def test_union_never_normalizes(self, monkeypatch):
+        rng = random.Random(13)
+        pairs = [split_band_set(rng) for _ in range(500)]
+        want = [FrequencySet(a.bands + b.bands) for a, b in pairs]
+
+        def refuse(bands):
+            raise AssertionError("| sorted its operands through _normalize")
+
+        monkeypatch.setattr(frequencies, "_normalize", refuse)
+        for (a, b), w in zip(pairs, want):
+            got = a | b
+            assert got == w and hash(got) == hash(w)
 
     def test_equality_is_canonical(self):
         a = FrequencySet(

@@ -49,6 +49,20 @@ class TestUniversalGraph:
             listed = sum(len(inst.adjacency[v]) for v in inst.vertices) // 2
             assert graph.edge_count() == listed
 
+    def test_edge_count_matches_level_pair_loop(self):
+        # the closed form against the direct count over level pairs
+        def loop_count(T):
+            total = 0
+            for t in range(1, T + 1):
+                for t2 in range(1, T + 1):
+                    m = max(t, t2)
+                    for k2 in range(1, t2 + 1):
+                        total += max(0, min(t, m - k2))
+            return total
+
+        for T in range(1, 41):
+            assert universal_graph(T).edge_count() == loop_count(T), T
+
     def test_vertex_count(self):
         assert universal_graph(7).vertex_count() == 7 * 8
 

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from freqalloc import systems
+from freqalloc.checker import check_f2
 from freqalloc.frequencies import (
     SIDES,
     FrequencySet,
@@ -119,6 +121,24 @@ class TestGolden:
                     t,
                     k,
                 )
+
+    def test_floors_memoised_per_system(self, monkeypatch):
+        calls = []
+
+        def counting(u, v, w):
+            calls.append((u, v, w))
+            return floor_linear(u, v, w)
+
+        monkeypatch.setattr(systems, "floor_linear", counting)
+        go = golden_system()
+        assert check_f2(go, 100) == []
+        # six floors for each of the 10,100 sets without the memo; with it,
+        # a few per level
+        assert len(calls) <= 1000
+        top = go.sets(Side.A, 60, 60)
+        calls.clear()
+        assert golden_system().sets(Side.A, 60, 60) == top
+        assert calls, "a new system reused another system's floors"
 
     @pytest.mark.parametrize(
         "coeffs",
