@@ -11,6 +11,11 @@ cross-side disjointness guarantees neighbours never share.  First fit is
 found band by band: each vertex keeps, per pool, a next-free union-find over
 the indices it holds, so a request costs O(bands * log k) amortised rather
 than a canonical scan of O(k).
+
+The allocator reads an instance only through the ``Instance`` protocol.
+``BipartiteInstance`` implements it over explicit adjacency and string ids,
+``harness.UniversalInstance`` over dense integer ids and the lazy edge rule
+of the universal graph.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
 from .frequencies import Frequency, FrequencySet, PoolTag, Side, encode_index
 from .systems import FSystemSpec
@@ -176,25 +181,21 @@ class BipartiteInstance:
             "edges": edges,
         }
 
-    def side(self, v: str) -> Side:
-        return self.sides[v]
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self.adjacency[v]
 
-    def bump_load(self, v: str) -> int:
-        self.loads[v] += 1
-        return self.loads[v]
-
-    def opt_candidate(self, v: str) -> int:
-        """Load of v plus the largest neighbour load (covers lone vertices)."""
-        lv = self.loads[v]
+    def admit(self, v: str) -> tuple[Side, int, int]:
+        """Add one unit of load at v; return v's side, its new load, and that
+        load plus the largest neighbour load (a lone vertex counts alone)."""
+        loads = self.loads
+        lv = loads[v] + 1
+        loads[v] = lv
         best = 0
         for w in self.adjacency[v]:
-            lw = self.loads[w]
+            lw = loads[w]
             if lw > best:
                 best = lw
-        return lv + best
+        return self.sides[v], lv, lv + best
 
 
 def _components(
@@ -330,6 +331,23 @@ def _first_free(next_free: dict[int, int], i: int) -> int:
     return j
 
 
+class Instance(Protocol):
+    """What the Allocator reads of an instance: one ``admit`` call per
+    request, and for the validation modes only, ``neighbors``, ``vertices``
+    and ``loads`` (indexable by vertex: a dict by id or a list by dense id).
+    """
+
+    vertices: Iterable[Any]
+    loads: Any
+
+    def admit(self, v: Any) -> tuple[Side, int, int]:
+        """Add one unit of load at v; return v's side, its new load, and the
+        running-optimum candidate: that load plus the largest neighbour load."""
+        ...
+
+    def neighbors(self, v: Any) -> Iterable[Any]: ...
+
+
 class Allocator:
     """Sequential request server built from any F-system.
 
@@ -348,7 +366,7 @@ class Allocator:
 
     def __init__(
         self,
-        instance: BipartiteInstance,
+        instance: Instance,
         system: FSystemSpec,
         *,
         validate: str = "none",
@@ -359,15 +377,13 @@ class Allocator:
         self.system = system
         self.validate = validate
         self.t = 0
-        self.assignment: dict[str, list[Frequency]] = {}
+        self.assignment: dict[Hashable, list[Frequency]] = {}
         # vertex -> next-free union-find per pool rank (None until used)
-        self._next_free: dict[str, list[Optional[dict[int, int]]]] = {}
+        self._next_free: dict[Hashable, list[Optional[dict[int, int]]]] = {}
         self._all_enc: set[int] = set()
 
-    def request(self, v: str) -> Frequency:
-        side = self.instance.side(v)
-        k = self.instance.bump_load(v)
-        cand = self.instance.opt_candidate(v)
+    def request(self, v: Hashable) -> Frequency:
+        side, k, cand = self.instance.admit(v)
         if cand > self.t:
             self.t = cand
         fs = self.system.sets(side, self.t, k)
@@ -414,13 +430,13 @@ class Allocator:
     def distinct_used(self) -> int:
         return len(self._all_enc)
 
-    def assignment_sets(self) -> dict[str, FrequencySet]:
+    def assignment_sets(self) -> dict[Hashable, FrequencySet]:
         return {
             v: FrequencySet.from_frequencies(fs)
             for v, fs in self.assignment.items()
         }
 
-    def _check_valid(self, v: str, new: Frequency) -> None:
+    def _check_valid(self, v: Hashable, new: Frequency) -> None:
         sets = self.assignment_sets()
         for u, fs in sets.items():
             if len(fs) != self.instance.loads[u]:
@@ -429,7 +445,7 @@ class Allocator:
                     f"{self.instance.loads[u]}"
                 )
         for u in self.instance.vertices:
-            for w in self.instance.adjacency[u]:
+            for w in self.instance.neighbors(u):
                 if u < w:
                     su = sets.get(u, FrequencySet.empty())
                     sw = sets.get(w, FrequencySet.empty())

@@ -115,16 +115,15 @@ def check_f2(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     out: list[Violation] = []
-    # cols[side][k'] accumulates the union over t' of F(side, t', k')
-    cols: dict[Side, list[FrequencySet]] = {
-        s: [FrequencySet.empty()] * (t_max + 1) for s in SIDES
-    }
+    # cols[s][k'] accumulates the union over t' of F(SIDES[s], t', k'); it
+    # and rows are lists by side number, which hashes no Side enum
+    cols = [[FrequencySet.empty()] * (t_max + 1) for _ in SIDES]
 
-    def prefixes(side: Side, t: int) -> list[FrequencySet]:
+    def prefixes(col: list[FrequencySet], t: int) -> list[FrequencySet]:
         acc = FrequencySet.empty()
         pref = [acc]
         for m in range(1, t + 1):
-            acc = acc | cols[side][m]
+            acc = acc | col[m]
             pref.append(acc)
         return pref
 
@@ -152,23 +151,23 @@ def check_f2(
         return None
 
     for t in range(1, t_max + 1):
-        rows = {s: [sys.sets(s, t, k) for k in range(1, t + 1)] for s in SIDES}
+        rows = [[sys.sets(s, t, k) for k in range(1, t + 1)] for s in SIDES]
         for m in range(1, t + 1):
-            cols[Side.B][m] = cols[Side.B][m] | rows[Side.B][m - 1]
+            cols[1][m] = cols[1][m] | rows[1][m - 1]
         # the side A row meets side B history including level t itself; the
         # side B row meets strictly earlier side A history, because the
         # level-t pairs were covered from side A
-        for side, horizon in ((Side.A, t), (Side.B, t - 1)):
-            pref = prefixes(side.other, t - 1)
+        for s, horizon in ((0, t), (1, t - 1)):
+            pref = prefixes(cols[1 - s], t - 1)
             for k in range(1, t):
-                if not rows[side][k - 1].isdisjoint(pref[t - k]):
-                    v = witness_pair(side, t, k, horizon)
+                if not rows[s][k - 1].isdisjoint(pref[t - k]):
+                    v = witness_pair(SIDES[s], t, k, horizon)
                     if v is not None:
                         out.append(v)
                         if limit and len(out) >= limit:
                             return out
         for m in range(1, t + 1):
-            cols[Side.A][m] = cols[Side.A][m] | rows[Side.A][m - 1]
+            cols[0][m] = cols[0][m] | rows[0][m - 1]
     return out
 
 

@@ -5,6 +5,11 @@ The truncated universal graph has a vertex (t, k) on each side for every
 the other exactly when k + k' <= max(t, t').  Issuing k requests to every
 level-t vertex in phase t drives the static optimum to exactly t per phase,
 which turns any allocator run into a competitive-ratio measurement.
+
+The replay runs on dense integer vertex ids: ``UniversalInstance`` serves
+the allocator's ``Instance`` protocol with one ``admit`` call per request.
+The "A:t,k" string ids name vertices in exported graphs, request streams
+and collision witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .allocation import Allocator, BipartiteInstance
-from .frequencies import Side
+from .frequencies import SIDES, Side, encode_index
 from .golden import GoldenNumber
 from .systems import FSystemSpec
 
@@ -150,8 +155,13 @@ class _PrefixMax:
         return best
 
 
-class UniversalInstance(BipartiteInstance):
-    """Lazy-adjacency instance over the universal graph.
+class UniversalInstance:
+    """Loads of the universal graph's vertices, by dense integer id.
+
+    Vertex (side, t, k) has id s*N + t(t-1)/2 + k-1, where s is 0 for side
+    A and 1 for side B and N = T(T+1)/2 counts one side's vertices, so a
+    level's vertices are consecutive and side B follows side A.  Tables of
+    side, level and index per id are built once; loads are a list by id.
 
     Neighbour maxima are answered from per-side prefix-max trees over the
     k-index, which is exact as long as requests arrive in nondecreasing
@@ -162,84 +172,94 @@ class UniversalInstance(BipartiteInstance):
 
     def __init__(self, graph: UniversalGraph) -> None:
         self.graph = graph
-        self.vertices = ()
-        self.adjacency = {}
-        self.loads = {}
-        self.sides = {}
-        self._meta: dict[str, tuple[Side, int, int]] = {}
-        self._prefix = {Side.A: _PrefixMax(graph.horizon),
-                        Side.B: _PrefixMax(graph.horizon)}
+        T = graph.horizon
+        self.per_side = T * (T + 1) // 2
+        levels = [t for t in range(1, T + 1) for _ in range(t)]
+        indices = [k for t in range(1, T + 1) for k in range(1, t + 1)]
+        self._side = [0] * self.per_side + [1] * self.per_side
+        self._level = levels + levels
+        self._index = indices + indices
+        self.loads = [0] * (2 * self.per_side)
+        self._prefix = (_PrefixMax(T), _PrefixMax(T))
         self._top_level = 0
 
-    def side(self, v: str) -> Side:
-        return self._touch(v)[0]
+    @property
+    def vertices(self) -> range:
+        return range(len(self.loads))
 
-    def _touch(self, v: str) -> tuple[Side, int, int]:
-        meta = self._meta.get(v)
-        if meta is None:
-            meta = parse_vertex_id(v)
-            side, t, k = meta
-            if not (1 <= k <= t <= self.graph.horizon):
-                raise ValueError(f"vertex {v} is outside the universal graph")
-            self._meta[v] = meta
-            self.loads.setdefault(v, 0)
-            self.sides[v] = side
-        return meta
+    def vertex(self, side: Side, t: int, k: int) -> int:
+        """Dense id of (side, t, k); ValueError outside the graph."""
+        if not (1 <= k <= t <= self.graph.horizon):
+            raise ValueError(
+                f"vertex {vertex_id(side, t, k)} is outside the universal graph"
+            )
+        return SIDES.index(side) * self.per_side + t * (t - 1) // 2 + k - 1
 
-    def neighbors(self, v: str) -> Iterator[str]:  # type: ignore[override]
-        side, t, k = self._touch(v)
-        return self.graph.neighbors(side, t, k)
+    def name(self, v: int) -> str:
+        """The "A:t,k" id of dense vertex v."""
+        return vertex_id(SIDES[self._side[v]], self._level[v], self._index[v])
 
-    def bump_load(self, v: str) -> int:
-        side, t, k = self._touch(v)
+    def neighbors(self, v: int) -> Iterator[int]:
+        t, k = self._level[v], self._index[v]
+        other = (1 - self._side[v]) * self.per_side
+        for t2 in range(1, self.graph.horizon + 1):
+            first = other + t2 * (t2 - 1) // 2
+            yield from range(first, first + min(t2, max(t, t2) - k))
+
+    def admit(self, v: int) -> tuple[Side, int, int]:
+        if not 0 <= v < len(self.loads):
+            raise ValueError(f"vertex {v} is outside the universal graph")
+        t = self._level[v]
         if t < self._top_level:
             raise ValueError(
                 "universal replay requires nondecreasing levels; "
                 f"got level {t} after {self._top_level}"
             )
         self._top_level = t
-        self.loads[v] = self.loads.get(v, 0) + 1
-        self._prefix[side].update(k, self.loads[v])
-        return self.loads[v]
-
-    def opt_candidate(self, v: str) -> int:
-        side, t, k = self._touch(v)
-        best = self._prefix[side.other].query(t - k) if t > k else 0
-        return self.loads[v] + best
+        s = self._side[v]
+        k = self._index[v]
+        load = self.loads[v] + 1
+        self.loads[v] = load
+        self._prefix[s].update(k, load)
+        return SIDES[s], load, load + self._prefix[1 - s].query(t - k)
 
     def independent_opt(self, phase: int) -> int:
         """Recompute the optimum of the loaded graph after a phase from the
         recorded loads and the edge rule, without reusing the allocator's
         running counter.
 
-        All loaded vertices have level <= phase, and every loaded index m
-        has a witness vertex at level phase, so the partners of a loaded
-        (t, k) are exactly the opposite indices up to phase - k and the best
-        partner load is a prefix maximum over the index.
+        Loaded vertices have level at most the highest level admitted, and
+        those are the first ids of each side.  All of them have level <=
+        phase, and every loaded index m has a witness vertex at level phase,
+        so the partners of a loaded (t, k) are exactly the opposite indices
+        up to phase - k and the best partner load is a prefix maximum over
+        the index.
         """
-        by_index = {s: [0] * (phase + 1) for s in (Side.A, Side.B)}
-        for v, load in self.loads.items():
-            if load <= 0:
-                continue
-            side, _, k = self._touch(v)
-            if load > by_index[side][k]:
-                by_index[side][k] = load
-        prefix = {}
-        for s in (Side.A, Side.B):
+        top = self._top_level * (self._top_level + 1) // 2
+        indices = self._index[:top]
+        rows = [
+            self.loads[s * self.per_side : s * self.per_side + top] for s in (0, 1)
+        ]
+        prefix = []
+        for row in rows:
+            by_index = [0] * (phase + 1)
+            for load, k in zip(row, indices):
+                if load > by_index[k]:
+                    by_index[k] = load
             acc = 0
-            row = [0] * (phase + 1)
             for m in range(1, phase + 1):
-                acc = max(acc, by_index[s][m])
-                row[m] = acc
-            prefix[s] = row
+                acc = max(acc, by_index[m])
+                by_index[m] = acc
+            prefix.append(by_index)
         best = 0
-        for v, load in self.loads.items():
-            if load <= 0:
-                continue
-            side, _, k = self._touch(v)
-            partner = prefix[side.other][max(0, min(phase, phase - k))]
-            if load + partner > best:
-                best = load + partner
+        for s, row in enumerate(rows):
+            partner = prefix[1 - s]
+            for load, k in zip(row, indices):
+                if load <= 0:
+                    continue
+                total = load + partner[max(0, min(phase, phase - k))]
+                if total > best:
+                    best = total
         return best
 
 
@@ -310,28 +330,30 @@ def run_universal(
     """
     r = ratio if ratio is not None else system.claimed_ratio
     add = lam if lam is not None else system.claimed_lambda
-    graph = universal_graph(t_max)
-    inst = UniversalInstance(graph)
+    inst = UniversalInstance(universal_graph(t_max))
     alloc = Allocator(inst, system)
-    # smallest opposite k-index using each frequency, with a witness vertex
-    min_index: dict[Side, dict[int, tuple[int, str]]] = {Side.A: {}, Side.B: {}}
+    request = alloc.request
+    # per side, the smallest k-index using each frequency and its vertex
+    min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
     report = RunReport(system=system.name, ratio=r, lam=add)
     for t in range(1, t_max + 1):
-        for side in (Side.A, Side.B):
+        for s, side in enumerate(SIDES):
+            mine, theirs = min_index[s], min_index[1 - s]
+            first = inst.vertex(side, t, 1)
             for k in range(1, t + 1):
-                vid = vertex_id(side, t, k)
+                v = first + k - 1
                 for _ in range(k):
-                    f = alloc.request(vid)
-                    enc = f.encode()
-                    hit = min_index[side.other].get(enc)
+                    f = request(v)
+                    enc = encode_index(f.pool, f.index)
+                    hit = theirs.get(enc)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(
-                            f"frequency {f} assigned to {vid} is already used "
-                            f"at adjacent {hit[1]}"
+                            f"frequency {f} assigned to {inst.name(v)} is "
+                            f"already used at adjacent {inst.name(hit[1])}"
                         )
-                    mine = min_index[side].get(enc)
-                    if mine is None or k < mine[0]:
-                        min_index[side][enc] = (k, vid)
+                    held = mine.get(enc)
+                    if held is None or k < held[0]:
+                        mine[enc] = (k, v)
         opt = inst.independent_opt(t)
         used = alloc.distinct_used()
         bound = (r * t).floor() + add

@@ -141,6 +141,9 @@ def _phi_k_le_t(k: int, t: int) -> bool:
 
 # float sqrt plus integer correction is exact while 5v^2 fits the mantissa
 _VEC_LIMIT = 3 * 10**7
+# k-values per vectorised pass of the golden row_sizes: each pass holds about
+# ten int64 temporaries of this length (a few MB), whatever the level
+_ROW_CHUNK = 1 << 16
 
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
@@ -230,7 +233,15 @@ def golden_system() -> FSystemSpec:
             return np.array(
                 [len(gen(side, t, k)) for k in range(1, t + 1)], dtype=object
             )
-        k = np.arange(1, t + 1, dtype=np.int64)
+        out = np.empty(t, dtype=np.int64)
+        for lo in range(1, t + 1, _ROW_CHUNK):
+            hi = min(lo + _ROW_CHUNK, t + 1)
+            out[lo - 1 : hi - 1] = chunk_sizes(t, lo, hi)
+        return out
+
+    def chunk_sizes(t: int, lo: int, hi: int) -> np.ndarray:
+        """Sizes of the level-t sets for lo <= k < hi, vectorised over k."""
+        k = np.arange(lo, hi, dtype=np.int64)
         tk = t - k
         case = 5 * k * k <= (2 * t - k) ** 2  # phi*k <= t
         beta_k = _floor_linear_vec(7 * k, -k, 22)

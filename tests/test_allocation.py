@@ -239,9 +239,9 @@ def scan_picks(inst, system, stream):
     t = 0
     picks = []
     for v in stream:
-        k = inst.bump_load(v)
-        t = max(t, inst.opt_candidate(v))
-        fs = system.sets(inst.side(v), t, k)
+        side, k, cand = inst.admit(v)
+        t = max(t, cand)
+        fs = system.sets(side, t, k)
         f = next(f for f in fs if f not in held[v])
         held[v].add(f)
         picks.append(f)

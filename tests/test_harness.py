@@ -3,13 +3,17 @@ from fractions import Fraction
 import pytest
 
 from freqalloc.allocation import Allocator, static_opt
-from freqalloc.frequencies import Side
+from freqalloc.frequencies import FrequencySet, PoolTag, Side, pool_band, pool_prefix
 from freqalloc.golden import GoldenNumber, constants
 from freqalloc.harness import (
+    CollisionError,
+    PhaseRecord,
     ResourceGuardError,
+    RunReport,
     ScaleCapError,
     UniversalGraph,
     UniversalInstance,
+    _PrefixMax,
     lower_bound_instance,
     measure_ratio,
     parse_vertex_id,
@@ -17,9 +21,125 @@ from freqalloc.harness import (
     universal_graph,
     vertex_id,
 )
-from freqalloc.systems import golden_system, half_system, trivial_system
+from freqalloc.systems import (
+    FSystemSpec,
+    golden_system,
+    half_system,
+    trivial_system,
+)
 
 C = constants()
+
+
+class StringUniversalInstance:
+    """Reference replay instance keyed by "A:t,k" strings: parses each id
+    once, keeps loads in a dict keyed by id and the prefix-max trees in a
+    dict keyed by Side."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.loads = {}
+        self._meta = {}
+        self._prefix = {Side.A: _PrefixMax(graph.horizon),
+                        Side.B: _PrefixMax(graph.horizon)}
+        self._top_level = 0
+
+    def _touch(self, v):
+        meta = self._meta.get(v)
+        if meta is None:
+            meta = parse_vertex_id(v)
+            side, t, k = meta
+            if not (1 <= k <= t <= self.graph.horizon):
+                raise ValueError(f"vertex {v} is outside the universal graph")
+            self._meta[v] = meta
+            self.loads.setdefault(v, 0)
+        return meta
+
+    def admit(self, v):
+        side, t, k = self._touch(v)
+        if t < self._top_level:
+            raise ValueError(
+                "universal replay requires nondecreasing levels; "
+                f"got level {t} after {self._top_level}"
+            )
+        self._top_level = t
+        self.loads[v] += 1
+        self._prefix[side].update(k, self.loads[v])
+        best = self._prefix[side.other].query(t - k) if t > k else 0
+        return side, self.loads[v], self.loads[v] + best
+
+    def independent_opt(self, phase):
+        by_index = {s: [0] * (phase + 1) for s in (Side.A, Side.B)}
+        for v, load in self.loads.items():
+            if load <= 0:
+                continue
+            side, _, k = self._touch(v)
+            if load > by_index[side][k]:
+                by_index[side][k] = load
+        prefix = {}
+        for s in (Side.A, Side.B):
+            acc = 0
+            row = [0] * (phase + 1)
+            for m in range(1, phase + 1):
+                acc = max(acc, by_index[s][m])
+                row[m] = acc
+            prefix[s] = row
+        best = 0
+        for v, load in self.loads.items():
+            if load <= 0:
+                continue
+            side, _, k = self._touch(v)
+            partner = prefix[side.other][max(0, min(phase, phase - k))]
+            if load + partner > best:
+                best = load + partner
+        return best
+
+
+def reference_run_universal(system, t_max):
+    """The string-keyed phase replay, kept as the oracle of run_universal."""
+    r, add = system.claimed_ratio, system.claimed_lambda
+    inst = StringUniversalInstance(universal_graph(t_max))
+    alloc = Allocator(inst, system)
+    min_index = {Side.A: {}, Side.B: {}}
+    report = RunReport(system=system.name, ratio=r, lam=add)
+    for t in range(1, t_max + 1):
+        for side in (Side.A, Side.B):
+            for k in range(1, t + 1):
+                vid = vertex_id(side, t, k)
+                for _ in range(k):
+                    f = alloc.request(vid)
+                    enc = f.encode()
+                    hit = min_index[side.other].get(enc)
+                    if hit is not None and hit[0] <= t - k:
+                        raise CollisionError(
+                            f"frequency {f} assigned to {vid} is already used "
+                            f"at adjacent {hit[1]}"
+                        )
+                    mine = min_index[side].get(enc)
+                    if mine is None or k < mine[0]:
+                        min_index[side][enc] = (k, vid)
+        opt = inst.independent_opt(t)
+        used = alloc.distinct_used()
+        bound = (r * t).floor() + add
+        report.phases.append(
+            PhaseRecord(t=t, opt=opt, distinct_used=used, bound=bound,
+                        within_bound=used <= bound)
+        )
+        if opt != t:
+            raise CollisionError(
+                f"independent optimum after phase {t} is {opt}, expected {t}"
+            )
+    return report
+
+
+def clashing_system():
+    """Both sides draw the same plain prefix, so neighbours always clash."""
+    return FSystemSpec(
+        name="clashing",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=lambda side, t, k: pool_prefix(PoolTag.PLAIN, k),
+    )
 
 
 class TestUniversalGraph:
@@ -72,6 +192,31 @@ class TestUniversalGraph:
 
 
 class TestUniversalInstance:
+    def test_dense_ids(self):
+        # (side, t, k) -> s*N + t(t-1)/2 + k-1 with N = T(T+1)/2, a
+        # bijection onto range(2N) that names each id back
+        T = 6
+        inst = UniversalInstance(universal_graph(T))
+        ids = [
+            inst.vertex(side, t, k)
+            for side in (Side.A, Side.B)
+            for t in range(1, T + 1)
+            for k in range(1, t + 1)
+        ]
+        assert ids == list(range(T * (T + 1)))
+        assert inst.vertex(Side.B, 3, 2) == 21 + 3 + 1
+        names = [inst.name(v) for v in ids]
+        assert names == list(universal_graph(T).vertex_ids())
+
+    def test_neighbors_match_edge_rule(self):
+        graph = universal_graph(6)
+        inst = UniversalInstance(graph)
+        for v in inst.vertices:
+            side, t, k = parse_vertex_id(inst.name(v))
+            assert [inst.name(w) for w in inst.neighbors(v)] == list(
+                graph.neighbors(side, t, k)
+            )
+
     def test_opt_tracking_matches_generic(self):
         # replay phases on the lazy instance and on the materialized graph;
         # the running optimum must match the generic static computation
@@ -82,17 +227,43 @@ class TestUniversalInstance:
         t_lazy = 0
         for t in range(1, T + 1):
             for vid in graph.phase_requests(t):
-                lazy.bump_load(vid)
+                side, t_v, k = parse_vertex_id(vid)
+                got_side, load, cand = lazy.admit(lazy.vertex(side, t_v, k))
                 explicit.loads[vid] += 1
-                t_lazy = max(t_lazy, lazy.opt_candidate(vid))
+                assert (got_side, load) == (side, explicit.loads[vid])
+                t_lazy = max(t_lazy, cand)
             assert t_lazy == static_opt(explicit) == t
             assert lazy.independent_opt(t) == t
 
     def test_rejects_level_regressions(self):
         lazy = UniversalInstance(universal_graph(5))
-        lazy.bump_load(vertex_id(Side.A, 3, 1))
-        with pytest.raises(ValueError):
-            lazy.bump_load(vertex_id(Side.A, 2, 1))
+        lazy.admit(lazy.vertex(Side.A, 3, 1))
+        with pytest.raises(ValueError, match="nondecreasing levels"):
+            lazy.admit(lazy.vertex(Side.A, 2, 1))
+
+    @pytest.mark.parametrize("t, k", [(6, 1), (3, 4), (2, 0), (0, 0)])
+    def test_rejects_vertices_outside_the_graph(self, t, k):
+        inst = UniversalInstance(universal_graph(5))
+        with pytest.raises(ValueError, match="outside the universal graph"):
+            inst.vertex(Side.B, t, k)
+
+    @pytest.mark.parametrize("v", [-1, 30, 31])
+    def test_rejects_ids_outside_the_graph(self, v):
+        inst = UniversalInstance(universal_graph(5))
+        with pytest.raises(ValueError, match="outside the universal graph"):
+            inst.admit(v)
+
+    def test_full_validation_on_dense_ids(self):
+        # the allocator's validation modes read the instance only through
+        # its protocol; on dense ids they see the same graph and picks
+        T = 6
+        graph = universal_graph(T)
+        lazy = UniversalInstance(graph)
+        full = Allocator(lazy, golden_system(), validate="full")
+        explicit = Allocator(graph.materialize(), golden_system())
+        for vid in graph.request_stream():
+            side, t, k = parse_vertex_id(vid)
+            assert full.request(lazy.vertex(side, t, k)) == explicit.request(vid)
 
 
 class TestRunUniversal:
@@ -129,9 +300,58 @@ class TestRunUniversal:
         report = run_universal(golden_system(), T)
         assert report.phases[-1].distinct_used == alloc.distinct_used()
 
-    def test_measure_ratio_empty_rejected(self):
-        from freqalloc.harness import RunReport
+    @pytest.mark.parametrize("T", [1, 2, 7, 30])
+    @pytest.mark.parametrize(
+        "system", [trivial_system, half_system, golden_system]
+    )
+    def test_matches_string_keyed_reference(self, system, T):
+        assert (
+            run_universal(system(), T).to_json()
+            == reference_run_universal(system(), T).to_json()
+        )
 
+    def test_collision_names_both_vertices(self):
+        # every vertex's first request draws plain 1; the level-1 vertices
+        # are not adjacent (1 + 1 > 1), so the first clash is A:2,1 against
+        # B:1,1 (1 + 1 <= 2)
+        with pytest.raises(CollisionError) as err:
+            run_universal(clashing_system(), 3)
+        assert str(err.value) == (
+            "frequency 1 assigned to A:2,1 is already used at adjacent B:1,1"
+        )
+        with pytest.raises(CollisionError) as ref:
+            reference_run_universal(clashing_system(), 3)
+        assert str(ref.value) == str(err.value)
+
+    def test_collision_through_the_smallest_index(self):
+        # side B draws 1000+t .. 1000+t+j-1 for its j-th request, so
+        # frequency 1003 goes first to B:2,2 (k = 2) and then to B:3,1
+        # (k = 1); side A draws 1..j, except that its third request at
+        # level 4 draws 1, 2, 1003.  A:4,3 meets B:3,1 (1 + 3 <= 4) but not
+        # B:2,2 (2 + 3 > 4), so the clash is only seen if the replay keeps
+        # the smallest index using 1003.
+        def gen(side, t, k):
+            if side is Side.B:
+                return pool_band(PoolTag.PLAIN, 1000 + t - 1, 1000 + t + k - 1)
+            if (t, k) == (4, 3):
+                return FrequencySet(
+                    [(PoolTag.PLAIN, 1, 3), (PoolTag.PLAIN, 1003, 1004)]
+                )
+            return pool_prefix(PoolTag.PLAIN, k)
+
+        system = FSystemSpec(
+            name="late-small-index",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=gen,
+        )
+        with pytest.raises(CollisionError) as err:
+            run_universal(system, 4)
+        assert str(err.value) == (
+            "frequency 1003 assigned to A:4,3 is already used at adjacent B:3,1"
+        )
+
+    def test_measure_ratio_empty_rejected(self):
         with pytest.raises(ValueError):
             measure_ratio(RunReport("x", GoldenNumber(2), 0), 0)
 

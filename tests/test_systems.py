@@ -163,6 +163,18 @@ class TestGolden:
         for ui, vi, n in zip(u.tolist(), v.tolist(), got.tolist()):
             assert n == floor_linear(ui, vi, 22), (ui, vi)
 
+    def test_row_sizes_in_chunks(self, monkeypatch):
+        # a row longer than the chunk is vectorised chunk by chunk; with
+        # 7 k-values per chunk, rows up to 60 cross many chunk boundaries
+        monkeypatch.setattr(systems, "_ROW_CHUNK", 7)
+        go = golden_system()
+        for side in SIDES:
+            for t in range(1, 61):
+                got = go.row_sizes(side, t)
+                assert got.tolist() == [
+                    len(go.generator(side, t, k)) for k in range(1, t + 1)
+                ], (side, t)
+
     def test_case2_borrowed_band_empty(self):
         # for phi*k <= t the other side's shared band must vanish
         go = golden_system()
