@@ -5,6 +5,14 @@ falsifier for claimed ratios below 10/7.
 Every reported violation carries the parameters and both sides of the
 failed inequality, so re-evaluating the named inequality on the named
 parameters reproduces the failure.
+
+The two sweeps over (t, k) work on arrays where they can.  ``check_f1``
+compares each row of sizes with 1..t in numpy and visits only the short
+sets.  ``check_f2`` on a system with row bands keeps each column union and
+each prefix union as per-pool (lo, hi) arrays and tests all k of a level in
+one expression.  It is exact while every such union is one interval per
+pool; the first union that is not sends the whole check back to the set
+sweep from level 1, which reports the same violations in the same order.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .frequencies import SIDES, FrequencySet, Side, union_all
 from .golden import GoldenNumber
-from .systems import FSystemSpec
+from .systems import _VEC_LIMIT, POOL_COUNT, FSystemSpec
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 
@@ -81,23 +91,23 @@ def check_f1(
         raise ValueError("t_max must be >= 1")
     out = []
     for t in range(1, t_max + 1):
+        ks = np.arange(1, t + 1)
         for side in SIDES:
-            sizes = sys.row_sizes(side, t)
-            for k in range(1, t + 1):
-                if sizes[k - 1] < k:
-                    # recover the witness from the generator proper
-                    fs = sys.sets(side, t, k)
-                    out.append(
-                        Violation(
-                            kind=ViolationKind.F1,
-                            params={"side": side, "t": t, "k": k},
-                            lhs=f"|F| = {len(fs)}",
-                            rhs=f"k = {k}",
-                            witness=fs,
-                        )
+            short = np.asarray(sys.row_sizes(side, t)) < ks
+            for k in (np.flatnonzero(short) + 1).tolist():
+                # recover the witness from the generator proper
+                fs = sys.sets(side, t, k)
+                out.append(
+                    Violation(
+                        kind=ViolationKind.F1,
+                        params={"side": side, "t": t, "k": k},
+                        lhs=f"|F| = {len(fs)}",
+                        rhs=f"k = {k}",
+                        witness=fs,
                     )
-                    if limit and len(out) >= limit:
-                        return out
+                )
+                if limit and len(out) >= limit:
+                    return out
     return out
 
 
@@ -110,10 +120,57 @@ def check_f2(
     the union of all opposite-side sets F(c', t', k') with t' <= t and
     k' <= t - k; by the symmetry of the condition in the two sides this
     covers every quadruple up to t_max exactly once.  Witnesses are
-    recovered by re-scanning the offending range.
+    recovered by re-scanning the offending range.  A system with row bands
+    is swept on band arrays, falling back to the set sweep from level 1 if
+    a union fragments; both give the same violations in the same order.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if sys.row_bands_fn is not None and t_max <= _VEC_LIMIT:
+        out = _check_f2_bands(sys, t_max, limit)
+        if out is not None:
+            return out
+    return _check_f2_sets(sys, t_max, limit)
+
+
+def _witness_pair(
+    sys: FSystemSpec, side: Side, t: int, k: int, horizon: int
+) -> Optional[Violation]:
+    """The first opposite-side set, by (t', k'), that F(side, t, k) meets
+    among t' <= horizon and k' <= t - k."""
+    mine = sys.sets(side, t, k)
+    for tp in range(1, horizon + 1):
+        for kp in range(1, min(tp, t - k) + 1):
+            hit = mine & sys.sets(side.other, tp, kp)
+            if hit:
+                return Violation(
+                    kind=ViolationKind.F2,
+                    params={
+                        "side": side,
+                        "t": t,
+                        "k": k,
+                        "t_other": tp,
+                        "k_other": kp,
+                    },
+                    lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}",
+                    rhs="0",
+                    witness=hit,
+                )
+    return None
+
+
+def _horizons(t: int) -> tuple[tuple[int, int], ...]:
+    """(side number, horizon) for the two rows of level t.  The side A row
+    meets side B history including level t itself; the side B row meets
+    strictly earlier side A history, because the level-t pairs were covered
+    from side A."""
+    return ((0, t), (1, t - 1))
+
+
+def _check_f2_sets(
+    sys: FSystemSpec, t_max: int, limit: Optional[int]
+) -> list[Violation]:
+    """check_f2 on FrequencySet unions; any system."""
     out: list[Violation] = []
     # cols[s][k'] accumulates the union over t' of F(SIDES[s], t', k'); it
     # and rows are lists by side number, which hashes no Side enum
@@ -127,47 +184,90 @@ def check_f2(
             pref.append(acc)
         return pref
 
-    def witness_pair(
-        side: Side, t: int, k: int, horizon: int
-    ) -> Optional[Violation]:
-        mine = sys.sets(side, t, k)
-        for tp in range(1, horizon + 1):
-            for kp in range(1, min(tp, t - k) + 1):
-                hit = mine & sys.sets(side.other, tp, kp)
-                if hit:
-                    return Violation(
-                        kind=ViolationKind.F2,
-                        params={
-                            "side": side,
-                            "t": t,
-                            "k": k,
-                            "t_other": tp,
-                            "k_other": kp,
-                        },
-                        lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}",
-                        rhs="0",
-                        witness=hit,
-                    )
-        return None
-
     for t in range(1, t_max + 1):
         rows = [[sys.sets(s, t, k) for k in range(1, t + 1)] for s in SIDES]
         for m in range(1, t + 1):
             cols[1][m] = cols[1][m] | rows[1][m - 1]
-        # the side A row meets side B history including level t itself; the
-        # side B row meets strictly earlier side A history, because the
-        # level-t pairs were covered from side A
-        for s, horizon in ((0, t), (1, t - 1)):
+        for s, horizon in _horizons(t):
             pref = prefixes(cols[1 - s], t - 1)
             for k in range(1, t):
                 if not rows[s][k - 1].isdisjoint(pref[t - k]):
-                    v = witness_pair(SIDES[s], t, k, horizon)
+                    v = _witness_pair(sys, SIDES[s], t, k, horizon)
                     if v is not None:
                         out.append(v)
                         if limit and len(out) >= limit:
                             return out
         for m in range(1, t + 1):
             cols[0][m] = cols[0][m] | rows[0][m - 1]
+    return out
+
+
+# an empty band as (lo, hi): the identity of the min/max merge, and it meets
+# no band
+_EMPTY_LO = np.iinfo(np.int64).max
+_EMPTY_HI = np.iinfo(np.int64).min
+
+
+def _one_interval(
+    lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray
+) -> bool:
+    """Whether each pair of bands unions to one interval: they overlap or
+    touch, or one of them is empty."""
+    joined = np.maximum(lo1, lo2) <= np.minimum(hi1, hi2)
+    return bool(np.all(joined | (lo1 > hi1) | (lo2 > hi2)))
+
+
+def _check_f2_bands(
+    sys: FSystemSpec, t_max: int, limit: Optional[int]
+) -> Optional[list[Violation]]:
+    """_check_f2_sets on per-pool band arrays, or None once a column or
+    prefix union is not one interval per pool."""
+    out: list[Violation] = []
+    # col_lo[s][p, k'], col_hi[s][p, k']: pool p's band of the union over
+    # t' of F(SIDES[s], t', k')
+    shape = (POOL_COUNT, t_max + 1)
+    col_lo = [np.full(shape, _EMPTY_LO) for _ in SIDES]
+    col_hi = [np.full(shape, _EMPTY_HI) for _ in SIDES]
+
+    def row(side: Side, t: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = sys.row_bands(side, t)
+        empty = lo >= hi
+        return np.where(empty, _EMPTY_LO, lo), np.where(empty, _EMPTY_HI, hi)
+
+    def merge(s: int, t: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+        clo, chi = col_lo[s][:, 1 : t + 1], col_hi[s][:, 1 : t + 1]
+        if not _one_interval(clo, chi, lo, hi):
+            return False
+        np.minimum(clo, lo, out=clo)
+        np.maximum(chi, hi, out=chi)
+        return True
+
+    for t in range(1, t_max + 1):
+        rows = [row(side, t) for side in SIDES]
+        if not merge(1, t, *rows[1]):
+            return None
+        for s, horizon in _horizons(t):
+            # pre_lo[:, j], pre_hi[:, j]: the union of columns 1..j+1
+            clo, chi = col_lo[1 - s][:, 1:t], col_hi[1 - s][:, 1:t]
+            pre_lo = np.minimum.accumulate(clo, axis=1)
+            pre_hi = np.maximum.accumulate(chi, axis=1)
+            if not _one_interval(
+                clo[:, 1:], chi[:, 1:], pre_lo[:, :-1], pre_hi[:, :-1]
+            ):
+                return None
+            # row k, for k = 1..t-1, against the union of columns 1..t-k
+            rlo, rhi = rows[s][0][:, : t - 1], rows[s][1][:, : t - 1]
+            meets = np.maximum(rlo, pre_lo[:, ::-1]) < np.minimum(
+                rhi, pre_hi[:, ::-1]
+            )
+            for k in (np.flatnonzero(meets.any(axis=0)) + 1).tolist():
+                v = _witness_pair(sys, SIDES[s], t, k, horizon)
+                if v is not None:
+                    out.append(v)
+                    if limit and len(out) >= limit:
+                        return out
+        if not merge(0, t, *rows[0]):
+            return None
     return out
 
 

@@ -11,10 +11,18 @@ it.  The golden system also memoises, per system, the exact floors its band
 boundaries are made of: each is the floor of a linear function of a single
 integer, so a sweep to level t computes O(t) square-root floors rather than
 six per set.
+
+A system may also give its level rows as band arrays (``row_bands``): per
+pool rank, the one index band [lo, hi) that each set of the row holds in that
+pool.  The golden system builds them from two per-system floor tables,
+beta(n) and phi*beta(n) for every n up to the largest level asked for, and
+its ``row_sizes`` is the sum of their widths.  ``check_f2`` sweeps such rows
+as arrays; every other system keeps the generator path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +44,10 @@ from .golden import GoldenNumber, floor_linear
 Generator = Callable[[Side, int, int], FrequencySet]
 RowUnion = Callable[[Side, int], FrequencySet]
 RowSizes = Callable[[Side, int], Sequence[int]]
+RowBands = Callable[[Side, int, int, int], tuple[np.ndarray, np.ndarray]]
+
+# rows of a band array, one per pool rank
+POOL_COUNT = len(PoolTag)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,14 @@ class FSystemSpec:
     union of a whole level, union over k <= t of F(side, t, k); when absent
     it is computed by folding the generator, which any system supports but
     costs t generator calls.
+
+    ``row_bands_fn(side, t, k_lo, k_hi)`` is for systems whose sets hold at
+    most one band per pool.  It returns two int64 arrays lo, hi of shape
+    (POOL_COUNT, k_hi - k_lo): entry [p, k - k_lo] is the half-open index
+    band [lo, hi) that F(side, t, k) holds in the pool of rank p, empty when
+    lo >= hi.  It must agree with the generator exactly, since ``check_f2``
+    then decides disjointness on the arrays alone; it is consulted only for
+    t <= _VEC_LIMIT.
     """
 
     name: str
@@ -55,6 +75,7 @@ class FSystemSpec:
     generator: Generator
     row_union_fn: Optional[RowUnion] = None
     row_sizes_fn: Optional[RowSizes] = None
+    row_bands_fn: Optional[RowBands] = None
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
         if t < 1:
@@ -74,6 +95,20 @@ class FSystemSpec:
         if self.row_sizes_fn is not None:
             return self.row_sizes_fn(side, t)
         return [len(self.sets(side, t, k)) for k in range(1, t + 1)]
+
+    def row_bands(
+        self, side: Side, t: int, k_lo: int = 1, k_hi: Optional[int] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pool band arrays of F(side, t, k) for k_lo <= k < k_hi (the
+        whole row 1..t by default); see the class docstring."""
+        if self.row_bands_fn is None:
+            raise ValueError(f"system {self.name!r} provides no row bands")
+        if k_hi is None:
+            k_hi = t + 1
+        if t < 1 or not 1 <= k_lo <= k_hi <= t + 1:
+            raise ValueError(f"need 1 <= k_lo <= k_hi <= t + 1, got "
+                             f"k_lo={k_lo}, k_hi={k_hi}, t={t}")
+        return self.row_bands_fn(side, t, k_lo, k_hi)
 
 
 def trivial_system() -> FSystemSpec:
@@ -139,10 +174,17 @@ def _phi_k_le_t(k: int, t: int) -> bool:
     return 5 * k * k <= d * d
 
 
-# float sqrt plus integer correction is exact while 5v^2 fits the mantissa
+def _phi_split(t: int) -> int:
+    """The largest k with phi*k <= t: floor(t/phi) = floor((t*sqrt5 - t)/2)."""
+    return (math.isqrt(5 * t * t) - t) // 2
+
+
+# float sqrt plus integer correction is exact while 5v^2 fits the mantissa;
+# below it every golden floor also fits in int32
 _VEC_LIMIT = 3 * 10**7
-# k-values per vectorised pass of the golden row_sizes: each pass holds about
-# ten int64 temporaries of this length (a few MB), whatever the level
+# k-values (or table entries) per vectorised pass of the golden rows: each
+# pass holds a few int64 arrays of POOL_COUNT times this length (a few MB),
+# whatever the level
 _ROW_CHUNK = 1 << 16
 
 
@@ -161,10 +203,6 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
         (v > 0) & (d * d <= x),
     )
     return n + up
-
-
-def _band_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.maximum(0, np.maximum(hi, 0) - np.maximum(lo, 0))
 
 
 def golden_system() -> FSystemSpec:
@@ -228,38 +266,72 @@ def golden_system() -> FSystemSpec:
         # one band per pool, appended in rank order: already normalized
         return FrequencySet._raw(tuple(bands))
 
+    # tables[0][n] = beta(n) and tables[1][n] = phi_beta(n) for every n the
+    # tables hold, filled _ROW_CHUNK entries at a time and grown at least
+    # twofold, so a sweep to level t fills O(t) entries in all
+    tables = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
+
+    def floor_tables(n: int) -> list[np.ndarray]:
+        have = len(tables[0])
+        if have <= n:
+            size = min(max(n + 1, 2 * have), _VEC_LIMIT + 1)
+            grown = [np.empty(size, dtype=np.int32) for _ in tables]
+            for new, old in zip(grown, tables):
+                new[:have] = old
+            for lo in range(have, size, _ROW_CHUNK):
+                hi = min(lo + _ROW_CHUNK, size)
+                m = np.arange(lo, hi, dtype=np.int64)
+                grown[0][lo:hi] = _floor_linear_vec(7 * m, -m, 22)
+                grown[1][lo:hi] = _floor_linear_vec(m, 3 * m, 22)
+            tables[:] = grown
+        return tables
+
+    def row_bands(
+        side: Side, t: int, k_lo: int, k_hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """gen's bands for k_lo <= k < k_hi, as per-pool arrays."""
+        if t > _VEC_LIMIT:
+            raise ValueError(f"golden row bands are exact up to t = {_VEC_LIMIT}")
+        b, pb = floor_tables(t)
+        n = k_hi - k_lo
+        # the first `split` k-values have phi*k <= t
+        split = min(max(0, _phi_split(t) - k_lo + 1), n)
+        beta_k, phi_beta_k = b[k_lo:k_hi], pb[k_lo:k_hi]
+        # t - k falls from t - k_lo as k rises
+        beta_tk = b[t - k_hi + 1 : t - k_lo + 1][::-1]
+        phi_beta_tk = pb[t - k_hi + 1 : t - k_lo + 1][::-1]
+        own = shared_pool(side).rank
+        other = shared_pool(side.other).rank
+        q = PoolTag.SYMMETRIC.rank
+        # floors first, as in gen: each band is the indices in (lo, hi]
+        lo = np.zeros((POOL_COUNT, n), dtype=np.int64)
+        hi = np.zeros((POOL_COUNT, n), dtype=np.int64)
+        hi[private_pool(side).rank] = alpha_plus_4(t)
+        lo[own] = beta_tk
+        hi[own, :split] = phi_beta_k[:split]
+        hi[own, split:] = beta(t)
+        lo[other] = phi_beta_tk
+        hi[other] = beta_k
+        lo[q] = beta_tk  # phi*rho*(t-k) = beta*(t-k)
+        hi[q, :split] = beta_k[:split]  # rho*phi*k = beta*k
+        hi[q, split:] = rho(t)
+        np.maximum(lo, 0, out=lo)
+        lo += 1
+        hi += 1
+        return lo, hi
+
     def sizes(side: Side, t: int) -> np.ndarray:
         if t > _VEC_LIMIT:
             return np.array(
                 [len(gen(side, t, k)) for k in range(1, t + 1)], dtype=object
             )
         out = np.empty(t, dtype=np.int64)
-        for lo in range(1, t + 1, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, t + 1)
-            out[lo - 1 : hi - 1] = chunk_sizes(t, lo, hi)
+        for k_lo in range(1, t + 1, _ROW_CHUNK):
+            k_hi = min(k_lo + _ROW_CHUNK, t + 1)
+            lo, hi = row_bands(side, t, k_lo, k_hi)
+            hi -= lo
+            out[k_lo - 1 : k_hi - 1] = np.maximum(hi, 0, out=hi).sum(axis=0)
         return out
-
-    def chunk_sizes(t: int, lo: int, hi: int) -> np.ndarray:
-        """Sizes of the level-t sets for lo <= k < hi, vectorised over k."""
-        k = np.arange(lo, hi, dtype=np.int64)
-        tk = t - k
-        case = 5 * k * k <= (2 * t - k) ** 2  # phi*k <= t
-        beta_k = _floor_linear_vec(7 * k, -k, 22)
-        s_own_hi = np.where(
-            case,
-            _floor_linear_vec(k, 3 * k, 22),  # phi*beta*k
-            beta(t),
-        )
-        q_hi = np.where(case, beta_k, rho(t))
-        s_own_lo = _floor_linear_vec(7 * tk, -tk, 22)  # beta*(t-k)
-        s_oth_lo = _floor_linear_vec(tk, 3 * tk, 22)  # phi*beta*(t-k)
-        p_hi = max(0, alpha_plus_4(t))
-        return (
-            p_hi
-            + _band_widths(s_own_lo, s_own_hi)
-            + _band_widths(s_oth_lo, beta_k)
-            + _band_widths(s_own_lo, q_hi)
-        )
 
     return FSystemSpec(
         name="golden",
@@ -270,6 +342,7 @@ def golden_system() -> FSystemSpec:
         # level sets are nested and k = t covers the row
         row_union_fn=lambda side, t: gen(side, t, t),
         row_sizes_fn=sizes,
+        row_bands_fn=row_bands,
     )
 
 

@@ -25,7 +25,7 @@ from freqalloc.harness import measure_ratio, run_universal
 from freqalloc.systems import golden_system, half_system, trivial_system
 
 from test_allocation import instance, random_instance
-from test_golden import bisection_floor
+from test_golden import dyadic_bisection_floor
 
 C = constants()
 
@@ -156,7 +156,7 @@ def test_criterion_8_golden_arithmetic():
             Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)),
             Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)),
         )
-        assert x.floor() == bisection_floor(x)
+        assert x.floor() == dyadic_bisection_floor(x)
     report(8, "golden-field arithmetic", f"floor oracle agreed on {n} samples")
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from freqalloc import checker
 from freqalloc.checker import (
     ViolationKind,
     check_competitiveness,
@@ -19,6 +22,7 @@ from freqalloc.checker import (
     union_sizes,
 )
 from freqalloc.frequencies import (
+    FrequencySet,
     PoolTag,
     Side,
     pool_band,
@@ -34,6 +38,8 @@ from freqalloc.systems import (
     half_system,
     trivial_system,
 )
+
+from test_systems import generator_bands
 
 C = constants()
 
@@ -72,6 +78,82 @@ def mutant_half_wide_shared() -> FSystemSpec:
     )
 
 
+def with_row_bands(sys_: FSystemSpec) -> FSystemSpec:
+    """sys_ plus row bands read from its generator, for systems whose sets
+    hold at most one band per pool."""
+
+    def row_bands(side, t, k_lo, k_hi):
+        return generator_bands(sys_, side, t, range(k_lo, k_hi))
+
+    return dataclasses.replace(sys_, row_bands_fn=row_bands)
+
+
+def spread_system() -> FSystemSpec:
+    """One symmetric frequency per set, 2t on side A and 3t on side B, so
+    every column union over t is fragmented; A(3) meets B(2)."""
+
+    def gen(side, t, k):
+        i = 2 * t if side is Side.A else 3 * t
+        return FrequencySet([(PoolTag.SYMMETRIC, i, i + 1)])
+
+    return FSystemSpec(
+        name="spread",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+def apart_system() -> FSystemSpec:
+    """One symmetric frequency per set, 10k on both sides: each column
+    union is one frequency, and the prefix unions are fragmented."""
+
+    def gen(side, t, k):
+        return FrequencySet([(PoolTag.SYMMETRIC, 10 * k, 10 * k + 1)])
+
+    return FSystemSpec(
+        name="apart",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+def sparse_system(seed: int) -> FSystemSpec:
+    """Each set holds, in each shared pool, the band [a, a + 20) with
+    1 <= a <= 20 or nothing, at random.  Bands of one pool always overlap,
+    so every union is one interval per pool, while which rows meet which
+    prefixes depends on every (t, k)."""
+
+    def gen(side, t, k):
+        rng = random.Random(f"{seed}:{side.value}:{t}:{k}")
+        return FrequencySet(
+            (p, a, a + 20)
+            for p in (PoolTag.SHARED_A, PoolTag.SHARED_B, PoolTag.SYMMETRIC)
+            if rng.random() < 0.04
+            for a in [rng.randint(1, 20)]
+        )
+
+    return FSystemSpec(
+        name=f"sparse-{seed}",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+def count_set_sweeps(monkeypatch) -> list:
+    calls = []
+    sweep = checker._check_f2_sets
+
+    def counting(*args):
+        calls.append(args[1:])
+        return sweep(*args)
+
+    monkeypatch.setattr(checker, "_check_f2_sets", counting)
+    return calls
+
+
 class TestF1:
     def test_builtins_clean(self):
         assert not check_f1(golden_system(), 300)
@@ -87,6 +169,28 @@ class TestF1:
         sys_ = mutant_golden_no_padding()
         fs = sys_.sets(first.params["side"], first.params["t"], first.params["k"])
         assert len(fs) < first.params["k"]
+
+
+    @pytest.mark.parametrize("limit", [None, 4])
+    def test_row_size_kinds(self, limit):
+        # row_sizes may be a list (the default), an int64 or object array
+        # (golden below and above _VEC_LIMIT) or a range (trivial)
+        base = mutant_golden_no_padding()
+        want = check_f1(base, 25, limit=limit)
+        assert want
+
+        def as_objects(side, t):
+            return np.array(base.row_sizes(side, t), dtype=object)
+
+        objects = dataclasses.replace(base, row_sizes_fn=as_objects)
+        assert check_f1(objects, 25, limit=limit) == want
+        ranged = dataclasses.replace(
+            trivial_system(), row_sizes_fn=lambda side, t: range(t)
+        )
+        short = check_f1(ranged, 6, limit=limit)
+        assert [(v.params["t"], v.params["k"]) for v in short] == [
+            (t, k) for t in range(1, 7) for _ in "AB" for k in range(1, t + 1)
+        ][: limit or None]
 
 
 class TestF2:
@@ -115,6 +219,7 @@ class TestF2:
         # those anchors from the unreduced quadruple scan and compare
         for sys_ in (
             mutant_half_wide_shared(),
+            with_row_bands(mutant_half_wide_shared()),
             golden_system(),
             half_system(),
         ):
@@ -140,6 +245,51 @@ class TestF2:
                     v.params["k_other"],
                 )
                 assert a & b == v.witness
+
+
+class TestF2Bands:
+    """The band-array sweep against the set sweep it replaces."""
+
+    def test_golden_matches_set_sweep(self, monkeypatch):
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(golden_system(), 150) == []
+        assert not calls, "golden left the band-array sweep"
+        assert checker._check_f2_sets(golden_system(), 150, None) == []
+
+    @pytest.mark.parametrize("limit", [None, 5])
+    def test_mutant_identical_in_order(self, monkeypatch, limit):
+        want = checker._check_f2_sets(mutant_half_wide_shared(), 30, limit)
+        calls = count_set_sweeps(monkeypatch)
+        got = check_f2(with_row_bands(mutant_half_wide_shared()), 30,
+                       limit=limit)
+        assert not calls, "the mutant left the band-array sweep"
+        assert got == want
+        assert len(got) == 5 if limit else len(got) > 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_rows_identical_in_order(self, monkeypatch, seed):
+        # hits here are few and scattered, so a row tested against the
+        # wrong prefix, or a prefix one column off, changes the result
+        want = checker._check_f2_sets(sparse_system(seed), 25, None)
+        assert 0 < len(want) < 150  # of 600 (side, t, k) rows
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(with_row_bands(sparse_system(seed)), 25) == want
+        assert not calls
+
+    # spread fragments its column unions, apart only its prefix unions
+    @pytest.mark.parametrize("factory", [spread_system, apart_system])
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_fragmented_unions_fall_back(self, monkeypatch, factory, limit):
+        want = checker._check_f2_sets(factory(), 20, limit)
+        assert want
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
+        assert len(calls) == 1
+
+    def test_systems_without_bands_take_the_set_sweep(self, monkeypatch):
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(half_system(), 20) == []
+        assert len(calls) == 1
 
 
 class TestCompetitiveness:

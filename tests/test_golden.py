@@ -35,6 +35,30 @@ def bisection_floor(x: GoldenNumber) -> int:
             hi = mid
 
 
+def dyadic_bisection_floor(x: GoldenNumber) -> int:
+    """bisection_floor on integers: the bracket of sqrt(5) is lo/2^n,
+    hi/2^n, and each endpoint's floor is a floor division of the integer
+    numerator of a + b*c/2^n over its denominator."""
+    if x.b == 0:
+        return math.floor(x.a)
+    pa, qa = x.a.numerator, x.a.denominator
+    pb, qb = x.b.numerator, x.b.denominator
+    lo, hi, n = 2, 3, 0
+    while True:
+        den = (qa * qb) << n
+        base = (pa * qb) << n
+        flo = (base + pb * qa * lo) // den
+        if flo == (base + pb * qa * hi) // den:
+            return flo
+        # the midpoint (lo + hi)/2^(n+1) against 5 = 5*4^(n+1)/4^(n+1)
+        mid = lo + hi
+        lo, hi, n = 2 * lo, 2 * hi, n + 1
+        if mid * mid < 5 << (2 * n):
+            lo = mid
+        else:
+            hi = mid
+
+
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=60
 )
@@ -145,6 +169,21 @@ class TestFloor:
                 Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)),
             )
             assert x.floor() == bisection_floor(x)
+
+
+    def test_dyadic_bisection_matches_fraction_bisection(self):
+        # the acceptance suite's floor oracle is the dyadic form; it must
+        # agree with the Fraction form on samples drawn as that suite draws
+        rng = random.Random(11)
+        for _ in range(300):
+            x = GoldenNumber(
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)),
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)),
+            )
+            assert dyadic_bisection_floor(x) == bisection_floor(x), x
+        for x in (GoldenNumber(Fraction(-7, 3)), GoldenNumber(0, -1),
+                  GoldenNumber(Fraction(1, 2), Fraction(-1, 2))):
+            assert dyadic_bisection_floor(x) == bisection_floor(x), x
 
 
 class TestParseRender:

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from freqalloc.frequencies import (
 from freqalloc.golden import GoldenNumber, constants, floor_linear
 from freqalloc.systems import (
     _VEC_LIMIT,
+    POOL_COUNT,
     _floor_linear_vec,
     golden_system,
     half_system,
@@ -27,6 +31,25 @@ from freqalloc.systems import (
 
 C = constants()
 P = PoolTag
+
+
+def generator_bands(sys_, side, t, ks):
+    """Per-pool band arrays of F(side, t, k) for k in ks, read from the
+    generator of a system whose sets hold at most one band per pool, with
+    every empty band written (0, 0)."""
+    lo = np.zeros((POOL_COUNT, len(ks)), dtype=np.int64)
+    hi = np.zeros_like(lo)
+    for j, k in enumerate(ks):
+        bands = sys_.sets(side, t, k).bands
+        assert len({p for p, _, _ in bands}) == len(bands), bands
+        for p, a, b in bands:
+            lo[p.rank, j], hi[p.rank, j] = a, b
+    return lo, hi
+
+
+def canonical_bands(lo, hi):
+    empty = lo >= hi
+    return np.where(empty, 0, lo).tolist(), np.where(empty, 0, hi).tolist()
 
 
 def reference_golden(side: Side, t: int, k: int) -> FrequencySet:
@@ -174,6 +197,61 @@ class TestGolden:
                 assert got.tolist() == [
                     len(go.generator(side, t, k)) for k in range(1, t + 1)
                 ], (side, t)
+
+    def test_row_bands_match_generator(self):
+        go = golden_system()
+        for side in SIDES:
+            for t in range(1, 301):
+                want = generator_bands(go, side, t, range(1, t + 1))
+                got = go.row_bands(side, t)
+                assert canonical_bands(*got) == canonical_bands(*want), (side, t)
+
+    def test_row_bands_at_limit(self):
+        # the floor tables reach n = _VEC_LIMIT, where both ends of the row
+        # read the largest entries (k near t, and t - k near t)
+        go = golden_system()
+        t = _VEC_LIMIT
+        for side in SIDES:
+            for k_lo, k_hi in ((1, 2001), (t - 1999, t + 1)):
+                want = generator_bands(go, side, t, range(k_lo, k_hi))
+                got = go.row_bands(side, t, k_lo, k_hi)
+                assert canonical_bands(*got) == canonical_bands(*want), (
+                    side, k_lo)
+
+    def test_row_bands_rejects_bad_ranges(self):
+        go = golden_system()
+        for k_lo, k_hi in ((0, 3), (2, 1), (1, 7)):
+            with pytest.raises(ValueError):
+                go.row_bands(Side.A, 5, k_lo, k_hi)
+        with pytest.raises(ValueError):
+            half_system().row_bands(Side.A, 5)
+
+    def test_row_sizes_memory_bound(self):
+        # a row of two million sets is built from floor tables and chunks of
+        # band arrays; neither may grow with the whole row times the pools.
+        # The child reports VmHWM, the peak of its own address space:
+        # ru_maxrss would carry over this process's peak through fork and exec
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status to read the child's peak")
+        code = (
+            "from pathlib import Path\n"
+            "from freqalloc.frequencies import Side\n"
+            "from freqalloc.systems import golden_system\n"
+            "sizes = golden_system().row_sizes(Side.A, 2 * 10**6)\n"
+            "assert len(sizes) == 2 * 10**6\n"
+            "status = Path('/proc/self/status').read_text().splitlines()\n"
+            "print(next(x for x in status if x.startswith('VmHWM:')).split()[1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+        assert peak_mb < 100, f"row_sizes peaked at {peak_mb:.0f} MB"
 
     def test_case2_borrowed_band_empty(self):
         # for phi*k <= t the other side's shared band must vanish
