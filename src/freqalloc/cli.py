@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = omode.add_parser("brute", help="exhaustive-search optimum")
     pb.add_argument("--graph", required=True)
     pb.add_argument("--requests", required=True)
-    pb.add_argument("--budget", type=int, default=10)
+    pb.add_argument("--budget", type=_positive_int, default=10)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_opt, mode="brute")
 

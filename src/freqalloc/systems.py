@@ -1,4 +1,5 @@
-"""Frequency-set families ("F-systems") and the three built-in constructions.
+"""Frequency-set families ("F-systems") and the band-system family that
+builds the three built-in constructions.
 
 An F-system assigns to each (side, t, k) with 0 <= k <= t a finite frequency
 set.  The two defining properties checked elsewhere are a size floor
@@ -6,18 +7,33 @@ set.  The two defining properties checked elsewhere are a size floor
 a family is r-competitive when the union of all sets up to level t never
 exceeds r*t + lambda frequencies.
 
-Each built-in generator is an ``lru_cache`` owned by the system that built
-it.  The golden system also memoises, per system, the exact floors its band
-boundaries are made of: each is the floor of a linear function of a single
-integer, so a sweep to level t computes O(t) square-root floors rather than
-six per set.
+The built-in systems are members of one family, ``band_system``.  With
+floor(.) the exact floor and c' the side other than c, its level-(t,k) set
+on side c holds at most one band per pool:
+
+    private(c)   indices 1 .. floor(alpha*t + pad) + kappa*k
+    shared(c)    (floor(beta*(t-k)), min(floor(phi*beta*k), floor(beta*t))]
+    shared(c')   (floor(phi*beta*(t-k)), floor(beta*k)]
+    symmetric    (floor(phi*rho*(t-k)), min(floor(phi*rho*k), floor(rho*t))]
+
+    system    alpha         kappa  pad  beta     rho       phi
+    golden    (7-sqrt5)/11  0      4    alpha/2  beta/phi  (1+sqrt5)/2
+    half      1/2           0      1    0        1/2       2
+    trivial   0             1      0    0        0         1
+
+Floors are monotone, so each min is exactly the construction's split at
+phi*k = t: below it the band ends at phi*beta*k (phi*rho*k), above it at
+beta*t (rho*t).  Every boundary is the floor of a rate in Q(sqrt5) times one
+integer, and rates equal as numbers share one per-system memo, so a sweep to
+level t computes O(t) square-root floors rather than several per set.
 
 A system may also give its level rows as band arrays (``row_bands``): per
 pool rank, the one index band [lo, hi) that each set of the row holds in that
-pool.  The golden system builds them from two per-system floor tables,
-beta(n) and phi*beta(n) for every n up to the largest level asked for, and
-its ``row_sizes`` is the sum of their widths.  ``check_f2`` sweeps such rows
-as arrays; every other system keeps the generator path.
+pool.  A band system builds them from per-system floor tables, one per
+distinct rate multiplying k or t - k (for golden, beta and phi*beta), and
+``row_sizes`` of any system with row bands is the sum of their widths.
+``check_f2`` sweeps such rows as arrays; other systems keep the generator
+path.
 """
 
 from __future__ import annotations
@@ -34,20 +50,26 @@ from .frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    pool_prefix,
     private_pool,
     shared_pool,
     union_all,
 )
-from .golden import GoldenNumber, floor_linear
+from .golden import ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike, floor_linear
 
 Generator = Callable[[Side, int, int], FrequencySet]
 RowUnion = Callable[[Side, int], FrequencySet]
-RowSizes = Callable[[Side, int], Sequence[int]]
 RowBands = Callable[[Side, int, int, int], tuple[np.ndarray, np.ndarray]]
 
 # rows of a band array, one per pool rank
 POOL_COUNT = len(PoolTag)
+
+# float sqrt plus integer correction is exact, and every floor fits in int32,
+# up to this many times a row-band table rate (see band_system)
+_VEC_LIMIT = 3 * 10**7
+# k-values (or table entries) per vectorised pass of a row: each pass holds a
+# few int64 arrays of POOL_COUNT times this length (a few MB), whatever the
+# level
+_ROW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,7 +87,7 @@ class FSystemSpec:
     (POOL_COUNT, k_hi - k_lo): entry [p, k - k_lo] is the half-open index
     band [lo, hi) that F(side, t, k) holds in the pool of rank p, empty when
     lo >= hi.  It must agree with the generator exactly, since ``check_f2``
-    then decides disjointness on the arrays alone; it is consulted only for
+    and ``row_sizes`` then read the arrays alone; it is consulted only for
     t <= _VEC_LIMIT.
     """
 
@@ -74,7 +96,6 @@ class FSystemSpec:
     claimed_lambda: int
     generator: Generator
     row_union_fn: Optional[RowUnion] = None
-    row_sizes_fn: Optional[RowSizes] = None
     row_bands_fn: Optional[RowBands] = None
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
@@ -91,10 +112,16 @@ class FSystemSpec:
         return union_all(self.sets(side, t, k) for k in range(1, t + 1))
 
     def row_sizes(self, side: Side, t: int) -> Sequence[int]:
-        """Cardinalities of the level-t sets for k = 1..t."""
-        if self.row_sizes_fn is not None:
-            return self.row_sizes_fn(side, t)
-        return [len(self.sets(side, t, k)) for k in range(1, t + 1)]
+        """Cardinalities of the level-t sets for k = 1..t: the widths of the
+        row bands, _ROW_CHUNK k-values at a time, where the system has them."""
+        if self.row_bands_fn is None or t > _VEC_LIMIT:
+            return [len(self.sets(side, t, k)) for k in range(1, t + 1)]
+        out = np.empty(t, dtype=np.int64)
+        for k_lo in range(1, t + 1, _ROW_CHUNK):
+            k_hi = min(k_lo + _ROW_CHUNK, t + 1)
+            lo, hi = self.row_bands(side, t, k_lo, k_hi)
+            out[k_lo - 1 : k_hi - 1] = np.maximum(hi - lo, 0).sum(axis=0)
+        return out
 
     def row_bands(
         self, side: Side, t: int, k_lo: int = 1, k_hi: Optional[int] = None
@@ -109,83 +136,6 @@ class FSystemSpec:
             raise ValueError(f"need 1 <= k_lo <= k_hi <= t + 1, got "
                              f"k_lo={k_lo}, k_hi={k_hi}, t={t}")
         return self.row_bands_fn(side, t, k_lo, k_hi)
-
-
-def trivial_system() -> FSystemSpec:
-    """Private pools only: the level-(t,k) set is the first k private
-    frequencies of the request's side.  2-competitive with no additive slack.
-    """
-
-    @lru_cache(maxsize=1 << 16)
-    def gen(side: Side, t: int, k: int) -> FrequencySet:
-        return pool_prefix(private_pool(side), k)
-
-    return FSystemSpec(
-        name="trivial",
-        claimed_ratio=GoldenNumber(2),
-        claimed_lambda=0,
-        generator=gen,
-        # sets grow with k, so the top of the row is the whole row union
-        row_union_fn=lambda side, t: gen(side, t, t),
-        row_sizes_fn=lambda side, t: range(1, t + 1),
-    )
-
-
-def half_system() -> FSystemSpec:
-    """Private prefix of length floor(t/2)+1 plus, for large k, a tail of
-    symmetric-shared frequencies with indices in (t-k, floor(t/2)].
-    1.5-competitive with additive constant 2.
-    """
-
-    @lru_cache(maxsize=1 << 16)
-    def gen(side: Side, t: int, k: int) -> FrequencySet:
-        bands = [(private_pool(side), 1, t // 2 + 2)]
-        lo, hi = max(0, t - k), t // 2
-        if hi > lo:
-            bands.append((PoolTag.SYMMETRIC, lo + 1, hi + 1))
-        # private rank precedes symmetric: already normalized
-        return FrequencySet._raw(tuple(bands))
-
-    def sizes(side: Side, t: int) -> list[int]:
-        half_t = t // 2
-        return [half_t + 1 + max(0, half_t - (t - k)) for k in range(1, t + 1)]
-
-    return FSystemSpec(
-        name="half",
-        claimed_ratio=GoldenNumber(Fraction(3, 2)),
-        claimed_lambda=2,
-        generator=gen,
-        # the shared band widens as k grows; k = t covers the row
-        row_union_fn=lambda side, t: gen(side, t, t),
-        row_sizes_fn=sizes,
-    )
-
-
-# Boundaries of the golden construction, as floor((u + v*sqrt5)/22) of
-# integer coefficients.  With phi the golden ratio and the growth rates
-# alpha = (7-sqrt5)/11, beta = alpha/2, rho = beta/phi, the products
-# reduce to: phi*beta = (1+3*sqrt5)/22, phi*rho = beta, rho*phi*k = beta*k,
-# and rho*t = (-6t+4t*sqrt5)/22.
-
-
-def _phi_k_le_t(k: int, t: int) -> bool:
-    # phi*k <= t  <=>  k*sqrt5 <= 2t - k; both sides nonnegative for k <= t
-    d = 2 * t - k
-    return 5 * k * k <= d * d
-
-
-def _phi_split(t: int) -> int:
-    """The largest k with phi*k <= t: floor(t/phi) = floor((t*sqrt5 - t)/2)."""
-    return (math.isqrt(5 * t * t) - t) // 2
-
-
-# float sqrt plus integer correction is exact while 5v^2 fits the mantissa;
-# below it every golden floor also fits in int32
-_VEC_LIMIT = 3 * 10**7
-# k-values (or table entries) per vectorised pass of the golden rows: each
-# pass holds a few int64 arrays of POOL_COUNT times this length (a few MB),
-# whatever the level
-_ROW_CHUNK = 1 << 16
 
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
@@ -205,71 +155,98 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
     return n + up
 
 
-def golden_system() -> FSystemSpec:
-    """The four-pool construction with golden-ratio band boundaries.
+def _triple(rate: GoldenNumber) -> tuple[int, int, int]:
+    """The (u, v, w) in lowest terms with rate = (u + v*sqrt5)/w, w > 0."""
+    w = math.lcm(rate.a.denominator, rate.b.denominator)
+    return int(rate.a * w), int(rate.b * w), w
 
-    The level-(t,k) set takes a private prefix of length floor(alpha*t + 4),
-    an own-side shared band (beta*(t-k), beta*min(t, phi*k)], a borrowed
-    band from the other side's shared pool (phi*beta*(t-k), beta*k], and a
-    symmetric band (phi*rho*(t-k), rho*min(t, phi*k)].  Competitive ratio
-    (18-sqrt5)/11 with additive constant 8.
+
+def _floor_memo(u: int, v: int, w: int) -> Callable[[int], int]:
+    """n -> floor((u + v*sqrt5)*n/w), memoised."""
+
+    @lru_cache(maxsize=1 << 16)
+    def floor_of(n: int) -> int:
+        return floor_linear(u * n, v * n, w)
+
+    return floor_of
+
+
+def band_system(
+    name: str,
+    *,
+    alpha: GoldenNumber | RatLike,
+    kappa: int,
+    pad: int,
+    beta: GoldenNumber | RatLike,
+    rho: GoldenNumber | RatLike,
+    phi: GoldenNumber | RatLike,
+) -> FSystemSpec:
+    """The band system with the given exact parameters (module docstring).
+
+    It claims ratio 2*(alpha + kappa) + 2*beta + rho, the growth of its
+    row unions for phi >= 1, with additive constant 2*pad.  Every rate must
+    be nonnegative: then each band's lower end falls and its upper end rises
+    with k, so the level sets are nested and F(c, t, t) is the row union.
     """
+    alpha, beta, rho, phi = map(GoldenNumber.coerce, (alpha, beta, rho, phi))
+    if min(alpha, beta, rho, phi, GoldenNumber(kappa)) < 0:
+        raise ValueError(f"band system {name!r} needs nonnegative rates")
 
-    # every boundary is one of four floors of a linear function of a single
-    # integer, memoised per system like gen
-    @lru_cache(maxsize=1 << 16)
-    def beta(n: int) -> int:
-        return floor_linear(7 * n, -n, 22)
+    # one scalar memo and at most one floor table per distinct (u, v, w)
+    memos: dict[tuple[int, int, int], Callable[[int], int]] = {}
+    table_index: dict[tuple[int, int, int], int] = {}
 
-    @lru_cache(maxsize=1 << 16)
-    def phi_beta(n: int) -> int:
-        return floor_linear(n, 3 * n, 22)
+    def memo(rate: GoldenNumber) -> Callable[[int], int]:
+        key = _triple(rate)
+        if key not in memos:
+            memos[key] = _floor_memo(*key)
+        return memos[key]
 
-    @lru_cache(maxsize=1 << 16)
-    def alpha_plus_4(t: int) -> int:
-        return floor_linear(14 * t + 88, -2 * t, 22)
+    def table(rate: GoldenNumber) -> int:
+        u, v, w = key = _triple(rate)
+        # under this bound every value that _floor_linear_vec forms up to
+        # n = _VEC_LIMIT, and each table entry, stays below 2**30 (its
+        # squares below 2**60)
+        if (abs(u) + 3 * abs(v) + w) * _VEC_LIMIT >= 1 << 30:
+            raise ValueError(f"rate {rate} is too large for exact row bands")
+        return table_index.setdefault(key, len(table_index))
 
-    @lru_cache(maxsize=1 << 16)
-    def rho(t: int) -> int:
-        return floor_linear(-6 * t, 4 * t, 22)
+    private = memo(alpha)
+    beta_n, phi_beta_n, phi_rho_n, rho_n = (
+        memo(beta), memo(phi * beta), memo(phi * rho), memo(rho))
+    i_beta, i_phi_beta, i_phi_rho = (
+        table(beta), table(phi * beta), table(phi * rho))
+    side_a = Side.A
+    pa, pb, sa, sb, q = (PoolTag.PRIVATE_A, PoolTag.PRIVATE_B,
+                         PoolTag.SHARED_A, PoolTag.SHARED_B, PoolTag.SYMMETRIC)
 
     @lru_cache(maxsize=1 << 16)
     def gen(side: Side, t: int, k: int) -> FrequencySet:
-        own = shared_pool(side)
-        other = shared_pool(side.other)
-        tk = t - k
-        p_hi = alpha_plus_4(t)
-        if _phi_k_le_t(k, t):
-            s_own_hi = phi_beta(k)
-            q_hi = beta(k)  # rho*phi*k = beta*k
+        n = t - k
+        hi, top = phi_beta_n(k), beta_n(t)
+        own = (beta_n(n), hi if hi < top else top)
+        other = (phi_beta_n(n), beta_n(k))
+        hi, top = phi_rho_n(k), rho_n(t)
+        sym = (phi_rho_n(n), hi if hi < top else top)
+        if side is side_a:
+            pool, first, second = pa, own, other
         else:
-            s_own_hi = beta(t)
-            q_hi = rho(t)
-        s_own_lo = beta(tk)
-        s_oth_lo = phi_beta(tk)
-        s_oth_hi = beta(k)
-        q_lo = s_own_lo  # phi*rho*(t-k) = beta*(t-k)
-
-        shared = [
-            (own, s_own_lo, s_own_hi),
-            (other, s_oth_lo, s_oth_hi),
-        ]
-        if own.rank > other.rank:
-            shared.reverse()
+            pool, first, second = pb, other, own
         bands = []
-        if p_hi >= 1:
-            bands.append((private_pool(side), 1, p_hi + 1))
-        for pool, lo, hi in (*shared, (PoolTag.SYMMETRIC, q_lo, q_hi)):
-            lo = max(lo, 0)
+        p = private(t) + pad + kappa * k
+        if p >= 1:
+            bands.append((pool, 1, p + 1))
+        for pool, (lo, hi) in ((sa, first), (sb, second), (q, sym)):
             if hi > lo:
                 bands.append((pool, lo + 1, hi + 1))
         # one band per pool, appended in rank order: already normalized
         return FrequencySet._raw(tuple(bands))
 
-    # tables[0][n] = beta(n) and tables[1][n] = phi_beta(n) for every n the
-    # tables hold, filled _ROW_CHUNK entries at a time and grown at least
-    # twofold, so a sweep to level t fills O(t) entries in all
-    tables = [np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)]
+    # tables[i][n] = floor(rate_i * n) + 1, the end of the half-open band
+    # [1, floor(rate_i * n) + 1), for table rate i and every n the tables
+    # hold, filled _ROW_CHUNK entries at a time and grown at least twofold,
+    # so a sweep to level t fills O(t) entries in all
+    tables = [np.empty(0, dtype=np.int32) for _ in table_index]
 
     def floor_tables(n: int) -> list[np.ndarray]:
         have = len(tables[0])
@@ -281,8 +258,8 @@ def golden_system() -> FSystemSpec:
             for lo in range(have, size, _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, size)
                 m = np.arange(lo, hi, dtype=np.int64)
-                grown[0][lo:hi] = _floor_linear_vec(7 * m, -m, 22)
-                grown[1][lo:hi] = _floor_linear_vec(m, 3 * m, 22)
+                for new, (u, v, w) in zip(grown, table_index):
+                    new[lo:hi] = _floor_linear_vec(u * m, v * m, w) + 1
             tables[:] = grown
         return tables
 
@@ -291,59 +268,63 @@ def golden_system() -> FSystemSpec:
     ) -> tuple[np.ndarray, np.ndarray]:
         """gen's bands for k_lo <= k < k_hi, as per-pool arrays."""
         if t > _VEC_LIMIT:
-            raise ValueError(f"golden row bands are exact up to t = {_VEC_LIMIT}")
-        b, pb = floor_tables(t)
-        n = k_hi - k_lo
-        # the first `split` k-values have phi*k <= t
-        split = min(max(0, _phi_split(t) - k_lo + 1), n)
-        beta_k, phi_beta_k = b[k_lo:k_hi], pb[k_lo:k_hi]
+            raise ValueError(f"row bands are exact up to t = {_VEC_LIMIT}")
+        tabs = floor_tables(t)
+        at_k = [tab[k_lo:k_hi] for tab in tabs]
         # t - k falls from t - k_lo as k rises
-        beta_tk = b[t - k_hi + 1 : t - k_lo + 1][::-1]
-        phi_beta_tk = pb[t - k_hi + 1 : t - k_lo + 1][::-1]
+        at_tk = [tab[t - k_hi + 1 : t - k_lo + 1][::-1] for tab in tabs]
         own = shared_pool(side).rank
         other = shared_pool(side.other).rank
-        q = PoolTag.SYMMETRIC.rank
-        # floors first, as in gen: each band is the indices in (lo, hi]
-        lo = np.zeros((POOL_COUNT, n), dtype=np.int64)
-        hi = np.zeros((POOL_COUNT, n), dtype=np.int64)
-        hi[private_pool(side).rank] = alpha_plus_4(t)
-        lo[own] = beta_tk
-        hi[own, :split] = phi_beta_k[:split]
-        hi[own, split:] = beta(t)
-        lo[other] = phi_beta_tk
-        hi[other] = beta_k
-        lo[q] = beta_tk  # phi*rho*(t-k) = beta*(t-k)
-        hi[q, :split] = beta_k[:split]  # rho*phi*k = beta*k
-        hi[q, split:] = rho(t)
-        np.maximum(lo, 0, out=lo)
-        lo += 1
-        hi += 1
+        # gen's band (a, b] is [a + 1, b + 1) here
+        lo = np.zeros((POOL_COUNT, k_hi - k_lo), dtype=np.int64)
+        hi = np.zeros_like(lo)
+        p = private_pool(side).rank
+        lo[p] = 1
+        hi[p] = private(t) + pad + 1
+        if kappa:
+            hi[p] += kappa * np.arange(k_lo, k_hi)
+        lo[own] = at_tk[i_beta]
+        np.minimum(at_k[i_phi_beta], beta_n(t) + 1, out=hi[own])
+        lo[other] = at_tk[i_phi_beta]
+        hi[other] = at_k[i_beta]
+        lo[q.rank] = at_tk[i_phi_rho]
+        np.minimum(at_k[i_phi_rho], rho_n(t) + 1, out=hi[q.rank])
         return lo, hi
 
-    def sizes(side: Side, t: int) -> np.ndarray:
-        if t > _VEC_LIMIT:
-            return np.array(
-                [len(gen(side, t, k)) for k in range(1, t + 1)], dtype=object
-            )
-        out = np.empty(t, dtype=np.int64)
-        for k_lo in range(1, t + 1, _ROW_CHUNK):
-            k_hi = min(k_lo + _ROW_CHUNK, t + 1)
-            lo, hi = row_bands(side, t, k_lo, k_hi)
-            hi -= lo
-            out[k_lo - 1 : k_hi - 1] = np.maximum(hi, 0, out=hi).sum(axis=0)
-        return out
-
     return FSystemSpec(
-        name="golden",
-        claimed_ratio=GoldenNumber(Fraction(18, 11), Fraction(-1, 11)),
-        claimed_lambda=8,
+        name=name,
+        claimed_ratio=2 * (alpha + kappa) + 2 * beta + rho,
+        claimed_lambda=2 * pad,
         generator=gen,
-        # every band's lower end falls and upper end rises with k, so the
-        # level sets are nested and k = t covers the row
         row_union_fn=lambda side, t: gen(side, t, t),
-        row_sizes_fn=sizes,
         row_bands_fn=row_bands,
     )
+
+
+def trivial_system() -> FSystemSpec:
+    """Private pools only: the level-(t,k) set is the first k private
+    frequencies of the request's side.  2-competitive with no additive slack.
+    """
+    return band_system("trivial", alpha=0, kappa=1, pad=0, beta=0, rho=0, phi=1)
+
+
+def half_system() -> FSystemSpec:
+    """Private prefix of length floor(t/2)+1 plus, for large k, a tail of
+    symmetric-shared frequencies with indices in (t-k, floor(t/2)].
+    1.5-competitive with additive constant 2.
+    """
+    return band_system("half", alpha=Fraction(1, 2), kappa=0, pad=1,
+                       beta=0, rho=Fraction(1, 2), phi=2)
+
+
+def golden_system() -> FSystemSpec:
+    """The four-pool construction with golden-ratio band boundaries: alpha =
+    (7-sqrt5)/11, beta = alpha/2, rho = beta/phi with phi the golden ratio,
+    and a private padding of 4.  Competitive ratio (18-sqrt5)/11 with
+    additive constant 8.
+    """
+    return band_system("golden", alpha=ALPHA, kappa=0, pad=4,
+                       beta=BETA, rho=RHO, phi=PHI)
 
 
 BUILTIN_SYSTEMS = {

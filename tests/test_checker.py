@@ -39,7 +39,7 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from test_systems import generator_bands
+from test_systems import generator_bands, reference_half
 
 C = constants()
 
@@ -173,24 +173,30 @@ class TestF1:
 
     @pytest.mark.parametrize("limit", [None, 4])
     def test_row_size_kinds(self, limit):
-        # row_sizes may be a list (the default), an int64 or object array
-        # (golden below and above _VEC_LIMIT) or a range (trivial)
+        # row_sizes is a list for a system without row bands and an int64
+        # array of band widths for one with them
         base = mutant_golden_no_padding()
         want = check_f1(base, 25, limit=limit)
         assert want
-
-        def as_objects(side, t):
-            return np.array(base.row_sizes(side, t), dtype=object)
-
-        objects = dataclasses.replace(base, row_sizes_fn=as_objects)
-        assert check_f1(objects, 25, limit=limit) == want
-        ranged = dataclasses.replace(
-            trivial_system(), row_sizes_fn=lambda side, t: range(t)
+        assert isinstance(base.row_sizes(Side.A, 5), list)
+        banded = with_row_bands(base)
+        assert banded.row_sizes(Side.A, 5).dtype == np.int64
+        assert check_f1(banded, 25, limit=limit) == want
+        # every set one frequency short of k
+        short = FSystemSpec(
+            name="short",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: pool_prefix(private_pool(side), k - 1),
         )
-        short = check_f1(ranged, 6, limit=limit)
-        assert [(v.params["t"], v.params["k"]) for v in short] == [
-            (t, k) for t in range(1, 7) for _ in "AB" for k in range(1, t + 1)
-        ][: limit or None]
+        for sys_ in (short, with_row_bands(short)):
+            got = check_f1(sys_, 6, limit=limit)
+            assert [(v.params["t"], v.params["k"]) for v in got] == [
+                (t, k)
+                for t in range(1, 7)
+                for _ in "AB"
+                for k in range(1, t + 1)
+            ][: limit or None]
 
 
 class TestF2:
@@ -286,9 +292,22 @@ class TestF2Bands:
         assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("factory", [half_system, trivial_system])
+    def test_half_and_trivial_match_set_sweep(self, monkeypatch, factory):
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(factory(), 150) == []
+        assert not calls, "the system left the band-array sweep"
+        assert checker._check_f2_sets(factory(), 150, None) == []
+
     def test_systems_without_bands_take_the_set_sweep(self, monkeypatch):
         calls = count_set_sweeps(monkeypatch)
-        assert check_f2(half_system(), 20) == []
+        half_sets = FSystemSpec(
+            name="half-sets",
+            claimed_ratio=GoldenNumber(Fraction(3, 2)),
+            claimed_lambda=2,
+            generator=reference_half,
+        )
+        assert check_f2(half_sets, 20) == []
         assert len(calls) == 1
 
 

@@ -340,12 +340,18 @@ class TestBadNumbers:
              "--scale-cap", "0"],
             ["verify", "--system", "golden", "--t-max", "5", "--checks", "f1",
              "--jobs", "0"],
+            ["opt", "brute", "--budget", "-5"],
+            ["opt", "brute", "--budget", "0"],
         ],
     )
     def test_exit_2_without_traceback(self, tmp_path, argv):
         if argv[0] == "adversary":
             argv = argv + ["--out-graph", str(tmp_path / "g.json"),
                            "--out-requests", str(tmp_path / "r.jsonl")]
+        if argv[0] == "opt":
+            # inputs that a valid budget solves, so only the number is bad
+            argv = argv + ["--graph", write_graph(tmp_path, EDGE_GRAPH),
+                           "--requests", write_requests(tmp_path, ["u", "v"])]
         proc = subprocess.run(
             [sys.executable, "-m", "freqalloc.cli", *argv],
             capture_output=True,

@@ -59,6 +59,17 @@ def dyadic_bisection_floor(x: GoldenNumber) -> int:
             hi = mid
 
 
+def floor_samples(seed: int, count: int):
+    """count values a + b*sqrt5 with a, b of numerators in +-9999 and
+    denominators in 1..99, from a seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield GoldenNumber(
+            Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)),
+            Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)),
+        )
+
+
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=60
 )
@@ -162,18 +173,15 @@ class TestFloor:
         assert GoldenNumber(n) <= x < GoldenNumber(n + 1)
 
     def test_against_bisection_oracle(self):
-        rng = random.Random(7)
-        for _ in range(20_000):
-            x = GoldenNumber(
-                Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)),
-                Fraction(rng.randint(-9999, 9999), rng.randint(1, 99)),
-            )
-            assert x.floor() == bisection_floor(x)
-
+        for x in floor_samples(7, 20_000):
+            assert x.floor() == dyadic_bisection_floor(x), x
 
     def test_dyadic_bisection_matches_fraction_bisection(self):
-        # the acceptance suite's floor oracle is the dyadic form; it must
-        # agree with the Fraction form on samples drawn as that suite draws
+        # the dyadic form is the floor oracle of this class and of the
+        # acceptance suite; it must agree with the Fraction form on samples
+        # drawn as each of them draws
+        for x in floor_samples(7, 300):
+            assert dyadic_bisection_floor(x) == bisection_floor(x), x
         rng = random.Random(11)
         for _ in range(300):
             x = GoldenNumber(

@@ -1,6 +1,9 @@
+import functools
+import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,9 @@ from freqalloc.golden import GoldenNumber, constants, floor_linear
 from freqalloc.systems import (
     _VEC_LIMIT,
     POOL_COUNT,
+    FSystemSpec,
     _floor_linear_vec,
+    band_system,
     golden_system,
     half_system,
     trivial_system,
@@ -52,21 +57,67 @@ def canonical_bands(lo, hi):
     return np.where(empty, 0, lo).tolist(), np.where(empty, 0, hi).tolist()
 
 
+GOLDEN_RATES = {
+    "alpha": C.alpha,
+    "beta": C.beta,
+    "rho": C.rho,
+    "phi": C.phi,
+    "phi*beta": C.phi * C.beta,
+    "phi*rho": C.phi * C.rho,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def golden_floor(rate: str, n: int) -> int:
+    """floor(rate * n) for a named golden rate, through GoldenNumber
+    arithmetic."""
+    return math.floor(GOLDEN_RATES[rate] * n)
+
+
 def reference_golden(side: Side, t: int, k: int) -> FrequencySet:
     """Same construction evaluated through GoldenNumber arithmetic only."""
-    top = GoldenNumber(t) if C.phi * k > t else C.phi * k
+    # phi*k is irrational for k >= 1, so phi*k > t exactly when
+    # floor(phi*k) >= t
+    if golden_floor("phi", k) >= t:
+        own_hi, sym_hi = golden_floor("beta", t), golden_floor("rho", t)
+    else:
+        own_hi = golden_floor("phi*beta", k)
+        sym_hi = golden_floor("phi*rho", k)
     return union_all(
         [
-            pool_prefix(private_pool(side), C.alpha * t + 4),
-            pool_band(shared_pool(side), C.beta * (t - k), C.beta * top),
+            pool_prefix(private_pool(side), golden_floor("alpha", t) + 4),
+            pool_band(shared_pool(side), golden_floor("beta", t - k), own_hi),
             pool_band(
                 shared_pool(side.other),
-                C.phi * C.beta * (t - k),
-                C.beta * k,
+                golden_floor("phi*beta", t - k),
+                golden_floor("beta", k),
             ),
-            pool_band(P.SYMMETRIC, C.phi * C.rho * (t - k), C.rho * top),
+            pool_band(P.SYMMETRIC, golden_floor("phi*rho", t - k), sym_hi),
         ]
     )
+
+
+def reference_half(side: Side, t: int, k: int) -> FrequencySet:
+    """The half construction as first written: a private prefix of
+    floor(t/2) + 1 and symmetric indices in (t - k, floor(t/2)]."""
+    bands = [(private_pool(side), 1, t // 2 + 2)]
+    lo, hi = max(0, t - k), t // 2
+    if hi > lo:
+        bands.append((P.SYMMETRIC, lo + 1, hi + 1))
+    return FrequencySet(bands)
+
+
+def reference_trivial(side: Side, t: int, k: int) -> FrequencySet:
+    """The trivial construction as first written: the first k private
+    frequencies."""
+    return pool_prefix(private_pool(side), k)
+
+
+REFERENCES = {
+    "trivial": reference_trivial,
+    "half": reference_half,
+    "golden": reference_golden,
+}
 
 
 class TestTrivial:
@@ -198,14 +249,6 @@ class TestGolden:
                     len(go.generator(side, t, k)) for k in range(1, t + 1)
                 ], (side, t)
 
-    def test_row_bands_match_generator(self):
-        go = golden_system()
-        for side in SIDES:
-            for t in range(1, 301):
-                want = generator_bands(go, side, t, range(1, t + 1))
-                got = go.row_bands(side, t)
-                assert canonical_bands(*got) == canonical_bands(*want), (side, t)
-
     def test_row_bands_at_limit(self):
         # the floor tables reach n = _VEC_LIMIT, where both ends of the row
         # read the largest entries (k near t, and t - k near t)
@@ -223,8 +266,14 @@ class TestGolden:
         for k_lo, k_hi in ((0, 3), (2, 1), (1, 7)):
             with pytest.raises(ValueError):
                 go.row_bands(Side.A, 5, k_lo, k_hi)
+        no_bands = FSystemSpec(
+            name="no-bands",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=reference_trivial,
+        )
         with pytest.raises(ValueError):
-            half_system().row_bands(Side.A, 5)
+            no_bands.row_bands(Side.A, 5)
 
     def test_row_sizes_memory_bound(self):
         # a row of two million sets is built from floor tables and chunks of
@@ -272,6 +321,37 @@ class TestGolden:
                     assert len(go.sets(Side.A, t, k)) >= k
 
 
+class TestBandSystem:
+    def test_claims(self):
+        # ratio 2*(alpha + kappa) + 2*beta + rho and constant 2*pad
+        claims = {
+            sys_.name: (sys_.claimed_ratio, sys_.claimed_lambda)
+            for sys_ in (trivial_system(), half_system(), golden_system())
+        }
+        assert claims == {
+            "trivial": (GoldenNumber(2), 0),
+            "half": (GoldenNumber(Fraction(3, 2)), 2),
+            "golden": (C.r0, 8),
+        }
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [("alpha", -1), ("kappa", -1), ("beta", Fraction(-1, 100)),
+         ("rho", -C.rho), ("phi", -C.phi)],
+    )
+    def test_rejects_negative_rates(self, param, value):
+        params = dict(alpha=0, kappa=0, pad=0, beta=C.beta, rho=C.rho, phi=1)
+        params[param] = value
+        with pytest.raises(ValueError):
+            band_system("negative", **params)
+
+    def test_rejects_rates_too_large_for_tables(self):
+        # beta*n at n = _VEC_LIMIT would not fit the exact int32 tables
+        with pytest.raises(ValueError):
+            band_system("steep", alpha=0, kappa=0, pad=0, beta=40, rho=0,
+                        phi=1)
+
+
 # the pools each built-in construction draws from
 POOLS = {
     "trivial": {P.PRIVATE_A, P.PRIVATE_B},
@@ -292,6 +372,26 @@ class TestSpecContracts:
                 for k in range(0, t + 1):
                     seen |= {p for p, _, _ in sys_.sets(side, t, k).bands}
         assert seen <= POOLS[sys_.name]
+
+    def test_matches_reference(self, factory):
+        # the band system against the construction as first written, on
+        # every set up to level 300
+        sys_ = factory()
+        reference = REFERENCES[sys_.name]
+        for side in SIDES:
+            for t in range(1, 301):
+                for k in range(0, t + 1):
+                    assert sys_.sets(side, t, k).bands == reference(
+                        side, t, k
+                    ).bands, (side, t, k)
+
+    def test_row_bands_match_generator(self, factory):
+        sys_ = factory()
+        for side in SIDES:
+            for t in range(1, 301):
+                want = generator_bands(sys_, side, t, range(1, t + 1))
+                got = sys_.row_bands(side, t)
+                assert canonical_bands(*got) == canonical_bands(*want), (side, t)
 
     def test_determinism(self, factory):
         sys_ = factory()
