@@ -13,6 +13,15 @@ each prefix union as per-pool (lo, hi) arrays and tests all k of a level in
 one expression.  It is exact while every such union is one interval per
 pool; the first union that is not sends the whole check back to the set
 sweep from level 1, which reports the same violations in the same order.
+
+Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
+the gamma trace) compares an integer with base - r*n for integers base and
+n, where r is in Q(sqrt5).  Since x >= base - r*n holds exactly when
+base - x <= floor(r*n) for an integer x, each is decided on integers: r is
+turned into its triple (u, v, w) once per call, and floor(r*n) is
+``floor_linear(u*n, v*n, w)``.  A GoldenNumber is built only for a value
+that is reported, such as a violation's right-hand side or the result of
+``min_lambda``.
 """
 
 from __future__ import annotations
@@ -20,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .frequencies import SIDES, FrequencySet, Side, union_all
-from .golden import GoldenNumber
+from .golden import GoldenNumber, _floor_memo, _triple
 from .systems import _VEC_LIMIT, POOL_COUNT, FSystemSpec
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
@@ -326,13 +335,19 @@ def check_competitiveness(
     t_max: int,
     *,
     limit: Optional[int] = None,
+    sizes: Optional[Sequence[tuple[int, int]]] = None,
 ) -> list[Violation]:
-    """|U_t| <= r*t + lambda for every t <= t_max, compared exactly."""
+    """|U_t| <= r*t + lambda for every t <= t_max, compared exactly.
+
+    ``sizes``, if given, is ``list(union_sizes(sys, t_max))``, for a caller
+    that already swept it.
+    """
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
+    floor_rn = _floor_memo(*_triple(r))
     out = []
-    for t, size in union_sizes(sys, t_max):
-        if GoldenNumber(size - lam) > r * t:
+    for t, size in union_sizes(sys, t_max) if sizes is None else sizes:
+        if size - lam > floor_rn(t):
             out.append(
                 Violation(
                     kind=ViolationKind.COMPETITIVENESS,
@@ -346,19 +361,31 @@ def check_competitiveness(
     return out
 
 
-def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
+def min_lambda(
+    sys: FSystemSpec,
+    r: GoldenNumber,
+    t_max: int,
+    *,
+    sizes: Optional[Sequence[tuple[int, int]]] = None,
+) -> GoldenNumber:
     """Smallest additive constant making the system r-competitive up to t_max:
-    the maximum of |U_t| - r*t over the horizon (may be negative)."""
+    the maximum of |U_t| - r*t over the horizon (may be negative).
+
+    ``sizes`` is as for ``check_competitiveness``.
+    """
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
-    best: Optional[GoldenNumber] = None
-    for t, size in union_sizes(sys, t_max):
-        excess = GoldenNumber(size) - r * t
-        if best is None or excess > best:
-            best = excess
+    floor_rn = _floor_memo(*_triple(r))
+    # the earliest (t, |U_t|) with the largest |U_t| - r*t so far; a later
+    # level beats it when |U_t| - |U_b| > r*(t - t_b)
+    best: Optional[tuple[int, int]] = None
+    for t, size in union_sizes(sys, t_max) if sizes is None else sizes:
+        if best is None or size - best[1] > floor_rn(t - best[0]):
+            best = (t, size)
     if best is None:
         raise ValueError("t_max must be >= 1")
-    return best
+    t_b, size_b = best
+    return GoldenNumber(size_b) - r * t_b
 
 
 @dataclass
@@ -398,12 +425,11 @@ def _overlap(sys: FSystemSpec, t: int, k: int) -> FrequencySet:
     return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
 
 
-def _doubling_bound(
-    prev: int, r: GoldenNumber, lam: int, t: int
-) -> GoldenNumber:
-    """2*prev + (10-7R)t - 3*lambda: the least size the doubling recurrence
-    allows at level 2t when the level-t measure is prev."""
-    return GoldenNumber(2 * prev) + (GoldenNumber(10) - r * 7) * t - 3 * lam
+def _doubling_bound(prev: int, lam: int, t: int) -> tuple[int, int]:
+    """(base, n) with base - R*n = 2*prev + (10-7R)t - 3*lambda: the least
+    size the doubling recurrence allows at level 2t when the level-t
+    measure is prev."""
+    return 2 * prev + 10 * t - 3 * lam, 7 * t
 
 
 def _stats_at(
@@ -425,10 +451,6 @@ def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
-def _ge_exact(lhs: int, rhs: GoldenNumber) -> bool:
-    return GoldenNumber(lhs) >= rhs
-
-
 def lemma_chain_check(
     sys: FSystemSpec, r: GoldenNumber, lam: int, t_max: int
 ) -> list[Violation]:
@@ -443,11 +465,12 @@ def lemma_chain_check(
     out: list[Violation] = []
     if t_max < 2:
         return out
+    floor_rn = _floor_memo(*_triple(r))
     evens = range(2, t_max + 1, 2)
     shared = _shared_sets(sys, [*evens, *(2 * t for t in evens)])
     for t in evens:
         stats = _stats_at(sys, t, shared)
-        s_t, s_2t_t = stats.s_t, stats.s_2t_t
+        s_t, s_2t_t = len(stats.s_t), len(stats.s_2t_t)
         s_2t = shared[2 * t]
         clash = _overlap(sys, 2 * t, t)
         if clash:
@@ -462,52 +485,56 @@ def lemma_chain_check(
                 )
             )
         z_top = _overlap(sys, 3 * t, 2 * t)
-        s_u_z = s_t | stats.z_3t2_t
+        s_u_z = len(stats.s_t | stats.z_3t2_t)
+        packed = len(s_2t - z_top)
+        grown = len(s_2t | z_top)
+        # each inequality is lhs >= base - R*n, as (kind, lhs, (base, n),
+        # left text, right text)
         checks = (
             (
                 ViolationKind.SHARED_LOWER,
-                len(s_t),
-                (GoldenNumber(2) - r) * t - lam,
-                f"|S_t| = {len(s_t)}",
+                s_t,
+                (2 * t - lam, t),
+                f"|S_t| = {s_t}",
                 "(2-R)t - lambda",
             ),
             (
                 ViolationKind.SHARED_SPLIT_LOWER,
-                len(s_2t_t),
-                (GoldenNumber(6) - r * 4) * t - 2 * lam,
-                f"|S_2t,t| = {len(s_2t_t)}",
+                s_2t_t,
+                (6 * t - 2 * lam, 4 * t),
+                f"|S_2t,t| = {s_2t_t}",
                 "(6-4R)t - 2*lambda",
             ),
             (
                 ViolationKind.SHARED_PACKING,
-                len(s_2t - z_top),
-                GoldenNumber(len(s_u_z) + len(s_2t_t)),
-                f"|S_2t \\ Z_3t,2t| = {len(s_2t - z_top)}",
-                f"|S_t u Z| + |S_2t,t| = {len(s_u_z) + len(s_2t_t)}",
+                packed,
+                (s_u_z + s_2t_t, 0),
+                f"|S_2t \\ Z_3t,2t| = {packed}",
+                f"|S_t u Z| + |S_2t,t| = {s_u_z + s_2t_t}",
             ),
             (
                 ViolationKind.CARRY_LOWER,
                 len(z_top),
-                GoldenNumber(len(s_u_z)) - (r * 3 - 4) * t - lam,
+                (s_u_z + 4 * t - lam, 3 * t),
                 f"|Z_3t,2t| = {len(z_top)}",
                 "|S_t u Z| - (3R-4)t - lambda",
             ),
             (
                 ViolationKind.RECURRENCE,
-                len(s_2t | z_top),
-                _doubling_bound(len(s_u_z), r, lam, t),
-                f"|S_2t u Z_3t,2t| = {len(s_2t | z_top)}",
+                grown,
+                _doubling_bound(s_u_z, lam, t),
+                f"|S_2t u Z_3t,2t| = {grown}",
                 "2|S_t u Z| + (10-7R)t - 3*lambda",
             ),
         )
-        for kind, lhs, rhs, lhs_text, rhs_text in checks:
-            if not _ge_exact(lhs, rhs):
+        for kind, lhs, (base, n), lhs_text, rhs_text in checks:
+            if base - lhs > floor_rn(n):
                 out.append(
                     Violation(
                         kind=kind,
                         params={"t": t, "lambda": lam},
                         lhs=lhs_text,
-                        rhs=f"{rhs_text} = {rhs}",
+                        rhs=f"{rhs_text} = {GoldenNumber(base) - r * n}",
                     )
                 )
     return out
@@ -563,6 +590,7 @@ def gamma_trace(
     if steps > theta:
         raise ValueError("trace cannot exceed theta steps")
     trace = GammaTrace(theta=theta, lam=lam)
+    floor_rn = _floor_memo(*_triple(r))
     scales = [6 * theta * lam * (2**i) for i in range(steps + 1)]
     shared = _shared_sets(sys, [*scales, *(2 * t for t in scales)])
     sizes: list[int] = []
@@ -572,26 +600,29 @@ def gamma_trace(
         trace.entries.append(
             GammaEntry(i=i, t=t, numerator_size=size, gamma=Fraction(size, t))
         )
-        cap = r * (2 * t) + lam
         s_2t = len(shared[2 * t])
-        if GoldenNumber(size) > cap or GoldenNumber(s_2t) > cap:
+        # x > 2R*t + lambda exactly when x - lambda > floor(R*2t)
+        if max(size, s_2t) - lam > floor_rn(2 * t):
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_CAP,
                     params={"i": i, "t": t},
                     lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
-                    rhs=f"2R*t + lambda = {cap}",
+                    rhs=f"2R*t + lambda = {r * (2 * t) + lam}",
                 )
             )
     for i, t in enumerate(scales[:-1]):
-        needed = _doubling_bound(sizes[i], r, lam, t)
-        if not _ge_exact(sizes[i + 1], needed):
+        base, n = _doubling_bound(sizes[i], lam, t)
+        if base - sizes[i + 1] > floor_rn(n):
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_STEP,
                     params={"i": i, "t": t},
                     lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
-                    rhs=f"2|S u Z at t| + (10-7R)t - 3*lambda = {needed}",
+                    rhs=(
+                        "2|S u Z at t| + (10-7R)t - 3*lambda = "
+                        f"{GoldenNumber(base) - r * n}"
+                    ),
                 )
             )
     return trace
@@ -652,8 +683,11 @@ def run_checks(
         violations += check_f2(sys, f2_t_max)
         horizons["f2"] = f2_t_max
     if comp_t_max is not None:
-        violations += check_competitiveness(sys, r, lam, comp_t_max)
-        min_lam = min_lambda(sys, r, comp_t_max)
+        # one union sweep serves both passes
+        sizes = list(union_sizes(sys, comp_t_max))
+        violations += check_competitiveness(sys, r, lam, comp_t_max,
+                                            sizes=sizes)
+        min_lam = min_lambda(sys, r, comp_t_max, sizes=sizes)
         horizons["competitiveness"] = comp_t_max
     if lemma_t_max is not None:
         violations += lemma_chain_check(sys, r, lam, lemma_t_max)

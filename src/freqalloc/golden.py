@@ -4,6 +4,12 @@ Every boundary of every frequency band in this package is the floor of such
 a number.  A one-ulp float error would move a boundary by one frequency, so
 comparisons, signs and floors are computed exactly; floating point is never
 consulted for a decision.
+
+A rate r = (u + v*sqrt5)/w enters hot loops as its integer triple
+(``_triple``), and r*n is floored as ``floor_linear(u*n, v*n, w)``, memoised
+per rate by ``_floor_memo``.  The band systems build their boundaries and the
+checker decides its inequalities this way, so neither builds a GoldenNumber
+per level.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
-from typing import NamedTuple, Union
+from functools import lru_cache, total_ordering
+from typing import Callable, NamedTuple, Union
 
 RatLike = Union[int, Fraction]
 
@@ -200,6 +206,22 @@ class GoldenNumber:
 def cmp(x: GoldenNumber | RatLike, y: GoldenNumber | RatLike) -> int:
     """Exact three-way comparison: -1 if x < y, 0 if equal, +1 if x > y."""
     return (GoldenNumber.coerce(x) - GoldenNumber.coerce(y)).sign()
+
+
+def _triple(rate: GoldenNumber) -> tuple[int, int, int]:
+    """The (u, v, w) in lowest terms with rate = (u + v*sqrt5)/w, w > 0."""
+    w = math.lcm(rate.a.denominator, rate.b.denominator)
+    return int(rate.a * w), int(rate.b * w), w
+
+
+def _floor_memo(u: int, v: int, w: int) -> Callable[[int], int]:
+    """n -> floor((u + v*sqrt5)*n/w), memoised."""
+
+    @lru_cache(maxsize=1 << 16)
+    def floor_of(n: int) -> int:
+        return floor_linear(u * n, v * n, w)
+
+    return floor_of
 
 
 class Constants(NamedTuple):

@@ -38,7 +38,6 @@ path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +53,10 @@ from .frequencies import (
     shared_pool,
     union_all,
 )
-from .golden import ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike, floor_linear
+from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
+                     _floor_memo, _triple)
+# unused here, but bench/tracer.py patches floor_linear in systems too
+from .golden import floor_linear  # noqa: F401
 
 Generator = Callable[[Side, int, int], FrequencySet]
 RowUnion = Callable[[Side, int], FrequencySet]
@@ -153,22 +155,6 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
         (v > 0) & (d * d <= x),
     )
     return n + up
-
-
-def _triple(rate: GoldenNumber) -> tuple[int, int, int]:
-    """The (u, v, w) in lowest terms with rate = (u + v*sqrt5)/w, w > 0."""
-    w = math.lcm(rate.a.denominator, rate.b.denominator)
-    return int(rate.a * w), int(rate.b * w), w
-
-
-def _floor_memo(u: int, v: int, w: int) -> Callable[[int], int]:
-    """n -> floor((u + v*sqrt5)*n/w), memoised."""
-
-    @lru_cache(maxsize=1 << 16)
-    def floor_of(n: int) -> int:
-        return floor_linear(u * n, v * n, w)
-
-    return floor_of
 
 
 def band_system(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 
 from freqalloc import checker
 from freqalloc.checker import (
+    GammaTrace,
+    Violation,
     ViolationKind,
     check_competitiveness,
     check_f1,
@@ -17,6 +20,7 @@ from freqalloc.checker import (
     gamma_trace,
     lemma_chain_check,
     min_lambda,
+    run_checks,
     shared_stats,
     union_at,
     union_sizes,
@@ -550,3 +554,327 @@ class TestGammaTrace:
         assert [(v.kind, v.params["i"]) for v in trace.violations] == [
             (ViolationKind.GAMMA_STEP, i) for i in steps
         ]
+
+
+# The GoldenNumber forms of the four ratio decisions, as the checker made
+# them before it compared integers with floor(r*n): differential references.
+
+
+def reference_check_competitiveness(sys_, r, lam, t_max, limit=None):
+    if r < 1:
+        raise ValueError("competitive ratio must be >= 1")
+    out = []
+    for t, size in union_sizes(sys_, t_max):
+        if GoldenNumber(size - lam) > r * t:
+            out.append(
+                Violation(
+                    kind=ViolationKind.COMPETITIVENESS,
+                    params={"t": t},
+                    lhs=f"|U_t| = {size}",
+                    rhs=f"r*t + lambda = {r * t + lam}",
+                )
+            )
+            if limit and len(out) >= limit:
+                break
+    return out
+
+
+def reference_min_lambda(sys_, r, t_max):
+    if r < 1:
+        raise ValueError("competitive ratio must be >= 1")
+    best = None
+    for t, size in union_sizes(sys_, t_max):
+        excess = GoldenNumber(size) - r * t
+        if best is None or excess > best:
+            best = excess
+    if best is None:
+        raise ValueError("t_max must be >= 1")
+    return best
+
+
+def reference_doubling_bound(prev, r, lam, t):
+    return GoldenNumber(2 * prev) + (GoldenNumber(10) - r * 7) * t - 3 * lam
+
+
+def reference_lemma_chain_check(sys_, r, lam, t_max):
+    out = []
+    if t_max < 2:
+        return out
+    evens = range(2, t_max + 1, 2)
+    shared = checker._shared_sets(sys_, [*evens, *(2 * t for t in evens)])
+    for t in evens:
+        stats = checker._stats_at(sys_, t, shared)
+        s_t, s_2t_t = stats.s_t, stats.s_2t_t
+        s_2t = shared[2 * t]
+        clash = checker._overlap(sys_, 2 * t, t)
+        if clash:
+            out.append(
+                Violation(
+                    kind=ViolationKind.F2,
+                    params={"side": Side.A, "t": 2 * t, "k": t,
+                            "t_other": 2 * t, "k_other": t},
+                    lhs=f"|overlap| = {len(clash)}",
+                    rhs="0",
+                    witness=clash,
+                )
+            )
+        z_top = checker._overlap(sys_, 3 * t, 2 * t)
+        s_u_z = s_t | stats.z_3t2_t
+        checks = (
+            (
+                ViolationKind.SHARED_LOWER,
+                len(s_t),
+                (GoldenNumber(2) - r) * t - lam,
+                f"|S_t| = {len(s_t)}",
+                "(2-R)t - lambda",
+            ),
+            (
+                ViolationKind.SHARED_SPLIT_LOWER,
+                len(s_2t_t),
+                (GoldenNumber(6) - r * 4) * t - 2 * lam,
+                f"|S_2t,t| = {len(s_2t_t)}",
+                "(6-4R)t - 2*lambda",
+            ),
+            (
+                ViolationKind.SHARED_PACKING,
+                len(s_2t - z_top),
+                GoldenNumber(len(s_u_z) + len(s_2t_t)),
+                f"|S_2t \\ Z_3t,2t| = {len(s_2t - z_top)}",
+                f"|S_t u Z| + |S_2t,t| = {len(s_u_z) + len(s_2t_t)}",
+            ),
+            (
+                ViolationKind.CARRY_LOWER,
+                len(z_top),
+                GoldenNumber(len(s_u_z)) - (r * 3 - 4) * t - lam,
+                f"|Z_3t,2t| = {len(z_top)}",
+                "|S_t u Z| - (3R-4)t - lambda",
+            ),
+            (
+                ViolationKind.RECURRENCE,
+                len(s_2t | z_top),
+                reference_doubling_bound(len(s_u_z), r, lam, t),
+                f"|S_2t u Z_3t,2t| = {len(s_2t | z_top)}",
+                "2|S_t u Z| + (10-7R)t - 3*lambda",
+            ),
+        )
+        for kind, lhs, rhs, lhs_text, rhs_text in checks:
+            if not GoldenNumber(lhs) >= rhs:
+                out.append(
+                    Violation(
+                        kind=kind,
+                        params={"t": t, "lambda": lam},
+                        lhs=lhs_text,
+                        rhs=f"{rhs_text} = {rhs}",
+                    )
+                )
+    return out
+
+
+def reference_gamma_trace(sys_, r, lam, theta, steps):
+    if theta < 1 or lam < 1:
+        raise ValueError("theta and lambda must be >= 1")
+    trace = GammaTrace(theta=theta, lam=lam)
+    scales = [6 * theta * lam * (2**i) for i in range(steps + 1)]
+    shared = checker._shared_sets(sys_, [*scales, *(2 * t for t in scales)])
+    sizes = []
+    for i, t in enumerate(scales):
+        size = len(shared[t] | checker._overlap(sys_, 3 * t // 2, t))
+        sizes.append(size)
+        trace.entries.append(
+            checker.GammaEntry(i=i, t=t, numerator_size=size,
+                               gamma=Fraction(size, t))
+        )
+        cap = r * (2 * t) + lam
+        s_2t = len(shared[2 * t])
+        if GoldenNumber(size) > cap or GoldenNumber(s_2t) > cap:
+            trace.violations.append(
+                Violation(
+                    kind=ViolationKind.GAMMA_CAP,
+                    params={"i": i, "t": t},
+                    lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
+                    rhs=f"2R*t + lambda = {cap}",
+                )
+            )
+    for i, t in enumerate(scales[:-1]):
+        needed = reference_doubling_bound(sizes[i], r, lam, t)
+        if not GoldenNumber(sizes[i + 1]) >= needed:
+            trace.violations.append(
+                Violation(
+                    kind=ViolationKind.GAMMA_STEP,
+                    params={"i": i, "t": t},
+                    lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
+                    rhs=f"2|S u Z at t| + (10-7R)t - 3*lambda = {needed}",
+                )
+            )
+    return trace
+
+
+@functools.cache
+def differential_system(name: str) -> FSystemSpec:
+    """The built-ins, and the wide-shared mutant with its sets and row
+    unions cached so that both forms of each check can afford to rerun it."""
+    if name != "mutant":
+        return {"golden": golden_system, "half": half_system,
+                "trivial": trivial_system}[name]()
+    base = mutant_half_wide_shared()
+    gen = functools.cache(base.generator)
+    return dataclasses.replace(
+        base,
+        generator=gen,
+        row_union_fn=functools.cache(
+            lambda side, t: union_all(gen(side, t, k) for k in range(1, t + 1))
+        ),
+    )
+
+
+DIFF_RATIOS = ["R0", "3/2", "2", "1.42", "10/7-1/100", "1+1/3*sqrt5",
+               "18/11-1/11*sqrt5"]
+DIFF_LAMBDAS = [-3, 0, 1, 8]
+
+
+class TestIntegerDecisions:
+    """The integer-native decisions against their GoldenNumber forms."""
+
+    @pytest.mark.parametrize("r_text", DIFF_RATIOS)
+    @pytest.mark.parametrize("name", ["golden", "half", "trivial", "mutant"])
+    def test_match_golden_number_forms(self, name, r_text):
+        sys_, r = differential_system(name), parse_exact(r_text)
+        got, want = min_lambda(sys_, r, 300), reference_min_lambda(sys_, r, 300)
+        assert got == want and str(got) == str(want)
+        wants = {lam: reference_check_competitiveness(sys_, r, lam, 300)
+                 for lam in DIFF_LAMBDAS}
+        assert check_competitiveness(sys_, r, 8, 300) == wants[8]
+        # run_checks hands both passes one sweep
+        sizes = list(union_sizes(sys_, 300))
+        assert min_lambda(sys_, r, 300, sizes=sizes) == want
+        for lam in DIFF_LAMBDAS:
+            assert check_competitiveness(sys_, r, lam, 300,
+                                         sizes=sizes) == wants[lam]
+            # the reference stops at the limit-th violation
+            assert check_competitiveness(sys_, r, lam, 300, limit=3,
+                                         sizes=sizes) == wants[lam][:3]
+            assert lemma_chain_check(sys_, r, lam, 60) == (
+                reference_lemma_chain_check(sys_, r, lam, 60)
+            )
+            if lam < 1:
+                with pytest.raises(ValueError):
+                    gamma_trace(sys_, r, lam, theta=1, steps=1)
+                continue
+            theta, steps = (2, 2) if lam == 1 else (1, 1)
+            assert gamma_trace(sys_, r, lam, theta, steps) == (
+                reference_gamma_trace(sys_, r, lam, theta, steps)
+            )
+
+    def test_every_kind_is_compared(self):
+        # the cases above report every kind of ratio inequality but the
+        # gamma ones, which need a ratio below 10/7 (a step) or below 1 (a
+        # cap); those are compared here
+        seen = set()
+        for name in ("golden", "half", "trivial", "mutant"):
+            sys_ = differential_system(name)
+            for r_text in DIFF_RATIOS:
+                r = parse_exact(r_text)
+                for lam in (1, 8):
+                    seen |= {v.kind for v in lemma_chain_check(sys_, r, lam, 60)}
+                    seen |= {v.kind for v in check_competitiveness(
+                        sys_, r, lam, 300, limit=1)}
+            for r_text in ("1.4", "1/2", "1/2+1/10*sqrt5"):
+                r = parse_exact(r_text)
+                got = gamma_trace(sys_, r, 1, theta=3, steps=3)
+                assert got == reference_gamma_trace(sys_, r, 1, 3, 3)
+                seen |= {v.kind for v in got.violations}
+        assert seen >= set(ViolationKind) - {ViolationKind.F1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("r_text", ["3/2", "2", "4/3", "R0"])
+    def test_competitiveness_at_equality(self, seed, r_text):
+        # one private prefix per level, of length floor(r*t) + lambda + d
+        # with d in {-1, 0, 1}, made nondecreasing: |U_t| - lambda meets
+        # floor(r*t), and for rational r often r*t itself, exactly
+        r = parse_exact(r_text)
+        rng = random.Random(seed)
+        lam = rng.choice([0, 1, 8])
+        sizes = [0]
+        for t in range(1, 151):
+            d = rng.choice([-1, 0, 0, 1])
+            sizes.append(max(sizes[-1], (r * t).floor() + lam + d))
+
+        def gen(side, t, k):
+            if side is Side.B:
+                return FrequencySet.empty()
+            return pool_prefix(private_pool(side), sizes[t])
+
+        sys_ = FSystemSpec(name="staircase", claimed_ratio=r,
+                           claimed_lambda=lam, generator=gen,
+                           row_union_fn=lambda side, t: gen(side, t, t))
+        got = check_competitiveness(sys_, r, lam, 150)
+        assert got == reference_check_competitiveness(sys_, r, lam, 150)
+        assert [v.params["t"] for v in got] == [
+            t for t in range(1, 151) if sizes[t] - lam > (r * t).floor()
+        ]
+        at_floor = [t for t in range(1, 151)
+                    if sizes[t] - lam == (r * t).floor()]
+        assert at_floor and not {v.params["t"] for v in got} & set(at_floor)
+        assert min_lambda(sys_, r, 150) == reference_min_lambda(sys_, r, 150)
+        if r.is_rational():
+            exact = [t for t in at_floor if r * t == (r * t).floor()]
+            assert exact, "no level met r*t + lambda with equality"
+            assert min_lambda(sys_, r, 150) == max(
+                Fraction(sizes[t]) - r.a * t for t in range(1, 151)
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lemma_chain_at_equality(self, seed):
+        # trivial shares nothing, so |S_t| >= (2-R)t - lambda reads
+        # 0 >= j*t/t0 - j for R = 2 - j/t0 and lambda = j: equality at t0,
+        # a violation at every even t above it
+        rng = random.Random(seed)
+        t0 = rng.randrange(2, 30, 2)
+        j = rng.randint(1, t0)
+        r = GoldenNumber(2 - Fraction(j, t0))
+        got = lemma_chain_check(trivial_system(), r, j, 40)
+        assert got == reference_lemma_chain_check(trivial_system(), r, j, 40)
+        lower = [v.params["t"] for v in got
+                 if v.kind is ViolationKind.SHARED_LOWER]
+        assert lower == list(range(t0 + 2, 41, 2))
+        assert {(v.kind, v.params["t"]) for v in got} == (
+            brute_force_lemma_failures(trivial_system(), r.a, j, 40)
+        )
+
+    def test_gamma_step_at_equality(self):
+        # trivial measures 0 at every scale (12, 24, 48), so step i needs
+        # 0 >= (10 - 7R)t_i - 3; R = 39/28 makes step 0 an equality and
+        # breaks step 1
+        r = GoldenNumber(Fraction(39, 28))
+        got = gamma_trace(trivial_system(), r, 1, theta=2, steps=2)
+        assert got == reference_gamma_trace(trivial_system(), r, 1, 2, 2)
+        assert [(v.kind, v.params["i"]) for v in got.violations] == [
+            (ViolationKind.GAMMA_STEP, 1)
+        ]
+
+    def test_run_checks_builds_no_golden_number_per_level(self, monkeypatch):
+        signs = []
+        sign = GoldenNumber.sign
+
+        def counting_sign(self):
+            signs.append(self)
+            return sign(self)
+
+        rows = []
+        row_union = FSystemSpec.row_union
+
+        def counting_row_union(self, side, t):
+            rows.append((side, t))
+            return row_union(self, side, t)
+
+        monkeypatch.setattr(GoldenNumber, "sign", counting_sign)
+        monkeypatch.setattr(FSystemSpec, "row_union", counting_row_union)
+        report = run_checks(golden_system(), comp_t_max=400, lemma_t_max=200)
+        assert report.clean()
+        # a per-level GoldenNumber comparison would make hundreds
+        assert len(signs) <= 10
+        rows.clear()
+        run_checks(golden_system(), comp_t_max=400)
+        # one union sweep, two sides per level, for both the violations
+        # and min_lambda
+        assert len(rows) == 2 * 400

@@ -338,8 +338,8 @@ class TestBadNumbers:
              "--scale-cap", "-5"],
             ["adversary", "lower-bound", "--theta", "1", "--lambda", "1",
              "--scale-cap", "0"],
-            ["verify", "--system", "golden", "--t-max", "5", "--checks", "f1",
-             "--jobs", "0"],
+            ["falsify", "--system", "golden", "--r", "1.42", "--lambda", "8",
+             "--f2-t-max", "0"],
             ["opt", "brute", "--budget", "-5"],
             ["opt", "brute", "--budget", "0"],
         ],

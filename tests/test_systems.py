@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqalloc import systems
+from freqalloc import golden, systems
 from freqalloc.checker import check_f2
 from freqalloc.frequencies import (
     SIDES,
@@ -203,7 +203,8 @@ class TestGolden:
             calls.append((u, v, w))
             return floor_linear(u, v, w)
 
-        monkeypatch.setattr(systems, "floor_linear", counting)
+        # the per-rate memos live in golden and floor through its binding
+        monkeypatch.setattr(golden, "floor_linear", counting)
         go = golden_system()
         assert check_f2(go, 100) == []
         # six floors for each of the 10,100 sets without the memo; with it,
