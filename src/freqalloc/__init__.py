@@ -55,7 +55,7 @@ from .harness import (
     run_universal,
     universal_graph,
 )
-from .plugin import PluginFault, PluginSystem, external_system
+from .plugin import PluginFault, PluginSystem
 from .systems import FSystemSpec, golden_system, half_system, trivial_system
 
 __version__ = "0.1.0"
@@ -94,7 +94,6 @@ __all__ = [
     "constants",
     "decode_global",
     "encode_global",
-    "external_system",
     "falsify",
     "gamma_trace",
     "golden_system",

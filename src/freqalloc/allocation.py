@@ -10,7 +10,9 @@ order); the size floor of a sound system guarantees one exists, and
 cross-side disjointness guarantees neighbours never share.  First fit is
 found band by band: each vertex keeps, per pool, a next-free union-find over
 the indices it holds, so a request costs O(bands * log k) amortised rather
-than a canonical scan of O(k).
+than a canonical scan of O(k).  Those union-finds are the only record of a
+vertex's frequencies (``assignment_sets`` reads their keys), and one check
+over ``neighbors`` serves ``assignment_valid`` and ``validate="full"``.
 
 The allocator reads an instance only through the ``Instance`` protocol.
 ``BipartiteInstance`` implements it over explicit adjacency and string ids,
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
 from .frequencies import Frequency, FrequencySet, PoolTag, Side, encode_index
-from .systems import FSystemSpec
+from .systems import POOL_COUNT, FSystemSpec
 
 
 class NotBipartiteError(Exception):
@@ -52,12 +54,21 @@ def bipartition(
     The lowest-id vertex of each component (isolated vertices included)
     gets side A.  An odd cycle raises NotBipartiteError with a witness.
     """
+    return _colour(vertices, adjacency)[0]
+
+
+def _colour(
+    vertices: Sequence[str], adjacency: dict[str, Sequence[str]]
+) -> tuple[dict[str, Side], dict[str, str]]:
+    """bipartition's sides, and each vertex's component root."""
     sides: dict[str, Side] = {}
+    roots: dict[str, str] = {}
     parents: dict[str, Optional[str]] = {}
     for root in sorted(vertices):
         if root in sides:
             continue
         sides[root] = Side.A
+        roots[root] = root
         parents[root] = None
         queue = deque([root])
         while queue:
@@ -65,11 +76,12 @@ def bipartition(
             for w in sorted(adjacency.get(u, ())):
                 if w not in sides:
                     sides[w] = sides[u].other
+                    roots[w] = root
                     parents[w] = u
                     queue.append(w)
                 elif sides[w] is sides[u]:
                     raise NotBipartiteError(_odd_cycle(u, w, parents))
-    return sides
+    return sides, roots
 
 
 def _odd_cycle(
@@ -126,44 +138,62 @@ class BipartiteInstance:
             adjacency[u].add(w)
             adjacency[w].add(u)
         adj = {v: tuple(sorted(adjacency[v])) for v in verts}
-        computed = bipartition(verts, adj)
+        computed, root = _colour(verts, adj)
         if sides:
             for v in sides:
                 if v not in known:
                     raise ValueError(f"side given for unknown vertex {v}")
             # honour given labels by flipping whole components; a conflict
             # means the labels cannot be completed into any 2-colouring
-            flip: dict[int, bool] = {}
-            comp = _components(verts, adj)
+            flip: dict[str, bool] = {}
             for v, s in sides.items():
-                c = comp[v]
                 want_flip = computed[v] is not s
-                if flip.setdefault(c, want_flip) != want_flip:
+                if flip.setdefault(root[v], want_flip) != want_flip:
                     raise ValueError(
                         f"given sides are inconsistent with the edges near {v}"
                     )
             computed = {
-                v: computed[v].other if flip.get(comp[v]) else computed[v]
+                v: computed[v].other if flip.get(root[v]) else computed[v]
                 for v in verts
             }
-        inst = cls(
+        return cls(
             vertices=verts,
             adjacency=adj,
             sides=computed,
             loads=dict(loads or {}),
         )
-        return inst
 
     @classmethod
-    def from_json(cls, doc: dict) -> "BipartiteInstance":
+    def from_json(cls, doc: Any) -> "BipartiteInstance":
+        """Read {"vertices": [{"id": str, "side": "A" | "B" | null}, ...],
+        "edges": [[str, str], ...]}; a document of another shape raises
+        ValueError (a vertex object without an id, KeyError)."""
+        if not isinstance(doc, dict):
+            raise ValueError("a graph is an object with vertex and edge lists")
+        entries = doc.get("vertices", [])
+        pairs = doc.get("edges", [])
+        if not isinstance(entries, list) or not isinstance(pairs, list):
+            raise ValueError("'vertices' and 'edges' must be lists")
         vertices = []
         sides = {}
-        for entry in doc.get("vertices", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"vertex {entry!r} is not an object")
             vid = entry["id"]
+            if not isinstance(vid, str):
+                raise ValueError(f"vertex id {vid!r} is not a string")
             vertices.append(vid)
             if "side" in entry and entry["side"] is not None:
                 sides[vid] = Side(entry["side"])
-        edges = [(u, w) for u, w in doc.get("edges", [])]
+        edges = []
+        for edge in pairs:
+            if not (
+                isinstance(edge, list)
+                and len(edge) == 2
+                and all(isinstance(x, str) for x in edge)
+            ):
+                raise ValueError(f"edge {edge!r} is not a pair of vertex ids")
+            edges.append((edge[0], edge[1]))
         return cls.from_edges(vertices, edges, sides=sides or None)
 
     def to_json(self) -> dict:
@@ -198,26 +228,6 @@ class BipartiteInstance:
         return self.sides[v], lv, lv + best
 
 
-def _components(
-    verts: Sequence[str], adj: dict[str, tuple[str, ...]]
-) -> dict[str, int]:
-    comp: dict[str, int] = {}
-    n = 0
-    for root in verts:
-        if root in comp:
-            continue
-        comp[root] = n
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp[w] = n
-                    queue.append(w)
-        n += 1
-    return comp
-
-
 def static_opt(instance: BipartiteInstance) -> int:
     """Minimum number of frequencies for the instance's load vector."""
     best = max(instance.loads.values(), default=0)
@@ -250,17 +260,25 @@ def assignment_valid(
     instance: BipartiteInstance, assignment: dict[str, FrequencySet]
 ) -> bool:
     """Each vertex holds exactly its load and no edge shares a frequency."""
+    return _assignment_fault(instance, assignment) is None
+
+
+def _assignment_fault(
+    instance: Instance, assignment: dict[Any, FrequencySet], context: str = ""
+) -> Optional[str]:
+    """The first vertex whose set size is not its load, else the first edge
+    sharing a frequency (context appended), as a message; None if valid."""
     empty = FrequencySet.empty()
     for v in instance.vertices:
-        if len(assignment.get(v, empty)) != instance.loads[v]:
-            return False
+        held = len(assignment.get(v, empty))
+        if held != instance.loads[v]:
+            return f"vertex {v} holds {held} frequencies for load {instance.loads[v]}"
     for u in instance.vertices:
-        for w in instance.adjacency[u]:
-            if u < w and not assignment.get(u, empty).isdisjoint(
-                assignment.get(w, empty)
-            ):
-                return False
-    return True
+        su = assignment.get(u, empty)
+        for w in instance.neighbors(u):
+            if u < w and not su.isdisjoint(sw := assignment.get(w, empty)):
+                return f"edge ({u}, {w}) shares {su & sw!r}{context}"
+    return None
 
 
 def brute_force_opt(instance: BipartiteInstance, budget_cap: int = 10) -> int:
@@ -307,9 +325,6 @@ def brute_force_opt(instance: BipartiteInstance, budget_cap: int = 10) -> int:
     while not feasible(m):
         m += 1
     return m
-
-
-_POOL_COUNT = len(PoolTag)
 
 
 def _first_free(next_free: dict[int, int], i: int) -> int:
@@ -377,8 +392,8 @@ class Allocator:
         self.system = system
         self.validate = validate
         self.t = 0
-        self.assignment: dict[Hashable, list[Frequency]] = {}
-        # vertex -> next-free union-find per pool rank (None until used)
+        # vertex -> next-free union-find per pool rank (None until used);
+        # its keys are the vertex's frequencies, the only record of them
         self._next_free: dict[Hashable, list[Optional[dict[int, int]]]] = {}
         self._all_enc: set[int] = set()
 
@@ -389,7 +404,7 @@ class Allocator:
         fs = self.system.sets(side, self.t, k)
         pools = self._next_free.get(v)
         if pools is None:
-            pools = self._next_free[v] = [None] * _POOL_COUNT
+            pools = self._next_free[v] = [None] * POOL_COUNT
         best_enc = 0
         best_pool: Optional[PoolTag] = None
         best_index = 0
@@ -413,7 +428,6 @@ class Allocator:
             next_free = pools[rank] = {}
         next_free[best_index] = best_index + 1
         pick = Frequency(best_pool, best_index)
-        self.assignment.setdefault(v, []).append(pick)
         self._all_enc.add(best_enc)
         if self.validate == "neighbors":
             for w in self.instance.neighbors(v):
@@ -424,37 +438,27 @@ class Allocator:
                         f"adjacent {w}"
                     )
         elif self.validate == "full":
-            self._check_valid(v, pick)
+            context = f" after assigning {pick} to {v}"
+            fault = _assignment_fault(self.instance, self.assignment_sets(), context)
+            if fault is not None:
+                raise AllocationError(fault)
         return pick
 
     def distinct_used(self) -> int:
         return len(self._all_enc)
 
     def assignment_sets(self) -> dict[Hashable, FrequencySet]:
+        """Each served vertex's frequencies: its union-finds' keys by rank."""
         return {
-            v: FrequencySet.from_frequencies(fs)
-            for v, fs in self.assignment.items()
+            v: FrequencySet(
+                (pool, i, i + 1)
+                for pool, next_free in zip(PoolTag, pools)
+                if next_free
+                for i in next_free
+            )
+            for v, pools in self._next_free.items()
+            if any(pools)
         }
-
-    def _check_valid(self, v: Hashable, new: Frequency) -> None:
-        sets = self.assignment_sets()
-        for u, fs in sets.items():
-            if len(fs) != self.instance.loads[u]:
-                raise AllocationError(
-                    f"vertex {u} holds {len(fs)} frequencies for load "
-                    f"{self.instance.loads[u]}"
-                )
-        for u in self.instance.vertices:
-            for w in self.instance.neighbors(u):
-                if u < w:
-                    su = sets.get(u, FrequencySet.empty())
-                    sw = sets.get(w, FrequencySet.empty())
-                    if not su.isdisjoint(sw):
-                        clash = su & sw
-                        raise AllocationError(
-                            f"edge ({u}, {w}) shares {clash!r} after assigning "
-                            f"{new} to {v}"
-                        )
 
 
 def assignment_to_json(assignment: dict[str, FrequencySet]) -> dict:

@@ -540,6 +540,19 @@ def lemma_chain_check(
     return out
 
 
+def doubling_scale(theta: int, lam: int, i: int) -> int:
+    """The i-th doubling scale t_i = 6*theta*lambda*2^i of the 10/7 argument."""
+    return 6 * theta * lam * 2**i
+
+
+def doubling_scale_text(theta: int, lam: int, i: int) -> str:
+    """t_i as an exact integer up to i = 64, and beyond that, where it can
+    be astronomic, as the text 6*theta*lambda*2^i."""
+    if i <= 64:
+        return str(doubling_scale(theta, lam, i))
+    return f"6*{theta}*{lam}*2^{i}"
+
+
 @dataclass
 class GammaEntry:
     i: int
@@ -591,7 +604,7 @@ def gamma_trace(
         raise ValueError("trace cannot exceed theta steps")
     trace = GammaTrace(theta=theta, lam=lam)
     floor_rn = _floor_memo(*_triple(r))
-    scales = [6 * theta * lam * (2**i) for i in range(steps + 1)]
+    scales = [doubling_scale(theta, lam, i) for i in range(steps + 1)]
     shared = _shared_sets(sys, [*scales, *(2 * t for t in scales)])
     sizes: list[int] = []
     for i, t in enumerate(scales):
@@ -775,19 +788,15 @@ def falsify(
         # cap the measured steps so generator queries stay within the horizon
         budget = t_max // 3
         steps = 0
-        while steps < theta and 6 * theta * lam_eff * (2 ** (steps + 1)) <= budget:
+        while steps < theta and doubling_scale(theta, lam_eff, steps + 1) <= budget:
             steps += 1
-        feasible = 6 * theta * lam_eff <= budget
+        feasible = doubling_scale(theta, lam_eff, 0) <= budget
         if feasible:
             trace = gamma_trace(sys, claimed_r, lam_eff, theta, steps)
             violations += trace.violations
         if not violations:
             if steps < theta:
-                t_theta = (
-                    str(6 * theta * lam_eff * 2**theta)
-                    if theta <= 64
-                    else f"6*{theta}*{lam_eff}*2^{theta}"
-                )
+                t_theta = doubling_scale_text(theta, lam_eff, theta)
                 caveats.append(
                     f"gamma trace measured {steps + 1 if feasible else 0} of "
                     f"{theta + 1} scales; t_theta = {t_theta} exceeds the horizon "
@@ -831,15 +840,12 @@ def _extrapolate(
     else:
         start_i = 0
         g0 = GoldenNumber(0)  # gamma_0 >= 0 for any system
-    t_start = 6 * theta * lam * (2**start_i)
+    t_start = doubling_scale(theta, lam, start_i)
     c = GoldenNumber(5) - r * Fraction(7, 2)  # > 0 since r < 10/7
     need = r * 2 + Fraction(4 * lam, t_start) - g0
     n = max(1, (need / c).floor() + 1)
     i_star = start_i + n
-    if i_star <= 64:
-        scale = str(6 * theta * lam * (2**i_star))
-    else:
-        scale = f"6*{theta}*{lam}*2^{i_star}"
+    scale = doubling_scale_text(theta, lam, i_star)
     return {
         "theta": theta,
         "from_index": start_i,

@@ -7,12 +7,12 @@ pool that maps to the integers identically.  Sets are stored as per-pool
 runs of consecutive indices, so unions over long prefixes stay cheap.  Every
 set keeps its bands canonical: sorted by (pool rank, lo), with touching or
 overlapping bands of a pool coalesced.  Union is one linear merge of two
-canonical band tuples, so only the constructor and ``union_all`` sort.
+canonical band tuples, so only the constructor and ``union_all`` sort bands;
+iteration sorts the expanded set once by (global encoding, pool rank).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +27,10 @@ Boundary = Union[GoldenNumber, int, Fraction]
 class Side(Enum):
     A = "A"
     B = "B"
+
+    # members are singletons, so identity hashing agrees with Enum equality;
+    # Enum.__hash__ runs in Python on every generator cache key
+    __hash__ = object.__hash__
 
     @property
     def other(self) -> "Side":
@@ -211,13 +215,12 @@ class FrequencySet:
             yield Frequency(pool, index)
 
     def iter_encoded(self) -> Iterator[tuple[int, PoolTag, int]]:
-        """(encoding, pool, index) triples in canonical order; no objects."""
-        if len(self._bands) <= 1:
-            for p, lo, hi in self._bands:
-                yield from _band_stream(p, lo, hi)
-            return
-        for enc, _, p, i in heapq.merge(
-            *(_band_stream_keyed(p, lo, hi) for p, lo, hi in self._bands)
+        """(encoding, pool, index) triples in canonical order, sorted once by
+        (encoding, pool rank) as ``Frequency._key`` orders; no objects."""
+        for enc, _, p, i in sorted(
+            (encode_index(p, i), p.rank, p, i)
+            for p, lo, hi in self._bands
+            for i in range(lo, hi)
         ):
             yield enc, p, i
 
@@ -346,25 +349,6 @@ class FrequencySet:
 
     def issubset(self, other: "FrequencySet") -> bool:
         return not (self - other)
-
-
-def _band_stream(p: PoolTag, lo: int, hi: int) -> Iterator[tuple[int, PoolTag, int]]:
-    # arguments bound by value: safe across lazily consumed streams
-    if p is PoolTag.PLAIN:
-        for i in range(lo, hi):
-            yield i, p, i
-    else:
-        enc = _BUILTIN_COUNT * (lo - 1) + p.rank + 1
-        for i in range(lo, hi):
-            yield enc, p, i
-            enc += _BUILTIN_COUNT
-
-
-def _band_stream_keyed(
-    p: PoolTag, lo: int, hi: int
-) -> Iterator[tuple[int, int, PoolTag, int]]:
-    for enc, pool, i in _band_stream(p, lo, hi):
-        yield enc, pool.rank, pool, i
 
 
 _EMPTY = FrequencySet()

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .allocation import Allocator, BipartiteInstance
+from .checker import doubling_scale
 from .frequencies import SIDES, Side, encode_index
 from .golden import GoldenNumber
 from .systems import FSystemSpec
@@ -383,7 +384,7 @@ def measure_ratio(report: RunReport, lam: int) -> Fraction:
 
 
 def lower_bound_scales(theta: int, lam: int) -> list[int]:
-    return [6 * theta * lam * (2**i) for i in range(theta + 1)]
+    return [doubling_scale(theta, lam, i) for i in range(theta + 1)]
 
 
 def lower_bound_instance(
@@ -399,7 +400,7 @@ def lower_bound_instance(
     """
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
-    t_theta = 6 * theta * lam * (2**theta)
+    t_theta = doubling_scale(theta, lam, theta)
     if t_theta > scale_cap:
         raise ScaleCapError(theta, lam, t_theta, scale_cap)
     families: set[tuple[int, int]] = set()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-import threading
 from typing import Optional, Sequence
 
 from .frequencies import FrequencySet, PoolTag, Side
@@ -25,13 +24,14 @@ class PluginFault(Exception):
 
 
 class PluginSystem:
-    """Owns the child process and exposes its replies as an FSystemSpec."""
+    """Owns the child process and exposes its replies as an FSystemSpec.
+    It holds no lock: one thread queries it, as every caller in the package
+    does."""
 
     def __init__(self, argv: Sequence[str], *, name: Optional[str] = None) -> None:
         self.argv = list(argv)
         self.name = name or f"plugin:{self.argv[0]}"
         self._cache: dict[tuple[str, int, int], FrequencySet] = {}
-        self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen[str]] = None
 
     def _ensure_started(self) -> subprocess.Popen[str]:
@@ -49,26 +49,25 @@ class PluginSystem:
 
     def query(self, side: Side, t: int, k: int) -> FrequencySet:
         key = (side.value, t, k)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-            proc = self._ensure_started()
-            assert proc.stdin is not None and proc.stdout is not None
-            request = json.dumps({"side": side.value, "t": t, "k": k})
-            try:
-                proc.stdin.write(request + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise PluginFault(f"plugin pipe closed while sending: {exc}") from exc
-            line = proc.stdout.readline()
-            if not line:
-                raise PluginFault(
-                    f"plugin closed its output stream answering {request}"
-                )
-            result = self._decode(line, request)
-            self._cache[key] = result
-            return result
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        proc = self._ensure_started()
+        assert proc.stdin is not None and proc.stdout is not None
+        request = json.dumps({"side": side.value, "t": t, "k": k})
+        try:
+            proc.stdin.write(request + "\n")
+            proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            raise PluginFault(f"plugin pipe closed while sending: {exc}") from exc
+        line = proc.stdout.readline()
+        if not line:
+            raise PluginFault(
+                f"plugin closed its output stream answering {request}"
+            )
+        result = self._decode(line, request)
+        self._cache[key] = result
+        return result
 
     @staticmethod
     def _decode(line: str, request: str) -> FrequencySet:
@@ -127,19 +126,3 @@ class PluginSystem:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def external_system(
-    argv: Sequence[str],
-    claimed_ratio: GoldenNumber,
-    claimed_lambda: int,
-    *,
-    name: Optional[str] = None,
-) -> tuple[FSystemSpec, PluginSystem]:
-    """Spawn a plugin lazily and wrap it as an FSystemSpec.
-
-    Returns the spec together with the owning PluginSystem; the caller is
-    responsible for closing the latter (it is a context manager).
-    """
-    plugin = PluginSystem(argv, name=name)
-    return plugin.spec(claimed_ratio, claimed_lambda), plugin

@@ -313,17 +313,41 @@ class TestFirstFitDifferential:
         picks = allocator_picks(graph.materialize(), golden_system(), stream)
         assert picks == scan_picks(graph.materialize(), golden_system(), stream)
 
+    @pytest.mark.parametrize("system", [golden_system, fragmented_system])
+    def test_assignment_sets_hold_the_picks(self, system):
+        rng = random.Random(f"assignment sets {system.__name__}")
+        for _ in range(8):
+            build, stream = random_replay(rng)
+            alloc = Allocator(build(), system())
+            picked = {}
+            for v in stream:
+                picked.setdefault(v, []).append(alloc.request(v))
+            assert alloc.assignment_sets() == {
+                v: FrequencySet.from_frequencies(fs) for v, fs in picked.items()
+            }
+
+
+CLASHING = FSystemSpec(
+    name="clashing",
+    claimed_ratio=GoldenNumber(2),
+    claimed_lambda=0,
+    generator=lambda side, t, k: pool_prefix(PoolTag.PLAIN, k),
+)
+
 
 class TestNeighborValidation:
     def test_clash_names_adjacent_vertex(self):
-        clashing = FSystemSpec(
-            name="clashing",
-            claimed_ratio=GoldenNumber(2),
-            claimed_lambda=0,
-            generator=lambda side, t, k: pool_prefix(PoolTag.PLAIN, k),
-        )
         inst = instance(["u", "v"], [("u", "v")])
-        alloc = Allocator(inst, clashing, validate="neighbors")
+        alloc = Allocator(inst, CLASHING, validate="neighbors")
         alloc.request("u")
         with pytest.raises(AllocationError, match="already used at adjacent u"):
             alloc.request("v")
+
+    def test_full_check_names_the_edge(self):
+        inst = instance(["u", "v"], [("u", "v")])
+        alloc = Allocator(inst, CLASHING, validate="full")
+        alloc.request("u")
+        clash = r"^edge \(u, v\) shares \{F1\} after assigning 1 to v$"
+        with pytest.raises(AllocationError, match=clash):
+            alloc.request("v")
+        assert not assignment_valid(inst, alloc.assignment_sets())

@@ -524,6 +524,11 @@ class TestFalsify:
         assert verdict.certificate["contradiction_index"] >= 1
         assert verdict.caveats
 
+    def test_scale_text_is_exact_up_to_index_64(self):
+        assert checker.doubling_scale(117, 8, 3) == 6 * 117 * 8 * 8
+        assert checker.doubling_scale_text(1, 1, 64) == str(6 * 2**64)
+        assert checker.doubling_scale_text(117, 8, 65) == "6*117*8*2^65"
+
     def test_rejects_claims_at_or_above_ten_sevenths(self):
         with pytest.raises(ValueError):
             falsify(golden_system(), parse_exact("10/7"), 8, 50)

@@ -362,6 +362,37 @@ class TestBadNumbers:
         assert "Traceback" not in proc.stderr
 
 
+class TestBadGraphs:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"vertices": ["u"], "edges": []},
+            [1, 2],
+            {"vertices": [{"id": "u"}], "edges": [5]},
+            {"vertices": [{"id": ["u"]}], "edges": []},
+            {"vertices": [{"id": 1}, {"id": "u"}], "edges": []},
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [["opt", "static"], ["run", "--system", "golden"]]
+    )
+    def test_exit_2_without_traceback(self, tmp_path, graph, command):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "freqalloc.cli", *command,
+                "--graph", write_graph(tmp_path, graph),
+                "--requests", write_requests(tmp_path, ["u"]),
+                "--out", str(tmp_path / "out.json"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "bad graph file" in proc.stderr
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "report.json"
