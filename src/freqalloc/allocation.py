@@ -166,8 +166,9 @@ class BipartiteInstance:
     @classmethod
     def from_json(cls, doc: Any) -> "BipartiteInstance":
         """Read {"vertices": [{"id": str, "side": "A" | "B" | null}, ...],
-        "edges": [[str, str], ...]}; a document of another shape raises
-        ValueError (a vertex object without an id, KeyError)."""
+        "edges": [[str, str], ...]}; a document of another shape, or one
+        listing a vertex id twice, raises ValueError (a vertex object
+        without an id, KeyError)."""
         if not isinstance(doc, dict):
             raise ValueError("a graph is an object with vertex and edge lists")
         entries = doc.get("vertices", [])
@@ -175,6 +176,7 @@ class BipartiteInstance:
         if not isinstance(entries, list) or not isinstance(pairs, list):
             raise ValueError("'vertices' and 'edges' must be lists")
         vertices = []
+        listed = set()
         sides = {}
         for entry in entries:
             if not isinstance(entry, dict):
@@ -182,6 +184,9 @@ class BipartiteInstance:
             vid = entry["id"]
             if not isinstance(vid, str):
                 raise ValueError(f"vertex id {vid!r} is not a string")
+            if vid in listed:
+                raise ValueError(f"vertex id {vid!r} is listed twice")
+            listed.add(vid)
             vertices.append(vid)
             if "side" in entry and entry["side"] is not None:
                 sides[vid] = Side(entry["side"])

@@ -9,10 +9,12 @@ parameters reproduces the failure.
 The two sweeps over (t, k) work on arrays where they can.  ``check_f1``
 compares each row of sizes with 1..t in numpy and visits only the short
 sets.  ``check_f2`` on a system with row bands keeps each column union and
-each prefix union as per-pool (lo, hi) arrays and tests all k of a level in
-one expression.  It is exact while every such union is one interval per
-pool; the first union that is not sends the whole check back to the set
-sweep from level 1, which reports the same violations in the same order.
+each prefix union as its per-pool hull, one (lo, hi) band per pool from
+its lowest to its highest index, and tests all k of a level in one
+expression.  A row that misses the hull misses the union, so no hit is lost;
+a row that meets it is only a candidate, which the witness rescan confirms
+or drops.  Every other system takes the set sweep, and both report the same
+violations in the same order.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
@@ -38,6 +40,9 @@ from .golden import GoldenNumber, _floor_memo, _triple
 from .systems import _VEC_LIMIT, POOL_COUNT, FSystemSpec
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
+# the disjointness horizon that verify and falsify use when none is given is
+# min(t_max, F2_DEFAULT_CAP)
+F2_DEFAULT_CAP = 100
 
 
 class ViolationKind(Enum):
@@ -130,15 +135,13 @@ def check_f2(
     k' <= t - k; by the symmetry of the condition in the two sides this
     covers every quadruple up to t_max exactly once.  Witnesses are
     recovered by re-scanning the offending range.  A system with row bands
-    is swept on band arrays, falling back to the set sweep from level 1 if
-    a union fragments; both give the same violations in the same order.
+    is swept on the hulls of its band arrays and any other on its sets; both
+    give the same violations in the same order.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     if sys.row_bands_fn is not None and t_max <= _VEC_LIMIT:
-        out = _check_f2_bands(sys, t_max, limit)
-        if out is not None:
-            return out
+        return _check_f2_bands(sys, t_max, limit)
     return _check_f2_sets(sys, t_max, limit)
 
 
@@ -146,7 +149,7 @@ def _witness_pair(
     sys: FSystemSpec, side: Side, t: int, k: int, horizon: int
 ) -> Optional[Violation]:
     """The first opposite-side set, by (t', k'), that F(side, t, k) meets
-    among t' <= horizon and k' <= t - k."""
+    among t' <= horizon and k' <= t - k, or None if it meets none."""
     mine = sys.sets(side, t, k)
     for tp in range(1, horizon + 1):
         for kp in range(1, min(tp, t - k) + 1):
@@ -217,22 +220,14 @@ _EMPTY_LO = np.iinfo(np.int64).max
 _EMPTY_HI = np.iinfo(np.int64).min
 
 
-def _one_interval(
-    lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray
-) -> bool:
-    """Whether each pair of bands unions to one interval: they overlap or
-    touch, or one of them is empty."""
-    joined = np.maximum(lo1, lo2) <= np.minimum(hi1, hi2)
-    return bool(np.all(joined | (lo1 > hi1) | (lo2 > hi2)))
-
-
 def _check_f2_bands(
     sys: FSystemSpec, t_max: int, limit: Optional[int]
-) -> Optional[list[Violation]]:
-    """_check_f2_sets on per-pool band arrays, or None once a column or
-    prefix union is not one interval per pool."""
+) -> list[Violation]:
+    """_check_f2_sets on per-pool band hulls.  A hull covers its union, so
+    every row that meets the union meets the hull; _witness_pair drops the
+    rows that meet only the hull."""
     out: list[Violation] = []
-    # col_lo[s][p, k'], col_hi[s][p, k']: pool p's band of the union over
+    # col_lo[s][p, k'], col_hi[s][p, k']: pool p's hull of the union over
     # t' of F(SIDES[s], t', k')
     shape = (POOL_COUNT, t_max + 1)
     col_lo = [np.full(shape, _EMPTY_LO) for _ in SIDES]
@@ -243,28 +238,19 @@ def _check_f2_bands(
         empty = lo >= hi
         return np.where(empty, _EMPTY_LO, lo), np.where(empty, _EMPTY_HI, hi)
 
-    def merge(s: int, t: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    def merge(s: int, t: int, lo: np.ndarray, hi: np.ndarray) -> None:
         clo, chi = col_lo[s][:, 1 : t + 1], col_hi[s][:, 1 : t + 1]
-        if not _one_interval(clo, chi, lo, hi):
-            return False
         np.minimum(clo, lo, out=clo)
         np.maximum(chi, hi, out=chi)
-        return True
 
     for t in range(1, t_max + 1):
         rows = [row(side, t) for side in SIDES]
-        if not merge(1, t, *rows[1]):
-            return None
+        merge(1, t, *rows[1])
         for s, horizon in _horizons(t):
-            # pre_lo[:, j], pre_hi[:, j]: the union of columns 1..j+1
-            clo, chi = col_lo[1 - s][:, 1:t], col_hi[1 - s][:, 1:t]
-            pre_lo = np.minimum.accumulate(clo, axis=1)
-            pre_hi = np.maximum.accumulate(chi, axis=1)
-            if not _one_interval(
-                clo[:, 1:], chi[:, 1:], pre_lo[:, :-1], pre_hi[:, :-1]
-            ):
-                return None
-            # row k, for k = 1..t-1, against the union of columns 1..t-k
+            # pre_lo[:, j], pre_hi[:, j]: the hull of columns 1..j+1
+            pre_lo = np.minimum.accumulate(col_lo[1 - s][:, 1:t], axis=1)
+            pre_hi = np.maximum.accumulate(col_hi[1 - s][:, 1:t], axis=1)
+            # row k, for k = 1..t-1, against the hull of columns 1..t-k
             rlo, rhi = rows[s][0][:, : t - 1], rows[s][1][:, : t - 1]
             meets = np.maximum(rlo, pre_lo[:, ::-1]) < np.minimum(
                 rhi, pre_hi[:, ::-1]
@@ -275,8 +261,7 @@ def _check_f2_bands(
                     out.append(v)
                     if limit and len(out) >= limit:
                         return out
-        if not merge(0, t, *rows[0]):
-            return None
+        merge(0, t, *rows[0])
     return out
 
 
@@ -765,7 +750,7 @@ def falsify(
     if claimed_r < 1:
         raise ValueError("competitive ratio must be >= 1")
     if f2_t_max is None:
-        f2_t_max = min(t_max, 100)
+        f2_t_max = min(t_max, F2_DEFAULT_CAP)
     violations = [
         *check_f1(sys, t_max, limit=5),
         *check_f2(sys, f2_t_max, limit=5),

@@ -150,7 +150,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if unknown:
             raise _CliError(f"unknown checks: {sorted(unknown)}")
         f2_t_max = (
-            min(args.t_max, 100) if args.f2_t_max is None else args.f2_t_max
+            min(args.t_max, checker.F2_DEFAULT_CAP)
+            if args.f2_t_max is None
+            else args.f2_t_max
         )
         lemma_t_max = (
             min(args.t_max, 200) if args.lemma_t_max is None else args.lemma_t_max

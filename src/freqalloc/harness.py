@@ -19,13 +19,17 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
 from .checker import doubling_scale
 from .frequencies import SIDES, Side, encode_index
 from .golden import GoldenNumber
 from .systems import FSystemSpec
+
+
+# the most edges UniversalGraph.materialize builds
+MAX_EDGES = 5_000_000
 
 
 class ResourceGuardError(Exception):
@@ -92,20 +96,20 @@ class UniversalGraph:
         n = self.horizon
         return n * (n - 1) * (n + 1) ** 2 // 6
 
-    def materialize(self, *, max_edges: int = 5_000_000) -> BipartiteInstance:
+    def materialize(self) -> BipartiteInstance:
         """Explicit instance with all edges; guarded, they grow as T^4."""
         # quarter of T^4 underestimates the count; refuse huge T before
         # spending time counting exactly
-        if self.horizon**4 // 4 > 4 * max_edges:
+        if self.horizon**4 // 4 > 4 * MAX_EDGES:
             raise ResourceGuardError(
                 f"universal graph at T={self.horizon} has on the order of "
-                f"{self.horizon**4 // 4} edges, over the guard of {max_edges}"
+                f"{self.horizon**4 // 4} edges, over the guard of {MAX_EDGES}"
             )
         est = self.edge_count()
-        if est > max_edges:
+        if est > MAX_EDGES:
             raise ResourceGuardError(
                 f"universal graph at T={self.horizon} has {est} edges, "
-                f"over the guard of {max_edges}"
+                f"over the guard of {MAX_EDGES}"
             )
         vertices = list(self.vertex_ids())
         sides = {v: parse_vertex_id(v)[0] for v in vertices}
@@ -314,13 +318,7 @@ class CollisionError(Exception):
         super().__init__(detail)
 
 
-def run_universal(
-    system: FSystemSpec,
-    t_max: int,
-    *,
-    ratio: Optional[GoldenNumber] = None,
-    lam: Optional[int] = None,
-) -> RunReport:
+def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     """Replay the phase schedule on the truncated universal graph.
 
     Every assignment is checked against the opposite side on the fly: a
@@ -329,8 +327,7 @@ def run_universal(
     with a witness; per phase, the optimum is recomputed independently and
     the count of distinct frequencies is compared with floor(r*t) + lambda.
     """
-    r = ratio if ratio is not None else system.claimed_ratio
-    add = lam if lam is not None else system.claimed_lambda
+    r, add = system.claimed_ratio, system.claimed_lambda
     inst = UniversalInstance(universal_graph(t_max))
     alloc = Allocator(inst, system)
     request = alloc.request

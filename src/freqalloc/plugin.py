@@ -28,9 +28,9 @@ class PluginSystem:
     It holds no lock: one thread queries it, as every caller in the package
     does."""
 
-    def __init__(self, argv: Sequence[str], *, name: Optional[str] = None) -> None:
+    def __init__(self, argv: Sequence[str]) -> None:
         self.argv = list(argv)
-        self.name = name or f"plugin:{self.argv[0]}"
+        self.name = f"plugin:{self.argv[0]}"
         self._cache: dict[tuple[str, int, int], FrequencySet] = {}
         self._proc: Optional[subprocess.Popen[str]] = None
 

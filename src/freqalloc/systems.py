@@ -9,12 +9,19 @@ exceeds r*t + lambda frequencies.
 
 The built-in systems are members of one family, ``band_system``.  With
 floor(.) the exact floor and c' the side other than c, its level-(t,k) set
-on side c holds at most one band per pool:
+on side c holds the private band of indices 1 .. floor(alpha*t + pad) +
+kappa*k and, in each of three bounded pools, the band
 
-    private(c)   indices 1 .. floor(alpha*t + pad) + kappa*k
-    shared(c)    (floor(beta*(t-k)), min(floor(phi*beta*k), floor(beta*t))]
-    shared(c')   (floor(phi*beta*(t-k)), floor(beta*k)]
-    symmetric    (floor(phi*rho*(t-k)), min(floor(phi*rho*k), floor(rho*t))]
+    (floor(x*(t-k)), min(floor(y*k), floor(z*t))]
+
+with the pool's rates (x, y, z):
+
+    pool         x          y          z
+    shared(c)    beta       phi*beta   beta
+    shared(c')   phi*beta   beta       beta
+    symmetric    phi*rho    phi*rho    rho
+
+In shared(c') the cap floor(beta*t) changes nothing, since k <= t.
 
     system    alpha         kappa  pad  beta     rho       phi
     golden    (7-sqrt5)/11  0      4    alpha/2  beta/phi  (1+sqrt5)/2
@@ -25,15 +32,15 @@ Floors are monotone, so each min is exactly the construction's split at
 phi*k = t: below it the band ends at phi*beta*k (phi*rho*k), above it at
 beta*t (rho*t).  Every boundary is the floor of a rate in Q(sqrt5) times one
 integer, and rates equal as numbers share one per-system memo, so a sweep to
-level t computes O(t) square-root floors rather than several per set.
+level t computes O(t) square-root floors rather than several per set.  The
+generator and the row bands both read the rates from one per-side table.
 
 A system may also give its level rows as band arrays (``row_bands``): per
 pool rank, the one index band [lo, hi) that each set of the row holds in that
 pool.  A band system builds them from per-system floor tables, one per
-distinct rate multiplying k or t - k (for golden, beta and phi*beta), and
-``row_sizes`` of any system with row bands is the sum of their widths.
-``check_f2`` sweeps such rows as arrays; other systems keep the generator
-path.
+distinct rate x or y (for golden, beta and phi*beta), and ``row_sizes`` of
+any system with row bands is the sum of their widths.  ``check_f2`` sweeps
+such rows as arrays and any other system on its sets.
 """
 
 from __future__ import annotations
@@ -45,14 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import (
-    FrequencySet,
-    PoolTag,
-    Side,
-    private_pool,
-    shared_pool,
-    union_all,
-)
+from .frequencies import FrequencySet, PoolTag, Side, union_all
 from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
                      _floor_memo, _triple)
 # unused here, but bench/tracer.py patches floor_linear in systems too
@@ -88,9 +88,9 @@ class FSystemSpec:
     most one band per pool.  It returns two int64 arrays lo, hi of shape
     (POOL_COUNT, k_hi - k_lo): entry [p, k - k_lo] is the half-open index
     band [lo, hi) that F(side, t, k) holds in the pool of rank p, empty when
-    lo >= hi.  It must agree with the generator exactly, since ``check_f2``
-    and ``row_sizes`` then read the arrays alone; it is consulted only for
-    t <= _VEC_LIMIT.
+    lo >= hi.  It must agree with the generator exactly: ``row_sizes`` then
+    reads the arrays alone, and ``check_f2`` reads sets only for the rows
+    the arrays flag.  It is consulted only for t <= _VEC_LIMIT.
     """
 
     name: str
@@ -197,32 +197,35 @@ def band_system(
             raise ValueError(f"rate {rate} is too large for exact row bands")
         return table_index.setdefault(key, len(table_index))
 
+    def bounded(x: GoldenNumber, y: GoldenNumber, z: GoldenNumber) -> tuple:
+        """The band (floor(x*(t-k)), min(floor(y*k), floor(z*t))] as its
+        three scalar memos and the table indices of x and y."""
+        return memo(x), memo(y), memo(z), table(x), table(y)
+
+    own = bounded(beta, phi * beta, beta)
+    cross = bounded(phi * beta, beta, beta)
+    sym = bounded(phi * rho, phi * rho, rho)
+    sa, sb, q = PoolTag.SHARED_A, PoolTag.SHARED_B, PoolTag.SYMMETRIC
+    # per side: its private pool, then each bounded pool in rank order with
+    # its rates (module docstring)
+    pools = {
+        Side.A: (PoolTag.PRIVATE_A, ((sa, *own), (sb, *cross), (q, *sym))),
+        Side.B: (PoolTag.PRIVATE_B, ((sa, *cross), (sb, *own), (q, *sym))),
+    }
     private = memo(alpha)
-    beta_n, phi_beta_n, phi_rho_n, rho_n = (
-        memo(beta), memo(phi * beta), memo(phi * rho), memo(rho))
-    i_beta, i_phi_beta, i_phi_rho = (
-        table(beta), table(phi * beta), table(phi * rho))
-    side_a = Side.A
-    pa, pb, sa, sb, q = (PoolTag.PRIVATE_A, PoolTag.PRIVATE_B,
-                         PoolTag.SHARED_A, PoolTag.SHARED_B, PoolTag.SYMMETRIC)
 
     @lru_cache(maxsize=1 << 16)
     def gen(side: Side, t: int, k: int) -> FrequencySet:
         n = t - k
-        hi, top = phi_beta_n(k), beta_n(t)
-        own = (beta_n(n), hi if hi < top else top)
-        other = (phi_beta_n(n), beta_n(k))
-        hi, top = phi_rho_n(k), rho_n(t)
-        sym = (phi_rho_n(n), hi if hi < top else top)
-        if side is side_a:
-            pool, first, second = pa, own, other
-        else:
-            pool, first, second = pb, other, own
+        private_tag, rows = pools[side]
         bands = []
         p = private(t) + pad + kappa * k
         if p >= 1:
-            bands.append((pool, 1, p + 1))
-        for pool, (lo, hi) in ((sa, first), (sb, second), (q, sym)):
+            bands.append((private_tag, 1, p + 1))
+        for pool, x, y, z, _, _ in rows:
+            lo, hi, top = x(n), y(k), z(t)
+            if top < hi:
+                hi = top
             if hi > lo:
                 bands.append((pool, lo + 1, hi + 1))
         # one band per pool, appended in rank order: already normalized
@@ -259,22 +262,18 @@ def band_system(
         at_k = [tab[k_lo:k_hi] for tab in tabs]
         # t - k falls from t - k_lo as k rises
         at_tk = [tab[t - k_hi + 1 : t - k_lo + 1][::-1] for tab in tabs]
-        own = shared_pool(side).rank
-        other = shared_pool(side.other).rank
+        private_tag, rows = pools[side]
         # gen's band (a, b] is [a + 1, b + 1) here
         lo = np.zeros((POOL_COUNT, k_hi - k_lo), dtype=np.int64)
         hi = np.zeros_like(lo)
-        p = private_pool(side).rank
+        p = private_tag.rank
         lo[p] = 1
         hi[p] = private(t) + pad + 1
         if kappa:
             hi[p] += kappa * np.arange(k_lo, k_hi)
-        lo[own] = at_tk[i_beta]
-        np.minimum(at_k[i_phi_beta], beta_n(t) + 1, out=hi[own])
-        lo[other] = at_tk[i_phi_beta]
-        hi[other] = at_k[i_beta]
-        lo[q.rank] = at_tk[i_phi_rho]
-        np.minimum(at_k[i_phi_rho], rho_n(t) + 1, out=hi[q.rank])
+        for pool, _, _, z, i_x, i_y in rows:
+            lo[pool.rank] = at_tk[i_x]
+            np.minimum(at_k[i_y], z(t) + 1, out=hi[pool.rank])
         return lo, hi
 
     return FSystemSpec(

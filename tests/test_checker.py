@@ -289,12 +289,30 @@ class TestF2Bands:
     # spread fragments its column unions, apart only its prefix unions
     @pytest.mark.parametrize("factory", [spread_system, apart_system])
     @pytest.mark.parametrize("limit", [None, 3])
-    def test_fragmented_unions_fall_back(self, monkeypatch, factory, limit):
+    def test_fragmented_unions_stay_on_bands(self, monkeypatch, factory,
+                                             limit):
         want = checker._check_f2_sets(factory(), 20, limit)
         assert want
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
-        assert len(calls) == 1
+        assert not calls
+
+    def test_witness_scans_only_where_hulls_exceed_unions(self, monkeypatch):
+        scans = []
+        scan = checker._witness_pair
+
+        def counting(*args):
+            scans.append(args[1:])
+            return scan(*args)
+
+        monkeypatch.setattr(checker, "_witness_pair", counting)
+        # a built-in hull is its union: a clean sweep scans nothing
+        for factory in (golden_system, half_system, trivial_system):
+            assert check_f2(factory(), 150) == []
+        assert not scans
+        # spread's hulls cover frequencies its unions miss
+        assert len(check_f2(with_row_bands(spread_system()), 20)) == 57
+        assert len(scans) == 190
 
     @pytest.mark.parametrize("factory", [half_system, trivial_system])
     def test_half_and_trivial_match_set_sweep(self, monkeypatch, factory):

@@ -371,6 +371,12 @@ class TestBadGraphs:
             {"vertices": [{"id": "u"}], "edges": [5]},
             {"vertices": [{"id": ["u"]}], "edges": []},
             {"vertices": [{"id": 1}, {"id": "u"}], "edges": []},
+            {
+                "vertices": [{"id": "u", "side": "A"}, {"id": "v"},
+                             {"id": "u", "side": "B"}],
+                "edges": [["u", "v"]],
+            },
+            {"vertices": [{"id": "u"}, {"id": "u"}], "edges": []},
         ],
     )
     @pytest.mark.parametrize(
