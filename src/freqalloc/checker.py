@@ -197,7 +197,7 @@ def _check_f2_sets(
         return pref
 
     for t in range(1, t_max + 1):
-        rows = [[sys.sets(s, t, k) for k in range(1, t + 1)] for s in SIDES]
+        rows = [sys.row(s, t) for s in SIDES]
         for m in range(1, t + 1):
             cols[1][m] = cols[1][m] | rows[1][m - 1]
         for s, horizon in _horizons(t):

@@ -174,10 +174,6 @@ class FrequencySet:
     def from_frequencies(cls, freqs: Iterable[Frequency]) -> "FrequencySet":
         return cls((f.pool, f.index, f.index + 1) for f in freqs)
 
-    @classmethod
-    def from_indices(cls, pool: PoolTag, indices: Iterable[int]) -> "FrequencySet":
-        return cls((pool, i, i + 1) for i in indices)
-
     @property
     def bands(self) -> tuple[Band, ...]:
         return self._bands
@@ -347,9 +343,6 @@ class FrequencySet:
                 j += 1
         return True
 
-    def issubset(self, other: "FrequencySet") -> bool:
-        return not (self - other)
-
 
 _EMPTY = FrequencySet()
 
@@ -387,7 +380,3 @@ def union_all(sets: Iterable[FrequencySet]) -> FrequencySet:
         bands.extend(s.bands)
     return FrequencySet(bands)
 
-
-def set_to_pyset(s: FrequencySet) -> set[tuple[int, int]]:
-    """Expand to a plain set of (pool rank, index) pairs; test oracle helper."""
-    return {(p.rank, i) for p, lo, hi in s.bands for i in range(lo, hi)}

@@ -59,6 +59,7 @@ from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
 from .golden import floor_linear  # noqa: F401
 
 Generator = Callable[[Side, int, int], FrequencySet]
+Row = Callable[[Side, int], Sequence[FrequencySet]]
 RowUnion = Callable[[Side, int], FrequencySet]
 RowBands = Callable[[Side, int, int, int], tuple[np.ndarray, np.ndarray]]
 
@@ -79,10 +80,12 @@ class FSystemSpec:
     """An F-system oracle plus its claimed competitive ratio and constant.
 
     ``generator`` must be deterministic: the same (side, t, k) always yields
-    a structurally identical set.  ``row_union_fn`` optionally provides the
-    union of a whole level, union over k <= t of F(side, t, k); when absent
-    it is computed by folding the generator, which any system supports but
-    costs t generator calls.
+    a structurally identical set.  ``row_fn(side, t)`` optionally returns
+    the level-t sets for k = 1..t at once, for a system that serves a row
+    cheaper than t single sets (a plugin pipelines its queries); it must
+    agree with the generator exactly.  ``row_union_fn`` optionally provides
+    the union of a whole level, union over k <= t of F(side, t, k); when
+    absent it is computed by folding the row, which any system supports.
 
     ``row_bands_fn(side, t, k_lo, k_hi)`` is for systems whose sets hold at
     most one band per pool.  It returns two int64 arrays lo, hi of shape
@@ -97,6 +100,7 @@ class FSystemSpec:
     claimed_ratio: GoldenNumber
     claimed_lambda: int
     generator: Generator
+    row_fn: Optional[Row] = None
     row_union_fn: Optional[RowUnion] = None
     row_bands_fn: Optional[RowBands] = None
 
@@ -107,17 +111,26 @@ class FSystemSpec:
             raise ValueError(f"need 0 <= k <= t, got k={k}, t={t}")
         return self.generator(side, t, k)
 
+    def row(self, side: Side, t: int) -> Sequence[FrequencySet]:
+        """The level-t sets of one side for k = 1..t: ``row_fn`` where the
+        system has one, else one ``sets`` call per k."""
+        if t < 1:
+            raise ValueError(f"level must be >= 1, got t={t}")
+        if self.row_fn is not None:
+            return self.row_fn(side, t)
+        return [self.sets(side, t, k) for k in range(1, t + 1)]
+
     def row_union(self, side: Side, t: int) -> FrequencySet:
         """Union over 1 <= k <= t of the level-t sets for one side."""
         if self.row_union_fn is not None:
             return self.row_union_fn(side, t)
-        return union_all(self.sets(side, t, k) for k in range(1, t + 1))
+        return union_all(self.row(side, t))
 
     def row_sizes(self, side: Side, t: int) -> Sequence[int]:
         """Cardinalities of the level-t sets for k = 1..t: the widths of the
         row bands, _ROW_CHUNK k-values at a time, where the system has them."""
         if self.row_bands_fn is None or t > _VEC_LIMIT:
-            return [len(self.sets(side, t, k)) for k in range(1, t + 1)]
+            return [len(fs) for fs in self.row(side, t)]
         out = np.empty(t, dtype=np.int64)
         for k_lo in range(1, t + 1, _ROW_CHUNK):
             k_hi = min(k_lo + _ROW_CHUNK, t + 1)

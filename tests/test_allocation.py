@@ -24,6 +24,8 @@ from freqalloc.systems import (
     trivial_system,
 )
 
+from oracles import from_indices
+
 
 def instance(vertices, edges, loads=None):
     inst = BipartiteInstance.from_edges(vertices, edges)
@@ -275,7 +277,7 @@ def fragmented_system():
 
     def gen(side, t, k):
         parity = 1 if side is Side.A else 0
-        return FrequencySet.from_indices(
+        return from_indices(
             PoolTag.PLAIN,
             (x for x in range(1, 2 * (t + k) + 1)
              if x % 2 == parity and x % 3 != t % 3),

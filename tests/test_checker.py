@@ -32,7 +32,6 @@ from freqalloc.frequencies import (
     pool_band,
     pool_prefix,
     private_pool,
-    set_to_pyset,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants, parse_exact
@@ -43,6 +42,7 @@ from freqalloc.systems import (
     trivial_system,
 )
 
+from oracles import set_to_pyset
 from test_systems import generator_bands, reference_half
 
 C = constants()
@@ -513,6 +513,30 @@ class TestRunChecks:
         report = run_checks(trivial_system(), f1_t_max=20)
         assert report.horizons == {"f1": 20}
         assert report.min_lambda_on_horizon is None
+
+
+class TestRowFn:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sweeps_read_rows(self, seed):
+        # on a system without row bands, each sweep takes its sets a row at
+        # a time from row_fn, and finds what it finds on the generator alone
+        base = sparse_system(seed)
+        rows = Counter()
+
+        def row(side, t):
+            rows[side, t] += 1
+            return [base.generator(side, t, k) for k in range(1, t + 1)]
+
+        piped = dataclasses.replace(base, row_fn=row)
+        every = {(side, t) for side in Side for t in range(1, 21)}
+        for check in (
+            functools.partial(check_f1, t_max=20),
+            functools.partial(check_f2, t_max=20),
+            lambda s: check_competitiveness(s, GoldenNumber(2), 0, 20),
+        ):
+            rows.clear()
+            assert check(piped) == check(base)
+            assert set(rows) == every
 
 
 class TestFalsify:

@@ -34,6 +34,8 @@ from freqalloc.systems import (
     trivial_system,
 )
 
+from oracles import issubset
+
 C = constants()
 P = PoolTag
 
@@ -420,7 +422,7 @@ class TestSpecContracts:
             for side in SIDES:
                 top = sys_.sets(side, t, t)
                 for k in range(1, t + 1):
-                    assert sys_.sets(side, t, k).issubset(top)
+                    assert issubset(sys_.sets(side, t, k), top)
 
     def test_rejects_out_of_range(self, factory):
         sys_ = factory()
