@@ -2,7 +2,8 @@
 
 Exact golden-field arithmetic, competitive frequency-set families, their
 property checkers, the request-by-request allocator they induce, and
-adversarial instance generators for ratio measurement.
+adversarial instances with the phase replay that checks a system's claimed
+ratio on them.
 """
 
 from .allocation import (
@@ -39,10 +40,7 @@ from .frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    decode_global,
     encode_global,
-    pool_band,
-    pool_prefix,
 )
 from .golden import GoldenNumber, cmp, constants, parse_exact
 from .harness import (
@@ -51,9 +49,7 @@ from .harness import (
     ScaleCapError,
     UniversalGraph,
     lower_bound_instance,
-    measure_ratio,
     run_universal,
-    universal_graph,
 )
 from .plugin import PluginFault, PluginSystem
 from .systems import FSystemSpec, golden_system, half_system, trivial_system
@@ -92,7 +88,6 @@ __all__ = [
     "check_f2",
     "cmp",
     "constants",
-    "decode_global",
     "encode_global",
     "falsify",
     "gamma_trace",
@@ -100,16 +95,12 @@ __all__ = [
     "half_system",
     "lemma_chain_check",
     "lower_bound_instance",
-    "measure_ratio",
     "min_lambda",
     "parse_exact",
-    "pool_band",
-    "pool_prefix",
     "run_checks",
     "run_universal",
     "shared_stats",
     "static_allocate",
     "static_opt",
     "trivial_system",
-    "universal_graph",
 ]

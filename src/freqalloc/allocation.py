@@ -32,6 +32,10 @@ from .frequencies import Frequency, FrequencySet, PoolTag, Side, encode_index
 from .systems import POOL_COUNT, FSystemSpec
 
 
+# the largest total load brute_force_opt searches unless told otherwise
+BRUTE_FORCE_DEFAULT_BUDGET = 10
+
+
 class NotBipartiteError(Exception):
     def __init__(self, cycle: Sequence[str]) -> None:
         super().__init__(f"graph contains an odd cycle: {' - '.join(cycle)}")
@@ -125,7 +129,6 @@ class BipartiteInstance:
         vertices: Iterable[str],
         edges: Iterable[tuple[str, str]],
         sides: Optional[dict[str, Side]] = None,
-        loads: Optional[dict[str, int]] = None,
     ) -> "BipartiteInstance":
         verts = tuple(dict.fromkeys(vertices))
         known = set(verts)
@@ -156,19 +159,13 @@ class BipartiteInstance:
                 v: computed[v].other if flip.get(root[v]) else computed[v]
                 for v in verts
             }
-        return cls(
-            vertices=verts,
-            adjacency=adj,
-            sides=computed,
-            loads=dict(loads or {}),
-        )
+        return cls(vertices=verts, adjacency=adj, sides=computed)
 
     @classmethod
     def from_json(cls, doc: Any) -> "BipartiteInstance":
         """Read {"vertices": [{"id": str, "side": "A" | "B" | null}, ...],
         "edges": [[str, str], ...]}; a document of another shape, or one
-        listing a vertex id twice, raises ValueError (a vertex object
-        without an id, KeyError)."""
+        listing a vertex id twice, raises ValueError."""
         if not isinstance(doc, dict):
             raise ValueError("a graph is an object with vertex and edge lists")
         entries = doc.get("vertices", [])
@@ -181,6 +178,8 @@ class BipartiteInstance:
         for entry in entries:
             if not isinstance(entry, dict):
                 raise ValueError(f"vertex {entry!r} is not an object")
+            if "id" not in entry:
+                raise ValueError(f"vertex {entry!r} has no 'id'")
             vid = entry["id"]
             if not isinstance(vid, str):
                 raise ValueError(f"vertex id {vid!r} is not a string")
@@ -286,7 +285,9 @@ def _assignment_fault(
     return None
 
 
-def brute_force_opt(instance: BipartiteInstance, budget_cap: int = 10) -> int:
+def brute_force_opt(
+    instance: BipartiteInstance, budget_cap: int = BRUTE_FORCE_DEFAULT_BUDGET
+) -> int:
     """Exact optimum by exhaustive search; independent of static_opt.
 
     Tries palette sizes upward from the largest single load, assigning each
@@ -473,7 +474,8 @@ def assignment_to_json(assignment: dict[str, FrequencySet]) -> dict:
 
 
 def load_requests(lines: Iterable[str]) -> list[str]:
-    """Parse a JSON-lines request stream of {"vertex": id} records."""
+    """Parse a JSON-lines request stream of {"vertex": id} records; a line
+    of another shape, or an id that is not a string, raises ValueError."""
     out = []
     for i, line in enumerate(lines, start=1):
         line = line.strip()
@@ -482,5 +484,8 @@ def load_requests(lines: Iterable[str]) -> list[str]:
         doc = json.loads(line)
         if not isinstance(doc, dict) or "vertex" not in doc:
             raise ValueError(f"request line {i} lacks a 'vertex' field: {line!r}")
-        out.append(str(doc["vertex"]))
+        vid = doc["vertex"]
+        if not isinstance(vid, str):
+            raise ValueError(f"request line {i}: vertex id {vid!r} is not a string")
+        out.append(vid)
     return out

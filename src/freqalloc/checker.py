@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import SIDES, FrequencySet, Side, union_all
+from .frequencies import SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
 from .systems import _VEC_LIMIT, POOL_COUNT, FSystemSpec
 
@@ -265,52 +265,12 @@ def _check_f2_bands(
     return out
 
 
-def check_f2_exhaustive(sys: FSystemSpec, t_max: int) -> list[Violation]:
-    """Unreduced quadruple sweep; cross-check oracle for small horizons."""
-    out = []
-    for t in range(1, t_max + 1):
-        for k in range(1, t + 1):
-            fa = sys.sets(Side.A, t, k)
-            for tp in range(1, t_max + 1):
-                for kp in range(1, tp + 1):
-                    if k + kp > max(t, tp):
-                        continue
-                    hit = fa & sys.sets(Side.B, tp, kp)
-                    if hit:
-                        out.append(
-                            Violation(
-                                kind=ViolationKind.F2,
-                                params={
-                                    "side": Side.A,
-                                    "t": t,
-                                    "k": k,
-                                    "t_other": tp,
-                                    "k_other": kp,
-                                },
-                                lhs=f"|F & F'| = {len(hit)}",
-                                rhs="0",
-                                witness=hit,
-                            )
-                        )
-    return out
-
-
 def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
     """Yield (t, |U_t|) where U_t unions every set of level at most t."""
     acc = FrequencySet.empty()
     for t in range(1, t_max + 1):
         acc = acc | sys.row_union(Side.A, t) | sys.row_union(Side.B, t)
         yield t, len(acc)
-
-
-def union_at(sys: FSystemSpec, t: int) -> FrequencySet:
-    """From-scratch U_t by folding the raw generator; checker oracle."""
-    return union_all(
-        sys.sets(side, tau, k)
-        for side in SIDES
-        for tau in range(1, t + 1)
-        for k in range(1, tau + 1)
-    )
 
 
 def check_competitiveness(

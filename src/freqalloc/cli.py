@@ -21,6 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import checker, harness
 from .allocation import (
+    BRUTE_FORCE_DEFAULT_BUDGET,
     AllocationError,
     Allocator,
     BipartiteInstance,
@@ -128,7 +129,7 @@ def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
     doc = _load_json(graph_path)
     try:
         inst = BipartiteInstance.from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(f"bad graph file {graph_path}: {exc}") from exc
     requests: list[str] = []
     if requests_path is not None:
@@ -218,7 +219,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 f"the guard is T <= {UNIVERSAL_EXPORT_GUARD} (edges grow as T^4)\n"
             )
             return EXIT_RESOURCE
-        graph = harness.universal_graph(args.t_max)
+        graph = harness.UniversalGraph(args.t_max)
         inst = graph.materialize()
         requests = list(graph.request_stream())
     else:
@@ -331,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl = adv.add_parser("lower-bound", help="doubling-recurrence instance")
     pl.add_argument("--theta", type=_positive_int, required=True)
     pl.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
-    pl.add_argument("--scale-cap", type=_positive_int, default=1_000_000)
+    pl.add_argument(
+        "--scale-cap", type=_positive_int, default=harness.SCALE_DEFAULT_CAP
+    )
     pl.add_argument("--out-graph", required=True)
     pl.add_argument("--out-requests", required=True)
     pl.set_defaults(func=cmd_adversary, mode="lower-bound")
@@ -346,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb = omode.add_parser("brute", help="exhaustive-search optimum")
     pb.add_argument("--graph", required=True)
     pb.add_argument("--requests", required=True)
-    pb.add_argument("--budget", type=_positive_int, default=10)
+    pb.add_argument(
+        "--budget", type=_positive_int, default=BRUTE_FORCE_DEFAULT_BUDGET
+    )
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_opt, mode="brute")
 

@@ -3,25 +3,22 @@
 A frequency is a (pool, index) pair with a 1-based index.  The five built-in
 pools (two private, two side-shared, one symmetric) interleave into the
 positive integers; frequencies from external systems live in a sixth "plain"
-pool that maps to the integers identically.  Sets are stored as per-pool
-runs of consecutive indices, so unions over long prefixes stay cheap.  Every
-set keeps its bands canonical: sorted by (pool rank, lo), with touching or
-overlapping bands of a pool coalesced.  Union is one linear merge of two
-canonical band tuples, so only the constructor and ``union_all`` sort bands;
-iteration sorts the expanded set once by (global encoding, pool rank).
+pool that maps to the integers identically.  The encoding names and orders
+frequencies; nothing decodes it.  Sets are stored as per-pool runs of
+consecutive integer indices (the systems floor exact boundaries into them),
+so unions over long prefixes stay cheap.  Every set keeps its bands
+canonical: sorted by (pool rank, lo), with touching or overlapping bands of
+a pool coalesced.  Union is one linear merge of two canonical band tuples,
+so only the constructor and ``union_all`` sort bands; iteration sorts the
+expanded set once by (global encoding, pool rank).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Union
-
-from .golden import GoldenNumber
-
-Boundary = Union[GoldenNumber, int, Fraction]
+from typing import Iterable, Iterator
 
 
 class Side(Enum):
@@ -57,14 +54,6 @@ class PoolTag(Enum):
 
     def __str__(self) -> str:
         return self.token
-
-
-def private_pool(side: Side) -> PoolTag:
-    return PoolTag.PRIVATE_A if side is Side.A else PoolTag.PRIVATE_B
-
-
-def shared_pool(side: Side) -> PoolTag:
-    return PoolTag.SHARED_A if side is Side.A else PoolTag.SHARED_B
 
 
 _BUILTIN_COUNT = 5
@@ -113,25 +102,6 @@ def encode_index(pool: PoolTag, index: int) -> int:
     return _BUILTIN_COUNT * (index - 1) + pool.rank + 1
 
 
-_POOL_BY_RANK = {p.rank: p for p in PoolTag}
-
-
-def decode_global(n: int, *, plain: bool = False) -> Frequency:
-    """Inverse of encode_global.
-
-    The built-in and plain encodings share the integer range, so the caller
-    states which universe is expected; decoding a plain value while built-in
-    pools are expected is only detectable by the caller's context.
-    """
-    if n < 1:
-        raise ValueError(f"global frequency number must be >= 1, got {n}")
-    if plain:
-        return Frequency(PoolTag.PLAIN, n)
-    rank = (n - 1) % _BUILTIN_COUNT
-    index = (n - 1) // _BUILTIN_COUNT + 1
-    return Frequency(_POOL_BY_RANK[rank], index)
-
-
 # A band is (pool, lo, hi) covering indices lo..hi-1 with 1 <= lo < hi.
 Band = tuple[PoolTag, int, int]
 
@@ -169,10 +139,6 @@ class FrequencySet:
     @classmethod
     def empty(cls) -> "FrequencySet":
         return _EMPTY
-
-    @classmethod
-    def from_frequencies(cls, freqs: Iterable[Frequency]) -> "FrequencySet":
-        return cls((f.pool, f.index, f.index + 1) for f in freqs)
 
     @property
     def bands(self) -> tuple[Band, ...]:
@@ -345,33 +311,6 @@ class FrequencySet:
 
 
 _EMPTY = FrequencySet()
-
-
-def _floor_boundary(x: Boundary) -> int:
-    if isinstance(x, GoldenNumber):
-        return x.floor()
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    raise TypeError(f"not a boundary value: {x!r}")
-
-
-def pool_prefix(pool: PoolTag, x: Boundary) -> FrequencySet:
-    """The first floor(x) frequencies of a pool (empty when floor(x) < 1)."""
-    n = _floor_boundary(x)
-    if n < 1:
-        return _EMPTY
-    return FrequencySet._raw(((pool, 1, n + 1),))
-
-
-def pool_band(pool: PoolTag, lo: Boundary, hi: Boundary) -> FrequencySet:
-    """pool_prefix(pool, hi) minus pool_prefix(pool, lo)."""
-    nlo = max(0, _floor_boundary(lo))
-    nhi = max(0, _floor_boundary(hi))
-    if nhi <= nlo:
-        return _EMPTY
-    return FrequencySet._raw(((pool, nlo + 1, nhi + 1),))
 
 
 def union_all(sets: Iterable[FrequencySet]) -> FrequencySet:

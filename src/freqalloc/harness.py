@@ -1,15 +1,18 @@
-"""Adversarial instance generation and end-to-end ratio measurement.
+"""Adversarial instances and the phase replay on the universal graph.
 
 The truncated universal graph has a vertex (t, k) on each side for every
 1 <= k <= t <= T, with an edge between (t, k) on one side and (t', k') on
 the other exactly when k + k' <= max(t, t').  Issuing k requests to every
 level-t vertex in phase t drives the static optimum to exactly t per phase,
-which turns any allocator run into a competitive-ratio measurement.
+so ``run_universal`` checks each phase's distinct frequencies against the
+claimed bound floor(r*t) + lambda.
 
 The replay runs on dense integer vertex ids: ``UniversalInstance`` serves
 the allocator's ``Instance`` protocol with one ``admit`` call per request.
-The "A:t,k" string ids name vertices in exported graphs, request streams
-and collision witnesses.
+The edge rule is written twice, as the ``UniversalGraph.adjacent``
+predicate and as the id ranges of ``UniversalInstance.neighbors``, which
+``UniversalGraph.materialize`` also reads.  The "A:t,k" string ids name
+vertices in exported graphs, request streams and collision witnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
@@ -30,6 +32,9 @@ from .systems import FSystemSpec
 
 # the most edges UniversalGraph.materialize builds
 MAX_EDGES = 5_000_000
+
+# the largest doubling scale lower_bound_instance builds unless told otherwise
+SCALE_DEFAULT_CAP = 1_000_000
 
 
 class ResourceGuardError(Exception):
@@ -49,12 +54,6 @@ def vertex_id(side: Side, t: int, k: int) -> str:
     return f"{side.value}:{t},{k}"
 
 
-def parse_vertex_id(vid: str) -> tuple[Side, int, int]:
-    side_text, rest = vid.split(":")
-    t_text, k_text = rest.split(",")
-    return Side(side_text), int(t_text), int(k_text)
-
-
 @dataclass(frozen=True)
 class UniversalGraph:
     """The truncated universal bipartite graph up to level T (lazy edges)."""
@@ -65,12 +64,6 @@ class UniversalGraph:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
-    def vertex_ids(self) -> Iterator[str]:
-        for side in (Side.A, Side.B):
-            for t in range(1, self.horizon + 1):
-                for k in range(1, t + 1):
-                    yield vertex_id(side, t, k)
-
     def vertex_count(self) -> int:
         return self.horizon * (self.horizon + 1)
 
@@ -78,13 +71,6 @@ class UniversalGraph:
     def adjacent(t: int, k: int, t2: int, k2: int) -> bool:
         """Edge rule between opposite-side vertices."""
         return k + k2 <= max(t, t2)
-
-    def neighbors(self, side: Side, t: int, k: int) -> Iterator[str]:
-        other = side.other
-        for t2 in range(1, self.horizon + 1):
-            top = min(t2, max(t, t2) - k)
-            for k2 in range(1, top + 1):
-                yield vertex_id(other, t2, k2)
 
     def edge_count(self) -> int:
         """Number of edges, T(T-1)(T+1)^2/6 at horizon T.
@@ -111,13 +97,14 @@ class UniversalGraph:
                 f"universal graph at T={self.horizon} has {est} edges, "
                 f"over the guard of {MAX_EDGES}"
             )
-        vertices = list(self.vertex_ids())
-        sides = {v: parse_vertex_id(v)[0] for v in vertices}
-        edges = []
-        for t in range(1, self.horizon + 1):
-            for k in range(1, t + 1):
-                u = vertex_id(Side.A, t, k)
-                edges.extend((u, w) for w in self.neighbors(Side.A, t, k))
+        inst = UniversalInstance(self)
+        vertices = [inst.name(v) for v in inst.vertices]
+        sides = {name: SIDES[v // inst.per_side] for v, name in enumerate(vertices)}
+        edges = [
+            (vertices[v], vertices[w])
+            for v in range(inst.per_side)
+            for w in inst.neighbors(v)
+        ]
         return BipartiteInstance.from_edges(vertices, edges, sides=sides)
 
     def phase_requests(self, t: int) -> Iterator[str]:
@@ -131,10 +118,6 @@ class UniversalGraph:
     def request_stream(self) -> Iterator[str]:
         for t in range(1, self.horizon + 1):
             yield from self.phase_requests(t)
-
-
-def universal_graph(t_max: int) -> UniversalGraph:
-    return UniversalGraph(horizon=t_max)
 
 
 class _PrefixMax:
@@ -328,7 +311,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     the count of distinct frequencies is compared with floor(r*t) + lambda.
     """
     r, add = system.claimed_ratio, system.claimed_lambda
-    inst = UniversalInstance(universal_graph(t_max))
+    inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     request = alloc.request
     # per side, the smallest k-index using each frequency and its vertex
@@ -371,21 +354,8 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     return report
 
 
-def measure_ratio(report: RunReport, lam: int) -> Fraction:
-    """Largest (distinct used - lambda) / optimum over the recorded phases."""
-    if not report.phases:
-        raise ValueError("cannot measure an empty run")
-    return max(
-        Fraction(p.distinct_used - lam, p.opt) for p in report.phases
-    )
-
-
-def lower_bound_scales(theta: int, lam: int) -> list[int]:
-    return [doubling_scale(theta, lam, i) for i in range(theta + 1)]
-
-
 def lower_bound_instance(
-    theta: int, lam: int, scale_cap: int = 1_000_000
+    theta: int, lam: int, scale_cap: int = SCALE_DEFAULT_CAP
 ) -> tuple[BipartiteInstance, list[str]]:
     """The finite sub-instance of the universal graph that carries the
     doubling-recurrence argument at scales t_i = 6*theta*lambda*2^i.
@@ -401,7 +371,8 @@ def lower_bound_instance(
     if t_theta > scale_cap:
         raise ScaleCapError(theta, lam, t_theta, scale_cap)
     families: set[tuple[int, int]] = set()
-    for t in lower_bound_scales(theta, lam):
+    for i in range(theta + 1):
+        t = doubling_scale(theta, lam, i)
         families.add((t, t))
         families.add((2 * t, t))
         families.add((3 * t, 2 * t))

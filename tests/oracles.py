@@ -1,6 +1,13 @@
-"""Plain-Python forms of FrequencySet that tests compare the package with."""
+"""Plain-Python references that tests compare the package with."""
 
-from freqalloc.frequencies import FrequencySet, PoolTag
+import math
+from fractions import Fraction
+
+from freqalloc.checker import Violation, ViolationKind
+from freqalloc.frequencies import SIDES, FrequencySet, PoolTag, Side
+
+PRIVATE = {Side.A: PoolTag.PRIVATE_A, Side.B: PoolTag.PRIVATE_B}
+SHARED = {Side.A: PoolTag.SHARED_A, Side.B: PoolTag.SHARED_B}
 
 
 def set_to_pyset(s: FrequencySet) -> set[tuple[int, int]]:
@@ -16,3 +23,72 @@ def from_indices(pool: PoolTag, indices) -> FrequencySet:
     """The set of the given indices of one pool, through the normalizing
     constructor."""
     return FrequencySet((pool, i, i + 1) for i in indices)
+
+
+def pool_band(pool: PoolTag, lo, hi) -> FrequencySet:
+    """Indices floor(lo)+1 .. floor(hi) of a pool, a negative floor read as
+    0; lo and hi are ints, Fractions or GoldenNumbers."""
+    return FrequencySet(
+        [(pool, max(0, math.floor(lo)) + 1, max(0, math.floor(hi)) + 1)]
+    )
+
+
+def pool_prefix(pool: PoolTag, x) -> FrequencySet:
+    """The first floor(x) indices of a pool (empty when floor(x) < 1)."""
+    return pool_band(pool, 0, x)
+
+
+def parse_vertex_id(vid: str) -> tuple[Side, int, int]:
+    """The (side, t, k) of a universal-graph id "A:t,k"."""
+    side, _, rest = vid.partition(":")
+    t, k = rest.split(",")
+    return Side(side), int(t), int(k)
+
+
+def measure_ratio(report, lam: int) -> Fraction:
+    """Largest (distinct used - lambda) / optimum over a run's phases;
+    ValueError on a run with none."""
+    return max(Fraction(p.distinct_used - lam, p.opt) for p in report.phases)
+
+
+def union_at(sys, t: int) -> FrequencySet:
+    """U_t from scratch: every band of every set of level at most t, through
+    the normalizing constructor rather than ``|``."""
+    return FrequencySet(
+        band
+        for side in SIDES
+        for tau in range(1, t + 1)
+        for k in range(1, tau + 1)
+        for band in sys.sets(side, tau, k).bands
+    )
+
+
+def check_f2_exhaustive(sys, t_max: int) -> list[Violation]:
+    """Unreduced quadruple sweep of F2, reporting every colliding pair from
+    side A."""
+    out = []
+    for t in range(1, t_max + 1):
+        for k in range(1, t + 1):
+            fa = sys.sets(Side.A, t, k)
+            for tp in range(1, t_max + 1):
+                for kp in range(1, tp + 1):
+                    if k + kp > max(t, tp):
+                        continue
+                    hit = fa & sys.sets(Side.B, tp, kp)
+                    if hit:
+                        out.append(
+                            Violation(
+                                kind=ViolationKind.F2,
+                                params={
+                                    "side": Side.A,
+                                    "t": t,
+                                    "k": k,
+                                    "t_other": tp,
+                                    "k_other": kp,
+                                },
+                                lhs=f"|F & F'| = {len(hit)}",
+                                rhs="0",
+                                witness=hit,
+                            )
+                        )
+    return out

@@ -17,13 +17,13 @@ from freqalloc.checker import (
     falsify,
     lemma_chain_check,
     min_lambda,
-    union_at,
     union_sizes,
 )
 from freqalloc.golden import GoldenNumber, constants, parse_exact
-from freqalloc.harness import measure_ratio, run_universal
+from freqalloc.harness import run_universal
 from freqalloc.systems import golden_system, half_system, trivial_system
 
+from oracles import measure_ratio, union_at
 from test_allocation import instance, random_instance
 from test_golden import dyadic_bisection_floor
 

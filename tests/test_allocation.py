@@ -14,7 +14,7 @@ from freqalloc.allocation import (
     static_allocate,
     static_opt,
 )
-from freqalloc.frequencies import FrequencySet, PoolTag, Side, pool_prefix
+from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber
 from freqalloc.harness import UniversalGraph
 from freqalloc.systems import (
@@ -24,7 +24,7 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from oracles import from_indices
+from oracles import from_indices, pool_prefix
 
 
 def instance(vertices, edges, loads=None):
@@ -325,7 +325,8 @@ class TestFirstFitDifferential:
             for v in stream:
                 picked.setdefault(v, []).append(alloc.request(v))
             assert alloc.assignment_sets() == {
-                v: FrequencySet.from_frequencies(fs) for v, fs in picked.items()
+                v: FrequencySet((f.pool, f.index, f.index + 1) for f in fs)
+                for v, fs in picked.items()
             }
 
 

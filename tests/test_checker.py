@@ -15,23 +15,18 @@ from freqalloc.checker import (
     check_competitiveness,
     check_f1,
     check_f2,
-    check_f2_exhaustive,
     falsify,
     gamma_trace,
     lemma_chain_check,
     min_lambda,
     run_checks,
     shared_stats,
-    union_at,
     union_sizes,
 )
 from freqalloc.frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    pool_band,
-    pool_prefix,
-    private_pool,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants, parse_exact
@@ -42,7 +37,14 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from oracles import set_to_pyset
+from oracles import (
+    PRIVATE,
+    check_f2_exhaustive,
+    pool_band,
+    pool_prefix,
+    set_to_pyset,
+    union_at,
+)
 from test_systems import generator_bands, reference_half
 
 C = constants()
@@ -54,8 +56,8 @@ def mutant_golden_no_padding() -> FSystemSpec:
 
     def gen(side, t, k):
         full = base.sets(side, t, k)
-        pad = pool_prefix(private_pool(side), C.alpha * t + 4)
-        slim = pool_prefix(private_pool(side), C.alpha * t)
+        pad = pool_prefix(PRIVATE[side], C.alpha * t + 4)
+        slim = pool_prefix(PRIVATE[side], C.alpha * t)
         return (full - pad) | slim
 
     return FSystemSpec(
@@ -70,7 +72,7 @@ def mutant_half_wide_shared() -> FSystemSpec:
     """Half construction drawing shared tails from the full level prefix."""
 
     def gen(side, t, k):
-        return pool_prefix(private_pool(side), t // 2 + 1) | pool_band(
+        return pool_prefix(PRIVATE[side], t // 2 + 1) | pool_band(
             PoolTag.SYMMETRIC, t - k, t
         )
 
@@ -191,7 +193,7 @@ class TestF1:
             name="short",
             claimed_ratio=GoldenNumber(2),
             claimed_lambda=0,
-            generator=lambda side, t, k: pool_prefix(private_pool(side), k - 1),
+            generator=lambda side, t, k: pool_prefix(PRIVATE[side], k - 1),
         )
         for sys_ in (short, with_row_bands(short)):
             got = check_f1(sys_, 6, limit=limit)
@@ -849,7 +851,7 @@ class TestIntegerDecisions:
         def gen(side, t, k):
             if side is Side.B:
                 return FrequencySet.empty()
-            return pool_prefix(private_pool(side), sizes[t])
+            return pool_prefix(PRIVATE[side], sizes[t])
 
         sys_ = FSystemSpec(name="staircase", claimed_ratio=r,
                            claimed_lambda=lam, generator=gen,

@@ -377,6 +377,7 @@ class TestBadGraphs:
                 "edges": [["u", "v"]],
             },
             {"vertices": [{"id": "u"}, {"id": "u"}], "edges": []},
+            {"vertices": [{"id": "u"}, {"side": "A"}], "edges": []},
         ],
     )
     @pytest.mark.parametrize(
@@ -397,6 +398,30 @@ class TestBadGraphs:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "bad graph file" in proc.stderr
+
+
+class TestBadRequests:
+    @pytest.mark.parametrize(
+        "command", [["opt", "static"], ["run", "--system", "golden"]]
+    )
+    def test_numeric_vertex_id_exits_2(self, tmp_path, command):
+        # {"vertex": 1} names no vertex, not even one with id "1"
+        graph = {"vertices": [{"id": "1"}, {"id": "2"}], "edges": [["1", "2"]]}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "freqalloc.cli", *command,
+                "--graph", write_graph(tmp_path, graph),
+                "--requests", write_requests(tmp_path, [1]),
+                "--out", str(tmp_path / "out.json"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "bad request file" in proc.stderr
+        assert "is not a string" in proc.stderr
 
 
 class TestSubprocessEntry:

@@ -1,0 +1,74 @@
+"""Every module-level name of the package is used by the program or exported.
+
+A module-level function, class or assignment under ``src/freqalloc`` must be
+named in the code of another top-level statement under ``src/`` or
+``bench/``, or be listed in ``freqalloc.__all__``.  Only code counts:
+docstrings and comments are not parsed as names, and an import alone does
+not use what it imports.  Dunders are exempt, as is the console-script entry
+point that ``pyproject.toml`` names.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import freqalloc
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freqalloc"
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+        ]
+    return []
+
+
+def read_names(stmt: ast.stmt) -> set[str]:
+    """Identifiers the statement's code reads, as names or attributes."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def entry_points() -> set[str]:
+    """Function names of the ``[project.scripts]`` table's "module:function"
+    targets."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.partition("[project.scripts]")[2].partition("\n[")[0]
+    return set(re.findall(r':(\w+)"', table))
+
+
+def unused_names() -> list[str]:
+    statements = []  # (module path, statement)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        statements.extend((path, stmt) for stmt in tree.body)
+    reads = [read_names(stmt) for _, stmt in statements]
+    exempt = set(freqalloc.__all__) | entry_points()
+    unused = []
+    for i, (path, stmt) in enumerate(statements):
+        if path.parent != PACKAGE:
+            continue
+        for name in defined_names(stmt):
+            if name.startswith("__") and name.endswith("__") or name in exempt:
+                continue
+            if not any(name in r for j, r in enumerate(reads) if j != i):
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_module_level_name_is_used():
+    assert unused_names() == []

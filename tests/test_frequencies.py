@@ -11,14 +11,17 @@ from freqalloc.frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    decode_global,
     encode_global,
-    pool_band,
-    pool_prefix,
 )
 from freqalloc.golden import GoldenNumber, constants
 
-from oracles import from_indices, issubset, set_to_pyset
+from oracles import (
+    from_indices,
+    issubset,
+    pool_band,
+    pool_prefix,
+    set_to_pyset,
+)
 
 C = constants()
 POOLS = list(PoolTag)
@@ -49,19 +52,16 @@ class TestEncoding:
 
     def test_plain_identity(self):
         assert encode_global(Frequency(PoolTag.PLAIN, 7)) == 7
-        assert decode_global(7, plain=True) == Frequency(PoolTag.PLAIN, 7)
 
     def test_bijection(self):
-        for p in BUILTIN:
-            for i in range(1, 1001):
-                f = Frequency(p, i)
-                assert decode_global(encode_global(f)) == f
-        for n in range(1, 5001):
-            assert encode_global(decode_global(n)) == n
+        # the five built-in pools' indices up to N encode onto exactly 1..5N
+        n = 1000
+        codes = [
+            encode_global(Frequency(p, i)) for p in BUILTIN for i in range(1, n + 1)
+        ]
+        assert sorted(codes) == list(range(1, 5 * n + 1))
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            decode_global(0)
         with pytest.raises(ValueError):
             Frequency(PoolTag.SYMMETRIC, 0)
 

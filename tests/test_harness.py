@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from freqalloc.allocation import Allocator, static_opt
-from freqalloc.frequencies import FrequencySet, PoolTag, Side, pool_band, pool_prefix
+from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber, constants
 from freqalloc.harness import (
     CollisionError,
@@ -15,10 +15,7 @@ from freqalloc.harness import (
     UniversalInstance,
     _PrefixMax,
     lower_bound_instance,
-    measure_ratio,
-    parse_vertex_id,
     run_universal,
-    universal_graph,
     vertex_id,
 )
 from freqalloc.systems import (
@@ -27,6 +24,8 @@ from freqalloc.systems import (
     half_system,
     trivial_system,
 )
+
+from oracles import measure_ratio, parse_vertex_id, pool_band, pool_prefix
 
 C = constants()
 
@@ -98,7 +97,7 @@ class StringUniversalInstance:
 def reference_run_universal(system, t_max):
     """The string-keyed phase replay, kept as the oracle of run_universal."""
     r, add = system.claimed_ratio, system.claimed_lambda
-    inst = StringUniversalInstance(universal_graph(t_max))
+    inst = StringUniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     min_index = {Side.A: {}, Side.B: {}}
     report = RunReport(system=system.name, ratio=r, lam=add)
@@ -144,7 +143,7 @@ def clashing_system():
 
 class TestUniversalGraph:
     def test_t2_shape(self):
-        inst = universal_graph(2).materialize()
+        inst = UniversalGraph(2).materialize()
         assert len(inst.vertices) == 6
         edges = {
             tuple(sorted(e))
@@ -164,7 +163,7 @@ class TestUniversalGraph:
 
     def test_edge_count_matches_materialized(self):
         for T in (1, 2, 3, 5, 8):
-            graph = universal_graph(T)
+            graph = UniversalGraph(T)
             inst = graph.materialize()
             listed = sum(len(inst.adjacency[v]) for v in inst.vertices) // 2
             assert graph.edge_count() == listed
@@ -181,14 +180,14 @@ class TestUniversalGraph:
             return total
 
         for T in range(1, 41):
-            assert universal_graph(T).edge_count() == loop_count(T), T
+            assert UniversalGraph(T).edge_count() == loop_count(T), T
 
     def test_vertex_count(self):
-        assert universal_graph(7).vertex_count() == 7 * 8
+        assert UniversalGraph(7).vertex_count() == 7 * 8
 
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
-            universal_graph(10**6).materialize()
+            UniversalGraph(10**6).materialize()
 
 
 class TestUniversalInstance:
@@ -196,7 +195,7 @@ class TestUniversalInstance:
         # (side, t, k) -> s*N + t(t-1)/2 + k-1 with N = T(T+1)/2, a
         # bijection onto range(2N) that names each id back
         T = 6
-        inst = UniversalInstance(universal_graph(T))
+        inst = UniversalInstance(UniversalGraph(T))
         ids = [
             inst.vertex(side, t, k)
             for side in (Side.A, Side.B)
@@ -206,22 +205,33 @@ class TestUniversalInstance:
         assert ids == list(range(T * (T + 1)))
         assert inst.vertex(Side.B, 3, 2) == 21 + 3 + 1
         names = [inst.name(v) for v in ids]
-        assert names == list(universal_graph(T).vertex_ids())
+        assert names == [
+            vertex_id(side, t, k)
+            for side in (Side.A, Side.B)
+            for t in range(1, T + 1)
+            for k in range(1, t + 1)
+        ]
 
     def test_neighbors_match_edge_rule(self):
-        graph = universal_graph(6)
-        inst = UniversalInstance(graph)
-        for v in inst.vertices:
-            side, t, k = parse_vertex_id(inst.name(v))
-            assert [inst.name(w) for w in inst.neighbors(v)] == list(
-                graph.neighbors(side, t, k)
-            )
+        # the id ranges of neighbors against the adjacent predicate over
+        # every opposite-side vertex, in dense-id order
+        for T in range(1, 7):
+            inst = UniversalInstance(UniversalGraph(T))
+            for v in inst.vertices:
+                side, t, k = parse_vertex_id(inst.name(v))
+                want = [
+                    inst.vertex(side.other, t2, k2)
+                    for t2 in range(1, T + 1)
+                    for k2 in range(1, t2 + 1)
+                    if UniversalGraph.adjacent(t, k, t2, k2)
+                ]
+                assert list(inst.neighbors(v)) == want, (T, inst.name(v))
 
     def test_opt_tracking_matches_generic(self):
         # replay phases on the lazy instance and on the materialized graph;
         # the running optimum must match the generic static computation
         T = 8
-        graph = universal_graph(T)
+        graph = UniversalGraph(T)
         lazy = UniversalInstance(graph)
         explicit = graph.materialize()
         t_lazy = 0
@@ -236,20 +246,20 @@ class TestUniversalInstance:
             assert lazy.independent_opt(t) == t
 
     def test_rejects_level_regressions(self):
-        lazy = UniversalInstance(universal_graph(5))
+        lazy = UniversalInstance(UniversalGraph(5))
         lazy.admit(lazy.vertex(Side.A, 3, 1))
         with pytest.raises(ValueError, match="nondecreasing levels"):
             lazy.admit(lazy.vertex(Side.A, 2, 1))
 
     @pytest.mark.parametrize("t, k", [(6, 1), (3, 4), (2, 0), (0, 0)])
     def test_rejects_vertices_outside_the_graph(self, t, k):
-        inst = UniversalInstance(universal_graph(5))
+        inst = UniversalInstance(UniversalGraph(5))
         with pytest.raises(ValueError, match="outside the universal graph"):
             inst.vertex(Side.B, t, k)
 
     @pytest.mark.parametrize("v", [-1, 30, 31])
     def test_rejects_ids_outside_the_graph(self, v):
-        inst = UniversalInstance(universal_graph(5))
+        inst = UniversalInstance(UniversalGraph(5))
         with pytest.raises(ValueError, match="outside the universal graph"):
             inst.admit(v)
 
@@ -257,7 +267,7 @@ class TestUniversalInstance:
         # the allocator's validation modes read the instance only through
         # its protocol; on dense ids they see the same graph and picks
         T = 6
-        graph = universal_graph(T)
+        graph = UniversalGraph(T)
         lazy = UniversalInstance(graph)
         full = Allocator(lazy, golden_system(), validate="full")
         explicit = Allocator(graph.materialize(), golden_system())
@@ -292,7 +302,7 @@ class TestRunUniversal:
         # replay the same schedule on the explicit instance with full
         # validation; proves the fast collision bookkeeping sound
         T = 7
-        graph = universal_graph(T)
+        graph = UniversalGraph(T)
         alloc = Allocator(graph.materialize(), golden_system(), validate="full")
         for t in range(1, T + 1):
             for vid in graph.phase_requests(t):

@@ -16,10 +16,6 @@ from freqalloc.frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    pool_band,
-    pool_prefix,
-    private_pool,
-    shared_pool,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants, floor_linear
@@ -34,7 +30,7 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from oracles import issubset
+from oracles import PRIVATE, SHARED, issubset, pool_band, pool_prefix
 
 C = constants()
 P = PoolTag
@@ -87,10 +83,10 @@ def reference_golden(side: Side, t: int, k: int) -> FrequencySet:
         sym_hi = golden_floor("phi*rho", k)
     return union_all(
         [
-            pool_prefix(private_pool(side), golden_floor("alpha", t) + 4),
-            pool_band(shared_pool(side), golden_floor("beta", t - k), own_hi),
+            pool_prefix(PRIVATE[side], golden_floor("alpha", t) + 4),
+            pool_band(SHARED[side], golden_floor("beta", t - k), own_hi),
             pool_band(
-                shared_pool(side.other),
+                SHARED[side.other],
                 golden_floor("phi*beta", t - k),
                 golden_floor("beta", k),
             ),
@@ -102,7 +98,7 @@ def reference_golden(side: Side, t: int, k: int) -> FrequencySet:
 def reference_half(side: Side, t: int, k: int) -> FrequencySet:
     """The half construction as first written: a private prefix of
     floor(t/2) + 1 and symmetric indices in (t - k, floor(t/2)]."""
-    bands = [(private_pool(side), 1, t // 2 + 2)]
+    bands = [(PRIVATE[side], 1, t // 2 + 2)]
     lo, hi = max(0, t - k), t // 2
     if hi > lo:
         bands.append((P.SYMMETRIC, lo + 1, hi + 1))
@@ -112,7 +108,7 @@ def reference_half(side: Side, t: int, k: int) -> FrequencySet:
 def reference_trivial(side: Side, t: int, k: int) -> FrequencySet:
     """The trivial construction as first written: the first k private
     frequencies."""
-    return pool_prefix(private_pool(side), k)
+    return pool_prefix(PRIVATE[side], k)
 
 
 REFERENCES = {
