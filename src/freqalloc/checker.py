@@ -6,12 +6,14 @@ Every reported violation carries the parameters and both sides of the
 failed inequality, so re-evaluating the named inequality on the named
 parameters reproduces the failure.
 
-The two sweeps over (t, k) work on arrays where they can.  ``check_f1``
-compares each row of sizes with 1..t in numpy and visits only the short
-sets.  ``check_f2`` on a system with row bands keeps each column union and
-each prefix union as its per-pool hull, one (lo, hi) band per pool from
-its lowest to its highest index, and tests all k of a level in one
-expression.  A row that misses the hull misses the union, so no hit is lost;
+The two sweeps over (t, k) work on arrays where they can.  On a system
+with row bands both walk the levels in the blocks of
+``systems.level_blocks``, many levels per numpy pass.  ``check_f1``
+compares the sizes of each block with its k-values and visits only the
+short sets.  ``check_f2`` keeps each column union and each prefix union as
+its per-pool hull, one (lo, hi) band per pool from its lowest to its
+highest index, takes each level's rows as slices of its block, and tests
+all k of both sides of a level in one expression.  A row that misses the hull misses the union, so no hit is lost;
 a row that meets it is only a candidate, which the witness rescan confirms
 or drops.  Every other system takes the set sweep, and both report the same
 violations in the same order.
@@ -37,7 +39,8 @@ import numpy as np
 
 from .frequencies import SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
-from .systems import _VEC_LIMIT, POOL_COUNT, FSystemSpec
+from .systems import (_VEC_LIMIT, POOL_COUNT, FSystemSpec, level_blocks,
+                      level_entries)
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 # the disjointness horizon that verify and falsify use when none is given is
@@ -100,28 +103,40 @@ def _jsonable(v: object) -> object:
 def check_f1(
     sys: FSystemSpec, t_max: int, *, limit: Optional[int] = None
 ) -> list[Violation]:
-    """Size floor: |F(c,t,k)| >= k for both sides and all 1 <= k <= t <= t_max."""
+    """Size floor: |F(c,t,k)| >= k for both sides and all 1 <= k <= t <= t_max.
+
+    A system with row bands is read in blocks of levels, any other a level
+    at a time; violations come by t, then side A before B, then k.
+    """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if sys.row_bands_fn is not None and t_max <= _VEC_LIMIT:
+        blocks = level_blocks(1, t_max)
+    else:
+        blocks = ((t, t) for t in range(1, t_max + 1))
     out = []
-    for t in range(1, t_max + 1):
-        ks = np.arange(1, t + 1)
-        for side in SIDES:
-            short = np.asarray(sys.row_sizes(side, t)) < ks
-            for k in (np.flatnonzero(short) + 1).tolist():
-                # recover the witness from the generator proper
-                fs = sys.sets(side, t, k)
-                out.append(
-                    Violation(
-                        kind=ViolationKind.F1,
-                        params={"side": side, "t": t, "k": k},
-                        lhs=f"|F| = {len(fs)}",
-                        rhs=f"k = {k}",
-                        witness=fs,
-                    )
+    for t_lo, t_hi in blocks:
+        ts, ks = level_entries(t_lo, t_hi)
+        hits = []
+        for s, side in enumerate(SIDES):
+            sizes = np.asarray(sys.row_sizes(side, t_lo, t_hi))
+            short = np.flatnonzero(sizes < ks)
+            hits += [(t, s, k)
+                     for t, k in zip(ts[short].tolist(), ks[short].tolist())]
+        for t, s, k in sorted(hits):
+            # recover the witness from the generator proper
+            fs = sys.sets(SIDES[s], t, k)
+            out.append(
+                Violation(
+                    kind=ViolationKind.F1,
+                    params={"side": SIDES[s], "t": t, "k": k},
+                    lhs=f"|F| = {len(fs)}",
+                    rhs=f"k = {k}",
+                    witness=fs,
                 )
-                if limit and len(out) >= limit:
-                    return out
+            )
+            if limit and len(out) >= limit:
+                return out
     return out
 
 
@@ -214,54 +229,71 @@ def _check_f2_sets(
     return out
 
 
-# an empty band as (lo, hi): the identity of the min/max merge, and it meets
-# no band
-_EMPTY_LO = np.iinfo(np.int64).max
-_EMPTY_HI = np.iinfo(np.int64).min
+# A band [lo, hi) of one pool is the pair (-lo, hi) here.  The hull of two
+# bands is then the elementwise maximum of their pairs, and two bands meet
+# exactly when the elementwise minimum sums above 0, min(hi, hi') -
+# max(lo, lo') > 0.  An empty band is (_EMPTY, _EMPTY): the maximum ignores
+# it, and no sum with it exceeds 0 (nor leaves int64).
+_EMPTY = -(1 << 62)
 
 
 def _check_f2_bands(
     sys: FSystemSpec, t_max: int, limit: Optional[int]
 ) -> list[Violation]:
-    """_check_f2_sets on per-pool band hulls.  A hull covers its union, so
-    every row that meets the union meets the hull; _witness_pair drops the
-    rows that meet only the hull."""
+    """_check_f2_sets on per-pool band hulls, both sides at once.  A hull
+    covers its union, so every row that meets the union meets the hull;
+    _witness_pair drops the rows that meet only the hull."""
     out: list[Violation] = []
-    # col_lo[s][p, k'], col_hi[s][p, k']: pool p's hull of the union over
-    # t' of F(SIDES[s], t', k')
-    shape = (POOL_COUNT, t_max + 1)
-    col_lo = [np.full(shape, _EMPTY_LO) for _ in SIDES]
-    col_hi = [np.full(shape, _EMPTY_HI) for _ in SIDES]
+    pools = POOL_COUNT
+    # cols[s, :, k']: per pool, the pair of the hull of the union over t' of
+    # F(SIDES[s], t', k'), -lo in rows 0..pools-1 and hi in the rest
+    cols = np.full((len(SIDES), 2 * pools, t_max + 1), _EMPTY)
+    # the prefix hulls of one level and their minima with its rows, in
+    # buffers reused level after level rather than fresh arrays as long as
+    # cols for each level
+    pre_buf, m_buf = np.empty_like(cols), np.empty_like(cols)
 
-    def row(side: Side, t: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = sys.row_bands(side, t)
-        empty = lo >= hi
-        return np.where(empty, _EMPTY_LO, lo), np.where(empty, _EMPTY_HI, hi)
+    def fill(
+        pairs: np.ndarray, side: Side, ts: np.ndarray, ks: np.ndarray
+    ) -> None:
+        # a function, so that one side's band arrays are freed before the
+        # other's are built
+        lo, hi = sys.row_bands_fn(side, ts, ks)
+        np.negative(lo, out=pairs[:pools])
+        pairs[pools:] = hi
+        np.copyto(pairs.reshape(2, *lo.shape), _EMPTY, where=lo >= hi)
 
-    def merge(s: int, t: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        clo, chi = col_lo[s][:, 1 : t + 1], col_hi[s][:, 1 : t + 1]
-        np.minimum(clo, lo, out=clo)
-        np.maximum(chi, hi, out=chi)
-
-    for t in range(1, t_max + 1):
-        rows = [row(side, t) for side in SIDES]
-        merge(1, t, *rows[1])
-        for s, horizon in _horizons(t):
-            # pre_lo[:, j], pre_hi[:, j]: the hull of columns 1..j+1
-            pre_lo = np.minimum.accumulate(col_lo[1 - s][:, 1:t], axis=1)
-            pre_hi = np.maximum.accumulate(col_hi[1 - s][:, 1:t], axis=1)
-            # row k, for k = 1..t-1, against the hull of columns 1..t-k
-            rlo, rhi = rows[s][0][:, : t - 1], rows[s][1][:, : t - 1]
-            meets = np.maximum(rlo, pre_lo[:, ::-1]) < np.minimum(
-                rhi, pre_hi[:, ::-1]
-            )
-            for k in (np.flatnonzero(meets.any(axis=0)) + 1).tolist():
-                v = _witness_pair(sys, SIDES[s], t, k, horizon)
+    for a, b in level_blocks(1, t_max):
+        ts, ks = level_entries(a, b)
+        block = np.empty((len(SIDES), 2 * pools, len(ts)), dtype=np.int64)
+        for s, side in enumerate(SIDES):
+            fill(block[s], side, ts, ks)
+        start = 0
+        for t in range(a, b + 1):
+            # level t's rows are columns start .. start + t - 1 of the block
+            rows = block[:, :, start : start + t]
+            start += t
+            col = cols[:, :, 1 : t + 1]
+            # the side A row meets side B through level t, the side B row
+            # side A before level t (_horizons)
+            np.maximum(col[1], rows[1], out=col[1])
+            # pre[s, :, j]: the hull of side s's columns 1..j+1
+            pre = np.maximum.accumulate(cols[:, :, 1:t], axis=2,
+                                        out=pre_buf[:, :, : t - 1])
+            # row k, for k = 1..t-1, against the other side's hull of
+            # columns 1..t-k
+            m = np.minimum(rows[:, :, : t - 1], pre[::-1, :, ::-1],
+                           out=m_buf[:, :, : t - 1])
+            np.add(m[:, :pools], m[:, pools:], out=m[:, :pools])
+            meets = (m[:, :pools] > 0).any(axis=1)
+            for i in np.flatnonzero(meets).tolist():
+                s, k = divmod(i, t - 1)
+                v = _witness_pair(sys, SIDES[s], t, k + 1, t - s)
                 if v is not None:
                     out.append(v)
                     if limit and len(out) >= limit:
                         return out
-        merge(0, t, *rows[0])
+            np.maximum(col[0], rows[0], out=col[0])
     return out
 
 

@@ -106,18 +106,25 @@ def encode_index(pool: PoolTag, index: int) -> int:
 Band = tuple[PoolTag, int, int]
 
 
+# the pools in rank order
+_POOLS_BY_RANK = tuple(PoolTag)
+
+
 def _normalize(bands: Iterable[Band]) -> tuple[Band, ...]:
-    items = sorted(
-        ((p, lo, hi) for (p, lo, hi) in bands if hi > lo),
-        key=lambda b: (b[0].rank, b[1], b[2]),
-    )
+    # plain int triples sort without a key function
+    items = sorted((p.rank, lo, hi) for p, lo, hi in bands if hi > lo)
     out: list[Band] = []
-    for p, lo, hi in items:
-        if out and out[-1][0] is p and lo <= out[-1][2]:
-            if hi > out[-1][2]:
-                out[-1] = (p, out[-1][1], hi)
+    cr, clo, chi = -1, 0, 0
+    for r, lo, hi in items:
+        if r == cr and lo <= chi:
+            if hi > chi:
+                chi = hi
         else:
-            out.append((p, lo, hi))
+            if cr >= 0:
+                out.append((_POOLS_BY_RANK[cr], clo, chi))
+            cr, clo, chi = r, lo, hi
+    if cr >= 0:
+        out.append((_POOLS_BY_RANK[cr], clo, chi))
     return tuple(out)
 
 

@@ -35,20 +35,27 @@ integer, and rates equal as numbers share one per-system memo, so a sweep to
 level t computes O(t) square-root floors rather than several per set.  The
 generator and the row bands both read the rates from one per-side table.
 
-A system may also give its level rows as band arrays (``row_bands``): per
-pool rank, the one index band [lo, hi) that each set of the row holds in that
-pool.  A band system builds them from per-system floor tables, one per
-distinct rate x or y (for golden, beta and phi*beta), and ``row_sizes`` of
-any system with row bands is the sum of their widths.  ``check_f2`` sweeps
-such rows as arrays and any other system on its sets.
+A system may also give its sets as band arrays (``row_bands_fn``): per
+pool rank, the one index band [lo, hi) that a set holds in that pool, for a
+flat block of (t, k) entries that may span many levels.  A band system
+builds them from per-system floor tables, one per distinct rate x or y (for
+golden, beta and phi*beta), gathered at k and t - k, and from its scalar
+memos once per level of the block.  Callers walk levels 1..t_max in the
+blocks of ``level_blocks``: runs of whole levels of at most _ROW_CHUNK
+entries in all, or one level that alone holds more.  ``row_sizes`` of any
+system with row bands is the sum of their widths, at most _ROW_CHUNK
+entries per pass; ``check_f1`` reads its sizes a block at a time, and
+``check_f2`` takes its level rows as slices of the blocks' arrays.  Any
+other system is read a level at a time, through its sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +68,8 @@ from .golden import floor_linear  # noqa: F401
 Generator = Callable[[Side, int, int], FrequencySet]
 Row = Callable[[Side, int], Sequence[FrequencySet]]
 RowUnion = Callable[[Side, int], FrequencySet]
-RowBands = Callable[[Side, int, int, int], tuple[np.ndarray, np.ndarray]]
+RowBands = Callable[[Side, np.ndarray, np.ndarray],
+                    tuple[np.ndarray, np.ndarray]]
 
 # rows of a band array, one per pool rank
 POOL_COUNT = len(PoolTag)
@@ -69,10 +77,47 @@ POOL_COUNT = len(PoolTag)
 # float sqrt plus integer correction is exact, and every floor fits in int32,
 # up to this many times a row-band table rate (see band_system)
 _VEC_LIMIT = 3 * 10**7
-# k-values (or table entries) per vectorised pass of a row: each pass holds a
-# few int64 arrays of POOL_COUNT times this length (a few MB), whatever the
-# level
-_ROW_CHUNK = 1 << 16
+# (t, k) entries (or table entries) per vectorised pass: each pass holds a
+# few int64 arrays of POOL_COUNT times this length (a few hundred kB),
+# whatever the levels
+_ROW_CHUNK = 1 << 12
+
+
+def level_blocks(t_lo: int, t_hi: int) -> Iterator[tuple[int, int]]:
+    """Levels t_lo..t_hi in order, cut into blocks (a, b): runs of whole
+    levels a..b whose (t, k) entries, 1 <= k <= t, number at most
+    _ROW_CHUNK in all, or one level a = b that alone holds more."""
+    t = t_lo
+    while t <= t_hi:
+        # the largest b with t + (t+1) + ... + b <= _ROW_CHUNK, and at least t
+        room = _ROW_CHUNK + t * (t - 1) // 2
+        b = (math.isqrt(8 * room + 1) - 1) // 2
+        b = min(max(b, t), t_hi)
+        yield t, b
+        t = b + 1
+
+
+def level_entries(t_lo: int, t_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat int64 arrays ts, ks of every (t, k) with t_lo <= t <= t_hi and
+    1 <= k <= t, in (t, k) order."""
+    levels = np.arange(t_lo, t_hi + 1, dtype=np.int64)
+    ts = np.repeat(levels, levels)
+    # k is the entry's position in the block, less its level's first one
+    first = np.cumsum(levels) - levels
+    ks = np.arange(1, len(ts) + 1, dtype=np.int64) - np.repeat(first, levels)
+    return ts, ks
+
+
+def _passes(t_lo: int, t_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """level_entries(t_lo, t_hi) in passes of at most _ROW_CHUNK entries:
+    each block of level_blocks whole, a longer level in parts."""
+    for a, b in level_blocks(t_lo, t_hi):
+        if a <= _ROW_CHUNK:
+            yield level_entries(a, b)
+            continue
+        for k_lo in range(1, a + 1, _ROW_CHUNK):
+            ks = np.arange(k_lo, min(k_lo + _ROW_CHUNK, a + 1), dtype=np.int64)
+            yield np.full(len(ks), a, dtype=np.int64), ks
 
 
 @dataclass(frozen=True)
@@ -87,13 +132,17 @@ class FSystemSpec:
     the union of a whole level, union over k <= t of F(side, t, k); when
     absent it is computed by folding the row, which any system supports.
 
-    ``row_bands_fn(side, t, k_lo, k_hi)`` is for systems whose sets hold at
-    most one band per pool.  It returns two int64 arrays lo, hi of shape
-    (POOL_COUNT, k_hi - k_lo): entry [p, k - k_lo] is the half-open index
-    band [lo, hi) that F(side, t, k) holds in the pool of rank p, empty when
-    lo >= hi.  It must agree with the generator exactly: ``row_sizes`` then
-    reads the arrays alone, and ``check_f2`` reads sets only for the rows
-    the arrays flag.  It is consulted only for t <= _VEC_LIMIT.
+    ``row_bands_fn(side, ts, ks)`` is for systems whose sets hold at most
+    one band per pool.  It takes flat int64 arrays of levels ts and
+    k-values ks, 1 <= ks[i] <= ts[i], and returns two new int64 arrays lo,
+    hi of shape (POOL_COUNT, len(ts)): entry [p, i] is the half-open index
+    band [lo, hi) that F(side, ts[i], ks[i]) holds in the pool of rank p,
+    empty when lo >= hi.  It must agree with the generator exactly:
+    ``row_sizes`` then reads the arrays alone, and ``check_f2`` reads sets
+    only for the entries the arrays flag.  It is consulted only for
+    t <= _VEC_LIMIT, and its callers bound their passes: at most
+    _ROW_CHUNK entries each, except that ``check_f2`` takes a level longer
+    than that in one pass.
     """
 
     name: str
@@ -126,23 +175,37 @@ class FSystemSpec:
             return self.row_union_fn(side, t)
         return union_all(self.row(side, t))
 
-    def row_sizes(self, side: Side, t: int) -> Sequence[int]:
-        """Cardinalities of the level-t sets for k = 1..t: the widths of the
-        row bands, _ROW_CHUNK k-values at a time, where the system has them."""
-        if self.row_bands_fn is None or t > _VEC_LIMIT:
-            return [len(fs) for fs in self.row(side, t)]
-        out = np.empty(t, dtype=np.int64)
-        for k_lo in range(1, t + 1, _ROW_CHUNK):
-            k_hi = min(k_lo + _ROW_CHUNK, t + 1)
-            lo, hi = self.row_bands(side, t, k_lo, k_hi)
-            out[k_lo - 1 : k_hi - 1] = np.maximum(hi - lo, 0).sum(axis=0)
+    def row_sizes(
+        self, side: Side, t: int, t_hi: Optional[int] = None
+    ) -> Sequence[int]:
+        """Cardinalities of F(side, tau, k) for t <= tau <= t_hi (t_hi = t by
+        default) and k = 1..tau, in (tau, k) order: the widths of the row
+        bands, at most _ROW_CHUNK entries per pass, where the system has
+        them, else the sets of one level after another."""
+        if t_hi is None:
+            t_hi = t
+        if not 1 <= t <= t_hi:
+            raise ValueError(f"need 1 <= t <= t_hi, got t={t}, t_hi={t_hi}")
+        if self.row_bands_fn is None or t_hi > _VEC_LIMIT:
+            return [len(fs) for tau in range(t, t_hi + 1)
+                    for fs in self.row(side, tau)]
+        out = np.empty((t_hi - t + 1) * (t_hi + t) // 2, dtype=np.int64)
+        i = 0
+        for ts, ks in _passes(t, t_hi):
+            lo, hi = self.row_bands_fn(side, ts, ks)
+            hi -= lo
+            np.maximum(hi, 0, out=hi)
+            out[i : i + len(ks)] = hi.sum(axis=0)
+            i += len(ks)
+            # free this pass's arrays before the next pass builds its own
+            del lo, hi
         return out
 
     def row_bands(
         self, side: Side, t: int, k_lo: int = 1, k_hi: Optional[int] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-pool band arrays of F(side, t, k) for k_lo <= k < k_hi (the
-        whole row 1..t by default); see the class docstring."""
+        whole row 1..t by default), in one pass; see the class docstring."""
         if self.row_bands_fn is None:
             raise ValueError(f"system {self.name!r} provides no row bands")
         if k_hi is None:
@@ -150,7 +213,8 @@ class FSystemSpec:
         if t < 1 or not 1 <= k_lo <= k_hi <= t + 1:
             raise ValueError(f"need 1 <= k_lo <= k_hi <= t + 1, got "
                              f"k_lo={k_lo}, k_hi={k_hi}, t={t}")
-        return self.row_bands_fn(side, t, k_lo, k_hi)
+        ks = np.arange(k_lo, k_hi, dtype=np.int64)
+        return self.row_bands_fn(side, np.full(len(ks), t, dtype=np.int64), ks)
 
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
@@ -244,49 +308,62 @@ def band_system(
         # one band per pool, appended in rank order: already normalized
         return FrequencySet._raw(tuple(bands))
 
-    # tables[i][n] = floor(rate_i * n) + 1, the end of the half-open band
+    # tables[i, n] = floor(rate_i * n) + 1, the end of the half-open band
     # [1, floor(rate_i * n) + 1), for table rate i and every n the tables
     # hold, filled _ROW_CHUNK entries at a time and grown at least twofold,
     # so a sweep to level t fills O(t) entries in all
-    tables = [np.empty(0, dtype=np.int32) for _ in table_index]
+    tables = np.empty((len(table_index), 0), dtype=np.int32)
 
-    def floor_tables(n: int) -> list[np.ndarray]:
-        have = len(tables[0])
+    def floor_tables(n: int) -> np.ndarray:
+        nonlocal tables
+        have = tables.shape[1]
         if have <= n:
             size = min(max(n + 1, 2 * have), _VEC_LIMIT + 1)
-            grown = [np.empty(size, dtype=np.int32) for _ in tables]
-            for new, old in zip(grown, tables):
-                new[:have] = old
+            grown = np.empty((len(table_index), size), dtype=np.int32)
+            grown[:, :have] = tables
             for lo in range(have, size, _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, size)
                 m = np.arange(lo, hi, dtype=np.int64)
                 for new, (u, v, w) in zip(grown, table_index):
                     new[lo:hi] = _floor_linear_vec(u * m, v * m, w) + 1
-            tables[:] = grown
+            tables = grown
         return tables
 
     def row_bands(
-        side: Side, t: int, k_lo: int, k_hi: int
+        side: Side, ts: np.ndarray, ks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """gen's bands for k_lo <= k < k_hi, as per-pool arrays."""
-        if t > _VEC_LIMIT:
+        """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays."""
+        n = len(ts)
+        lo, hi = np.zeros((2, POOL_COUNT, n), dtype=np.int64)
+        if not n:
+            return lo, hi
+        t_top = int(ts.max())
+        if t_top > _VEC_LIMIT:
             raise ValueError(f"row bands are exact up to t = {_VEC_LIMIT}")
-        tabs = floor_tables(t)
-        at_k = [tab[k_lo:k_hi] for tab in tabs]
-        # t - k falls from t - k_lo as k rises
-        at_tk = [tab[t - k_hi + 1 : t - k_lo + 1][::-1] for tab in tabs]
+        tabs = floor_tables(t_top)
+        at_k = np.take(tabs, ks, axis=1)
+        at_tk = np.take(tabs, ts - ks, axis=1)
         private_tag, rows = pools[side]
+        # the per-level scalars come from the memos once per run of equal t:
+        # the end of the private band, then each pool's cap z
+        cut = (np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist()
+        run_t = ts[[0, *cut]].tolist()
+        edges = [0, *cut, n]
+        ends = np.repeat(
+            [[private(t) + pad + 1 for t in run_t],
+             *([z(t) + 1 for t in run_t] for _, _, _, z, _, _ in rows)],
+            [b - a for a, b in zip(edges, edges[1:])],
+            axis=1,
+        )
         # gen's band (a, b] is [a + 1, b + 1) here
-        lo = np.zeros((POOL_COUNT, k_hi - k_lo), dtype=np.int64)
-        hi = np.zeros_like(lo)
         p = private_tag.rank
         lo[p] = 1
-        hi[p] = private(t) + pad + 1
+        hi[p] = ends[0]
         if kappa:
-            hi[p] += kappa * np.arange(k_lo, k_hi)
-        for pool, _, _, z, i_x, i_y in rows:
+            hi[p] += kappa * ks
+        for (pool, _, _, _, i_x, i_y), top in zip(rows, ends[1:]):
             lo[pool.rank] = at_tk[i_x]
-            np.minimum(at_k[i_y], z(t) + 1, out=hi[pool.rank])
+            np.minimum(at_k[i_y], top, out=hi[pool.rank])
         return lo, hi
 
     return FSystemSpec(

@@ -63,6 +63,43 @@ def union_at(sys, t: int) -> FrequencySet:
     )
 
 
+def normalize_reference(bands):
+    """The canonical band tuple as the constructor first built it: sorted
+    with a key function on (pool rank, lo, hi), then coalesced per pool."""
+    items = sorted(
+        ((p, lo, hi) for (p, lo, hi) in bands if hi > lo),
+        key=lambda b: (b[0].rank, b[1], b[2]),
+    )
+    out = []
+    for p, lo, hi in items:
+        if out and out[-1][0] is p and lo <= out[-1][2]:
+            if hi > out[-1][2]:
+                out[-1] = (p, out[-1][1], hi)
+        else:
+            out.append((p, lo, hi))
+    return tuple(out)
+
+
+def check_f1_exhaustive(sys, t_max: int) -> list[Violation]:
+    """F1 from every set's own size, by t, then side A before B, then k."""
+    out = []
+    for t in range(1, t_max + 1):
+        for side in SIDES:
+            for k in range(1, t + 1):
+                fs = sys.sets(side, t, k)
+                if len(fs) < k:
+                    out.append(
+                        Violation(
+                            kind=ViolationKind.F1,
+                            params={"side": side, "t": t, "k": k},
+                            lhs=f"|F| = {len(fs)}",
+                            rhs=f"k = {k}",
+                            witness=fs,
+                        )
+                    )
+    return out
+
+
 def check_f2_exhaustive(sys, t_max: int) -> list[Violation]:
     """Unreduced quadruple sweep of F2, reporting every colliding pair from
     side A."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from freqalloc import checker
+from freqalloc import checker, systems
 from freqalloc.checker import (
     GammaTrace,
     Violation,
@@ -32,6 +32,7 @@ from freqalloc.frequencies import (
 from freqalloc.golden import GoldenNumber, constants, parse_exact
 from freqalloc.systems import (
     FSystemSpec,
+    band_system,
     golden_system,
     half_system,
     trivial_system,
@@ -39,13 +40,14 @@ from freqalloc.systems import (
 
 from oracles import (
     PRIVATE,
+    check_f1_exhaustive,
     check_f2_exhaustive,
     pool_band,
     pool_prefix,
     set_to_pyset,
     union_at,
 )
-from test_systems import generator_bands, reference_half
+from test_systems import generator_bands, golden_padded, reference_half
 
 C = constants()
 
@@ -88,8 +90,8 @@ def with_row_bands(sys_: FSystemSpec) -> FSystemSpec:
     """sys_ plus row bands read from its generator, for systems whose sets
     hold at most one band per pool."""
 
-    def row_bands(side, t, k_lo, k_hi):
-        return generator_bands(sys_, side, t, range(k_lo, k_hi))
+    def row_bands(side, ts, ks):
+        return generator_bands(sys_, side, ts, ks)
 
     return dataclasses.replace(sys_, row_bands_fn=row_bands)
 
@@ -205,6 +207,94 @@ class TestF1:
             ][: limit or None]
 
 
+def random_band_system(rng: random.Random) -> FSystemSpec:
+    """A band system with small rational rates, most of which break F1."""
+
+    def rate():
+        return Fraction(rng.randint(0, 1), rng.randint(1, 4))
+
+    return band_system("random", alpha=rate(), kappa=int(rng.random() < 0.2),
+                       pad=rng.randint(0, 3), beta=rate(), rho=rate(),
+                       phi=Fraction(rng.randint(1, 6), 2))
+
+
+class TestF1Oracle:
+    """check_f1 against the size of every set, in the same order."""
+
+    @pytest.mark.parametrize(
+        "factory", [trivial_system, half_system, golden_system]
+    )
+    def test_builtins(self, factory):
+        assert check_f1(factory(), 150) == check_f1_exhaustive(factory(), 150)
+
+    def test_golden_pad2_at_400(self):
+        got = check_f1(golden_padded(2), 400)
+        assert got == check_f1_exhaustive(golden_padded(2), 400)
+        # F1 is tight for golden at k = t, where two units of padding do not
+        # cover the floor losses
+        assert len(got) == 198
+        assert Counter(v.params["side"] for v in got) == {Side.A: 99,
+                                                          Side.B: 99}
+        assert all(v.params["k"] == v.params["t"] for v in got)
+        levels = [v.params["t"] for v in got[::2]]
+        assert levels[:4] == [4, 9, 13, 18] and levels[-1] == 397
+        assert [v.params["t"] for v in got[1::2]] == levels
+
+    def test_golden_pad3_clean_to_400(self):
+        assert check_f1(golden_padded(3), 400) == []
+        assert check_f1_exhaustive(golden_padded(3), 400) == []
+
+    @pytest.mark.parametrize("limit", [None, 1, 4])
+    def test_random_band_systems(self, limit):
+        broken = 0
+        for seed in range(10):
+            sys_ = random_band_system(random.Random(seed))
+            want = check_f1_exhaustive(sys_, 40)
+            broken += bool(want)
+            assert check_f1(sys_, 40, limit=limit) == want[:limit], seed
+        assert broken >= 5
+
+    @pytest.mark.parametrize("chunk", [7, 50])
+    def test_block_boundaries(self, monkeypatch, chunk):
+        # with 7 or 50 entries per pass, blocks hold several whole levels
+        # or part of one, and both sweeps must still match the oracles
+        monkeypatch.setattr(systems, "_ROW_CHUNK", chunk)
+        f1_mutants = (golden_padded(2),
+                      with_row_bands(mutant_golden_no_padding()))
+        for sys_ in (golden_system(), half_system(), *f1_mutants):
+            want = check_f1_exhaustive(sys_, 60)
+            assert check_f1(sys_, 60) == want
+            assert check_f1(sys_, 60, limit=4) == want[:4]
+        assert all(check_f1(m, 60) for m in f1_mutants)
+        # the mutant collides often, and each collision costs a witness
+        # rescan, so it sweeps to 24 only
+        f2_mutant = with_row_bands(mutant_half_wide_shared())
+        for sys_, t_max in ((golden_system(), 60), (half_system(), 60),
+                            (f2_mutant, 24)):
+            want = checker._check_f2_sets(sys_, t_max, None)
+            assert check_f2(sys_, t_max) == want
+            assert check_f2(sys_, t_max, limit=4) == want[:4]
+            assert f2_rows(check_f2(sys_, 16)) == exhaustive_f2_rows(sys_, 16)
+        assert check_f2(f2_mutant, 16)
+
+
+def f2_rows(violations) -> set:
+    return {(v.params["side"], v.params["t"], v.params["k"])
+            for v in violations}
+
+
+def exhaustive_f2_rows(sys_, t_max) -> set:
+    """The rows the reduced sweep reports, from the unreduced quadruple
+    scan: each colliding pair anchored at its larger level, ties on side A
+    (the scan reports from the side A perspective)."""
+    rows = set()
+    for v in check_f2_exhaustive(sys_, t_max):
+        ta, ka = v.params["t"], v.params["k"]
+        tb, kb = v.params["t_other"], v.params["k_other"]
+        rows.add((Side.A, ta, ka) if ta >= tb else (Side.B, tb, kb))
+    return rows
+
+
 class TestF2:
     def test_builtins_clean(self):
         assert not check_f2(golden_system(), 70)
@@ -236,19 +326,7 @@ class TestF2:
             half_system(),
         ):
             fast = check_f2(sys_, 10)
-            slow = check_f2_exhaustive(sys_, 10)
-            fast_rows = {
-                (v.params["side"], v.params["t"], v.params["k"]) for v in fast
-            }
-            slow_rows = set()
-            for v in slow:  # exhaustive reports from the A perspective
-                ta, ka = v.params["t"], v.params["k"]
-                tb, kb = v.params["t_other"], v.params["k_other"]
-                if ta >= tb:
-                    slow_rows.add((Side.A, ta, ka))
-                else:
-                    slow_rows.add((Side.B, tb, kb))
-            assert fast_rows == slow_rows
+            assert f2_rows(fast) == exhaustive_f2_rows(sys_, 10)
             for v in fast:  # every reported pair is a genuine collision
                 a = sys_.sets(v.params["side"], v.params["t"], v.params["k"])
                 b = sys_.sets(

@@ -12,12 +12,14 @@ from freqalloc.frequencies import (
     PoolTag,
     Side,
     encode_global,
+    union_all,
 )
 from freqalloc.golden import GoldenNumber, constants
 
 from oracles import (
     from_indices,
     issubset,
+    normalize_reference,
     pool_band,
     pool_prefix,
     set_to_pyset,
@@ -160,6 +162,30 @@ class TestSetOps:
         for (a, b), w in zip(pairs, want):
             got = a | b
             assert got == w and hash(got) == hash(w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_normalize_matches_reference(self, seed):
+        # the keyless sort against the key-function sort it replaced, on
+        # lists mixing empty, touching, overlapping and repeated bands of
+        # several pools; union_all sorts through the same function
+        rng = random.Random(seed)
+        for _ in range(500):
+            bands = []
+            for _ in range(rng.randint(0, 12)):
+                pool = rng.choice(POOLS[: rng.randint(1, len(POOLS))])
+                lo = rng.randint(1, 20)
+                hi = lo + rng.choice((-2, 0, 0, 1, 1, 2, 5))
+                bands.append((pool, lo, hi))
+            if bands and rng.random() < 0.5:
+                p, lo, hi = rng.choice(bands)
+                bands.append((p, hi, hi + rng.randint(0, 3)))  # touching
+            want = normalize_reference(bands)
+            got = FrequencySet(bands).bands
+            assert got == want, bands
+            assert all(p is q for (p, _, _), (q, _, _) in zip(got, want))
+            cut = rng.randint(0, len(bands))
+            parts = [FrequencySet(bands[:cut]), FrequencySet(bands[cut:])]
+            assert union_all(parts).bands == want
 
     def test_equality_is_canonical(self):
         a = FrequencySet(

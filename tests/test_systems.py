@@ -36,18 +36,27 @@ C = constants()
 P = PoolTag
 
 
-def generator_bands(sys_, side, t, ks):
-    """Per-pool band arrays of F(side, t, k) for k in ks, read from the
-    generator of a system whose sets hold at most one band per pool, with
-    every empty band written (0, 0)."""
+def generator_bands(sys_, side, ts, ks):
+    """Per-pool band arrays of F(side, t, k) for each (t, k) of ts and ks (a
+    level ts alone stands for every k), read from the generator of a system
+    whose sets hold at most one band per pool, with every empty band written
+    (0, 0)."""
     lo = np.zeros((POOL_COUNT, len(ks)), dtype=np.int64)
     hi = np.zeros_like(lo)
-    for j, k in enumerate(ks):
-        bands = sys_.sets(side, t, k).bands
+    ts = np.broadcast_to(ts, (len(ks),)).tolist()
+    for j, (t, k) in enumerate(zip(ts, ks)):
+        bands = sys_.sets(side, t, int(k)).bands
         assert len({p for p, _, _ in bands}) == len(bands), bands
         for p, a, b in bands:
             lo[p.rank, j], hi[p.rank, j] = a, b
     return lo, hi
+
+
+def golden_padded(pad: int) -> FSystemSpec:
+    """Golden with its private padding of 4 set to pad: pad = 2 breaks F1
+    at k = t, pad = 3 holds it to level 400 at least."""
+    return band_system(f"golden-pad{pad}", alpha=C.alpha, kappa=0, pad=pad,
+                       beta=C.beta, rho=C.rho, phi=C.phi)
 
 
 def canonical_bands(lo, hi):
@@ -237,16 +246,44 @@ class TestGolden:
             assert n == floor_linear(ui, vi, 22), (ui, vi)
 
     def test_row_sizes_in_chunks(self, monkeypatch):
-        # a row longer than the chunk is vectorised chunk by chunk; with
-        # 7 k-values per chunk, rows up to 60 cross many chunk boundaries
-        monkeypatch.setattr(systems, "_ROW_CHUNK", 7)
-        go = golden_system()
-        for side in SIDES:
-            for t in range(1, 61):
-                got = go.row_sizes(side, t)
-                assert got.tolist() == [
-                    len(go.generator(side, t, k)) for k in range(1, t + 1)
-                ], (side, t)
+        # a row longer than the chunk is vectorised chunk by chunk, and a
+        # range of levels in runs of whole levels; with 7 or 50 entries per
+        # pass, levels up to 60 cross many pass boundaries
+        for sys_ in (golden_system(), half_system(), golden_padded(2)):
+            want = {
+                side: [[len(sys_.generator(side, t, k))
+                        for k in range(1, t + 1)] for t in range(1, 61)]
+                for side in SIDES
+            }
+            for chunk in (7, 50):
+                monkeypatch.setattr(systems, "_ROW_CHUNK", chunk)
+                for side in SIDES:
+                    for t in range(1, 61):
+                        got = sys_.row_sizes(side, t)
+                        assert got.tolist() == want[side][t - 1], (side, t)
+                    for t_lo, t_hi in [(1, 60), (5, 17),
+                                       *systems.level_blocks(1, 60)]:
+                        got = sys_.row_sizes(side, t_lo, t_hi).tolist()
+                        assert got == sum(want[side][t_lo - 1 : t_hi], []), (
+                            chunk, side, t_lo, t_hi)
+
+    def test_level_blocks(self, monkeypatch):
+        # runs of whole levels of at most _ROW_CHUNK entries, each as long as
+        # it can be, or one longer level alone; entries in (t, k) order
+        for chunk in (1, 7, 50, 1 << 11):
+            monkeypatch.setattr(systems, "_ROW_CHUNK", chunk)
+            for t_lo, t_hi in ((1, 1), (1, 200), (3, 90), (60, 61)):
+                blocks = list(systems.level_blocks(t_lo, t_hi))
+                assert [t for a, b in blocks for t in range(a, b + 1)] == list(
+                    range(t_lo, t_hi + 1))
+                for a, b in blocks:
+                    size = (b - a + 1) * (a + b) // 2
+                    assert size <= chunk or a == b
+                    assert b == t_hi or size + b + 1 > chunk
+                    ts, ks = systems.level_entries(a, b)
+                    assert list(zip(ts.tolist(), ks.tolist())) == [
+                        (t, k) for t in range(a, b + 1) for k in range(1, t + 1)
+                    ]
 
     def test_row_bands_at_limit(self):
         # the floor tables reach n = _VEC_LIMIT, where both ends of the row
@@ -300,6 +337,30 @@ class TestGolden:
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
         assert peak_mb < 100, f"row_sizes peaked at {peak_mb:.0f} MB"
+
+    def test_check_f1_memory_bound(self):
+        # check_f1 reads 4.5 million sizes per side to level 3000 in blocks
+        # of levels; only the floor tables and one pass may be live at once
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status to read the child's peak")
+        code = (
+            "from pathlib import Path\n"
+            "from freqalloc.checker import check_f1\n"
+            "from freqalloc.systems import golden_system\n"
+            "assert check_f1(golden_system(), 3000) == []\n"
+            "status = Path('/proc/self/status').read_text().splitlines()\n"
+            "print(next(x for x in status if x.startswith('VmHWM:')).split()[1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+        assert peak_mb < 100, f"check_f1 peaked at {peak_mb:.0f} MB"
 
     def test_case2_borrowed_band_empty(self):
         # for phi*k <= t the other side's shared band must vanish
