@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
-from .frequencies import Frequency, FrequencySet, PoolTag, Side, encode_index
+from .frequencies import ENCODING_BY_RANK, Frequency, FrequencySet, PoolTag, Side
 from .systems import POOL_COUNT, FSystemSpec
 
 
@@ -383,6 +383,8 @@ class Allocator:
     candidate when it is below hi; the pick is the smallest candidate.  With
     path compression a lookup is amortised O(log k), so a request costs
     O(bands * log k) where a scan of the set in canonical order costs O(k).
+    A pick also points its band's start past itself, so most lookups end at
+    lo or one hop from it, and only longer chains walk the union-find.
     """
 
     def __init__(
@@ -413,27 +415,39 @@ class Allocator:
             pools = self._next_free[v] = [None] * POOL_COUNT
         best_enc = 0
         best_pool: Optional[PoolTag] = None
-        best_index = 0
+        best_index = best_lo = 0
         # bands ascend by pool rank, so on equal encodings the strict < keeps
         # the lower rank, as canonical order does
         for pool, lo, hi in fs.bands:
-            next_free = pools[pool.rank]
-            i = lo if next_free is None else _first_free(next_free, lo)
+            rank = pool.rank
+            next_free = pools[rank]
+            i = lo
+            if next_free is not None:
+                # lo if free, else the index it points at if that one is
+                # free: _first_free's answer without its call
+                i = next_free.get(lo, lo)
+                if i in next_free:
+                    i = _first_free(next_free, lo)
             if i < hi:
-                enc = encode_index(pool, i)
+                scale, offset = ENCODING_BY_RANK[rank]
+                enc = scale * i + offset
                 if best_pool is None or enc < best_enc:
-                    best_enc, best_pool, best_index = enc, pool, i
+                    best_enc, best_pool, best_index, best_lo = enc, pool, i, lo
         if best_pool is None:
             raise AllocationError(
                 f"system {self.system.name!r} offers only {len(fs)} frequencies "
                 f"for side {side}, t={self.t}, k={k}; the size floor requires {k}"
             )
+        if best_index < 1:
+            raise ValueError(f"frequency index must be >= 1, got {best_index}")
         rank = best_pool.rank
         next_free = pools[rank]
         if next_free is None:
             next_free = pools[rank] = {}
-        next_free[best_index] = best_index + 1
-        pick = Frequency(best_pool, best_index)
+        # lo .. best_index are all held now, so the band's start may point
+        # past the pick
+        next_free[best_index] = next_free[best_lo] = best_index + 1
+        pick = Frequency._raw(best_pool, best_index)
         self._all_enc.add(best_enc)
         if self.validate == "neighbors":
             for w in self.instance.neighbors(v):

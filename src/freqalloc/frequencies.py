@@ -69,6 +69,15 @@ class Frequency:
         if self.index < 1:
             raise ValueError(f"frequency index must be >= 1, got {self.index}")
 
+    @classmethod
+    def _raw(cls, pool: PoolTag, index: int) -> "Frequency":
+        # caller guarantees index >= 1; skips the frozen __init__ round trip
+        f = object.__new__(cls)
+        d = f.__dict__
+        d["pool"] = pool
+        d["index"] = index
+        return f
+
     def encode(self) -> int:
         return encode_global(self)
 
@@ -95,11 +104,18 @@ def encode_global(f: Frequency) -> int:
     return encode_index(f.pool, f.index)
 
 
+# encode_index(pool, i) = scale * i + offset, by pool rank: built-in pools
+# interleave as 5(i - 1) + rank + 1, the plain pool maps i to i
+ENCODING_BY_RANK = tuple(
+    (1, 0) if p is PoolTag.PLAIN else (_BUILTIN_COUNT, p.rank + 1 - _BUILTIN_COUNT)
+    for p in PoolTag
+)
+
+
 def encode_index(pool: PoolTag, index: int) -> int:
     """encode_global of Frequency(pool, index), without building the object."""
-    if pool is PoolTag.PLAIN:
-        return index
-    return _BUILTIN_COUNT * (index - 1) + pool.rank + 1
+    scale, offset = ENCODING_BY_RANK[pool.rank]
+    return scale * index + offset
 
 
 # A band is (pool, lo, hi) covering indices lo..hi-1 with 1 <= lo < hi.

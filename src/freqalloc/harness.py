@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
 from .checker import doubling_scale
-from .frequencies import SIDES, Side, encode_index
+from .frequencies import ENCODING_BY_RANK, SIDES, Side
 from .golden import GoldenNumber
 from .systems import FSystemSpec
 
@@ -120,29 +120,6 @@ class UniversalGraph:
             yield from self.phase_requests(t)
 
 
-class _PrefixMax:
-    """Fenwick tree for prefix maxima under increasing point updates."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def update(self, index: int, value: int) -> None:
-        while index <= self.size:
-            if self.tree[index] < value:
-                self.tree[index] = value
-            index += index & (-index)
-
-    def query(self, index: int) -> int:
-        best = 0
-        index = min(index, self.size)
-        while index > 0:
-            if self.tree[index] > best:
-                best = self.tree[index]
-            index -= index & (-index)
-        return best
-
-
 class UniversalInstance:
     """Loads of the universal graph's vertices, by dense integer id.
 
@@ -155,7 +132,9 @@ class UniversalInstance:
     k-index, which is exact as long as requests arrive in nondecreasing
     level order (the phase schedule): then every loaded opposite vertex has
     level at most the current one, and the eligible partners of (t, k) are
-    exactly the opposite indices up to t - k.
+    exactly the opposite indices up to t - k.  Each tree is a Fenwick list
+    whose node i holds the largest load at indices i - (i & -i) + 1 .. i;
+    loads only grow, so a node is the maximum of its range.
     """
 
     def __init__(self, graph: UniversalGraph) -> None:
@@ -168,7 +147,7 @@ class UniversalInstance:
         self._level = levels + levels
         self._index = indices + indices
         self.loads = [0] * (2 * self.per_side)
-        self._prefix = (_PrefixMax(T), _PrefixMax(T))
+        self._prefix = ([0] * (T + 1), [0] * (T + 1))
         self._top_level = 0
 
     @property
@@ -195,7 +174,8 @@ class UniversalInstance:
             yield from range(first, first + min(t2, max(t, t2) - k))
 
     def admit(self, v: int) -> tuple[Side, int, int]:
-        if not 0 <= v < len(self.loads):
+        loads = self.loads
+        if not 0 <= v < len(loads):
             raise ValueError(f"vertex {v} is outside the universal graph")
         t = self._level[v]
         if t < self._top_level:
@@ -206,10 +186,25 @@ class UniversalInstance:
         self._top_level = t
         s = self._side[v]
         k = self._index[v]
-        load = self.loads[v] + 1
-        self.loads[v] = load
-        self._prefix[s].update(k, load)
-        return SIDES[s], load, load + self._prefix[1 - s].query(t - k)
+        load = loads[v] + 1
+        loads[v] = load
+        # raise the nodes covering k; each covers the one before, so the
+        # first node already at load or above ends the walk
+        tree = self._prefix[s]
+        size = len(tree)
+        i = k
+        while i < size and tree[i] < load:
+            tree[i] = load
+            i += i & -i
+        # the largest opposite load at indices 1 .. t - k
+        tree = self._prefix[1 - s]
+        best = 0
+        i = t - k
+        while i:
+            if tree[i] > best:
+                best = tree[i]
+            i &= i - 1
+        return SIDES[s], load, load + best
 
     def independent_opt(self, phase: int) -> int:
         """Recompute the optimum of the loaded graph after a phase from the
@@ -314,6 +309,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     request = alloc.request
+    encoding = ENCODING_BY_RANK
     # per side, the smallest k-index using each frequency and its vertex
     min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
     report = RunReport(system=system.name, ratio=r, lam=add)
@@ -325,7 +321,8 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
                 v = first + k - 1
                 for _ in range(k):
                     f = request(v)
-                    enc = encode_index(f.pool, f.index)
+                    scale, offset = encoding[f.pool.rank]
+                    enc = scale * f.index + offset
                     hit = theirs.get(enc)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(

@@ -51,6 +51,31 @@ def measure_ratio(report, lam: int) -> Fraction:
     return max(Fraction(p.distinct_used - lam, p.opt) for p in report.phases)
 
 
+class PrefixMax:
+    """Fenwick tree for prefix maxima under increasing point updates, as a
+    class with a method per walk: the reference of the walks that
+    ``UniversalInstance.admit`` inlines."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.tree = [0] * (size + 1)
+
+    def update(self, index: int, value: int) -> None:
+        while index <= self.size:
+            if self.tree[index] < value:
+                self.tree[index] = value
+            index += index & (-index)
+
+    def query(self, index: int) -> int:
+        best = 0
+        index = min(index, self.size)
+        while index > 0:
+            if self.tree[index] > best:
+                best = self.tree[index]
+            index -= index & (-index)
+        return best
+
+
 def union_at(sys, t: int) -> FrequencySet:
     """U_t from scratch: every band of every set of level at most t, through
     the normalizing constructor rather than ``|``."""

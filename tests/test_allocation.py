@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freqalloc import allocation
 from freqalloc.allocation import (
     AllocationError,
     Allocator,
@@ -227,6 +228,21 @@ class TestAllocator:
         with pytest.raises(AllocationError):
             alloc.request("u")
 
+    @pytest.mark.parametrize("pool", [PoolTag.PLAIN, PoolTag.SYMMETRIC])
+    def test_index_zero_is_refused(self, pool):
+        # a band may start at index 0; first fit would pick it, and the
+        # pick must still fail the frequency index check
+        from_zero = FSystemSpec(
+            name="from-zero",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: FrequencySet([(pool, 0, 2)]),
+        )
+        alloc = Allocator(instance(["u"], []), from_zero)
+        with pytest.raises(ValueError) as err:
+            alloc.request("u")
+        assert str(err.value) == "frequency index must be >= 1, got 0"
+
     def test_zero_load_vertices_allowed(self):
         inst = instance(["u", "v", "w"], [("u", "v"), ("v", "w")])
         alloc = Allocator(inst, trivial_system())
@@ -291,6 +307,39 @@ def fragmented_system():
     )
 
 
+def sliding_system():
+    """Plain-pool sets of one band [t - k + 1, t + k + 1), moved up by 10^6
+    on side B: a band's start rises with t and falls with k, as golden's
+    bounded bands do, so it can land inside a run a vertex already holds."""
+
+    def gen(side, t, k):
+        base = 0 if side is Side.A else 10**6
+        return FrequencySet([(PoolTag.PLAIN, base + t - k + 1, base + t + k + 1)])
+
+    return FSystemSpec(
+        name="sliding",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+def count_walks(monkeypatch) -> list:
+    """Record each union-find walk.  The allocator walks only when the index
+    a band's start points at is itself held (two or more hops); a walk from
+    a free index, or from one pointing at a free index, fails with
+    KeyError here."""
+    walks = []
+    walk = allocation._first_free
+
+    def counting(next_free, i):
+        walks.append((i, next_free[i], next_free[next_free[i]]))
+        return walk(next_free, i)
+
+    monkeypatch.setattr(allocation, "_first_free", counting)
+    return walks
+
+
 class TestFirstFitDifferential:
     """The allocator's band-wise union-find pick equals the canonical scan."""
 
@@ -304,6 +353,23 @@ class TestFirstFitDifferential:
             assert allocator_picks(build(), system(), stream) == scan_picks(
                 build(), system(), stream
             )
+
+    @pytest.mark.parametrize("system", [golden_system, sliding_system])
+    def test_multi_hop_lookups(self, monkeypatch, system):
+        # u fills a run of each pool at t = k; the second edge then drives
+        # t up, so u's next bands start inside its runs, where the index a
+        # band's start points at is held too
+        def build():
+            return BipartiteInstance.from_edges(
+                ["u", "w", "y", "z"], [("u", "w"), ("y", "z")],
+                sides={"u": Side.A, "w": Side.B, "y": Side.A, "z": Side.B},
+            )
+
+        stream = ["u"] * 12 + ["y"] * 10 + ["z"] * 10 + ["u"] * 6
+        walks = count_walks(monkeypatch)
+        picks = allocator_picks(build(), system(), stream)
+        assert walks, "no lookup went past one hop"
+        assert picks == scan_picks(build(), system(), stream)
 
     def test_fragmented_sets_are_one_band_per_frequency(self):
         fs = fragmented_system().sets(Side.A, 9, 4)

@@ -127,6 +127,30 @@ def apart_system() -> FSystemSpec:
     )
 
 
+def same_level_system() -> FSystemSpec:
+    """One plain frequency per set, only at k = 1 and k = 2 on side A and at
+    k = 1 on side B.  A(t, 1) and B(t, 1) both hold 10t: a collision at
+    level t itself, for t >= 2.  A(t, 2) holds 10t + 25, so side A's hull
+    over levels below t covers 10t while its union misses it: the side B
+    row meets that history only spuriously."""
+
+    def gen(side, t, k):
+        if k == 1:
+            i = 10 * t
+        elif k == 2 and side is Side.A:
+            i = 10 * t + 25
+        else:
+            return FrequencySet()
+        return FrequencySet([(PoolTag.PLAIN, i, i + 1)])
+
+    return FSystemSpec(
+        name="same-level",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
 def sparse_system(seed: int) -> FSystemSpec:
     """Each set holds, in each shared pool, the band [a, a + 20) with
     1 <= a <= 20 or nothing, at random.  Bands of one pool always overlap,
@@ -376,6 +400,18 @@ class TestF2Bands:
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
         assert not calls
+
+    def test_side_b_witnesses_stop_below_its_level(self, monkeypatch):
+        # the side B row's hull hit is spurious below level t, and its real
+        # collision at level t belongs to side A's row: a witness scan of
+        # side B that reached level t would report that collision twice
+        want = checker._check_f2_sets(same_level_system(), 12, None)
+        calls = count_set_sweeps(monkeypatch)
+        got = check_f2(with_row_bands(same_level_system()), 12)
+        assert not calls
+        assert got == want
+        assert f2_rows(got) == exhaustive_f2_rows(same_level_system(), 12)
+        assert f2_rows(got) == {(Side.A, t, 1) for t in range(2, 13)}
 
     def test_witness_scans_only_where_hulls_exceed_unions(self, monkeypatch):
         scans = []

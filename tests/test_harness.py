@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from freqalloc.harness import (
     ScaleCapError,
     UniversalGraph,
     UniversalInstance,
-    _PrefixMax,
     lower_bound_instance,
     run_universal,
     vertex_id,
@@ -25,7 +25,13 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from oracles import measure_ratio, parse_vertex_id, pool_band, pool_prefix
+from oracles import (
+    PrefixMax,
+    measure_ratio,
+    parse_vertex_id,
+    pool_band,
+    pool_prefix,
+)
 
 C = constants()
 
@@ -39,8 +45,8 @@ class StringUniversalInstance:
         self.graph = graph
         self.loads = {}
         self._meta = {}
-        self._prefix = {Side.A: _PrefixMax(graph.horizon),
-                        Side.B: _PrefixMax(graph.horizon)}
+        self._prefix = {Side.A: PrefixMax(graph.horizon),
+                        Side.B: PrefixMax(graph.horizon)}
         self._top_level = 0
 
     def _touch(self, v):
@@ -228,22 +234,46 @@ class TestUniversalInstance:
                 assert list(inst.neighbors(v)) == want, (T, inst.name(v))
 
     def test_opt_tracking_matches_generic(self):
-        # replay phases on the lazy instance and on the materialized graph;
-        # the running optimum must match the generic static computation
-        T = 8
+        # replay phases on the lazy instance and on the materialized graph:
+        # each admit triple (side, load, candidate) must equal the generic
+        # one over explicit adjacency, and the running optimum the generic
+        # static computation
+        for T in (1, 2, 5, 8):
+            graph = UniversalGraph(T)
+            lazy = UniversalInstance(graph)
+            explicit = graph.materialize()
+            t_lazy = 0
+            for t in range(1, T + 1):
+                for vid in graph.phase_requests(t):
+                    side, t_v, k = parse_vertex_id(vid)
+                    got = lazy.admit(lazy.vertex(side, t_v, k))
+                    assert got == explicit.admit(vid), (T, vid)
+                    assert got[0] is side
+                    t_lazy = max(t_lazy, got[2])
+                assert t_lazy == static_opt(explicit) == t
+                assert lazy.independent_opt(t) == t
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_admit_matches_generic_off_schedule(self, seed):
+        # the phase schedule loads both sides alike, so a walk of the wrong
+        # side's tree passes it; random requests in nondecreasing level
+        # order, any side, index and count, tell the sides apart
+        rng = random.Random(seed)
+        T = 9
         graph = UniversalGraph(T)
         lazy = UniversalInstance(graph)
         explicit = graph.materialize()
-        t_lazy = 0
         for t in range(1, T + 1):
-            for vid in graph.phase_requests(t):
-                side, t_v, k = parse_vertex_id(vid)
-                got_side, load, cand = lazy.admit(lazy.vertex(side, t_v, k))
-                explicit.loads[vid] += 1
-                assert (got_side, load) == (side, explicit.loads[vid])
-                t_lazy = max(t_lazy, cand)
-            assert t_lazy == static_opt(explicit) == t
-            assert lazy.independent_opt(t) == t
+            level = [
+                (side, k)
+                for side in (Side.A, Side.B)
+                for k in range(1, t + 1)
+                for _ in range(rng.choice((0, 0, 1, 3)))
+            ]
+            rng.shuffle(level)
+            for side, k in level:
+                got = lazy.admit(lazy.vertex(side, t, k))
+                assert got == explicit.admit(vertex_id(side, t, k))
 
     def test_rejects_level_regressions(self):
         lazy = UniversalInstance(UniversalGraph(5))
