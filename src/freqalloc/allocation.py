@@ -8,11 +8,12 @@ side-c vertex with new load k while the running optimum is t, the smallest
 unused frequency of the system's (c, t, k) set (first fit in canonical
 order); the size floor of a sound system guarantees one exists, and
 cross-side disjointness guarantees neighbours never share.  First fit is
-found band by band: each vertex keeps, per pool, a next-free union-find over
-the indices it holds, so a request costs O(bands * log k) amortised rather
-than a canonical scan of O(k).  Those union-finds are the only record of a
-vertex's frequencies (``assignment_sets`` reads their keys), and one check
-over ``neighbors`` serves ``assignment_valid`` and ``validate="full"``.
+found band by band: each vertex keeps one next-free union-find over the
+keys of the frequencies it holds, so a request costs O(bands * log k)
+amortised rather than a canonical scan of O(k).  That union-find is the only
+record of a vertex's frequencies (``assignment_sets`` decodes its keys), and
+one check over ``neighbors`` serves ``assignment_valid`` and
+``validate="full"``.
 
 The allocator reads an instance only through the ``Instance`` protocol.
 ``BipartiteInstance`` implements it over explicit adjacency and string ids,
@@ -28,8 +29,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
-from .frequencies import ENCODING_BY_RANK, Frequency, FrequencySet, PoolTag, Side
-from .systems import POOL_COUNT, FSystemSpec
+from .frequencies import (_POOLS_BY_RANK, KEY_BY_RANK, POOL_COUNT, Frequency,
+                          FrequencySet, PoolTag, Side)
+from .systems import FSystemSpec
 
 
 # the largest total load brute_force_opt searches unless told otherwise
@@ -334,11 +336,12 @@ def brute_force_opt(
 
 
 def _first_free(next_free: dict[int, int], i: int) -> int:
-    """Smallest index >= i that is not a key of next_free.
+    """The first frequency key at or past i, in steps of i's pool scale,
+    that is not a key of next_free.
 
-    next_free maps each held index to an index at or below the next free
-    one above it; the lookup points every index it passes at the answer
-    (path compression), which rewrites existing keys only.
+    next_free maps each held key to a key of the same pool at or below the
+    next free one above it; the lookup points every key it passes at the
+    answer (path compression), which rewrites existing keys only.
     """
     j = next_free.get(i)
     if j is None:
@@ -375,16 +378,17 @@ class Allocator:
     Tracks the running optimum t (largest edge load sum, floored by the
     largest single load), and answers the k-th request at a vertex with the
     smallest frequency of the (side, t, k) set not yet used there, in
-    canonical order: by global encoding, then pool rank (first fit).
+    canonical order: by key (first fit).
 
-    Each vertex holds, per pool rank, a next-free union-find: a dict whose
-    keys are exactly the indices the vertex holds.  For each band (pool, lo,
-    hi) of the set, one lookup gives the first free index >= lo, a
-    candidate when it is below hi; the pick is the smallest candidate.  With
-    path compression a lookup is amortised O(log k), so a request costs
-    O(bands * log k) where a scan of the set in canonical order costs O(k).
-    A pick also points its band's start past itself, so most lookups end at
-    lo or one hop from it, and only longer chains walk the union-find.
+    Each vertex holds one next-free union-find: a dict whose keys are
+    exactly the keys of the frequencies the vertex holds.  For each band
+    (pool, lo, hi) of the set, one lookup gives the first free key at or
+    past lo's, a candidate when it is below hi's; the pick is the smallest
+    candidate.  With path compression a lookup is amortised O(log k), so a
+    request costs O(bands * log k) where a scan of the set in canonical
+    order costs O(k).  A pick also points its band's first key past itself,
+    so most lookups end there or one hop from it, and only longer chains
+    walk the union-find.
     """
 
     def __init__(
@@ -400,59 +404,49 @@ class Allocator:
         self.system = system
         self.validate = validate
         self.t = 0
-        # vertex -> next-free union-find per pool rank (None until used);
-        # its keys are the vertex's frequencies, the only record of them
-        self._next_free: dict[Hashable, list[Optional[dict[int, int]]]] = {}
-        self._all_enc: set[int] = set()
+        # vertex -> next-free union-find over keys; its keys are the keys of
+        # the vertex's frequencies, the only record of them
+        self._next_free: dict[Hashable, dict[int, int]] = {}
+        self._all_keys: set[int] = set()
 
     def request(self, v: Hashable) -> Frequency:
         side, k, cand = self.instance.admit(v)
         if cand > self.t:
             self.t = cand
         fs = self.system.sets(side, self.t, k)
-        pools = self._next_free.get(v)
-        if pools is None:
-            pools = self._next_free[v] = [None] * POOL_COUNT
-        best_enc = 0
+        next_free = self._next_free.get(v)
+        if next_free is None:
+            next_free = self._next_free[v] = {}
+        keys = KEY_BY_RANK
+        best = best_first = best_scale = best_lo = 0
         best_pool: Optional[PoolTag] = None
-        best_index = best_lo = 0
-        # bands ascend by pool rank, so on equal encodings the strict < keeps
-        # the lower rank, as canonical order does
         for pool, lo, hi in fs.bands:
-            rank = pool.rank
-            next_free = pools[rank]
-            i = lo
-            if next_free is not None:
-                # lo if free, else the index it points at if that one is
-                # free: _first_free's answer without its call
-                i = next_free.get(lo, lo)
-                if i in next_free:
-                    i = _first_free(next_free, lo)
-            if i < hi:
-                scale, offset = ENCODING_BY_RANK[rank]
-                enc = scale * i + offset
-                if best_pool is None or enc < best_enc:
-                    best_enc, best_pool, best_index, best_lo = enc, pool, i, lo
+            scale, offset = keys[pool.rank]
+            first = scale * lo + offset
+            # first if free, else the key it points at if that one is free:
+            # _first_free's answer without its call
+            key = next_free.get(first, first)
+            if key in next_free:
+                key = _first_free(next_free, first)
+            if key < scale * hi + offset and (best_pool is None or key < best):
+                best, best_first, best_scale = key, first, scale
+                best_pool, best_lo = pool, lo
         if best_pool is None:
             raise AllocationError(
                 f"system {self.system.name!r} offers only {len(fs)} frequencies "
                 f"for side {side}, t={self.t}, k={k}; the size floor requires {k}"
             )
-        if best_index < 1:
-            raise ValueError(f"frequency index must be >= 1, got {best_index}")
-        rank = best_pool.rank
-        next_free = pools[rank]
-        if next_free is None:
-            next_free = pools[rank] = {}
-        # lo .. best_index are all held now, so the band's start may point
-        # past the pick
-        next_free[best_index] = next_free[best_lo] = best_index + 1
-        pick = Frequency._raw(best_pool, best_index)
-        self._all_enc.add(best_enc)
+        index = best_lo + (best - best_first) // best_scale
+        if index < 1:
+            raise ValueError(f"frequency index must be >= 1, got {index}")
+        # the band's keys up to the pick are all held now, so its first key
+        # may point past the pick
+        next_free[best] = next_free[best_first] = best + best_scale
+        pick = Frequency._raw(best_pool, index)
+        self._all_keys.add(best)
         if self.validate == "neighbors":
             for w in self.instance.neighbors(v):
-                held = self._next_free.get(w)
-                if held is not None and best_index in (held[rank] or ()):
+                if best in self._next_free.get(w, ()):
                     raise AllocationError(
                         f"frequency {pick} assigned to {v} is already used at "
                         f"adjacent {w}"
@@ -465,25 +459,27 @@ class Allocator:
         return pick
 
     def distinct_used(self) -> int:
-        return len(self._all_enc)
+        return len(self._all_keys)
 
     def assignment_sets(self) -> dict[Hashable, FrequencySet]:
-        """Each served vertex's frequencies: its union-finds' keys by rank."""
-        return {
-            v: FrequencySet(
-                (pool, i, i + 1)
-                for pool, next_free in zip(PoolTag, pools)
-                if next_free
-                for i in next_free
-            )
-            for v, pools in self._next_free.items()
-            if any(pools)
-        }
+        """Each served vertex's frequencies, decoded from its union-find's
+        keys: the rank is the key mod POOL_COUNT."""
+        out = {}
+        for v, next_free in self._next_free.items():
+            bands = []
+            for key in next_free:
+                scale, offset = KEY_BY_RANK[key % POOL_COUNT]
+                i = (key - offset) // scale
+                bands.append((_POOLS_BY_RANK[key % POOL_COUNT], i, i + 1))
+            if bands:
+                out[v] = FrequencySet(bands)
+        return out
 
 
 def assignment_to_json(assignment: dict[str, FrequencySet]) -> dict:
     return {
-        v: [f.encode() for f in fs] for v, fs in sorted(assignment.items())
+        v: [enc for enc, _, _ in fs.iter_encoded()]
+        for v, fs in sorted(assignment.items())
     }
 
 

@@ -37,10 +37,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import SIDES, FrequencySet, Side
+from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
-from .systems import (_VEC_LIMIT, POOL_COUNT, FSystemSpec, level_blocks,
-                      level_entries)
+from .systems import _VEC_LIMIT, FSystemSpec, level_blocks, level_entries
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 # the disjointness horizon that verify and falsify use when none is given is
@@ -90,7 +89,7 @@ class Violation:
             "detail": self.render(),
         }
         if self.witness is not None:
-            doc["witness"] = [f.encode() for f in self.witness]
+            doc["witness"] = [enc for enc, _, _ in self.witness.iter_encoded()]
         return doc
 
 
@@ -186,14 +185,6 @@ def _witness_pair(
     return None
 
 
-def _horizons(t: int) -> tuple[tuple[int, int], ...]:
-    """(side number, horizon) for the two rows of level t.  The side A row
-    meets side B history including level t itself; the side B row meets
-    strictly earlier side A history, because the level-t pairs were covered
-    from side A."""
-    return ((0, t), (1, t - 1))
-
-
 def _check_f2_sets(
     sys: FSystemSpec, t_max: int, limit: Optional[int]
 ) -> list[Violation]:
@@ -215,11 +206,14 @@ def _check_f2_sets(
         rows = [sys.row(s, t) for s in SIDES]
         for m in range(1, t + 1):
             cols[1][m] = cols[1][m] | rows[1][m - 1]
-        for s, horizon in _horizons(t):
+        # the side A row (s = 0) meets side B history including level t
+        # itself; the side B row meets strictly earlier side A history,
+        # because the level-t pairs were covered from side A: horizon t - s
+        for s in range(len(SIDES)):
             pref = prefixes(cols[1 - s], t - 1)
             for k in range(1, t):
                 if not rows[s][k - 1].isdisjoint(pref[t - k]):
-                    v = _witness_pair(sys, SIDES[s], t, k, horizon)
+                    v = _witness_pair(sys, SIDES[s], t, k, t - s)
                     if v is not None:
                         out.append(v)
                         if limit and len(out) >= limit:
@@ -275,7 +269,7 @@ def _check_f2_bands(
             start += t
             col = cols[:, :, 1 : t + 1]
             # the side A row meets side B through level t, the side B row
-            # side A before level t (_horizons)
+            # side A before level t (horizon t - s, as in _check_f2_sets)
             np.maximum(col[1], rows[1], out=col[1])
             # pre[s, :, j]: the hull of side s's columns 1..j+1
             pre = np.maximum.accumulate(cols[:, :, 1:t], axis=2,

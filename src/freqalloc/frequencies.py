@@ -3,14 +3,17 @@
 A frequency is a (pool, index) pair with a 1-based index.  The five built-in
 pools (two private, two side-shared, one symmetric) interleave into the
 positive integers; frequencies from external systems live in a sixth "plain"
-pool that maps to the integers identically.  The encoding names and orders
-frequencies; nothing decodes it.  Sets are stored as per-pool runs of
-consecutive integer indices (the systems floor exact boundaries into them),
-so unions over long prefixes stay cheap.  Every set keeps its bands
-canonical: sorted by (pool rank, lo), with touching or overlapping bands of
-a pool coalesced.  Union is one linear merge of two canonical band tuples,
-so only the constructor and ``union_all`` sort bands; iteration sorts the
-expanded set once by (global encoding, pool rank).
+pool that maps to the integers identically.  ``--out`` files print that
+encoding, which plain i and the built-in frequency encoded i share.  The key
+POOL_COUNT * encoding + pool rank is injective over all six pools and sorts
+in canonical order (encoding, then rank); comparisons, records and counts of
+frequencies read it, and the allocator decodes it.  Sets are stored as
+per-pool runs of consecutive integer indices (the systems floor exact
+boundaries into them), so unions over long prefixes stay cheap.  Every set
+keeps its bands canonical: sorted by (pool rank, lo), with touching or
+overlapping bands of a pool coalesced.  Union is one linear merge of two
+canonical band tuples, so only the constructor and ``union_all`` sort bands;
+iteration sorts the expanded set once by key.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class PoolTag(Enum):
         return self.token
 
 
-_BUILTIN_COUNT = 5
+# pools, and rows of a band array, one per pool rank
+POOL_COUNT = len(PoolTag)
 
 
 @total_ordering
@@ -81,8 +85,9 @@ class Frequency:
     def encode(self) -> int:
         return encode_global(self)
 
-    def _key(self) -> tuple[int, int]:
-        return (encode_global(self), self.pool.rank)
+    def _key(self) -> int:
+        scale, offset = KEY_BY_RANK[self.pool.rank]
+        return scale * self.index + offset
 
     def __lt__(self, other: "Frequency") -> bool:
         if not isinstance(other, Frequency):
@@ -104,18 +109,21 @@ def encode_global(f: Frequency) -> int:
     return encode_index(f.pool, f.index)
 
 
-# encode_index(pool, i) = scale * i + offset, by pool rank: built-in pools
-# interleave as 5(i - 1) + rank + 1, the plain pool maps i to i
-ENCODING_BY_RANK = tuple(
-    (1, 0) if p is PoolTag.PLAIN else (_BUILTIN_COUNT, p.rank + 1 - _BUILTIN_COUNT)
+# key = scale * index + offset, by pool rank: POOL_COUNT * encoding + rank,
+# where built-in pools encode index i as 5(i - 1) + rank + 1 and the plain
+# pool as i.  Keys of a pool step by its scale and keep its rank mod
+# POOL_COUNT, so no two pools share one.
+KEY_BY_RANK = tuple(
+    (POOL_COUNT, p.rank) if p is PoolTag.PLAIN
+    else (POOL_COUNT * 5, POOL_COUNT * (p.rank - 4) + p.rank)
     for p in PoolTag
 )
 
 
 def encode_index(pool: PoolTag, index: int) -> int:
     """encode_global of Frequency(pool, index), without building the object."""
-    scale, offset = ENCODING_BY_RANK[pool.rank]
-    return scale * index + offset
+    scale, offset = KEY_BY_RANK[pool.rank]
+    return (scale * index + offset) // POOL_COUNT
 
 
 # A band is (pool, lo, hi) covering indices lo..hi-1 with 1 <= lo < hi.
@@ -201,13 +209,15 @@ class FrequencySet:
 
     def iter_encoded(self) -> Iterator[tuple[int, PoolTag, int]]:
         """(encoding, pool, index) triples in canonical order, sorted once by
-        (encoding, pool rank) as ``Frequency._key`` orders; no objects."""
-        for enc, _, p, i in sorted(
-            (encode_index(p, i), p.rank, p, i)
+        key as ``Frequency._key`` orders; no objects."""
+        # keys are distinct, so the sort never compares pools
+        for key, p, i in sorted(
+            (scale * i + offset, p, i)
             for p, lo, hi in self._bands
+            for scale, offset in (KEY_BY_RANK[p.rank],)
             for i in range(lo, hi)
         ):
-            yield enc, p, i
+            yield key // POOL_COUNT, p, i
 
     def __or__(self, other: "FrequencySet") -> "FrequencySet":
         if not isinstance(other, FrequencySet):

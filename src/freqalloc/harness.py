@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
 from .checker import doubling_scale
-from .frequencies import ENCODING_BY_RANK, SIDES, Side
+from .frequencies import KEY_BY_RANK, SIDES, Side
 from .golden import GoldenNumber
 from .systems import FSystemSpec
 
@@ -309,8 +309,9 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     request = alloc.request
-    encoding = ENCODING_BY_RANK
-    # per side, the smallest k-index using each frequency and its vertex
+    keys = KEY_BY_RANK
+    # per side, by frequency key, the smallest k-index using the frequency
+    # and its vertex
     min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
     report = RunReport(system=system.name, ratio=r, lam=add)
     for t in range(1, t_max + 1):
@@ -321,17 +322,17 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
                 v = first + k - 1
                 for _ in range(k):
                     f = request(v)
-                    scale, offset = encoding[f.pool.rank]
-                    enc = scale * f.index + offset
-                    hit = theirs.get(enc)
+                    scale, offset = keys[f.pool.rank]
+                    key = scale * f.index + offset
+                    hit = theirs.get(key)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(
                             f"frequency {f} assigned to {inst.name(v)} is "
                             f"already used at adjacent {inst.name(hit[1])}"
                         )
-                    held = mine.get(enc)
+                    held = mine.get(key)
                     if held is None or k < held[0]:
-                        mine[enc] = (k, v)
+                        mine[key] = (k, v)
         opt = inst.independent_opt(t)
         used = alloc.distinct_used()
         bound = (r * t).floor() + add

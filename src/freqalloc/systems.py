@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import FrequencySet, PoolTag, Side, union_all
+from .frequencies import POOL_COUNT, FrequencySet, PoolTag, Side, union_all
 from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
                      _floor_memo, _triple)
 # unused here, but bench/tracer.py patches floor_linear in systems too
@@ -70,9 +70,6 @@ Row = Callable[[Side, int], Sequence[FrequencySet]]
 RowUnion = Callable[[Side, int], FrequencySet]
 RowBands = Callable[[Side, np.ndarray, np.ndarray],
                     tuple[np.ndarray, np.ndarray]]
-
-# rows of a band array, one per pool rank
-POOL_COUNT = len(PoolTag)
 
 # float sqrt plus integer correction is exact, and every floor fits in int32,
 # up to this many times a row-band table rate (see band_system)

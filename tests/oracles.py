@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from freqalloc.checker import Violation, ViolationKind
 from freqalloc.frequencies import SIDES, FrequencySet, PoolTag, Side
+from freqalloc.golden import GoldenNumber
+from freqalloc.systems import FSystemSpec
 
 PRIVATE = {Side.A: PoolTag.PRIVATE_A, Side.B: PoolTag.PRIVATE_B}
 SHARED = {Side.A: PoolTag.SHARED_A, Side.B: PoolTag.SHARED_B}
@@ -36,6 +38,24 @@ def pool_band(pool: PoolTag, lo, hi) -> FrequencySet:
 def pool_prefix(pool: PoolTag, x) -> FrequencySet:
     """The first floor(x) indices of a pool (empty when floor(x) < 1)."""
     return pool_band(pool, 0, x)
+
+
+def mixed_pool_system():
+    """Side A draws SHARED_A indices 1..t and side B PLAIN indices 3..t+2.
+    The pools differ, so the system is F2-clean, yet SHARED_A 1 and PLAIN 3
+    share the global encoding 3."""
+
+    def gen(side, t, k):
+        if side is Side.A:
+            return FrequencySet([(PoolTag.SHARED_A, 1, t + 1)])
+        return FrequencySet([(PoolTag.PLAIN, 3, t + 3)])
+
+    return FSystemSpec(
+        name="mixed-pools",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
 
 
 def parse_vertex_id(vid: str) -> tuple[Side, int, int]:

@@ -25,7 +25,7 @@ from freqalloc.systems import (
     trivial_system,
 )
 
-from oracles import from_indices, pool_prefix
+from oracles import from_indices, mixed_pool_system, pool_prefix
 
 
 def instance(vertices, edges, loads=None):
@@ -242,6 +242,21 @@ class TestAllocator:
         with pytest.raises(ValueError) as err:
             alloc.request("u")
         assert str(err.value) == "frequency index must be >= 1, got 0"
+
+    def test_mixed_pools_are_distinct_frequencies(self):
+        # SA1 and plain 3 share the global encoding 3 but are two
+        # frequencies: both are picked, and both are counted
+        inst = BipartiteInstance.from_edges(
+            ["a", "b"], [], sides={"a": Side.A, "b": Side.B}
+        )
+        alloc = Allocator(inst, mixed_pool_system(), validate="neighbors")
+        picks = [str(alloc.request(v)) for v in ["a", "b", "a", "b"]]
+        assert picks == ["SA1", "3", "SA2", "4"]
+        assert alloc.distinct_used() == 4
+        assert alloc.assignment_sets() == {
+            "a": FrequencySet([(PoolTag.SHARED_A, 1, 3)]),
+            "b": FrequencySet([(PoolTag.PLAIN, 3, 5)]),
+        }
 
     def test_zero_load_vertices_allowed(self):
         inst = instance(["u", "v", "w"], [("u", "v"), ("v", "w")])

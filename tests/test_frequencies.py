@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from freqalloc import frequencies
 from freqalloc.frequencies import (
+    KEY_BY_RANK,
+    POOL_COUNT,
     Frequency,
     FrequencySet,
     PoolTag,
     Side,
     encode_global,
+    encode_index,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants
@@ -73,6 +76,26 @@ class TestFrequencyOrder:
         freqs = [Frequency(p, i) for p in BUILTIN for i in range(1, 30)]
         by_enc = sorted(freqs, key=encode_global)
         assert sorted(freqs) == by_enc
+
+    def test_keys_over_all_pools(self):
+        # one key per frequency of all six pools: distinct, sorting in
+        # canonical order (encoding, then pool rank), stepping by the pool's
+        # scale, and carrying the encoding in its quotient by POOL_COUNT
+        freqs = [Frequency(p, i) for p in POOLS for i in range(1, 60)]
+        keys = [f._key() for f in freqs]
+        assert len(set(keys)) == len(freqs)
+        canonical = sorted(freqs, key=lambda f: (encode_global(f), f.pool.rank))
+        assert sorted(freqs, key=Frequency._key) == canonical
+        assert sorted(freqs) == canonical
+        for f, key in zip(freqs, keys):
+            assert encode_index(f.pool, f.index) == key // POOL_COUNT
+            assert key % POOL_COUNT == f.pool.rank
+            scale = KEY_BY_RANK[f.pool.rank][0]
+            assert Frequency(f.pool, f.index + 1)._key() == key + scale
+        # plain i and the built-in frequency encoded i: equal encodings,
+        # ordered by rank
+        assert Frequency(PoolTag.SHARED_A, 1) < Frequency(PoolTag.PLAIN, 3)
+        assert Frequency(PoolTag.PLAIN, 2) < Frequency(PoolTag.SHARED_A, 1)
 
 
 def random_band_set(rng: random.Random) -> FrequencySet:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from freqalloc.allocation import Allocator, static_opt
+from freqalloc.checker import check_f2
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber, constants
 from freqalloc.harness import (
@@ -28,6 +29,7 @@ from freqalloc.systems import (
 from oracles import (
     PrefixMax,
     measure_ratio,
+    mixed_pool_system,
     parse_vertex_id,
     pool_band,
     pool_prefix,
@@ -101,7 +103,8 @@ class StringUniversalInstance:
 
 
 def reference_run_universal(system, t_max):
-    """The string-keyed phase replay, kept as the oracle of run_universal."""
+    """The string-keyed phase replay, kept as the oracle of run_universal;
+    its collision record is keyed by the Frequency objects themselves."""
     r, add = system.claimed_ratio, system.claimed_lambda
     inst = StringUniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
@@ -113,16 +116,15 @@ def reference_run_universal(system, t_max):
                 vid = vertex_id(side, t, k)
                 for _ in range(k):
                     f = alloc.request(vid)
-                    enc = f.encode()
-                    hit = min_index[side.other].get(enc)
+                    hit = min_index[side.other].get(f)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(
                             f"frequency {f} assigned to {vid} is already used "
                             f"at adjacent {hit[1]}"
                         )
-                    mine = min_index[side].get(enc)
+                    mine = min_index[side].get(f)
                     if mine is None or k < mine[0]:
-                        min_index[side][enc] = (k, vid)
+                        min_index[side][f] = (k, vid)
         opt = inst.independent_opt(t)
         used = alloc.distinct_used()
         bound = (r * t).floor() + add
@@ -390,6 +392,23 @@ class TestRunUniversal:
         assert str(err.value) == (
             "frequency 1003 assigned to A:4,3 is already used at adjacent B:3,1"
         )
+
+    def test_mixed_pools_do_not_collide(self):
+        # SA1 (side A) and plain 3 (side B) share the global encoding 3 but
+        # are two frequencies, so the F2-clean system replays without a
+        # collision, and each phase counts its distinct (pool, index) picks
+        system = mixed_pool_system()
+        assert check_f2(system, 6) == []
+        report = run_universal(system, 4)
+        graph = UniversalGraph(4)
+        alloc = Allocator(graph.materialize(), system, validate="full")
+        picked = set()
+        for p in report.phases:
+            for vid in graph.phase_requests(p.t):
+                f = alloc.request(vid)
+                picked.add((f.pool, f.index))
+            assert p.distinct_used == len(picked) == 2 * p.t
+        assert report.to_json() == reference_run_universal(system, 4).to_json()
 
     def test_measure_ratio_empty_rejected(self):
         with pytest.raises(ValueError):
