@@ -13,10 +13,18 @@ compares the sizes of each block with its k-values and visits only the
 short sets.  ``check_f2`` keeps each column union and each prefix union as
 its per-pool hull, one (lo, hi) band per pool from its lowest to its
 highest index, takes each level's rows as slices of its block, and tests
-all k of both sides of a level in one expression.  A row that misses the hull misses the union, so no hit is lost;
-a row that meets it is only a candidate, which the witness rescan confirms
-or drops.  Every other system takes the set sweep, and both report the same
-violations in the same order.
+all k of both sides of a level in one expression.  A row that misses the
+hull misses the union, so no hit is lost; a row that meets it is only a
+candidate, which the witness rescan confirms or drops.
+
+Every other system (every plugin) is swept on bit rows
+(``FSystemSpec.bit_row``): Python ints with one bit per distinct frequency
+key, numbered in first-seen order.  ``check_f2`` keeps each column union
+and each prefix union as one int, so a level costs one OR per set and one
+AND per (row, prefix), and a hit is exact.  ``union_sizes`` ORs the rows of
+a system without level unions and counts bits, and ``check_f1`` reads a
+plugin's sizes as popcounts.  Both F2 sweeps report the same violations in
+the same order, each with its witness from ``_witness_pair`` on the sets.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
@@ -33,6 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -149,8 +160,8 @@ def check_f2(
     k' <= t - k; by the symmetry of the condition in the two sides this
     covers every quadruple up to t_max exactly once.  Witnesses are
     recovered by re-scanning the offending range.  A system with row bands
-    is swept on the hulls of its band arrays and any other on its sets; both
-    give the same violations in the same order.
+    is swept on the hulls of its band arrays and any other on its bit rows;
+    both give the same violations in the same order.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -188,38 +199,32 @@ def _witness_pair(
 def _check_f2_sets(
     sys: FSystemSpec, t_max: int, limit: Optional[int]
 ) -> list[Violation]:
-    """check_f2 on FrequencySet unions; any system."""
+    """check_f2 on bit rows; any system.  A row meets a prefix union exactly
+    when their AND is nonzero, so every flagged row has a witness."""
     out: list[Violation] = []
-    # cols[s][k'] accumulates the union over t' of F(SIDES[s], t', k'); it
-    # and rows are lists by side number, which hashes no Side enum
-    cols = [[FrequencySet.empty()] * (t_max + 1) for _ in SIDES]
-
-    def prefixes(col: list[FrequencySet], t: int) -> list[FrequencySet]:
-        acc = FrequencySet.empty()
-        pref = [acc]
-        for m in range(1, t + 1):
-            acc = acc | col[m]
-            pref.append(acc)
-        return pref
-
+    # bit positions of the frequency keys this sweep has seen
+    bit_of: dict[int, int] = {}
+    # cols[s][m - 1] is the OR over t' of the bit rows of F(SIDES[s], t', m);
+    # it and rows are lists by side number, which hashes no Side enum
+    cols = [[0] * t_max for _ in SIDES]
     for t in range(1, t_max + 1):
-        rows = [sys.row(s, t) for s in SIDES]
-        for m in range(1, t + 1):
-            cols[1][m] = cols[1][m] | rows[1][m - 1]
+        rows = [sys.bit_row(side, t, bit_of) for side in SIDES]
+        cols[1][:t] = map(or_, cols[1][:t], rows[1])
         # the side A row (s = 0) meets side B history including level t
         # itself; the side B row meets strictly earlier side A history,
         # because the level-t pairs were covered from side A: horizon t - s
         for s in range(len(SIDES)):
-            pref = prefixes(cols[1 - s], t - 1)
-            for k in range(1, t):
-                if not rows[s][k - 1].isdisjoint(pref[t - k]):
+            # pre[j - 1]: the OR of the other side's columns 1..j, j < t;
+            # row k meets the prefix of columns 1..t-k
+            pre = list(accumulate(cols[1 - s][: t - 1], or_))
+            for k, hit in enumerate(map(and_, rows[s], reversed(pre)), 1):
+                if hit:
                     v = _witness_pair(sys, SIDES[s], t, k, t - s)
                     if v is not None:
                         out.append(v)
                         if limit and len(out) >= limit:
                             return out
-        for m in range(1, t + 1):
-            cols[0][m] = cols[0][m] | rows[0][m - 1]
+        cols[0][:t] = map(or_, cols[0][:t], rows[0])
     return out
 
 
@@ -292,11 +297,21 @@ def _check_f2_bands(
 
 
 def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (t, |U_t|) where U_t unions every set of level at most t."""
-    acc = FrequencySet.empty()
+    """Yield (t, |U_t|) where U_t unions every set of level at most t: from
+    the level unions of a system with ``row_union_fn``, else from the OR of
+    its bit rows, counted by popcount."""
+    if sys.row_union_fn is not None:
+        acc = FrequencySet.empty()
+        for t in range(1, t_max + 1):
+            acc = acc | sys.row_union(Side.A, t) | sys.row_union(Side.B, t)
+            yield t, len(acc)
+        return
+    bit_of: dict[int, int] = {}
+    bits = 0
     for t in range(1, t_max + 1):
-        acc = acc | sys.row_union(Side.A, t) | sys.row_union(Side.B, t)
-        yield t, len(acc)
+        for side in SIDES:
+            bits = reduce(or_, sys.bit_row(side, t, bit_of), bits)
+        yield t, bits.bit_count()
 
 
 def check_competitiveness(

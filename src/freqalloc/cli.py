@@ -54,8 +54,11 @@ class _CliError(Exception):
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Optional[str], doc: object) -> None:

@@ -12,6 +12,18 @@ is killed and faulted.  Replies must list strictly increasing positive
 integers; anything else is a plugin fault, not a property violation of the
 system under test.  Replies are cached, so each (side, t, k) is asked once,
 a repeated query is answered by replay, and determinism is enforced.
+
+The child starts at the first ``query``.  After that, a row's uncached
+requests all go out in windows of at most _WINDOW_BYTES, so a row of up to
+about a hundred sets costs one round trip.  Each reply is decoded once into
+a ``FrequencySet`` and a bit row: a Python int with bit i set for the i-th
+distinct value the plugin has replied with, numbered in first-seen order.
+This compression makes a plugin that replies 10**12 cost no more than one
+that replies 1..t.  Every value is a plain frequency, so values number
+frequency keys one to one.  The checker's F2 sweep, the size floor and the
+row unions read these ints.  The child's stderr goes to an unnamed
+temporary file, and every fault raised after the start ends with the last
+_STDERR_TAIL_BYTES of it.
 """
 
 from __future__ import annotations
@@ -20,7 +32,8 @@ import json
 import os
 import selectors
 import subprocess
-from typing import Optional, Sequence
+import tempfile
+from typing import IO, Optional, Sequence
 
 from .frequencies import FrequencySet, PoolTag, Side
 from .golden import GoldenNumber
@@ -33,6 +46,8 @@ REPLY_DEADLINE_S = 60.0
 # is read before the next is sent, so a plugin that answers each line as it
 # reads it has emptied its input pipe by then, and a window always fits.
 _WINDOW_BYTES = 4096
+# bytes of the child's stderr that a fault carries, from its end
+_STDERR_TAIL_BYTES = 2048
 
 Key = tuple[str, int, int]
 
@@ -54,24 +69,34 @@ class PluginSystem:
     def __init__(self, argv: Sequence[str]) -> None:
         self.argv = list(argv)
         self.name = f"plugin:{self.argv[0]}"
-        self._cache: dict[Key, FrequencySet] = {}
+        # each reply as its set and its bit row
+        self._cache: dict[Key, tuple[FrequencySet, int]] = {}
+        # bit position of each value replied so far, in first-seen order
+        self._bit_of: dict[int, int] = {}
         self._proc: Optional[subprocess.Popen[bytes]] = None
         self._replies: Optional[selectors.BaseSelector] = None
+        self._stderr: Optional[IO[bytes]] = None
         # plugin output read past the last reply taken
         self._unread = b""
 
     def _ensure_started(self) -> subprocess.Popen[bytes]:
         if self._proc is None:
+            # a file, not a pipe: nothing has to drain it while the child
+            # runs, so a chatty child cannot block on it
+            stderr = tempfile.TemporaryFile()
             try:
                 proc = subprocess.Popen(
-                    self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                    self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=stderr,
                 )
             except OSError as exc:
+                stderr.close()
                 raise PluginFault(f"cannot start plugin {self.argv}: {exc}") from exc
             assert proc.stdin is not None and proc.stdout is not None
             os.set_blocking(proc.stdin.fileno(), False)
             self._replies = selectors.DefaultSelector()
             self._replies.register(proc.stdout, selectors.EVENT_READ)
+            self._stderr = stderr
             self._proc = proc
         return self._proc
 
@@ -79,41 +104,68 @@ class PluginSystem:
         key = (side.value, t, k)
         hit = self._cache.get(key)
         if hit is not None:
-            return hit
+            return hit[0]
         self._ensure_started()
         self._exchange([(key, _request(*key))])
-        return self._cache[key]
+        return self._cache[key][0]
 
     def row(self, side: Side, t: int) -> list[FrequencySet]:
-        """F(side, t, k) for k = 1..t.  Only uncached k are asked for: the
-        first through ``query``, which starts the child and so proves it
-        alive before any window is written, the rest in windows of at most
-        _WINDOW_BYTES request bytes."""
+        """F(side, t, k) for k = 1..t (see ``_fetch_row``)."""
+        cache = self._cache
+        return [cache[key][0] for key in self._fetch_row(side, t)]
+
+    def bit_row(self, side: Side, t: int) -> list[int]:
+        """The bit rows of F(side, t, k) for k = 1..t (module docstring)."""
+        cache = self._cache
+        return [cache[key][1] for key in self._fetch_row(side, t)]
+
+    def _fetch_row(self, side: Side, t: int) -> list[Key]:
+        """The cache keys of level t on one side, each cached on return.
+        Before the child runs, the first uncached key goes through
+        ``query``, which starts it; every other uncached key goes out in
+        windows of at most _WINDOW_BYTES request bytes."""
         keys = [(side.value, t, k) for k in range(1, t + 1)]
         missing = [key for key in keys if key not in self._cache]
-        if missing:
-            self.query(side, t, missing[0][2])
-            window: list[tuple[Key, str]] = []
-            size = 0
-            for key in missing[1:]:
-                request = _request(*key)
-                if window and size + len(request) + 1 > _WINDOW_BYTES:
-                    self._exchange(window)
-                    window, size = [], 0
-                window.append((key, request))
-                size += len(request) + 1
-            if window:
+        if missing and self._proc is None:
+            self.query(side, t, missing.pop(0)[2])
+        window: list[tuple[Key, str]] = []
+        size = 0
+        for key in missing:
+            request = _request(*key)
+            if window and size + len(request) + 1 > _WINDOW_BYTES:
                 self._exchange(window)
-        cache = self._cache
-        return [cache[key] for key in keys]
+                window, size = [], 0
+            window.append((key, request))
+            size += len(request) + 1
+        if window:
+            self._exchange(window)
+        return keys
 
     def _exchange(self, window: list[tuple[Key, str]]) -> None:
-        """Send a window of requests, then read and cache their replies."""
+        """Send a window of requests, then read and cache their replies; a
+        fault on the way carries the tail of the child's stderr."""
         requests = [request for _, request in window]
         data = "".join(f"{request}\n" for request in requests).encode()
-        self._send(data, requests[0])
-        for (key, request), line in zip(window, self._read_lines(requests)):
-            self._cache[key] = self._decode(line, request)
+        try:
+            self._send(data, requests[0])
+            for (key, request), line in zip(window,
+                                             self._read_lines(requests)):
+                self._cache[key] = self._decode(line, request, self._bit_of)
+        except PluginFault as exc:
+            tail = self._stderr_tail()
+            if not tail:
+                raise
+            raise PluginFault(f"{exc}; its stderr ends with {tail!r}") from exc
+
+    def _stderr_tail(self) -> str:
+        """At most the last _STDERR_TAIL_BYTES the child wrote to stderr.
+        The child shares the file's offset, so this reads with pread, which
+        leaves the offset where the child's next write expects it."""
+        assert self._stderr is not None
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        start = max(0, size - _STDERR_TAIL_BYTES)
+        return os.pread(fd, size - start, start).decode(errors="replace")
 
     def _send(self, data: bytes, first: str) -> None:
         """Write a window whose first request is ``first``."""
@@ -160,10 +212,13 @@ class PluginSystem:
         return PluginFault(f"plugin {what}")
 
     @staticmethod
-    def _decode(line: bytes, request: str) -> FrequencySet:
-        """The set a reply line lists, validated and banded in one pass: the
-        values are checked strictly increasing, so the bands come out in
-        canonical order."""
+    def _decode(
+        line: bytes, request: str, bit_of: dict[int, int]
+    ) -> tuple[FrequencySet, int]:
+        """The set a reply line lists and its bit row, validated, banded and
+        numbered in one pass: the values are checked strictly increasing, so
+        the bands come out in canonical order, and a value not in ``bit_of``
+        takes the next free position there."""
         try:
             reply = json.loads(line)
         except ValueError as exc:  # bad JSON or bad UTF-8
@@ -175,6 +230,7 @@ class PluginSystem:
             raise PluginFault(f"'freqs' is not a list in reply to {request}")
         plain = PoolTag.PLAIN
         bands = []
+        bits = 0
         start, prev = 1, 0
         for value in freqs:
             # not isinstance: json gives bool, an int subclass, for true
@@ -191,9 +247,10 @@ class PluginSystem:
                     bands.append((plain, start, prev + 1))
                 start = value
             prev = value
+            bits |= 1 << bit_of.setdefault(value, len(bit_of))
         if prev:
             bands.append((plain, start, prev + 1))
-        return FrequencySet._raw(tuple(bands))
+        return FrequencySet._raw(tuple(bands)), bits
 
     def spec(
         self, claimed_ratio: GoldenNumber, claimed_lambda: int
@@ -204,6 +261,7 @@ class PluginSystem:
             claimed_lambda=claimed_lambda,
             generator=self.query,
             row_fn=self.row,
+            bit_row_fn=self.bit_row,
         )
 
     def close(self) -> None:
@@ -221,6 +279,9 @@ class PluginSystem:
             proc.kill()
             proc.wait()
         proc.stdout.close()
+        assert self._stderr is not None
+        self._stderr.close()
+        self._stderr = None
 
     def __enter__(self) -> "PluginSystem":
         return self

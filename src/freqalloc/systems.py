@@ -46,7 +46,11 @@ entries in all, or one level that alone holds more.  ``row_sizes`` of any
 system with row bands is the sum of their widths, at most _ROW_CHUNK
 entries per pass; ``check_f1`` reads its sizes a block at a time, and
 ``check_f2`` takes its level rows as slices of the blocks' arrays.  Any
-other system is read a level at a time, through its sets.
+other system is read a level at a time, and its checks read bit rows
+(``FSystemSpec.bit_row``): each set as a Python int whose bit i stands for
+the i-th distinct frequency key seen, in first-seen order.  Numbering keys
+as they come keeps every int as short as the number of distinct
+frequencies, however large the keys.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .frequencies import POOL_COUNT, FrequencySet, PoolTag, Side, union_all
+from .frequencies import (KEY_BY_RANK, POOL_COUNT, FrequencySet, PoolTag, Side,
+                          union_all)
 from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
                      _floor_memo, _triple)
 # unused here, but bench/tracer.py patches floor_linear in systems too
@@ -67,6 +72,7 @@ from .golden import floor_linear  # noqa: F401
 
 Generator = Callable[[Side, int, int], FrequencySet]
 Row = Callable[[Side, int], Sequence[FrequencySet]]
+BitRow = Callable[[Side, int], Sequence[int]]
 RowUnion = Callable[[Side, int], FrequencySet]
 RowBands = Callable[[Side, np.ndarray, np.ndarray],
                     tuple[np.ndarray, np.ndarray]]
@@ -125,9 +131,12 @@ class FSystemSpec:
     a structurally identical set.  ``row_fn(side, t)`` optionally returns
     the level-t sets for k = 1..t at once, for a system that serves a row
     cheaper than t single sets (a plugin pipelines its queries); it must
-    agree with the generator exactly.  ``row_union_fn`` optionally provides
-    the union of a whole level, union over k <= t of F(side, t, k); when
-    absent it is computed by folding the row, which any system supports.
+    agree with the generator exactly.  ``bit_row_fn(side, t)`` optionally
+    returns the same row as bit rows (``bit_row``), numbered by the system
+    itself: a plugin keeps them next to its cached sets.  ``row_union_fn``
+    optionally provides the union of a whole level, union over k <= t of
+    F(side, t, k); when absent it is computed by folding the row, which any
+    system supports.
 
     ``row_bands_fn(side, ts, ks)`` is for systems whose sets hold at most
     one band per pool.  It takes flat int64 arrays of levels ts and
@@ -149,6 +158,7 @@ class FSystemSpec:
     row_fn: Optional[Row] = None
     row_union_fn: Optional[RowUnion] = None
     row_bands_fn: Optional[RowBands] = None
+    bit_row_fn: Optional[BitRow] = None
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
         if t < 1:
@@ -166,6 +176,27 @@ class FSystemSpec:
             return self.row_fn(side, t)
         return [self.sets(side, t, k) for k in range(1, t + 1)]
 
+    def bit_row(
+        self, side: Side, t: int, bit_of: dict[int, int]
+    ) -> Sequence[int]:
+        """The level-t sets of one side for k = 1..t as bit rows: ints with
+        one bit per frequency key.  With ``bit_row_fn`` the system numbers
+        the keys itself; otherwise ``bit_of``, the map of the calling sweep,
+        numbers them, and a key new to it takes the next free bit.  Within
+        one sweep, equal keys always share a bit."""
+        if self.bit_row_fn is not None:
+            return self.bit_row_fn(side, t)
+        out = []
+        for fs in self.row(side, t):
+            bits = 0
+            for pool, lo, hi in fs.bands:
+                scale, offset = KEY_BY_RANK[pool.rank]
+                for key in range(scale * lo + offset, scale * hi + offset,
+                                 scale):
+                    bits |= 1 << bit_of.setdefault(key, len(bit_of))
+            out.append(bits)
+        return out
+
     def row_union(self, side: Side, t: int) -> FrequencySet:
         """Union over 1 <= k <= t of the level-t sets for one side."""
         if self.row_union_fn is not None:
@@ -178,12 +209,16 @@ class FSystemSpec:
         """Cardinalities of F(side, tau, k) for t <= tau <= t_hi (t_hi = t by
         default) and k = 1..tau, in (tau, k) order: the widths of the row
         bands, at most _ROW_CHUNK entries per pass, where the system has
-        them, else the sets of one level after another."""
+        them, else one level after another: the popcounts of the bit rows
+        where the system serves them, else the sizes of the sets."""
         if t_hi is None:
             t_hi = t
         if not 1 <= t <= t_hi:
             raise ValueError(f"need 1 <= t <= t_hi, got t={t}, t_hi={t_hi}")
         if self.row_bands_fn is None or t_hi > _VEC_LIMIT:
+            if self.bit_row_fn is not None:
+                return [bits.bit_count() for tau in range(t, t_hi + 1)
+                        for bits in self.bit_row_fn(side, tau)]
             return [len(fs) for tau in range(t, t_hi + 1)
                     for fs in self.row(side, tau)]
         out = np.empty((t_hi - t + 1) * (t_hi + t) // 2, dtype=np.int64)

@@ -3,8 +3,8 @@
 import math
 from fractions import Fraction
 
-from freqalloc.checker import Violation, ViolationKind
-from freqalloc.frequencies import SIDES, FrequencySet, PoolTag, Side
+from freqalloc.checker import Violation, ViolationKind, _witness_pair
+from freqalloc.frequencies import SIDES, FrequencySet, PoolTag, Side, union_all
 from freqalloc.golden import GoldenNumber
 from freqalloc.systems import FSystemSpec
 
@@ -173,4 +173,52 @@ def check_f2_exhaustive(sys, t_max: int) -> list[Violation]:
                                 witness=hit,
                             )
                         )
+    return out
+
+
+def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
+    """check_f2 on FrequencySet unions: the reduced sweep that the bit-row
+    and band-hull sweeps replace, with the same anchors, witnesses and
+    order."""
+    out: list[Violation] = []
+    # cols[s][k'] accumulates the union over t' of F(SIDES[s], t', k')
+    cols = [[FrequencySet.empty()] * (t_max + 1) for _ in SIDES]
+
+    def prefixes(col: list[FrequencySet], t: int) -> list[FrequencySet]:
+        acc = FrequencySet.empty()
+        pref = [acc]
+        for m in range(1, t + 1):
+            acc = acc | col[m]
+            pref.append(acc)
+        return pref
+
+    for t in range(1, t_max + 1):
+        rows = [sys.row(s, t) for s in SIDES]
+        for m in range(1, t + 1):
+            cols[1][m] = cols[1][m] | rows[1][m - 1]
+        # the side A row (s = 0) meets side B history including level t
+        # itself; the side B row meets strictly earlier side A history,
+        # because the level-t pairs were covered from side A: horizon t - s
+        for s in range(len(SIDES)):
+            pref = prefixes(cols[1 - s], t - 1)
+            for k in range(1, t):
+                if not rows[s][k - 1].isdisjoint(pref[t - k]):
+                    v = _witness_pair(sys, SIDES[s], t, k, t - s)
+                    if v is not None:
+                        out.append(v)
+                        if limit and len(out) >= limit:
+                            return out
+        for m in range(1, t + 1):
+            cols[0][m] = cols[0][m] | rows[0][m - 1]
+    return out
+
+
+def union_sizes_sets(sys, t_max: int) -> list[tuple[int, int]]:
+    """(t, |U_t|) for t <= t_max, folding the level unions of both sides
+    with ``|``."""
+    out = []
+    acc = FrequencySet.empty()
+    for t in range(1, t_max + 1):
+        acc = acc | union_all(sys.row(Side.A, t)) | union_all(sys.row(Side.B, t))
+        out.append((t, len(acc)))
     return out

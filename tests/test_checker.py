@@ -42,10 +42,13 @@ from oracles import (
     PRIVATE,
     check_f1_exhaustive,
     check_f2_exhaustive,
+    check_f2_sets,
+    mixed_pool_system,
     pool_band,
     pool_prefix,
     set_to_pyset,
     union_at,
+    union_sizes_sets,
 )
 from test_systems import generator_bands, golden_padded, reference_half
 
@@ -295,7 +298,8 @@ class TestF1Oracle:
         f2_mutant = with_row_bands(mutant_half_wide_shared())
         for sys_, t_max in ((golden_system(), 60), (half_system(), 60),
                             (f2_mutant, 24)):
-            want = checker._check_f2_sets(sys_, t_max, None)
+            want = check_f2_sets(sys_, t_max)
+            assert checker._check_f2_sets(sys_, t_max, None) == want
             assert check_f2(sys_, t_max) == want
             assert check_f2(sys_, t_max, limit=4) == want[:4]
             assert f2_rows(check_f2(sys_, 16)) == exhaustive_f2_rows(sys_, 16)
@@ -368,11 +372,14 @@ class TestF2Bands:
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(golden_system(), 150) == []
         assert not calls, "golden left the band-array sweep"
+        assert check_f2_sets(golden_system(), 150) == []
         assert checker._check_f2_sets(golden_system(), 150, None) == []
 
     @pytest.mark.parametrize("limit", [None, 5])
     def test_mutant_identical_in_order(self, monkeypatch, limit):
-        want = checker._check_f2_sets(mutant_half_wide_shared(), 30, limit)
+        want = check_f2_sets(mutant_half_wide_shared(), 30, limit)
+        assert checker._check_f2_sets(mutant_half_wide_shared(), 30,
+                                      limit) == want
         calls = count_set_sweeps(monkeypatch)
         got = check_f2(with_row_bands(mutant_half_wide_shared()), 30,
                        limit=limit)
@@ -384,8 +391,9 @@ class TestF2Bands:
     def test_sparse_rows_identical_in_order(self, monkeypatch, seed):
         # hits here are few and scattered, so a row tested against the
         # wrong prefix, or a prefix one column off, changes the result
-        want = checker._check_f2_sets(sparse_system(seed), 25, None)
+        want = check_f2_sets(sparse_system(seed), 25)
         assert 0 < len(want) < 150  # of 600 (side, t, k) rows
+        assert checker._check_f2_sets(sparse_system(seed), 25, None) == want
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(sparse_system(seed)), 25) == want
         assert not calls
@@ -395,8 +403,9 @@ class TestF2Bands:
     @pytest.mark.parametrize("limit", [None, 3])
     def test_fragmented_unions_stay_on_bands(self, monkeypatch, factory,
                                              limit):
-        want = checker._check_f2_sets(factory(), 20, limit)
+        want = check_f2_sets(factory(), 20, limit)
         assert want
+        assert checker._check_f2_sets(factory(), 20, limit) == want
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
         assert not calls
@@ -405,7 +414,8 @@ class TestF2Bands:
         # the side B row's hull hit is spurious below level t, and its real
         # collision at level t belongs to side A's row: a witness scan of
         # side B that reached level t would report that collision twice
-        want = checker._check_f2_sets(same_level_system(), 12, None)
+        want = check_f2_sets(same_level_system(), 12)
+        assert checker._check_f2_sets(same_level_system(), 12, None) == want
         calls = count_set_sweeps(monkeypatch)
         got = check_f2(with_row_bands(same_level_system()), 12)
         assert not calls
@@ -435,6 +445,7 @@ class TestF2Bands:
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(factory(), 150) == []
         assert not calls, "the system left the band-array sweep"
+        assert check_f2_sets(factory(), 150) == []
         assert checker._check_f2_sets(factory(), 150, None) == []
 
     def test_systems_without_bands_take_the_set_sweep(self, monkeypatch):
@@ -447,6 +458,69 @@ class TestF2Bands:
         )
         assert check_f2(half_sets, 20) == []
         assert len(calls) == 1
+
+
+def without_bands(factory) -> FSystemSpec:
+    """A built-in with its row bands and level unions stripped, so that
+    every check reads its sets."""
+    return dataclasses.replace(factory(), row_bands_fn=None,
+                               row_union_fn=None)
+
+
+BIT_SWEEP_CASES = [
+    *(functools.partial(sparse_system, seed) for seed in range(4)),
+    spread_system,
+    apart_system,
+    mixed_pool_system,
+    same_level_system,
+    mutant_half_wide_shared,
+    mutant_golden_no_padding,
+    *(functools.partial(without_bands, f)
+      for f in (golden_system, half_system, trivial_system)),
+]
+BIT_SWEEP_IDS = [
+    *(f"sparse-{seed}" for seed in range(4)),
+    "spread", "apart", "mixed-pools", "same-level", "half-wide-shared",
+    "golden-no-padding", "golden-stripped", "half-stripped",
+    "trivial-stripped",
+]
+
+
+class TestF2Bits:
+    """The bit-row sweep against the FrequencySet set sweep (oracles)."""
+
+    @pytest.mark.parametrize("factory", BIT_SWEEP_CASES, ids=BIT_SWEEP_IDS)
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_identical_in_order(self, monkeypatch, factory, limit):
+        want = check_f2_sets(factory(), 24, limit)
+        calls = count_set_sweeps(monkeypatch)
+        assert check_f2(factory(), 24, limit=limit) == want
+        assert len(calls) == 1, "a system without row bands left the bit sweep"
+
+    def test_cases_collide(self):
+        hits = {name: bool(check_f2_sets(factory(), 24))
+                for name, factory in zip(BIT_SWEEP_IDS, BIT_SWEEP_CASES)}
+        assert {name for name, hit in hits.items() if not hit} == {
+            "mixed-pools", "golden-no-padding", "golden-stripped",
+            "half-stripped", "trivial-stripped"}
+
+    @pytest.mark.parametrize("factory", BIT_SWEEP_CASES, ids=BIT_SWEEP_IDS)
+    def test_union_sizes_by_popcount(self, factory):
+        sys_ = factory()
+        assert sys_.row_union_fn is None
+        assert list(union_sizes(sys_, 30)) == union_sizes_sets(sys_, 30)
+
+    def test_equal_keys_share_a_bit(self):
+        # the plain and built-in frequencies encoded 3 are two frequencies
+        # with two keys: mixed-pools stays clean, and its union counts both
+        sys_ = mixed_pool_system()
+        bit_of: dict[int, int] = {}
+        row_a = sys_.bit_row(Side.A, 3, bit_of)
+        row_b = sys_.bit_row(Side.B, 3, bit_of)
+        assert len(bit_of) == 6
+        assert all(a & b == 0 for a in row_a for b in row_b)
+        assert sys_.bit_row(Side.A, 3, bit_of) == row_a
+        assert dict(union_sizes(sys_, 3))[3] == 6
 
 
 class TestCompetitiveness:

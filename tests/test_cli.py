@@ -424,6 +424,42 @@ class TestBadRequests:
         assert "is not a string" in proc.stderr
 
 
+class TestBadOutputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--system", "golden", "--t-max", "5"],
+            ["falsify", "--system", "golden", "--r", "1.42", "--lambda", "8",
+             "--t-max", "30"],
+            ["run", "--system", "golden"],
+            ["opt", "static"],
+            ["plot-sets", "--system", "golden", "--t", "3"],
+            ["adversary", "universal", "--t-max", "2"],
+        ],
+        ids=["verify", "falsify", "run", "opt", "plot-sets", "adversary"],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, argv):
+        # a directory that does not exist
+        out = str(tmp_path / "missing" / "p.json")
+        if argv[0] in ("run", "opt"):
+            argv = argv + ["--graph", write_graph(tmp_path, EDGE_GRAPH),
+                           "--requests", write_requests(tmp_path, ["u", "v"])]
+        if argv[0] == "adversary":
+            argv = argv + ["--out-graph", out,
+                           "--out-requests", str(tmp_path / "r.jsonl")]
+        else:
+            argv = argv + ["--out", out]
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqalloc.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {out}: ")
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "report.json"

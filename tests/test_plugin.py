@@ -1,21 +1,24 @@
+import dataclasses
 import json
 import re
 import sys
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqalloc import plugin
-from freqalloc.checker import check_competitiveness, check_f1, check_f2
+from freqalloc.checker import (check_competitiveness, check_f1, check_f2,
+                               union_sizes)
 from freqalloc.cli import main
 from freqalloc.frequencies import PoolTag, Side
 from freqalloc.golden import GoldenNumber
 from freqalloc.plugin import PluginFault, PluginSystem
 
-from oracles import from_indices
+from oracles import check_f2_sets, from_indices, union_sizes_sets
 
 WELL_BEHAVED = """
 import json, sys
@@ -205,6 +208,145 @@ class TestDeadline:
                 plug.row(Side.A, 5000)
 
 
+# writes to stderr, then exits without answering
+STDERR_THEN_EXIT = """
+import sys
+sys.stdin.readline()
+sys.stderr.write(%r)
+sys.stderr.flush()
+sys.exit(3)
+"""
+
+
+class TestStderrTail:
+    def test_fault_carries_stderr(self, tmp_path):
+        with spawn(tmp_path, STDERR_THEN_EXIT % "boom") as plug:
+            with pytest.raises(PluginFault, match="closed its output stream"
+                               ".*its stderr ends with 'boom'"):
+                plug.query(Side.A, 1, 1)
+
+    def test_fault_carries_stderr_exits_2(self, tmp_path, capsys):
+        code, err = verify_exit(tmp_path, STDERR_THEN_EXIT % "boom", capsys, 5)
+        assert code == 2
+        assert err.startswith("plugin fault: ")
+        assert "boom" in err
+
+    def test_tail_is_at_most_2_kb(self, tmp_path):
+        noise = "x" * 10_000 + "boom"
+        with spawn(tmp_path, STDERR_THEN_EXIT % noise) as plug:
+            with pytest.raises(PluginFault) as caught:
+                plug.row(Side.B, 3)
+        tail = str(caught.value).partition("its stderr ends with ")[2]
+        assert tail == repr(noise[-plugin._STDERR_TAIL_BYTES:])
+
+    def test_silent_stderr_adds_nothing(self, tmp_path):
+        with spawn(tmp_path, EXIT_AFTER % 0) as plug:
+            with pytest.raises(PluginFault) as caught:
+                plug.query(Side.A, 1, 1)
+        assert "stderr" not in str(caught.value)
+
+
+def record_child_starts(monkeypatch) -> list:
+    """Patch PluginSystem.query as the check-plugin benchmark does, and
+    record, for each child started, whether a query call was running."""
+    starts = []
+    depth = [0]
+    query = PluginSystem.query
+    popen = plugin.subprocess.Popen
+
+    def timed(system, side, t, k):
+        depth[0] += 1
+        try:
+            return query(system, side, t, k)
+        finally:
+            depth[0] -= 1
+
+    def recording_popen(*args, **kwargs):
+        starts.append(depth[0] > 0)
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(PluginSystem, "query", timed)
+    monkeypatch.setattr(plugin.subprocess, "Popen", recording_popen)
+    return starts
+
+
+class TestSetupAccounting:
+    """The check-plugin benchmark books the child's start as set-up by
+    timing the first PluginSystem.query, so the child must start there."""
+
+    @pytest.mark.parametrize("first", ["query", "row", "bit_row", "spec_bits"])
+    def test_child_starts_inside_query(self, tmp_path, monkeypatch, first):
+        starts = record_child_starts(monkeypatch)
+        with spawn(tmp_path, WELL_BEHAVED) as plug:
+            if first == "query":
+                plug.query(Side.B, 4, 2)
+            elif first == "row":
+                plug.row(Side.A, 6)
+            elif first == "bit_row":
+                plug.bit_row(Side.A, 6)
+            else:
+                plug.spec(GoldenNumber(2), 0).bit_row(Side.B, 6, {})
+            assert starts == [True]
+            assert check_f1(plug.spec(GoldenNumber(2), 0), 8) == []
+        assert starts == [True]
+
+    def test_one_exchange_per_row(self, monkeypatch, tmp_path):
+        # the check-plugin command line: after the child's start, each row
+        # of either side is one window
+        exchanges = []
+        exchange = PluginSystem._exchange
+
+        def counting(system, window):
+            exchanges.append(len(window))
+            return exchange(system, window)
+
+        monkeypatch.setattr(PluginSystem, "_exchange", counting)
+        starts = record_child_starts(monkeypatch)
+        script = Path(__file__).resolve().parents[1] / "bench" / "oddeven_plugin.py"
+        code = main(["verify", "--system", f"plugin:{script}", "--r", "2",
+                     "--lambda", "0", "--t-max", "50", "--f2-t-max", "50",
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 0
+        assert starts == [True]
+        # rows (A, 1), (B, 1), (A, 2), ...: the first holds one key
+        assert exchanges == [t for t in range(1, 51) for _ in "AB"]
+
+
+# side A's sets are prefixes, side B's sets start at k: they collide often
+OVERLAPPING = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    k = req["k"]
+    lo = 1 if req["side"] == "A" else k
+    sys.stdout.write(json.dumps({"freqs": list(range(lo, lo + k))}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+class TestBitRows:
+    def test_numbered_as_the_sweep_numbers_keys(self, tmp_path):
+        # plain keys rise with the value, so the plugin's first-seen
+        # numbering of values is a sweep's first-seen numbering of keys
+        with spawn(tmp_path, OVERLAPPING) as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            converted = dataclasses.replace(spec, bit_row_fn=None)
+            bit_of: dict[int, int] = {}
+            for t in range(1, 10):
+                for side in Side:
+                    assert spec.bit_row(side, t, {}) == converted.bit_row(
+                        side, t, bit_of)
+
+    @pytest.mark.parametrize("limit", [None, 4])
+    def test_checks_match_set_oracles(self, tmp_path, limit):
+        with spawn(tmp_path, OVERLAPPING) as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            want = check_f2_sets(spec, 14, limit)
+            assert len(want) == 4 if limit else len(want) > 4
+            assert check_f2(spec, 14, limit=limit) == want
+            assert list(union_sizes(spec, 14)) == union_sizes_sets(spec, 14)
+
+
 # each malformed reply with the reason it is refused
 MALFORMED = [
     (b"not json at all", "malformed reply"),
@@ -224,17 +366,32 @@ MALFORMED = [
 
 
 class TestDecode:
-    @given(st.sets(st.one_of(st.integers(1, 40), st.integers(1, 10**12))))
+    @given(st.lists(
+        st.sets(st.one_of(st.integers(1, 40), st.integers(1, 10**12),
+                          st.integers(1, 2**63))),
+        min_size=1, max_size=4,
+    ))
     @settings(max_examples=300, deadline=None)
-    def test_matches_constructor(self, freqs):
-        line = json.dumps({"freqs": sorted(freqs)}).encode()
-        decoded = PluginSystem._decode(line, "request")
-        assert decoded.bands == from_indices(PoolTag.PLAIN, freqs).bands
+    def test_matches_constructor(self, replies):
+        # replies decoded one after another share one numbering, which
+        # gives each distinct value the next bit: however large the values,
+        # every bit lies below the number of distinct values decoded
+        bit_of: dict[int, int] = {}
+        seen: set[int] = set()
+        for freqs in replies:
+            line = json.dumps({"freqs": sorted(freqs)}).encode()
+            decoded, bits = PluginSystem._decode(line, "request", bit_of)
+            seen |= freqs
+            assert decoded.bands == from_indices(PoolTag.PLAIN, freqs).bands
+            assert bits.bit_length() <= len(seen)
+            assert bits == sum(1 << bit_of[value] for value in freqs)
+        assert bit_of.keys() == seen
+        assert sorted(bit_of.values()) == list(range(len(seen)))
 
     @pytest.mark.parametrize("line, reason", MALFORMED)
     def test_malformed(self, line, reason):
         with pytest.raises(PluginFault, match=re.escape(reason)):
-            PluginSystem._decode(line, "request")
+            PluginSystem._decode(line, "request", {})
 
 
 class TestFaults:
