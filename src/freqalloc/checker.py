@@ -6,16 +6,16 @@ Every reported violation carries the parameters and both sides of the
 failed inequality, so re-evaluating the named inequality on the named
 parameters reproduces the failure.
 
-The two sweeps over (t, k) work on arrays where they can.  On a system
-with row bands both walk the levels in the blocks of
-``systems.level_blocks``, many levels per numpy pass.  ``check_f1``
-compares the sizes of each block with its k-values and visits only the
-short sets.  ``check_f2`` keeps each column union and each prefix union as
-its per-pool hull, one (lo, hi) band per pool from its lowest to its
-highest index, takes each level's rows as slices of its block, and tests
-all k of both sides of a level in one expression.  A row that misses the
-hull misses the union, so no hit is lost; a row that meets it is only a
-candidate, which the witness rescan confirms or drops.
+The two sweeps over (t, k) work on arrays where they can.  ``check_f1``
+reads every system in the blocks of ``systems.level_blocks``, many levels
+per pass: it compares the sizes of each block with its k-values and visits
+only the short sets.  On a system with row bands ``check_f2`` walks the
+same blocks, many levels per numpy pass.  It keeps each column union and
+each prefix union as its per-pool hull, one (lo, hi) band per pool from its
+lowest to its highest index, takes each level's rows as slices of its
+block, and tests all k of both sides of a level in one expression.  A row
+that misses the hull misses the union, so no hit is lost; a row that meets
+it is only a candidate, which the witness rescan confirms or drops.
 
 Every other system (every plugin) is swept on bit rows
 (``FSystemSpec.bit_row``): Python ints with one bit per distinct frequency
@@ -50,12 +50,18 @@ import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
-from .systems import _VEC_LIMIT, FSystemSpec, level_blocks, level_entries
+from .systems import FSystemSpec, level_blocks, level_entries
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
-# the disjointness horizon that verify and falsify use when none is given is
-# min(t_max, F2_DEFAULT_CAP)
+# the horizons used when none is given (default_horizon): disjointness in
+# verify and falsify, and the lemma chain in verify
 F2_DEFAULT_CAP = 100
+LEMMA_DEFAULT_CAP = 200
+
+
+def default_horizon(horizon: Optional[int], t_max: int, cap: int) -> int:
+    """horizon if given, else min(t_max, cap)."""
+    return min(t_max, cap) if horizon is None else horizon
 
 
 class ViolationKind(Enum):
@@ -115,17 +121,13 @@ def check_f1(
 ) -> list[Violation]:
     """Size floor: |F(c,t,k)| >= k for both sides and all 1 <= k <= t <= t_max.
 
-    A system with row bands is read in blocks of levels, any other a level
-    at a time; violations come by t, then side A before B, then k.
+    Every system is read in blocks of levels, side A's sizes of a block
+    before side B's; violations come by t, then side A before B, then k.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if sys.row_bands_fn is not None and t_max <= _VEC_LIMIT:
-        blocks = level_blocks(1, t_max)
-    else:
-        blocks = ((t, t) for t in range(1, t_max + 1))
     out = []
-    for t_lo, t_hi in blocks:
+    for t_lo, t_hi in level_blocks(1, t_max):
         ts, ks = level_entries(t_lo, t_hi)
         hits = []
         for s, side in enumerate(SIDES):
@@ -165,7 +167,7 @@ def check_f2(
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if sys.row_bands_fn is not None and t_max <= _VEC_LIMIT:
+    if sys.row_bands_fn is not None:
         return _check_f2_bands(sys, t_max, limit)
     return _check_f2_sets(sys, t_max, limit)
 
@@ -750,8 +752,7 @@ def falsify(
         )
     if claimed_r < 1:
         raise ValueError("competitive ratio must be >= 1")
-    if f2_t_max is None:
-        f2_t_max = min(t_max, F2_DEFAULT_CAP)
+    f2_t_max = default_horizon(f2_t_max, t_max, F2_DEFAULT_CAP)
     violations = [
         *check_f1(sys, t_max, limit=5),
         *check_f2(sys, f2_t_max, limit=5),

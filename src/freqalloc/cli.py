@@ -153,14 +153,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         unknown = checks - {"f1", "f2", "competitiveness", "lemmas"}
         if unknown:
             raise _CliError(f"unknown checks: {sorted(unknown)}")
-        f2_t_max = (
-            min(args.t_max, checker.F2_DEFAULT_CAP)
-            if args.f2_t_max is None
-            else args.f2_t_max
-        )
-        lemma_t_max = (
-            min(args.t_max, 200) if args.lemma_t_max is None else args.lemma_t_max
-        )
+        f2_t_max = checker.default_horizon(args.f2_t_max, args.t_max,
+                                           checker.F2_DEFAULT_CAP)
+        lemma_t_max = checker.default_horizon(args.lemma_t_max, args.t_max,
+                                              checker.LEMMA_DEFAULT_CAP)
         report = checker.run_checks(
             spec,
             f1_t_max=args.t_max if "f1" in checks else None,

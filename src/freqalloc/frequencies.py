@@ -106,7 +106,7 @@ def encode_global(f: Frequency) -> int:
     The five built-in pools interleave: PA1=1, PB1=2, SA1=3, SB1=4, Q1=5,
     PA2=6, ...  Plain frequencies map to their own index.
     """
-    return encode_index(f.pool, f.index)
+    return f._key() // POOL_COUNT
 
 
 # key = scale * index + offset, by pool rank: POOL_COUNT * encoding + rank,
@@ -118,12 +118,6 @@ KEY_BY_RANK = tuple(
     else (POOL_COUNT * 5, POOL_COUNT * (p.rank - 4) + p.rank)
     for p in PoolTag
 )
-
-
-def encode_index(pool: PoolTag, index: int) -> int:
-    """encode_global of Frequency(pool, index), without building the object."""
-    scale, offset = KEY_BY_RANK[pool.rank]
-    return (scale * index + offset) // POOL_COUNT
 
 
 # A band is (pool, lo, hi) covering indices lo..hi-1 with 1 <= lo < hi.
@@ -323,24 +317,7 @@ class FrequencySet:
         return FrequencySet._raw(tuple(out))
 
     def isdisjoint(self, other: "FrequencySet") -> bool:
-        a, b = self._bands, other._bands
-        i = j = 0
-        while i < len(a) and j < len(b):
-            pa, loa, hia = a[i]
-            pb, lob, hib = b[j]
-            if pa.rank != pb.rank:
-                if pa.rank < pb.rank:
-                    i += 1
-                else:
-                    j += 1
-                continue
-            if max(loa, lob) < min(hia, hib):
-                return False
-            if hia <= hib:
-                i += 1
-            else:
-                j += 1
-        return True
+        return not (self & other)
 
 
 _EMPTY = FrequencySet()

@@ -80,10 +80,6 @@ class GoldenNumber:
         return self._b
 
     @classmethod
-    def sqrt5(cls) -> GoldenNumber:
-        return cls(0, 1)
-
-    @classmethod
     def coerce(cls, value: GoldenNumber | RatLike) -> GoldenNumber:
         if isinstance(value, GoldenNumber):
             return value
@@ -98,8 +94,6 @@ class GoldenNumber:
         tail = f"{abs(self._b)}*sqrt5"
         sign = "-" if self._b < 0 else "+" if self._a != 0 else ""
         head = str(self._a) if self._a != 0 else ""
-        if self._a == 0 and self._b < 0:
-            sign = "-"
         return f"{head}{sign}{tail}"
 
     def __add__(self, other: GoldenNumber | RatLike) -> GoldenNumber:
@@ -194,9 +188,6 @@ class GoldenNumber:
 
     def floor(self) -> int:
         return self.__floor__()
-
-    def is_rational(self) -> bool:
-        return self._b == 0
 
     def __float__(self) -> float:
         # diagnostics only; never used for a decision

@@ -17,8 +17,6 @@ vertices in exported graphs, request streams and collision witnesses.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -63,9 +61,6 @@ class UniversalGraph:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-
-    def vertex_count(self) -> int:
-        return self.horizon * (self.horizon + 1)
 
     @staticmethod
     def adjacent(t: int, k: int, t2: int, k2: int) -> bool:
@@ -281,14 +276,6 @@ class RunReport:
             "phases": [p.to_json() for p in self.phases],
             "all_within_bound": self.all_within_bound(),
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "opt", "used", "bound"])
-        for p in self.phases:
-            writer.writerow([p.t, p.opt, p.distinct_used, p.bound])
-        return buf.getvalue()
 
 
 class CollisionError(Exception):

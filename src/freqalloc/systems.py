@@ -44,9 +44,9 @@ memos once per level of the block.  Callers walk levels 1..t_max in the
 blocks of ``level_blocks``: runs of whole levels of at most _ROW_CHUNK
 entries in all, or one level that alone holds more.  ``row_sizes`` of any
 system with row bands is the sum of their widths, at most _ROW_CHUNK
-entries per pass; ``check_f1`` reads its sizes a block at a time, and
-``check_f2`` takes its level rows as slices of the blocks' arrays.  Any
-other system is read a level at a time, and its checks read bit rows
+entries per pass; ``check_f1`` reads the sizes of every system a block at
+a time, and ``check_f2`` takes its level rows as slices of the blocks'
+arrays.  The checks of any other system read bit rows
 (``FSystemSpec.bit_row``): each set as a Python int whose bit i stands for
 the i-th distinct frequency key seen, in first-seen order.  Numbering keys
 as they come keeps every int as short as the number of distinct
@@ -145,10 +145,9 @@ class FSystemSpec:
     band [lo, hi) that F(side, ts[i], ks[i]) holds in the pool of rank p,
     empty when lo >= hi.  It must agree with the generator exactly:
     ``row_sizes`` then reads the arrays alone, and ``check_f2`` reads sets
-    only for the entries the arrays flag.  It is consulted only for
-    t <= _VEC_LIMIT, and its callers bound their passes: at most
-    _ROW_CHUNK entries each, except that ``check_f2`` takes a level longer
-    than that in one pass.
+    only for the entries the arrays flag.  Its callers bound their passes:
+    at most _ROW_CHUNK entries each, except that ``check_f2`` takes a level
+    longer than that in one pass.
     """
 
     name: str
@@ -215,7 +214,7 @@ class FSystemSpec:
             t_hi = t
         if not 1 <= t <= t_hi:
             raise ValueError(f"need 1 <= t <= t_hi, got t={t}, t_hi={t_hi}")
-        if self.row_bands_fn is None or t_hi > _VEC_LIMIT:
+        if self.row_bands_fn is None:
             if self.bit_row_fn is not None:
                 return [bits.bit_count() for tau in range(t, t_hi + 1)
                         for bits in self.bit_row_fn(side, tau)]
@@ -232,21 +231,6 @@ class FSystemSpec:
             # free this pass's arrays before the next pass builds its own
             del lo, hi
         return out
-
-    def row_bands(
-        self, side: Side, t: int, k_lo: int = 1, k_hi: Optional[int] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pool band arrays of F(side, t, k) for k_lo <= k < k_hi (the
-        whole row 1..t by default), in one pass; see the class docstring."""
-        if self.row_bands_fn is None:
-            raise ValueError(f"system {self.name!r} provides no row bands")
-        if k_hi is None:
-            k_hi = t + 1
-        if t < 1 or not 1 <= k_lo <= k_hi <= t + 1:
-            raise ValueError(f"need 1 <= k_lo <= k_hi <= t + 1, got "
-                             f"k_lo={k_lo}, k_hi={k_hi}, t={t}")
-        ks = np.arange(k_lo, k_hi, dtype=np.int64)
-        return self.row_bands_fn(side, np.full(len(ks), t, dtype=np.int64), ks)
 
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
@@ -364,14 +348,20 @@ def band_system(
     def row_bands(
         side: Side, ts: np.ndarray, ks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays."""
+        """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays: from
+        the floor tables up to level _VEC_LIMIT, and from gen past it."""
         n = len(ts)
         lo, hi = np.zeros((2, POOL_COUNT, n), dtype=np.int64)
         if not n:
             return lo, hi
         t_top = int(ts.max())
         if t_top > _VEC_LIMIT:
-            raise ValueError(f"row bands are exact up to t = {_VEC_LIMIT}")
+            near = ts <= _VEC_LIMIT
+            lo[:, near], hi[:, near] = row_bands(side, ts[near], ks[near])
+            for i in np.flatnonzero(~near).tolist():
+                for pool, a, b in gen(side, int(ts[i]), int(ks[i])).bands:
+                    lo[pool.rank, i], hi[pool.rank, i] = a, b
+            return lo, hi
         tabs = floor_tables(t_top)
         at_k = np.take(tabs, ks, axis=1)
         at_tk = np.take(tabs, ts - ks, axis=1)

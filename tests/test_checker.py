@@ -1053,7 +1053,7 @@ class TestIntegerDecisions:
                     if sizes[t] - lam == (r * t).floor()]
         assert at_floor and not {v.params["t"] for v in got} & set(at_floor)
         assert min_lambda(sys_, r, 150) == reference_min_lambda(sys_, r, 150)
-        if r.is_rational():
+        if r.b == 0:
             exact = [t for t in at_floor if r * t == (r * t).floor()]
             assert exact, "no level met r*t + lambda with equality"
             assert min_lambda(sys_, r, 150) == max(

@@ -71,6 +71,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.read_text())["horizons"]["lemma_chain"] == 60
 
+    @pytest.mark.parametrize("t_max, f2, lemmas",
+                             [(300, 100, 200), (50, 50, 50)])
+    def test_default_horizons(self, tmp_path, t_max, f2, lemmas):
+        # with no horizon flags, F2 and the lemma chain stop at their caps
+        # or at --t-max, whichever is lower
+        out = tmp_path / "report.json"
+        run_cli(
+            "verify", "--system", "half", "--checks", "f1,f2,lemmas",
+            "--t-max", str(t_max), "--out", str(out),
+        )
+        assert json.loads(out.read_text())["horizons"] == {
+            "f1": t_max, "f2": f2, "lemma_chain": lemmas}
+
     def test_unknown_system(self):
         assert run_cli("verify", "--system", "nope", "--t-max", "5") == 2
 

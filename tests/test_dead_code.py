@@ -1,11 +1,13 @@
-"""Every module-level name of the package is used by the program or exported.
+"""Every module-level name and every method of the package is used by the
+program or exported.
 
 A module-level function, class or assignment under ``src/freqalloc`` must be
 named in the code of another top-level statement under ``src/`` or
-``bench/``, or be listed in ``freqalloc.__all__``.  Only code counts:
-docstrings and comments are not parsed as names, and an import alone does
-not use what it imports.  Dunders are exempt, as is the console-script entry
-point that ``pyproject.toml`` names.
+``bench/``, or be listed in ``freqalloc.__all__``.  A method of a class
+under ``src/freqalloc`` must be read as an attribute by code under ``src/``
+or ``bench/``.  Only code counts: docstrings and comments are not parsed as
+names, and an import alone does not use what it imports.  Dunders are
+exempt, as is the console-script entry point that ``pyproject.toml`` names.
 """
 
 import ast
@@ -51,10 +53,21 @@ def entry_points() -> set[str]:
     return set(re.findall(r':(\w+)"', table))
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def parsed_modules() -> list[tuple[Path, ast.Module]]:
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return [
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in paths
+    ]
+
+
 def unused_names() -> list[str]:
     statements = []  # (module path, statement)
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in parsed_modules():
         statements.extend((path, stmt) for stmt in tree.body)
     reads = [read_names(stmt) for _, stmt in statements]
     exempt = set(freqalloc.__all__) | entry_points()
@@ -63,7 +76,7 @@ def unused_names() -> list[str]:
         if path.parent != PACKAGE:
             continue
         for name in defined_names(stmt):
-            if name.startswith("__") and name.endswith("__") or name in exempt:
+            if is_dunder(name) or name in exempt:
                 continue
             if not any(name in r for j, r in enumerate(reads) if j != i):
                 unused.append(f"{path.stem}.{name}")
@@ -72,3 +85,31 @@ def unused_names() -> list[str]:
 
 def test_every_module_level_name_is_used():
     assert unused_names() == []
+
+
+def uncalled_methods() -> list[str]:
+    """Methods of the package's classes that no code reads as an attribute."""
+    read = set()
+    methods = []  # module.Class.method
+    for path, tree in parsed_modules():
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        if path.parent != PACKAGE:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods.extend(
+                (f"{path.stem}.{cls.name}.{stmt.name}", stmt.name)
+                for stmt in cls.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not is_dunder(stmt.name)
+            )
+    return [where for where, name in methods if name not in read]
+
+
+def test_every_method_is_called():
+    assert uncalled_methods() == []

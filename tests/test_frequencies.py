@@ -14,7 +14,6 @@ from freqalloc.frequencies import (
     PoolTag,
     Side,
     encode_global,
-    encode_index,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants
@@ -88,7 +87,7 @@ class TestFrequencyOrder:
         assert sorted(freqs, key=Frequency._key) == canonical
         assert sorted(freqs) == canonical
         for f, key in zip(freqs, keys):
-            assert encode_index(f.pool, f.index) == key // POOL_COUNT
+            assert encode_global(f) == key // POOL_COUNT
             assert key % POOL_COUNT == f.pool.rank
             scale = KEY_BY_RANK[f.pool.rank][0]
             assert Frequency(f.pool, f.index + 1)._key() == key + scale
@@ -239,7 +238,7 @@ class TestPoolPrefix:
         )
         assert pool_prefix(PoolTag.PRIVATE_A, Fraction(9, 10)) == FrequencySet()
         assert pool_prefix(
-            PoolTag.SHARED_A, GoldenNumber(7) - GoldenNumber.sqrt5()
+            PoolTag.SHARED_A, GoldenNumber(7) - GoldenNumber(0, 1)
         ) == FrequencySet([(PoolTag.SHARED_A, 1, 5)])
 
     def test_band_examples(self):

@@ -124,7 +124,7 @@ class TestArithmetic:
 
 class TestComparison:
     def test_examples(self):
-        assert cmp(3, GoldenNumber.sqrt5()) == 1
+        assert cmp(3, GoldenNumber(0, 1)) == 1
         assert cmp(C.phi, C.phi) == 0
         assert cmp(C.alpha, Fraction(1, 2)) == -1
 
@@ -150,8 +150,8 @@ class TestComparison:
 
 class TestFloor:
     def test_examples(self):
-        assert (GoldenNumber(7) - GoldenNumber.sqrt5()).floor() == 4
-        assert (-GoldenNumber.sqrt5()).floor() == -3
+        assert (GoldenNumber(7) - GoldenNumber(0, 1)).floor() == 4
+        assert (-GoldenNumber(0, 1)).floor() == -3
         assert GoldenNumber(3).floor() == 3
 
     def test_floor_linear_matches_class(self):

@@ -190,9 +190,6 @@ class TestUniversalGraph:
         for T in range(1, 41):
             assert UniversalGraph(T).edge_count() == loop_count(T), T
 
-    def test_vertex_count(self):
-        assert UniversalGraph(7).vertex_count() == 7 * 8
-
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             UniversalGraph(10**6).materialize()
@@ -421,9 +418,6 @@ class TestRunUniversal:
         assert doc["phases"][2] == {
             "t": 3, "opt": 3, "used": 6, "bound": 6, "ok": True,
         }
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "t,opt,used,bound"
-        assert lines[3] == "3,3,6,6"
 
 
 class TestLowerBoundInstance:

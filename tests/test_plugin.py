@@ -18,7 +18,8 @@ from freqalloc.frequencies import PoolTag, Side
 from freqalloc.golden import GoldenNumber
 from freqalloc.plugin import PluginFault, PluginSystem
 
-from oracles import check_f2_sets, from_indices, union_sizes_sets
+from oracles import (check_f1_exhaustive, check_f2_sets, from_indices,
+                     union_sizes_sets)
 
 WELL_BEHAVED = """
 import json, sys
@@ -308,8 +309,37 @@ class TestSetupAccounting:
                      "--out", str(tmp_path / "out.json")])
         assert code == 0
         assert starts == [True]
-        # rows (A, 1), (B, 1), (A, 2), ...: the first holds one key
-        assert exchanges == [t for t in range(1, 51) for _ in "AB"]
+        # check_f1 reads levels 1..50 as one block, side A's rows before
+        # side B's, and the F2 sweep finds every row cached
+        assert exchanges == [t for _ in "AB" for t in range(1, 51)]
+
+    def test_block_walk_of_short_sets(self, tmp_path, monkeypatch):
+        # check_f1 reads a plugin in blocks of levels, yet reports what the
+        # set-by-set oracle reports, in its order, and stops at the limit
+        starts = record_child_starts(monkeypatch)
+        with spawn(tmp_path, SHORT_WHEN_ODD) as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            got = check_f1(spec, 12)
+            assert starts == [True]
+            want = check_f1_exhaustive(spec, 12)
+            assert len(want) > 3
+            assert got == want
+            assert check_f1(spec, 12, limit=3) == want[:3]
+
+
+# the odd-even plugin, one value short of k whenever t + k is odd
+SHORT_WHEN_ODD = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    k = req["k"]
+    start = 1 if req["side"] == "A" else 2
+    freqs = [start + 2 * i for i in range(k)]
+    if (req["t"] + k) % 2:
+        freqs.pop()
+    sys.stdout.write(json.dumps({"freqs": freqs}) + "\\n")
+    sys.stdout.flush()
+"""
 
 
 # side A's sets are prefixes, side B's sets start at k: they collide often

@@ -292,24 +292,11 @@ class TestGolden:
         t = _VEC_LIMIT
         for side in SIDES:
             for k_lo, k_hi in ((1, 2001), (t - 1999, t + 1)):
-                want = generator_bands(go, side, t, range(k_lo, k_hi))
-                got = go.row_bands(side, t, k_lo, k_hi)
+                ks = np.arange(k_lo, k_hi, dtype=np.int64)
+                want = generator_bands(go, side, t, ks)
+                got = go.row_bands_fn(side, np.full_like(ks, t), ks)
                 assert canonical_bands(*got) == canonical_bands(*want), (
                     side, k_lo)
-
-    def test_row_bands_rejects_bad_ranges(self):
-        go = golden_system()
-        for k_lo, k_hi in ((0, 3), (2, 1), (1, 7)):
-            with pytest.raises(ValueError):
-                go.row_bands(Side.A, 5, k_lo, k_hi)
-        no_bands = FSystemSpec(
-            name="no-bands",
-            claimed_ratio=GoldenNumber(2),
-            claimed_lambda=0,
-            generator=reference_trivial,
-        )
-        with pytest.raises(ValueError):
-            no_bands.row_bands(Side.A, 5)
 
     def test_row_sizes_memory_bound(self):
         # a row of two million sets is built from floor tables and chunks of
@@ -449,9 +436,23 @@ class TestSpecContracts:
         sys_ = factory()
         for side in SIDES:
             for t in range(1, 301):
-                want = generator_bands(sys_, side, t, range(1, t + 1))
-                got = sys_.row_bands(side, t)
+                ks = np.arange(1, t + 1, dtype=np.int64)
+                want = generator_bands(sys_, side, t, ks)
+                got = sys_.row_bands_fn(side, np.full_like(ks, t), ks)
                 assert canonical_bands(*got) == canonical_bands(*want), (side, t)
+
+    def test_row_bands_past_limit(self, factory):
+        # past the floor tables' limit the bands come from the generator;
+        # one call mixes entries below and above the limit
+        sys_ = factory()
+        entries = [(t, k) for t in (_VEC_LIMIT + 1, 10**12)
+                   for k in (1, 2, t // 2, t - 1, t)]
+        entries.insert(3, (100, 37))
+        ts, ks = np.array(entries, dtype=np.int64).T
+        for side in SIDES:
+            want = generator_bands(sys_, side, ts, ks)
+            got = sys_.row_bands_fn(side, ts, ks)
+            assert canonical_bands(*got) == canonical_bands(*want), side
 
     def test_determinism(self, factory):
         sys_ = factory()
