@@ -50,6 +50,7 @@ import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
+from .harness import doubling_scale
 from .systems import FSystemSpec, level_blocks, level_entries
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
@@ -526,11 +527,6 @@ def lemma_chain_check(
                     )
                 )
     return out
-
-
-def doubling_scale(theta: int, lam: int, i: int) -> int:
-    """The i-th doubling scale t_i = 6*theta*lambda*2^i of the 10/7 argument."""
-    return 6 * theta * lam * 2**i
 
 
 def doubling_scale_text(theta: int, lam: int, i: int) -> str:

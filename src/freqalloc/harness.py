@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
-from .checker import doubling_scale
 from .frequencies import KEY_BY_RANK, SIDES, Side
 from .golden import GoldenNumber
 from .systems import FSystemSpec
@@ -337,6 +336,11 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
                 f"independent optimum after phase {t} is {opt}, expected {t}"
             )
     return report
+
+
+def doubling_scale(theta: int, lam: int, i: int) -> int:
+    """The i-th doubling scale t_i = 6*theta*lambda*2^i of the 10/7 argument."""
+    return 6 * theta * lam * 2**i
 
 
 def lower_bound_instance(

@@ -40,7 +40,10 @@ pool rank, the one index band [lo, hi) that a set holds in that pool, for a
 flat block of (t, k) entries that may span many levels.  A band system
 builds them from per-system floor tables, one per distinct rate x or y (for
 golden, beta and phi*beta), gathered at k and t - k, and from its scalar
-memos once per level of the block.  Callers walk levels 1..t_max in the
+memos once per level of the block.  The tables start at the first
+``row_bands`` call, not when the system is built, and the module imports
+numpy only inside its vector code: the generator, and so the allocator and
+the replay, run without it.  Callers walk levels 1..t_max in the
 blocks of ``level_blocks``: runs of whole levels of at most _ROW_CHUNK
 entries in all, or one level that alone holds more.  ``row_sizes`` of any
 system with row bands is the sum of their widths, at most _ROW_CHUNK
@@ -59,9 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .frequencies import (KEY_BY_RANK, POOL_COUNT, FrequencySet, PoolTag, Side,
                           union_all)
@@ -74,8 +75,11 @@ Generator = Callable[[Side, int, int], FrequencySet]
 Row = Callable[[Side, int], Sequence[FrequencySet]]
 BitRow = Callable[[Side, int], Sequence[int]]
 RowUnion = Callable[[Side, int], FrequencySet]
-RowBands = Callable[[Side, np.ndarray, np.ndarray],
-                    tuple[np.ndarray, np.ndarray]]
+if TYPE_CHECKING:
+    import numpy as np
+
+    RowBands = Callable[[Side, np.ndarray, np.ndarray],
+                        tuple[np.ndarray, np.ndarray]]
 
 # float sqrt plus integer correction is exact, and every floor fits in int32,
 # up to this many times a row-band table rate (see band_system)
@@ -103,6 +107,8 @@ def level_blocks(t_lo: int, t_hi: int) -> Iterator[tuple[int, int]]:
 def level_entries(t_lo: int, t_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat int64 arrays ts, ks of every (t, k) with t_lo <= t <= t_hi and
     1 <= k <= t, in (t, k) order."""
+    import numpy as np
+
     levels = np.arange(t_lo, t_hi + 1, dtype=np.int64)
     ts = np.repeat(levels, levels)
     # k is the entry's position in the block, less its level's first one
@@ -114,6 +120,8 @@ def level_entries(t_lo: int, t_hi: int) -> tuple[np.ndarray, np.ndarray]:
 def _passes(t_lo: int, t_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """level_entries(t_lo, t_hi) in passes of at most _ROW_CHUNK entries:
     each block of level_blocks whole, a longer level in parts."""
+    import numpy as np
+
     for a, b in level_blocks(t_lo, t_hi):
         if a <= _ROW_CHUNK:
             yield level_entries(a, b)
@@ -220,6 +228,8 @@ class FSystemSpec:
                         for bits in self.bit_row_fn(side, tau)]
             return [len(fs) for tau in range(t, t_hi + 1)
                     for fs in self.row(side, tau)]
+        import numpy as np
+
         out = np.empty((t_hi - t + 1) * (t_hi + t) // 2, dtype=np.int64)
         i = 0
         for ts, ks in _passes(t, t_hi):
@@ -235,6 +245,8 @@ class FSystemSpec:
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
     """floor((u + v*sqrt5)/w) elementwise on int64 arrays; exact."""
+    import numpy as np
+
     x = 5 * v * v
     m = np.sqrt(x.astype(np.float64)).astype(np.int64)
     m -= m * m > x
@@ -327,16 +339,20 @@ def band_system(
     # tables[i, n] = floor(rate_i * n) + 1, the end of the half-open band
     # [1, floor(rate_i * n) + 1), for table rate i and every n the tables
     # hold, filled _ROW_CHUNK entries at a time and grown at least twofold,
-    # so a sweep to level t fills O(t) entries in all
-    tables = np.empty((len(table_index), 0), dtype=np.int32)
+    # so a sweep to level t fills O(t) entries in all; none until the first
+    # row_bands call
+    tables: Optional[np.ndarray] = None
 
     def floor_tables(n: int) -> np.ndarray:
         nonlocal tables
-        have = tables.shape[1]
+        import numpy as np
+
+        have = 0 if tables is None else tables.shape[1]
         if have <= n:
             size = min(max(n + 1, 2 * have), _VEC_LIMIT + 1)
             grown = np.empty((len(table_index), size), dtype=np.int32)
-            grown[:, :have] = tables
+            if have:
+                grown[:, :have] = tables
             for lo in range(have, size, _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, size)
                 m = np.arange(lo, hi, dtype=np.int64)
@@ -350,6 +366,8 @@ def band_system(
     ) -> tuple[np.ndarray, np.ndarray]:
         """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays: from
         the floor tables up to level _VEC_LIMIT, and from gen past it."""
+        import numpy as np
+
         n = len(ts)
         lo, hi = np.zeros((2, POOL_COUNT, n), dtype=np.int64)
         if not n:

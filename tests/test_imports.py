@@ -1,0 +1,154 @@
+"""What each import loads.
+
+The allocator and the phase replay run no numpy code, so ``import
+freqalloc`` and the replay path must not load it: the package exports the
+checker's and the plugin runner's names lazily, and the systems module
+imports numpy only inside its vector code.  The checker, and so the CLI,
+load numpy when they are imported.  Each placement is checked in a fresh
+child interpreter, since this process has long loaded everything.
+"""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import freqalloc
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freqalloc"
+
+REPLAY = """
+import json
+import sys
+sys.path.insert(0, {src!r})
+import freqalloc
+from freqalloc import (Allocator, BipartiteInstance, Side, golden_system,
+                       half_system, run_universal, trivial_system)
+
+built = [golden_system(), half_system(), trivial_system()]
+run_universal(built[0], 8)
+a = [f"a{{i}}" for i in range(5)]
+b = [f"b{{i}}" for i in range(5)]
+edges = [(u, w) for i, u in enumerate(a) for j, w in enumerate(b)
+         if (i + j) % 3]
+requests = 0
+for system in built:
+    alloc = Allocator(BipartiteInstance.from_edges(a + b, edges), system,
+                      validate="full")
+    for i in range(50):
+        alloc.request((a + b)[7 * i % 10])
+        requests += 1
+listed = set(freqalloc.__all__) <= set(dir(freqalloc))
+loaded = [m for m in ("numpy", "freqalloc.checker", "freqalloc.plugin",
+                      "freqalloc.cli") if m in sys.modules]
+golden = built[0]
+sizes = [int(n) for n in golden.row_sizes(Side.A, 1, 20)]
+lengths = [len(golden.sets(Side.A, t, k))
+           for t in range(1, 21) for k in range(1, t + 1)]
+print(json.dumps({{"requests": requests, "listed": listed, "loaded": loaded,
+                  "sizes_match": sizes == lengths,
+                  "numpy_after": "numpy" in sys.modules}}))
+"""
+
+CLI = """
+import sys
+sys.path.insert(0, {src!r})
+from freqalloc import cli
+print("numpy" in sys.modules, "freqalloc.checker" in sys.modules)
+"""
+
+
+def run_child(template: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", template.format(src=str(ROOT / "src"))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_replay_path_loads_no_numpy():
+    out = json.loads(run_child(REPLAY))
+    assert out["requests"] == 150
+    assert out["listed"]
+    assert out["loaded"] == []
+    # the vector code still works, and loads numpy when first called
+    assert out["sizes_match"]
+    assert out["numpy_after"]
+
+
+def test_cli_loads_numpy():
+    # the check workloads pay for numpy when importing the CLI, not in its
+    # first call
+    assert run_child(CLI).split() == ["True", "True"]
+
+
+def checker_importers() -> set[str]:
+    """Modules under src/freqalloc that import the checker, anywhere in
+    their code."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            else:
+                continue
+            if {"checker", "freqalloc.checker"} & set(names):
+                out.add(path.stem)
+    return out
+
+
+def test_only_cli_imports_checker():
+    assert checker_importers() <= {"cli", "__init__"}
+
+
+def test_only_checker_imports_numpy_at_module_level():
+    top = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) and any(
+                alias.name == "numpy" for alias in stmt.names
+            ):
+                top.add(path.stem)
+    assert top == {"checker"}
+
+
+class TestLazyExports:
+    def test_same_objects_as_defining_modules(self):
+        for name in freqalloc.__all__:
+            value = getattr(freqalloc, name)
+            home = sys.modules[value.__module__]
+            assert getattr(home, name) is value, name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from freqalloc import *", namespace)
+        assert set(freqalloc.__all__) <= namespace.keys()
+
+    def test_unknown_attribute(self):
+        with pytest.raises(
+            AttributeError,
+            match=r"^module 'freqalloc' has no attribute 'no_such_name'$",
+        ):
+            freqalloc.no_such_name
+
+    def test_dir_lists_every_export(self):
+        assert set(freqalloc.__all__) <= set(dir(freqalloc))
+
+    def test_named_imports(self):
+        from freqalloc import PluginSystem, check_f2
+        from freqalloc.checker import check_f2 as checked
+        from freqalloc.plugin import PluginSystem as runner
+
+        assert check_f2 is checked
+        assert PluginSystem is runner
