@@ -22,9 +22,19 @@ Every other system (every plugin) is swept on bit rows
 key, numbered in first-seen order.  ``check_f2`` keeps each column union
 and each prefix union as one int, so a level costs one OR per set and one
 AND per (row, prefix), and a hit is exact.  ``union_sizes`` ORs the rows of
-a system without level unions and counts bits, and ``check_f1`` reads a
-plugin's sizes as popcounts.  Both F2 sweeps report the same violations in
-the same order, each with its witness from ``_witness_pair`` on the sets.
+every system but a nested one with row bands and counts bits, and
+``check_f1`` reads a plugin's sizes as popcounts.  Both F2 sweeps report
+the same violations in the same order, each with its witness from
+``_witness_pair`` on the sets.
+
+A nested system (``FSystemSpec.nested``) needs no sweep for its unions:
+the union of all side-c sets up to level t is F(c, t, t).  So U_t is
+F(A, t, t) | F(B, t, t) and the shared set S_t is F(A, t, t) & F(B, t, t),
+read at the wanted levels only.  With row bands, every set the lemma chain
+and ``union_sizes`` read, and every intersection of two of them, is one
+band per pool, so their sizes come from the band arrays by inclusion and
+exclusion, at most _ROW_CHUNK entries per call; a FrequencySet is built only
+for a reported witness.  Every other system folds its rows.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
@@ -51,7 +61,7 @@ import numpy as np
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
 from .harness import doubling_scale
-from .systems import FSystemSpec, level_blocks, level_entries
+from .systems import _ROW_CHUNK, FSystemSpec, level_blocks, level_entries
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 # the horizons used when none is given (default_horizon): disjointness in
@@ -124,11 +134,18 @@ def check_f1(
 
     Every system is read in blocks of levels, side A's sizes of a block
     before side B's; violations come by t, then side A before B, then k.
+    With a limit, a system without row bands is read one level at a time,
+    so that it is asked for no level past the one of the last violation.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     out = []
-    for t_lo, t_hi in level_blocks(1, t_max):
+    if limit and sys.row_bands_fn is None:
+        blocks: Iterable[tuple[int, int]] = (
+            (t, t) for t in range(1, t_max + 1))
+    else:
+        blocks = level_blocks(1, t_max)
+    for t_lo, t_hi in blocks:
         ts, ks = level_entries(t_lo, t_hi)
         hits = []
         for s, side in enumerate(SIDES):
@@ -299,15 +316,33 @@ def _check_f2_bands(
     return out
 
 
+def _width(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per entry, the total size of the per-pool bands [lo, hi) of shape
+    (POOL_COUNT, n), an empty band (lo >= hi) counting 0."""
+    return np.maximum(hi - lo, 0).sum(axis=0)
+
+
+def _meet(
+    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pool intersection of two bands given as (lo, hi) arrays."""
+    return np.maximum(x[0], y[0]), np.minimum(x[1], y[1])
+
+
 def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (t, |U_t|) where U_t unions every set of level at most t: from
-    the level unions of a system with ``row_union_fn``, else from the OR of
-    its bit rows, counted by popcount."""
-    if sys.row_union_fn is not None:
-        acc = FrequencySet.empty()
-        for t in range(1, t_max + 1):
-            acc = acc | sys.row_union(Side.A, t) | sys.row_union(Side.B, t)
-            yield t, len(acc)
+    """Yield (t, |U_t|) where U_t unions every set of level at most t.
+
+    A nested system with row bands has U_t = F(A, t, t) | F(B, t, t), whose
+    size is, per pool, the two top bands' widths less their overlap, read
+    for at most _ROW_CHUNK levels per call.  Any other system ORs its bit
+    rows and counts bits."""
+    if sys.nested and sys.row_bands_fn is not None:
+        for a in range(1, t_max + 1, _ROW_CHUNK):
+            ts = np.arange(a, min(a + _ROW_CHUNK, t_max + 1), dtype=np.int64)
+            top_a, top_b = (sys.row_bands_fn(side, ts, ts) for side in SIDES)
+            size = (_width(*top_a) + _width(*top_b)
+                    - _width(*_meet(top_a, top_b)))
+            yield from zip(ts.tolist(), size.tolist())
         return
     bit_of: dict[int, int] = {}
     bits = 0
@@ -396,9 +431,12 @@ class SharedStats:
 def _shared_sets(
     sys: FSystemSpec, levels: Iterable[int]
 ) -> dict[int, FrequencySet]:
-    """The shared set S_tau at each requested level, from one sweep that
-    accumulates both sides' unions up to the highest level."""
+    """The shared set S_tau at each requested level: the meet of the two
+    top sets of a nested system, else from one sweep that accumulates both
+    sides' unions up to the highest level."""
     wanted = set(levels)
+    if sys.nested:
+        return {tau: _overlap(sys, tau, tau) for tau in sorted(wanted)}
     out = {}
     fa = fb = FrequencySet.empty()
     for tau in range(1, max(wanted) + 1):
@@ -440,6 +478,67 @@ def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
+def _lemma_sizes_sets(
+    sys: FSystemSpec, evens: range, shared: dict[int, FrequencySet]
+) -> Iterator[tuple[int, ...]]:
+    """Per even t: t, then the sizes of Z_2t,t, S_t, S_2t,t, S_t u Z_3t/2,t,
+    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, from the sets, with S_tau
+    from ``shared``."""
+    for t in evens:
+        stats = _stats_at(sys, t, shared)
+        s_2t = shared[2 * t]
+        z_top = _overlap(sys, 3 * t, 2 * t)
+        yield (t, len(_overlap(sys, 2 * t, t)), len(stats.s_t),
+               len(stats.s_2t_t), len(stats.s_t | stats.z_3t2_t), len(z_top),
+               len(s_2t - z_top), len(s_2t | z_top))
+
+
+# the (t, k) entries the lemma chain reads at an even level t, as multiples
+# of t/2: (t, t), (2t, 2t), (2t, t), (3t/2, t) and (3t, 2t)
+_LEMMA_ENTRIES = ((2, 2), (4, 4), (4, 2), (3, 2), (6, 4))
+
+
+def _lemma_sizes_bands(
+    sys: FSystemSpec, evens: range
+) -> Iterator[tuple[int, ...]]:
+    """_lemma_sizes_sets of a nested system with row bands, on the band
+    arrays.  S_tau is the meet of the top bands, and every set below, and
+    the meet of any of them, is one band per pool, so each size is a sum of
+    band widths by inclusion and exclusion.  Each call to ``row_bands_fn``
+    holds at most _ROW_CHUNK entries."""
+    step = _ROW_CHUNK // len(_LEMMA_ENTRIES)
+    for i in range(0, len(evens), step):
+        half = np.asarray(evens[i : i + step], dtype=np.int64) // 2
+        n = len(half)
+        ts = np.concatenate([a * half for a, _ in _LEMMA_ENTRIES])
+        ks = np.concatenate([b * half for _, b in _LEMMA_ENTRIES])
+        a_lo, a_hi = sys.row_bands_fn(Side.A, ts, ks)
+        b_lo, b_hi = sys.row_bands_fn(Side.B, ts, ks)
+        meet_lo, meet_hi = _meet((a_lo, a_hi), (b_lo, b_hi))
+        # the two sides' meet at each of the five entries: S_t, S_2t, the
+        # clash Z_2t,t, Z_3t/2,t and Z_3t,2t
+        part = [slice(j * n, (j + 1) * n) for j in range(len(_LEMMA_ENTRIES))]
+        s_t, s_2t, clash, z, z_top = (
+            (meet_lo[:, p], meet_hi[:, p]) for p in part)
+        used_a = (a_lo[:, part[2]], a_hi[:, part[2]])
+        used_b = (b_lo[:, part[2]], b_hi[:, part[2]])
+        n_2t, n_top = _width(*s_2t), _width(*z_top)
+        n_top_2t = _width(*_meet(s_2t, z_top))
+        n_s, n_z = _width(*s_t), _width(*z)
+        sizes = (
+            _width(*clash),
+            n_s,
+            # S_2t & (F(A, 2t, t) | F(B, 2t, t)); the two sets meet in clash
+            _width(*_meet(s_2t, used_a)) + _width(*_meet(s_2t, used_b))
+            - _width(*_meet(s_2t, clash)),
+            n_s + n_z - _width(*_meet(s_t, z)),
+            n_top,
+            n_2t - n_top_2t,
+            n_2t + n_top - n_top_2t,
+        )
+        yield from zip((2 * half).tolist(), *(x.tolist() for x in sizes))
+
+
 def lemma_chain_check(
     sys: FSystemSpec, r: GoldenNumber, lam: int, t_max: int
 ) -> list[Violation]:
@@ -449,34 +548,31 @@ def lemma_chain_check(
     r-competitiveness on levels up to 3t, so for a system that genuinely has
     those properties the result is empty; a violation therefore indicates
     that the assumed properties fail somewhere on that horizon.  Generator
-    queries reach level 3*t_max.
+    queries reach level 3*t_max.  A nested system with row bands is read on
+    its band arrays, any other on its sets.
     """
     out: list[Violation] = []
     if t_max < 2:
         return out
     floor_rn = _floor_memo(*_triple(r))
     evens = range(2, t_max + 1, 2)
-    shared = _shared_sets(sys, [*evens, *(2 * t for t in evens)])
-    for t in evens:
-        stats = _stats_at(sys, t, shared)
-        s_t, s_2t_t = len(stats.s_t), len(stats.s_2t_t)
-        s_2t = shared[2 * t]
-        clash = _overlap(sys, 2 * t, t)
-        if clash:
+    if sys.nested and sys.row_bands_fn is not None:
+        sizes = _lemma_sizes_bands(sys, evens)
+    else:
+        shared = _shared_sets(sys, [*evens, *(2 * t for t in evens)])
+        sizes = _lemma_sizes_sets(sys, evens, shared)
+    for t, n_clash, s_t, s_2t_t, s_u_z, z_top, packed, grown in sizes:
+        if n_clash:
             out.append(
                 Violation(
                     kind=ViolationKind.F2,
                     params={"side": Side.A, "t": 2 * t, "k": t,
                             "t_other": 2 * t, "k_other": t},
-                    lhs=f"|overlap| = {len(clash)}",
+                    lhs=f"|overlap| = {n_clash}",
                     rhs="0",
-                    witness=clash,
+                    witness=_overlap(sys, 2 * t, t),
                 )
             )
-        z_top = _overlap(sys, 3 * t, 2 * t)
-        s_u_z = len(stats.s_t | stats.z_3t2_t)
-        packed = len(s_2t - z_top)
-        grown = len(s_2t | z_top)
         # each inequality is lhs >= base - R*n, as (kind, lhs, (base, n),
         # left text, right text)
         checks = (
@@ -503,9 +599,9 @@ def lemma_chain_check(
             ),
             (
                 ViolationKind.CARRY_LOWER,
-                len(z_top),
+                z_top,
                 (s_u_z + 4 * t - lam, 3 * t),
-                f"|Z_3t,2t| = {len(z_top)}",
+                f"|Z_3t,2t| = {z_top}",
                 "|S_t u Z| - (3R-4)t - lambda",
             ),
             (

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -270,7 +271,10 @@ def cmd_plot_sets(args: argparse.Namespace) -> int:
         return EXIT_CLEAN
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing reads it and never
+    changes it, and each call of ``main`` parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="freqalloc",
         description=(
@@ -367,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

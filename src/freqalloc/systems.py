@@ -35,6 +35,13 @@ integer, and rates equal as numbers share one per-system memo, so a sweep to
 level t computes O(t) square-root floors rather than several per set.  The
 generator and the row bands both read the rates from one per-side table.
 
+Nonnegative rates make every band system nested: at k = t each band
+starts at its pool's first index, and no band's upper end falls as t or k
+grows.  So each side-c set of level at most t lies in F(c, t, t), which is
+itself one of the sets, and the union of all side-c sets up to level t is
+F(c, t, t).  ``band_system`` states this as ``FSystemSpec.nested``, and
+the checker reads union sizes and shared sets from the top sets alone.
+
 A system may also give its sets as band arrays (``row_bands_fn``): per
 pool rank, the one index band [lo, hi) that a set holds in that pool, for a
 flat block of (t, k) entries that may span many levels.  A band system
@@ -74,7 +81,6 @@ from .golden import floor_linear  # noqa: F401
 Generator = Callable[[Side, int, int], FrequencySet]
 Row = Callable[[Side, int], Sequence[FrequencySet]]
 BitRow = Callable[[Side, int], Sequence[int]]
-RowUnion = Callable[[Side, int], FrequencySet]
 if TYPE_CHECKING:
     import numpy as np
 
@@ -141,10 +147,15 @@ class FSystemSpec:
     cheaper than t single sets (a plugin pipelines its queries); it must
     agree with the generator exactly.  ``bit_row_fn(side, t)`` optionally
     returns the same row as bit rows (``bit_row``), numbered by the system
-    itself: a plugin keeps them next to its cached sets.  ``row_union_fn``
-    optionally provides the union of a whole level, union over k <= t of
-    F(side, t, k); when absent it is computed by folding the row, which any
-    system supports.
+    itself: a plugin keeps them next to its cached sets.
+
+    ``nested`` states that every set of side c at level at most t is a
+    subset of F(c, t, t), for every c and t.  Then F(c, t, t) is the union
+    of all side-c sets up to level t: the checker reads shared sets from the
+    two top sets, and, where the system also has row bands, union sizes and
+    the lemma chain from their band arrays.  It is a promise the checks do
+    not test: ``band_system`` makes it, a plugin never does, and a system
+    that is not nested must leave it False.
 
     ``row_bands_fn(side, ts, ks)`` is for systems whose sets hold at most
     one band per pool.  It takes flat int64 arrays of levels ts and
@@ -163,7 +174,7 @@ class FSystemSpec:
     claimed_lambda: int
     generator: Generator
     row_fn: Optional[Row] = None
-    row_union_fn: Optional[RowUnion] = None
+    nested: bool = False
     row_bands_fn: Optional[RowBands] = None
     bit_row_fn: Optional[BitRow] = None
 
@@ -206,8 +217,6 @@ class FSystemSpec:
 
     def row_union(self, side: Side, t: int) -> FrequencySet:
         """Union over 1 <= k <= t of the level-t sets for one side."""
-        if self.row_union_fn is not None:
-            return self.row_union_fn(side, t)
         return union_all(self.row(side, t))
 
     def row_sizes(
@@ -276,8 +285,10 @@ def band_system(
 
     It claims ratio 2*(alpha + kappa) + 2*beta + rho, the growth of its
     row unions for phi >= 1, with additive constant 2*pad.  Every rate must
-    be nonnegative: then each band's lower end falls and its upper end rises
-    with k, so the level sets are nested and F(c, t, t) is the row union.
+    be nonnegative: then F(c, t, t) starts each band at its pool's first
+    index, and no band's upper end falls as t or k grows, so every side-c
+    set of level at most t lies in F(c, t, t) and the system is
+    ``nested``.
     """
     alpha, beta, rho, phi = map(GoldenNumber.coerce, (alpha, beta, rho, phi))
     if min(alpha, beta, rho, phi, GoldenNumber(kappa)) < 0:
@@ -411,7 +422,7 @@ def band_system(
         claimed_ratio=2 * (alpha + kappa) + 2 * beta + rho,
         claimed_lambda=2 * pad,
         generator=gen,
-        row_union_fn=lambda side, t: gen(side, t, t),
+        nested=True,
         row_bands_fn=row_bands,
     )
 

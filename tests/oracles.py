@@ -213,12 +213,27 @@ def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
     return out
 
 
-def union_sizes_sets(sys, t_max: int) -> list[tuple[int, int]]:
-    """(t, |U_t|) for t <= t_max, folding the level unions of both sides
-    with ``|``."""
+def row_union_folds(sys, t_max: int) -> list[tuple[FrequencySet, ...]]:
+    """(F_A(t), F_B(t)) for t = 1..t_max, where F_c(t) unions every side-c
+    set of level at most t: each row folded with ``union_all`` and the rows
+    with ``|``, whether or not the system is nested."""
     out = []
-    acc = FrequencySet.empty()
+    fa = fb = FrequencySet.empty()
     for t in range(1, t_max + 1):
-        acc = acc | union_all(sys.row(Side.A, t)) | union_all(sys.row(Side.B, t))
-        out.append((t, len(acc)))
+        fa = fa | union_all(sys.row(Side.A, t))
+        fb = fb | union_all(sys.row(Side.B, t))
+        out.append((fa, fb))
     return out
+
+
+def union_sizes_sets(sys, t_max: int) -> list[tuple[int, int]]:
+    """(t, |U_t|) for t <= t_max, from the folded unions of both sides."""
+    return [(t, len(fa | fb))
+            for t, (fa, fb) in enumerate(row_union_folds(sys, t_max), 1)]
+
+
+def shared_sets_folds(sys, t_max: int) -> dict[int, FrequencySet]:
+    """The shared set S_t = F_A(t) & F_B(t) at every level t <= t_max, from
+    the folded unions."""
+    return {t: fa & fb
+            for t, (fa, fb) in enumerate(row_union_folds(sys, t_max), 1)}

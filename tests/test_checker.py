@@ -46,7 +46,9 @@ from oracles import (
     mixed_pool_system,
     pool_band,
     pool_prefix,
+    row_union_folds,
     set_to_pyset,
+    shared_sets_folds,
     union_at,
     union_sizes_sets,
 )
@@ -461,10 +463,9 @@ class TestF2Bands:
 
 
 def without_bands(factory) -> FSystemSpec:
-    """A built-in with its row bands and level unions stripped, so that
+    """A built-in with its row bands and its nestedness stripped, so that
     every check reads its sets."""
-    return dataclasses.replace(factory(), row_bands_fn=None,
-                               row_union_fn=None)
+    return dataclasses.replace(factory(), row_bands_fn=None, nested=False)
 
 
 BIT_SWEEP_CASES = [
@@ -507,7 +508,7 @@ class TestF2Bits:
     @pytest.mark.parametrize("factory", BIT_SWEEP_CASES, ids=BIT_SWEEP_IDS)
     def test_union_sizes_by_popcount(self, factory):
         sys_ = factory()
-        assert sys_.row_union_fn is None
+        assert not sys_.nested
         assert list(union_sizes(sys_, 30)) == union_sizes_sets(sys_, 30)
 
     def test_equal_keys_share_a_bit(self):
@@ -833,12 +834,15 @@ def reference_doubling_bound(prev, r, lam, t):
     return GoldenNumber(2 * prev) + (GoldenNumber(10) - r * 7) * t - 3 * lam
 
 
-def reference_lemma_chain_check(sys_, r, lam, t_max):
+def reference_lemma_chain_check(sys_, r, lam, t_max, shared=None):
+    """lemma_chain_check on sets and GoldenNumbers; S_tau from ``shared``
+    when given, else from ``checker._shared_sets``."""
     out = []
     if t_max < 2:
         return out
     evens = range(2, t_max + 1, 2)
-    shared = checker._shared_sets(sys_, [*evens, *(2 * t for t in evens)])
+    if shared is None:
+        shared = checker._shared_sets(sys_, [*evens, *(2 * t for t in evens)])
     for t in evens:
         stats = checker._stats_at(sys_, t, shared)
         s_t, s_2t_t = stats.s_t, stats.s_2t_t
@@ -948,47 +952,68 @@ def reference_gamma_trace(sys_, r, lam, theta, steps):
 
 @functools.cache
 def differential_system(name: str) -> FSystemSpec:
-    """The built-ins, and the wide-shared mutant with its sets and row
-    unions cached so that both forms of each check can afford to rerun it."""
+    """The built-ins, and the wide-shared mutant with its sets cached so
+    that both forms of each check can afford to rerun it.  The mutant is
+    nested (its symmetric band (t-k, t] lies in (0, t]) and holds one band
+    per pool, and says both.  A name ending in "-sets" is that system
+    stripped as by ``without_bands``, with its sets and bit rows cached as
+    a plugin caches them, so that every check reads it on the fold and bit
+    paths that a plugin takes."""
+    if name.endswith("-sets"):
+        base = without_bands(
+            functools.partial(differential_system, name.removesuffix("-sets")))
+        cached = dataclasses.replace(base,
+                                     generator=functools.cache(base.generator))
+        bit_of = {}
+        return dataclasses.replace(cached, bit_row_fn=functools.cache(
+            lambda side, t: cached.bit_row(side, t, bit_of)))
     if name != "mutant":
         return {"golden": golden_system, "half": half_system,
                 "trivial": trivial_system}[name]()
     base = mutant_half_wide_shared()
-    gen = functools.cache(base.generator)
-    return dataclasses.replace(
-        base,
-        generator=gen,
-        row_union_fn=functools.cache(
-            lambda side, t: union_all(gen(side, t, k) for k in range(1, t + 1))
-        ),
-    )
+    cached = dataclasses.replace(base,
+                                 generator=functools.cache(base.generator))
+    return dataclasses.replace(with_row_bands(cached), nested=True)
 
 
 DIFF_RATIOS = ["R0", "3/2", "2", "1.42", "10/7-1/100", "1+1/3*sqrt5",
                "18/11-1/11*sqrt5"]
 DIFF_LAMBDAS = [-3, 0, 1, 8]
+DIFF_BANDED = ["golden", "half", "trivial", "mutant"]
+DIFF_STRIPPED = ["golden-sets", "mutant-sets"]
+DIFF_SYSTEMS = [*DIFF_BANDED, *DIFF_STRIPPED]
+
+
+def diff_horizon(name: str) -> int:
+    """The competitiveness horizon of a differential case: a "-sets" form
+    converts each of its sets to a bit row once, so it stops sooner."""
+    return 150 if name.endswith("-sets") else 300
 
 
 class TestIntegerDecisions:
     """The integer-native decisions against their GoldenNumber forms."""
 
     @pytest.mark.parametrize("r_text", DIFF_RATIOS)
-    @pytest.mark.parametrize("name", ["golden", "half", "trivial", "mutant"])
+    @pytest.mark.parametrize("name", DIFF_SYSTEMS)
     def test_match_golden_number_forms(self, name, r_text):
         sys_, r = differential_system(name), parse_exact(r_text)
-        got, want = min_lambda(sys_, r, 300), reference_min_lambda(sys_, r, 300)
+        top = diff_horizon(name)
+        got, want = min_lambda(sys_, r, top), reference_min_lambda(sys_, r, top)
         assert got == want and str(got) == str(want)
-        wants = {lam: reference_check_competitiveness(sys_, r, lam, 300)
+        wants = {lam: reference_check_competitiveness(sys_, r, lam, top)
                  for lam in DIFF_LAMBDAS}
-        assert check_competitiveness(sys_, r, 8, 300) == wants[8]
-        # run_checks hands both passes one sweep
-        sizes = list(union_sizes(sys_, 300))
-        assert min_lambda(sys_, r, 300, sizes=sizes) == want
+        assert check_competitiveness(sys_, r, 8, top) == wants[8]
+        # run_checks hands both passes one sweep; a "-sets" form reads the
+        # sizes of its system
+        sizes = list(union_sizes(sys_, top))
+        assert sizes == list(union_sizes(
+            differential_system(name.removesuffix("-sets")), top))
+        assert min_lambda(sys_, r, top, sizes=sizes) == want
         for lam in DIFF_LAMBDAS:
-            assert check_competitiveness(sys_, r, lam, 300,
+            assert check_competitiveness(sys_, r, lam, top,
                                          sizes=sizes) == wants[lam]
             # the reference stops at the limit-th violation
-            assert check_competitiveness(sys_, r, lam, 300, limit=3,
+            assert check_competitiveness(sys_, r, lam, top, limit=3,
                                          sizes=sizes) == wants[lam][:3]
             assert lemma_chain_check(sys_, r, lam, 60) == (
                 reference_lemma_chain_check(sys_, r, lam, 60)
@@ -1005,22 +1030,26 @@ class TestIntegerDecisions:
     def test_every_kind_is_compared(self):
         # the cases above report every kind of ratio inequality but the
         # gamma ones, which need a ratio below 10/7 (a step) or below 1 (a
-        # cap); those are compared here
-        seen = set()
-        for name in ("golden", "half", "trivial", "mutant"):
+        # cap); those are compared here.  Each kind is reported both on the
+        # band and top-set paths and on the fold and bit paths
+        seen = {False: set(), True: set()}
+        for name in DIFF_SYSTEMS:
             sys_ = differential_system(name)
+            stripped = name in DIFF_STRIPPED
             for r_text in DIFF_RATIOS:
                 r = parse_exact(r_text)
                 for lam in (1, 8):
-                    seen |= {v.kind for v in lemma_chain_check(sys_, r, lam, 60)}
-                    seen |= {v.kind for v in check_competitiveness(
-                        sys_, r, lam, 300, limit=1)}
+                    seen[stripped] |= {
+                        v.kind for v in lemma_chain_check(sys_, r, lam, 60)}
+                    seen[stripped] |= {v.kind for v in check_competitiveness(
+                        sys_, r, lam, diff_horizon(name), limit=1)}
             for r_text in ("1.4", "1/2", "1/2+1/10*sqrt5"):
                 r = parse_exact(r_text)
                 got = gamma_trace(sys_, r, 1, theta=3, steps=3)
                 assert got == reference_gamma_trace(sys_, r, 1, 3, 3)
-                seen |= {v.kind for v in got.violations}
-        assert seen >= set(ViolationKind) - {ViolationKind.F1}
+                seen[stripped] |= {v.kind for v in got.violations}
+        for kinds in seen.values():
+            assert kinds >= set(ViolationKind) - {ViolationKind.F1}
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("r_text", ["3/2", "2", "4/3", "R0"])
@@ -1041,9 +1070,9 @@ class TestIntegerDecisions:
                 return FrequencySet.empty()
             return pool_prefix(PRIVATE[side], sizes[t])
 
-        sys_ = FSystemSpec(name="staircase", claimed_ratio=r,
-                           claimed_lambda=lam, generator=gen,
-                           row_union_fn=lambda side, t: gen(side, t, t))
+        sys_ = with_row_bands(FSystemSpec(name="staircase", claimed_ratio=r,
+                                          claimed_lambda=lam, generator=gen,
+                                          nested=True))
         got = check_competitiveness(sys_, r, lam, 150)
         assert got == reference_check_competitiveness(sys_, r, lam, 150)
         assert [v.params["t"] for v in got] == [
@@ -1104,14 +1133,133 @@ class TestIntegerDecisions:
             rows.append((side, t))
             return row_union(self, side, t)
 
+        sys_, passes = counting_bands(golden_system())
         monkeypatch.setattr(GoldenNumber, "sign", counting_sign)
         monkeypatch.setattr(FSystemSpec, "row_union", counting_row_union)
-        report = run_checks(golden_system(), comp_t_max=400, lemma_t_max=200)
+        report = run_checks(sys_, comp_t_max=400, lemma_t_max=200)
         assert report.clean()
         # a per-level GoldenNumber comparison would make hundreds
         assert len(signs) <= 10
-        rows.clear()
-        run_checks(golden_system(), comp_t_max=400)
-        # one union sweep, two sides per level, for both the violations
-        # and min_lambda
-        assert len(rows) == 2 * 400
+        assert rows == []
+        passes.clear()
+        run_checks(sys_, comp_t_max=400)
+        # one union sweep for both the violations and min_lambda: no level
+        # union, and one band-array pass of levels 1..400 per side
+        assert rows == []
+        assert passes == [(Side.A, 400), (Side.B, 400)]
+
+
+def counting_bands(sys_: FSystemSpec) -> tuple[FSystemSpec, list]:
+    """sys_ with its row bands wrapped to record (side, entries) of each
+    call, and that record."""
+    passes = []
+
+    def row_bands(side, ts, ks):
+        passes.append((side, len(ts)))
+        return sys_.row_bands_fn(side, ts, ks)
+
+    return dataclasses.replace(sys_, row_bands_fn=row_bands), passes
+
+
+def rational_band_system(seed: int) -> FSystemSpec:
+    """A band system with rational rates of denominator at most 4: alpha,
+    beta and rho in [0, 1], phi in [1/2, 3], kappa 0 or 1 and pad 0..4.
+    A draw whose rates band_system refuses as too large for its exact
+    floor tables is drawn again."""
+    rng = random.Random(seed)
+
+    def rate(lo_halves, hi):
+        # p/q in [lo_halves/2, hi]
+        q = rng.randint(1, 4)
+        return Fraction(rng.randint((lo_halves * q + 1) // 2, hi * q), q)
+
+    while True:
+        params = dict(alpha=rate(0, 1), kappa=rng.randint(0, 1),
+                      pad=rng.randint(0, 4), beta=rate(0, 1), rho=rate(0, 1),
+                      phi=rate(1, 3))
+        try:
+            return band_system(f"random-{seed}", **params)
+        except ValueError:
+            continue
+
+
+NESTED_CASES = [golden_system, half_system, trivial_system,
+                *(functools.partial(rational_band_system, seed)
+                  for seed in range(4)),
+                functools.partial(differential_system, "mutant")]
+NESTED_IDS = ["golden", "half", "trivial",
+              *(f"random-{seed}" for seed in range(4)), "mutant"]
+
+
+class TestNestedPaths:
+    """The band-array and top-set paths of nested systems against the
+    folded unions (oracles), which do not use nestedness."""
+
+    @pytest.mark.parametrize("factory", NESTED_CASES, ids=NESTED_IDS)
+    def test_match_folds(self, factory):
+        # every level up to 300: the union sizes and shared sets at each,
+        # and the lemma chain to t = 150, whose S_2t reach level 300
+        top = 300
+        sys_ = factory()
+        assert sys_.nested and sys_.row_bands_fn is not None
+        folds = list(enumerate(row_union_folds(sys_, top), 1))
+        assert list(union_sizes(sys_, top)) == [
+            (t, len(fa | fb)) for t, (fa, fb) in folds]
+        shared = {t: fa & fb for t, (fa, fb) in folds}
+        assert checker._shared_sets(sys_, shared) == shared
+        evens = range(2, top // 2 + 1, 2)
+        assert list(checker._lemma_sizes_bands(sys_, evens)) == list(
+            checker._lemma_sizes_sets(sys_, evens, shared))
+        seen = set()
+        for r in (sys_.claimed_ratio, parse_exact("1.42"), GoldenNumber(2)):
+            for lam in {0, sys_.claimed_lambda}:
+                got = lemma_chain_check(sys_, r, lam, top // 2)
+                assert got == reference_lemma_chain_check(
+                    sys_, r, lam, top // 2, shared)
+                seen |= {v.kind for v in got}
+        # each case breaks some inequality of the chain at some (r, lambda)
+        assert seen
+
+    def test_clash_witness_from_sets(self):
+        # both sides draw symmetric 1..k: nested, and the (2t, t) sets meet
+        # in 1..t, the one witness the band path builds as a set
+        def gen(side, t, k):
+            return FrequencySet([(PoolTag.SYMMETRIC, 1, k + 1)])
+
+        prefix = FSystemSpec(name="prefix", claimed_ratio=GoldenNumber(2),
+                             claimed_lambda=0, generator=gen, nested=True)
+        sys_ = with_row_bands(prefix)
+        got = lemma_chain_check(sys_, GoldenNumber(2), 0, 20)
+        clashes = [v for v in got if v.kind is ViolationKind.F2]
+        assert [v.params["t"] for v in clashes] == list(range(4, 41, 4))
+        for v in clashes:
+            t = v.params["t"]
+            assert v.witness == FrequencySet(
+                [(PoolTag.SYMMETRIC, 1, t // 2 + 1)])
+        assert got == reference_lemma_chain_check(
+            sys_, GoldenNumber(2), 0, 20, shared_sets_folds(sys_, 40))
+
+    def test_banded_system_that_is_not_nested_folds(self):
+        # spread's top sets F(A, t, t) = {2t} and F(B, t, t) = {3t} never
+        # meet, yet its unions share every multiple of 6: the top-set
+        # reading would be wrong, and the fold and bit paths serve it
+        sys_, passes = counting_bands(with_row_bands(spread_system()))
+        assert not sys_.nested
+        shared = shared_sets_folds(sys_, 40)
+        assert shared[6] and not checker._overlap(sys_, 6, 6)
+        assert list(union_sizes(sys_, 20)) == union_sizes_sets(sys_, 20)
+        assert checker._shared_sets(sys_, shared) == shared
+        for lam in (0, 4):
+            got = lemma_chain_check(sys_, GoldenNumber(2), lam, 20)
+            assert got == reference_lemma_chain_check(
+                sys_, GoldenNumber(2), lam, 20, shared)
+        assert passes == []
+
+    def test_band_passes_are_bounded(self):
+        # every band-array call of the union and lemma sweeps holds at most
+        # _ROW_CHUNK entries, however far the horizons reach
+        sys_, passes = counting_bands(golden_system())
+        report = run_checks(sys_, comp_t_max=50_000, lemma_t_max=20_000)
+        assert report.clean()
+        assert len(passes) > 2 * 50_000 // systems._ROW_CHUNK
+        assert max(n for _, n in passes) <= systems._ROW_CHUNK

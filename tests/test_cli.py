@@ -6,6 +6,7 @@ import textwrap
 
 import pytest
 
+from freqalloc import cli
 from freqalloc.cli import main
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.systems import golden_system
@@ -325,6 +326,23 @@ class TestDeterminism:
             )
             blobs.append(g.read_bytes() + r.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main parses each call with the one parser of the process; no
+        # call's options, nor a call that fails to parse, reach the next
+        assert cli.build_parser() is cli.build_parser()
+        horizons = []
+        lemmas = ["--checks", "f1,lemmas", "--lemma-t-max", "10"]
+        for extra in ([], lemmas, []):
+            out = tmp_path / "out.json"
+            assert main(["verify", "--system", "half", "--t-max", "20",
+                         *extra, "--out", str(out)]) == 0
+            horizons.append(json.loads(out.read_text())["horizons"])
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--system", "half", "--lemma-t-max", "0"])
+            assert exc.value.code == 2
+        assert horizons[0] == horizons[2] != horizons[1]
 
 
 class TestBadNumbers:

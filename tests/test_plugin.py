@@ -326,6 +326,26 @@ class TestSetupAccounting:
             assert got == want
             assert check_f1(spec, 12, limit=3) == want[:3]
 
+    def test_limit_reads_no_level_past_the_last_violation(self, tmp_path,
+                                                          monkeypatch):
+        # with a limit, a plugin is read one level at a time: the third
+        # short set is (3, A, 2), so levels 1..3 of both sides are asked
+        # for, 1 + 1 + 2 + 2 + 3 + 3 sets, and no more
+        requests = []
+        exchange = PluginSystem._exchange
+
+        def counting(system, window):
+            requests.extend(key for key, _ in window)
+            return exchange(system, window)
+
+        monkeypatch.setattr(PluginSystem, "_exchange", counting)
+        with spawn(tmp_path, SHORT_WHEN_ODD) as plug:
+            got = check_f1(plug.spec(GoldenNumber(2), 0), 50, limit=3)
+            assert len(requests) == 12
+            assert max(t for _, t, _ in requests) == 3
+            assert got == check_f1_exhaustive(plug.spec(GoldenNumber(2), 0),
+                                              50)[:3]
+
 
 # the odd-even plugin, one value short of k whenever t + k is odd
 SHORT_WHEN_ODD = """

@@ -475,12 +475,26 @@ class TestSpecContracts:
                 assert sys_.row_union(side, t) == generic, (side, t)
 
     def test_level_sets_nested_in_top(self, factory):
+        # F(c, t', k) <= F(c, t, t) for k <= t' <= t, the contract of
+        # ``nested``: each set lies in its level's top set, and each top set
+        # in the next level's, so by transitivity in every later top set
         sys_ = factory()
+        assert sys_.nested
         for t in range(1, 100):
             for side in SIDES:
                 top = sys_.sets(side, t, t)
                 for k in range(1, t + 1):
                     assert issubset(sys_.sets(side, t, k), top)
+                if t > 1:
+                    assert issubset(sys_.sets(side, t - 1, t - 1), top)
+        # and directly, on levels far apart
+        rng = random.Random(31)
+        for _ in range(300):
+            t = rng.randint(1, 3000)
+            tp = rng.randint(1, t)
+            k = rng.randint(0, tp)
+            side = rng.choice(SIDES)
+            assert issubset(sys_.sets(side, tp, k), sys_.sets(side, t, t))
 
     def test_rejects_out_of_range(self, factory):
         sys_ = factory()
