@@ -54,14 +54,15 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
 from .harness import doubling_scale
-from .systems import _ROW_CHUNK, FSystemSpec, level_blocks, level_entries
+from .systems import (_ROW_CHUNK, FSystemSpec, _meet, _width, level_blocks,
+                      level_entries)
 
 TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 # the horizons used when none is given (default_horizon): disjointness in
@@ -316,19 +317,6 @@ def _check_f2_bands(
     return out
 
 
-def _width(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per entry, the total size of the per-pool bands [lo, hi) of shape
-    (POOL_COUNT, n), an empty band (lo >= hi) counting 0."""
-    return np.maximum(hi - lo, 0).sum(axis=0)
-
-
-def _meet(
-    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-pool intersection of two bands given as (lo, hi) arrays."""
-    return np.maximum(x[0], y[0]), np.minimum(x[1], y[1])
-
-
 def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
     """Yield (t, |U_t|) where U_t unions every set of level at most t.
 
@@ -359,18 +347,13 @@ def check_competitiveness(
     t_max: int,
     *,
     limit: Optional[int] = None,
-    sizes: Optional[Sequence[tuple[int, int]]] = None,
 ) -> list[Violation]:
-    """|U_t| <= r*t + lambda for every t <= t_max, compared exactly.
-
-    ``sizes``, if given, is ``list(union_sizes(sys, t_max))``, for a caller
-    that already swept it.
-    """
+    """|U_t| <= r*t + lambda for every t <= t_max, compared exactly."""
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
     floor_rn = _floor_memo(*_triple(r))
     out = []
-    for t, size in union_sizes(sys, t_max) if sizes is None else sizes:
+    for t, size in union_sizes(sys, t_max):
         if size - lam > floor_rn(t):
             out.append(
                 Violation(
@@ -385,25 +368,16 @@ def check_competitiveness(
     return out
 
 
-def min_lambda(
-    sys: FSystemSpec,
-    r: GoldenNumber,
-    t_max: int,
-    *,
-    sizes: Optional[Sequence[tuple[int, int]]] = None,
-) -> GoldenNumber:
+def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
     """Smallest additive constant making the system r-competitive up to t_max:
-    the maximum of |U_t| - r*t over the horizon (may be negative).
-
-    ``sizes`` is as for ``check_competitiveness``.
-    """
+    the maximum of |U_t| - r*t over the horizon (may be negative)."""
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
     floor_rn = _floor_memo(*_triple(r))
     # the earliest (t, |U_t|) with the largest |U_t| - r*t so far; a later
     # level beats it when |U_t| - |U_b| > r*(t - t_b)
     best: Optional[tuple[int, int]] = None
-    for t, size in union_sizes(sys, t_max) if sizes is None else sizes:
+    for t, size in union_sizes(sys, t_max):
         if best is None or size - best[1] > floor_rn(t - best[0]):
             best = (t, size)
     if best is None:
@@ -776,11 +750,10 @@ def run_checks(
         violations += check_f2(sys, f2_t_max)
         horizons["f2"] = f2_t_max
     if comp_t_max is not None:
-        # one union sweep serves both passes
-        sizes = list(union_sizes(sys, comp_t_max))
-        violations += check_competitiveness(sys, r, lam, comp_t_max,
-                                            sizes=sizes)
-        min_lam = min_lambda(sys, r, comp_t_max, sizes=sizes)
+        # each pass streams its own union sweep: holding every (t, |U_t|)
+        # for both would grow with the horizon
+        violations += check_competitiveness(sys, r, lam, comp_t_max)
+        min_lam = min_lambda(sys, r, comp_t_max)
         horizons["competitiveness"] = comp_t_max
     if lemma_t_max is not None:
         violations += lemma_chain_check(sys, r, lam, lemma_t_max)

@@ -45,12 +45,15 @@ the checker reads union sizes and shared sets from the top sets alone.
 A system may also give its sets as band arrays (``row_bands_fn``): per
 pool rank, the one index band [lo, hi) that a set holds in that pool, for a
 flat block of (t, k) entries that may span many levels.  A band system
-builds them from per-system floor tables, one per distinct rate x or y (for
-golden, beta and phi*beta), gathered at k and t - k, and from its scalar
-memos once per level of the block.  The tables start at the first
+gathers every boundary from per-system floor tables, one per distinct rate
+among alpha and each pool's x, y and z (for golden alpha, beta, phi*beta
+and rho), read at t, k and t - k.  The tables reach as many levels as keep
+the system's steepest rate exact in int32 (at most _VEC_LIMIT), and later
+levels come from the generator.  The tables start at the first
 ``row_bands`` call, not when the system is built, and the module imports
-numpy only inside its vector code: the generator, and so the allocator and
-the replay, run without it.  Callers walk levels 1..t_max in the
+numpy only inside its vector code: the generator, which floors through the
+scalar memos, and so the allocator and the replay, run without it.
+Callers walk levels 1..t_max in the
 blocks of ``level_blocks``: runs of whole levels of at most _ROW_CHUNK
 entries in all, or one level that alone holds more.  ``row_sizes`` of any
 system with row bands is the sum of their widths, at most _ROW_CHUNK
@@ -87,8 +90,9 @@ if TYPE_CHECKING:
     RowBands = Callable[[Side, np.ndarray, np.ndarray],
                         tuple[np.ndarray, np.ndarray]]
 
-# float sqrt plus integer correction is exact, and every floor fits in int32,
-# up to this many times a row-band table rate (see band_system)
+# the most levels a band system's floor tables hold (4 bytes per level and
+# rate); a steeper rate holds fewer, so that every floor stays exact in int32
+# (the reach in band_system)
 _VEC_LIMIT = 3 * 10**7
 # (t, k) entries (or table entries) per vectorised pass: each pass holds a
 # few int64 arrays of POOL_COUNT times this length (a few hundred kB),
@@ -166,7 +170,8 @@ class FSystemSpec:
     ``row_sizes`` then reads the arrays alone, and ``check_f2`` reads sets
     only for the entries the arrays flag.  Its callers bound their passes:
     at most _ROW_CHUNK entries each, except that ``check_f2`` takes a level
-    longer than that in one pass.
+    longer than that in one pass.  ``band_system`` gathers the arrays from
+    its floor tables up to its reach, and from its generator past it.
     """
 
     name: str
@@ -242,14 +247,30 @@ class FSystemSpec:
         out = np.empty((t_hi - t + 1) * (t_hi + t) // 2, dtype=np.int64)
         i = 0
         for ts, ks in _passes(t, t_hi):
-            lo, hi = self.row_bands_fn(side, ts, ks)
-            hi -= lo
-            np.maximum(hi, 0, out=hi)
-            out[i : i + len(ks)] = hi.sum(axis=0)
+            out[i : i + len(ks)] = _width(*self.row_bands_fn(side, ts, ks))
             i += len(ks)
-            # free this pass's arrays before the next pass builds its own
-            del lo, hi
         return out
+
+
+def _width(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per entry, the total size of the per-pool bands [lo, hi) of shape
+    (POOL_COUNT, n), an empty band (lo >= hi) counting 0."""
+    import numpy as np
+
+    # one temporary, clipped in place: on a cold process each fresh array
+    # of a full pass costs more in page faults than its arithmetic
+    size = hi - lo
+    np.maximum(size, 0, out=size)
+    return size.sum(axis=0)
+
+
+def _meet(
+    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pool intersection of two bands given as (lo, hi) arrays."""
+    import numpy as np
+
+    return np.maximum(x[0], y[0]), np.minimum(x[1], y[1])
 
 
 def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
@@ -294,29 +315,20 @@ def band_system(
     if min(alpha, beta, rho, phi, GoldenNumber(kappa)) < 0:
         raise ValueError(f"band system {name!r} needs nonnegative rates")
 
-    # one scalar memo and at most one floor table per distinct (u, v, w)
-    memos: dict[tuple[int, int, int], Callable[[int], int]] = {}
-    table_index: dict[tuple[int, int, int], int] = {}
+    # per distinct (u, v, w): one scalar memo and the index of one floor table
+    rates: dict[tuple[int, int, int], tuple[Callable[[int], int], int]] = {}
 
-    def memo(rate: GoldenNumber) -> Callable[[int], int]:
-        key = _triple(rate)
-        if key not in memos:
-            memos[key] = _floor_memo(*key)
-        return memos[key]
-
-    def table(rate: GoldenNumber) -> int:
-        u, v, w = key = _triple(rate)
-        # under this bound every value that _floor_linear_vec forms up to
-        # n = _VEC_LIMIT, and each table entry, stays below 2**30 (its
-        # squares below 2**60)
-        if (abs(u) + 3 * abs(v) + w) * _VEC_LIMIT >= 1 << 30:
-            raise ValueError(f"rate {rate} is too large for exact row bands")
-        return table_index.setdefault(key, len(table_index))
+    def rate(r: GoldenNumber) -> tuple[Callable[[int], int], int]:
+        key = _triple(r)
+        if key not in rates:
+            rates[key] = _floor_memo(*key), len(rates)
+        return rates[key]
 
     def bounded(x: GoldenNumber, y: GoldenNumber, z: GoldenNumber) -> tuple:
-        """The band (floor(x*(t-k)), min(floor(y*k), floor(z*t))] as its
-        three scalar memos and the table indices of x and y."""
-        return memo(x), memo(y), memo(z), table(x), table(y)
+        """The band (floor(x*(t-k)), min(floor(y*k), floor(z*t))] as the
+        scalar memos of x, y and z, then their table indices."""
+        (fx, ix), (fy, iy), (fz, iz) = map(rate, (x, y, z))
+        return fx, fy, fz, ix, iy, iz
 
     own = bounded(beta, phi * beta, beta)
     cross = bounded(phi * beta, beta, beta)
@@ -328,7 +340,12 @@ def band_system(
         Side.A: (PoolTag.PRIVATE_A, ((sa, *own), (sb, *cross), (q, *sym))),
         Side.B: (PoolTag.PRIVATE_B, ((sa, *cross), (sb, *own), (q, *sym))),
     }
-    private = memo(alpha)
+    private, i_alpha = rate(alpha)
+    # the levels the floor tables serve: up to here every value that
+    # _floor_linear_vec forms, and each table entry, stays below 2**30 (its
+    # squares below 2**60); row_bands reads any later level from gen
+    reach = min(_VEC_LIMIT, ((1 << 30) - 1) // max(
+        abs(u) + 3 * abs(v) + w for u, v, w in rates))
 
     @lru_cache(maxsize=1 << 16)
     def gen(side: Side, t: int, k: int) -> FrequencySet:
@@ -338,7 +355,7 @@ def band_system(
         p = private(t) + pad + kappa * k
         if p >= 1:
             bands.append((private_tag, 1, p + 1))
-        for pool, x, y, z, _, _ in rows:
+        for pool, x, y, z, _, _, _ in rows:
             lo, hi, top = x(n), y(k), z(t)
             if top < hi:
                 hi = top
@@ -360,14 +377,14 @@ def band_system(
 
         have = 0 if tables is None else tables.shape[1]
         if have <= n:
-            size = min(max(n + 1, 2 * have), _VEC_LIMIT + 1)
-            grown = np.empty((len(table_index), size), dtype=np.int32)
+            size = min(max(n + 1, 2 * have), reach + 1)
+            grown = np.empty((len(rates), size), dtype=np.int32)
             if have:
                 grown[:, :have] = tables
             for lo in range(have, size, _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, size)
                 m = np.arange(lo, hi, dtype=np.int64)
-                for new, (u, v, w) in zip(grown, table_index):
+                for new, (u, v, w) in zip(grown, rates):
                     new[lo:hi] = _floor_linear_vec(u * m, v * m, w) + 1
             tables = grown
         return tables
@@ -375,8 +392,9 @@ def band_system(
     def row_bands(
         side: Side, ts: np.ndarray, ks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays: from
-        the floor tables up to level _VEC_LIMIT, and from gen past it."""
+        """gen's bands of F(side, ts[i], ks[i]), as per-pool arrays: every
+        boundary gathered from the floor tables at t, k and t - k up to
+        level reach, and from gen past it."""
         import numpy as np
 
         n = len(ts)
@@ -384,37 +402,28 @@ def band_system(
         if not n:
             return lo, hi
         t_top = int(ts.max())
-        if t_top > _VEC_LIMIT:
-            near = ts <= _VEC_LIMIT
+        if t_top > reach:
+            near = ts <= reach
             lo[:, near], hi[:, near] = row_bands(side, ts[near], ks[near])
             for i in np.flatnonzero(~near).tolist():
                 for pool, a, b in gen(side, int(ts[i]), int(ks[i])).bands:
                     lo[pool.rank, i], hi[pool.rank, i] = a, b
             return lo, hi
         tabs = floor_tables(t_top)
-        at_k = np.take(tabs, ks, axis=1)
-        at_tk = np.take(tabs, ts - ks, axis=1)
+        at_t, at_k, at_tk = (np.take(tabs, m, axis=1)
+                             for m in (ts, ks, ts - ks))
         private_tag, rows = pools[side]
-        # the per-level scalars come from the memos once per run of equal t:
-        # the end of the private band, then each pool's cap z
-        cut = (np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist()
-        run_t = ts[[0, *cut]].tolist()
-        edges = [0, *cut, n]
-        ends = np.repeat(
-            [[private(t) + pad + 1 for t in run_t],
-             *([z(t) + 1 for t in run_t] for _, _, _, z, _, _ in rows)],
-            [b - a for a, b in zip(edges, edges[1:])],
-            axis=1,
-        )
-        # gen's band (a, b] is [a + 1, b + 1) here
+        # gen's band (a, b] is [a + 1, b + 1) here; the pad and kappa*k add
+        # to the int64 row, not to the int32 tables
         p = private_tag.rank
         lo[p] = 1
-        hi[p] = ends[0]
+        hi[p] = at_t[i_alpha]
+        hi[p] += pad
         if kappa:
             hi[p] += kappa * ks
-        for (pool, _, _, _, i_x, i_y), top in zip(rows, ends[1:]):
+        for pool, _, _, _, i_x, i_y, i_z in rows:
             lo[pool.rank] = at_tk[i_x]
-            np.minimum(at_k[i_y], top, out=hi[pool.rank])
+            np.minimum(at_k[i_y], at_t[i_z], out=hi[pool.rank])
         return lo, hi
 
     return FSystemSpec(

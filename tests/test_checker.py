@@ -1003,18 +1003,14 @@ class TestIntegerDecisions:
         wants = {lam: reference_check_competitiveness(sys_, r, lam, top)
                  for lam in DIFF_LAMBDAS}
         assert check_competitiveness(sys_, r, 8, top) == wants[8]
-        # run_checks hands both passes one sweep; a "-sets" form reads the
-        # sizes of its system
-        sizes = list(union_sizes(sys_, top))
-        assert sizes == list(union_sizes(
+        # a "-sets" form reads the sizes of its system
+        assert list(union_sizes(sys_, top)) == list(union_sizes(
             differential_system(name.removesuffix("-sets")), top))
-        assert min_lambda(sys_, r, top, sizes=sizes) == want
         for lam in DIFF_LAMBDAS:
-            assert check_competitiveness(sys_, r, lam, top,
-                                         sizes=sizes) == wants[lam]
+            assert check_competitiveness(sys_, r, lam, top) == wants[lam]
             # the reference stops at the limit-th violation
-            assert check_competitiveness(sys_, r, lam, top, limit=3,
-                                         sizes=sizes) == wants[lam][:3]
+            assert check_competitiveness(sys_, r, lam, top,
+                                         limit=3) == wants[lam][:3]
             assert lemma_chain_check(sys_, r, lam, 60) == (
                 reference_lemma_chain_check(sys_, r, lam, 60)
             )
@@ -1143,10 +1139,11 @@ class TestIntegerDecisions:
         assert rows == []
         passes.clear()
         run_checks(sys_, comp_t_max=400)
-        # one union sweep for both the violations and min_lambda: no level
-        # union, and one band-array pass of levels 1..400 per side
+        # one streamed union sweep each for the violations and min_lambda:
+        # no level union, and per sweep one band-array pass of levels
+        # 1..400 per side
         assert rows == []
-        assert passes == [(Side.A, 400), (Side.B, 400)]
+        assert passes == [(Side.A, 400), (Side.B, 400)] * 2
 
 
 def counting_bands(sys_: FSystemSpec) -> tuple[FSystemSpec, list]:
@@ -1163,9 +1160,7 @@ def counting_bands(sys_: FSystemSpec) -> tuple[FSystemSpec, list]:
 
 def rational_band_system(seed: int) -> FSystemSpec:
     """A band system with rational rates of denominator at most 4: alpha,
-    beta and rho in [0, 1], phi in [1/2, 3], kappa 0 or 1 and pad 0..4.
-    A draw whose rates band_system refuses as too large for its exact
-    floor tables is drawn again."""
+    beta and rho in [0, 1], phi in [1/2, 3], kappa 0 or 1 and pad 0..4."""
     rng = random.Random(seed)
 
     def rate(lo_halves, hi):
@@ -1173,22 +1168,37 @@ def rational_band_system(seed: int) -> FSystemSpec:
         q = rng.randint(1, 4)
         return Fraction(rng.randint((lo_halves * q + 1) // 2, hi * q), q)
 
-    while True:
-        params = dict(alpha=rate(0, 1), kappa=rng.randint(0, 1),
-                      pad=rng.randint(0, 4), beta=rate(0, 1), rho=rate(0, 1),
-                      phi=rate(1, 3))
-        try:
-            return band_system(f"random-{seed}", **params)
-        except ValueError:
-            continue
+    return band_system(f"random-{seed}", alpha=rate(0, 1),
+                       kappa=rng.randint(0, 1), pad=rng.randint(0, 4),
+                       beta=rate(0, 1), rho=rate(0, 1), phi=rate(1, 3))
+
+
+# (alpha, kappa, pad, beta, rho, phi) of band systems that the four random
+# draws miss (each draws kappa = 0, pad = 2 and phi > 1): kappa = 1, pad 0
+# and 4, and phi below 1
+EXPLICIT_BANDS = [
+    (Fraction(1, 2), 1, 0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)),
+    (Fraction(1, 4), 0, 4, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)),
+    (0, 1, 4, Fraction(1, 4), 1, Fraction(5, 2)),
+]
+
+
+def explicit_band_system(i: int) -> FSystemSpec:
+    alpha, kappa, pad, beta, rho, phi = EXPLICIT_BANDS[i]
+    return band_system(f"explicit-{i}", alpha=alpha, kappa=kappa, pad=pad,
+                       beta=beta, rho=rho, phi=phi)
 
 
 NESTED_CASES = [golden_system, half_system, trivial_system,
                 *(functools.partial(rational_band_system, seed)
                   for seed in range(4)),
+                *(functools.partial(explicit_band_system, i)
+                  for i in range(len(EXPLICIT_BANDS))),
                 functools.partial(differential_system, "mutant")]
 NESTED_IDS = ["golden", "half", "trivial",
-              *(f"random-{seed}" for seed in range(4)), "mutant"]
+              *(f"random-{seed}" for seed in range(4)),
+              *(f"explicit-{i}" for i in range(len(EXPLICIT_BANDS))),
+              "mutant"]
 
 
 class TestNestedPaths:

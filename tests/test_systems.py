@@ -225,25 +225,46 @@ class TestGolden:
     @pytest.mark.parametrize(
         "coeffs",
         [
-            lambda t, k: (7 * k, -k),
-            lambda t, k: (k, 3 * k),
-            lambda t, k: (7 * (t - k), -(t - k)),
-            lambda t, k: (t - k, 3 * (t - k)),
+            lambda t, k: (7 * k, -k, 22),
+            lambda t, k: (k, 3 * k, 22),
+            lambda t, k: (7 * (t - k), -(t - k), 22),
+            lambda t, k: (t - k, 3 * (t - k), 22),
+            lambda t, k: (7 * k, -k, 11),
+            lambda t, k: (-3 * k, 2 * k, 11),
         ],
-        ids=["beta_k", "phi_beta_k", "beta_tk", "phi_beta_tk"],
+        ids=["beta_k", "phi_beta_k", "beta_tk", "phi_beta_tk", "alpha_k",
+             "rho_k"],
     )
     def test_vectorised_floor_at_limit(self, coeffs):
         # the row of sizes is vectorised up to t = _VEC_LIMIT; the ends of
-        # that row carry the largest k and the largest t - k
+        # that row carry the largest k and the largest t - k, and golden's
+        # alpha and rho are read at t itself
         t = _VEC_LIMIT
         k = np.concatenate([
             np.arange(1, 2001, dtype=np.int64),
             np.arange(t - 1999, t + 1, dtype=np.int64),
         ])
-        u, v = coeffs(t, k)
-        got = _floor_linear_vec(u, v, 22)
+        u, v, w = coeffs(t, k)
+        got = _floor_linear_vec(u, v, w)
         for ui, vi, n in zip(u.tolist(), v.tolist(), got.tolist()):
-            assert n == floor_linear(ui, vi, 22), (ui, vi)
+            assert n == floor_linear(ui, vi, w), (ui, vi)
+
+    def test_row_bands_read_no_scalar_floor(self, monkeypatch):
+        # every boundary of a block of levels 1..400, the private ends and
+        # the caps included, is gathered from the floor tables
+        go = golden_system()
+        go.row_bands_fn(Side.A, np.array([400]), np.array([400]))
+        calls = []
+
+        def counting(u, v, w):
+            calls.append((u, v, w))
+            return floor_linear(u, v, w)
+
+        monkeypatch.setattr(golden, "floor_linear", counting)
+        ts, ks = systems.level_entries(1, 400)
+        for side in SIDES:
+            go.row_bands_fn(side, ts, ks)
+        assert calls == []
 
     def test_row_sizes_in_chunks(self, monkeypatch):
         # a row longer than the chunk is vectorised chunk by chunk, and a
@@ -392,11 +413,46 @@ class TestBandSystem:
         with pytest.raises(ValueError):
             band_system("negative", **params)
 
-    def test_rejects_rates_too_large_for_tables(self):
-        # beta*n at n = _VEC_LIMIT would not fit the exact int32 tables
-        with pytest.raises(ValueError):
-            band_system("steep", alpha=0, kappa=0, pad=0, beta=40, rho=0,
-                        phi=1)
+    def test_steep_rates_build(self):
+        # each system's floor tables reach as far as its steepest rate keeps
+        # them exact in int32: beta = 40 to level 26,188,824, alpha = 10**-6
+        # (u + 3|v| + w = 10**6 + 1) to level 1,073; later entries come
+        # from the generator, one set at a time
+        steep = band_system("steep", alpha=0, kappa=0, pad=0, beta=40,
+                            rho=0, phi=1)
+        fine = functools.partial(
+            band_system, "fine", alpha=Fraction(1, 10**6), kappa=1, pad=0,
+            beta=Fraction(1, 3), rho=Fraction(1, 2), phi=2)
+        for sys_, near, far in ((steep, 300, 26_188_825),
+                                (fine(), 1073, 1074)):
+            entries = [(t, k) for t in (near - 1, near, far, far + 1, 10**12)
+                       for k in (1, 2, t // 2, t - 1, t)]
+            ts, ks = np.array(entries, dtype=np.int64).T
+            for side in SIDES:
+                got = sys_.row_bands_fn(side, ts, ks)
+                want = generator_bands(sys_, side, ts, ks)
+                assert canonical_bands(*got) == canonical_bands(*want), (
+                    sys_.name, side)
+        # below the reach the tables serve whole levels without the
+        # generator; past it each entry is one generator call
+        for t, gen_calls in ((1073, 0), (1074, 1074)):
+            sys_ = fine()
+            ks = np.arange(1, t + 1, dtype=np.int64)
+            got = sys_.row_bands_fn(Side.A, np.full_like(ks, t), ks)
+            assert sys_.generator.cache_info().misses == gen_calls
+            want = generator_bands(sys_, Side.A, t, ks)
+            assert canonical_bands(*got) == canonical_bands(*want), t
+
+    def test_pad_beyond_int32(self):
+        # the pad and kappa*k are added in int64, past the int32 tables
+        sys_ = band_system("padded", alpha=0, kappa=1, pad=2**40,
+                           beta=C.beta, rho=C.rho, phi=C.phi)
+        ts, ks = systems.level_entries(1, 60)
+        for side in SIDES:
+            got = sys_.row_bands_fn(side, ts, ks)
+            want = generator_bands(sys_, side, ts, ks)
+            assert canonical_bands(*got) == canonical_bands(*want), side
+            assert int(got[1].max()) == 2**40 + 61
 
 
 # the pools each built-in construction draws from
