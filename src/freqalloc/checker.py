@@ -19,13 +19,14 @@ it is only a candidate, which the witness rescan confirms or drops.
 
 Every other system (every plugin) is swept on bit rows
 (``FSystemSpec.bit_row``): Python ints with one bit per distinct frequency
-key, numbered in first-seen order.  ``check_f2`` keeps each column union
-and each prefix union as one int, so a level costs one OR per set and one
-AND per (row, prefix), and a hit is exact.  ``union_sizes`` ORs the rows of
-every system but a nested one with row bands and counts bits, and
-``check_f1`` reads a plugin's sizes as popcounts.  Both F2 sweeps report
-the same violations in the same order, each with its witness from
-``_witness_pair`` on the sets.
+key, numbered in first-seen order, one numbering per sweep.  ``check_f2``
+keeps each column union and each prefix union as one int, so a level costs
+one OR per set and one AND per (row, prefix), and a hit is exact.
+``check_f1`` reads these systems' sizes as popcounts, and ``union_sizes``,
+the lemma chain and the gamma trace read their unions, S_tau and Z_{t,k},
+and the meets and differences of these, as ORs, ANDs and popcounts.  Both
+F2 sweeps report the same violations in the same order, each with its
+witness from ``_witness_pair`` on the sets.
 
 A nested system (``FSystemSpec.nested``) needs no sweep for its unions:
 the union of all side-c sets up to level t is F(c, t, t).  So U_t is
@@ -33,8 +34,9 @@ F(A, t, t) | F(B, t, t) and the shared set S_t is F(A, t, t) & F(B, t, t),
 read at the wanted levels only.  With row bands, every set the lemma chain
 and ``union_sizes`` read, and every intersection of two of them, is one
 band per pool, so their sizes come from the band arrays by inclusion and
-exclusion, at most _ROW_CHUNK entries per call; a FrequencySet is built only
-for a reported witness.  Every other system folds its rows.
+exclusion, at most _ROW_CHUNK entries per call.  On either path a
+FrequencySet is built only for a reported witness; only the public
+``shared_stats`` folds the rows of a system that is not nested into sets.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
@@ -52,10 +54,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
+# imported with the module although no plugin check uses it: every band
+# system's checks do, so importing it on first use would only move its cost
+# (about 0.1 s) from the CLI's import into the first check of a band system
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
@@ -141,31 +146,35 @@ def check_f1(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     out = []
-    if limit and sys.row_bands_fn is None:
+    banded = sys.row_bands_fn is not None
+    if limit and not banded:
         blocks: Iterable[tuple[int, int]] = (
             (t, t) for t in range(1, t_max + 1))
     else:
         blocks = level_blocks(1, t_max)
     for t_lo, t_hi in blocks:
-        ts, ks = level_entries(t_lo, t_hi)
+        if banded:
+            ts, ks = level_entries(t_lo, t_hi)
+        else:
+            # a list of sizes (popcounts of bit rows) is compared in Python
+            entries = [(t, k) for t in range(t_lo, t_hi + 1)
+                       for k in range(1, t + 1)]
         hits = []
         for s, side in enumerate(SIDES):
-            sizes = np.asarray(sys.row_sizes(side, t_lo, t_hi))
-            short = np.flatnonzero(sizes < ks)
-            hits += [(t, s, k)
-                     for t, k in zip(ts[short].tolist(), ks[short].tolist())]
+            sizes = sys.row_sizes(side, t_lo, t_hi)
+            if banded:
+                short = np.flatnonzero(sizes < ks)
+                hits += zip(ts[short].tolist(), repeat(s), ks[short].tolist())
+            else:
+                hits += [(t, s, k)
+                         for (t, k), n in zip(entries, sizes) if n < k]
         for t, s, k in sorted(hits):
             # recover the witness from the generator proper
             fs = sys.sets(SIDES[s], t, k)
-            out.append(
-                Violation(
-                    kind=ViolationKind.F1,
-                    params={"side": SIDES[s], "t": t, "k": k},
-                    lhs=f"|F| = {len(fs)}",
-                    rhs=f"k = {k}",
-                    witness=fs,
-                )
-            )
+            out.append(Violation(
+                kind=ViolationKind.F1,
+                params={"side": SIDES[s], "t": t, "k": k},
+                lhs=f"|F| = {len(fs)}", rhs=f"k = {k}", witness=fs))
             if limit and len(out) >= limit:
                 return out
     return out
@@ -203,17 +212,10 @@ def _witness_pair(
             if hit:
                 return Violation(
                     kind=ViolationKind.F2,
-                    params={
-                        "side": side,
-                        "t": t,
-                        "k": k,
-                        "t_other": tp,
-                        "k_other": kp,
-                    },
-                    lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}",
-                    rhs="0",
-                    witness=hit,
-                )
+                    params={"side": side, "t": t, "k": k,
+                            "t_other": tp, "k_other": kp},
+                    lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}", rhs="0",
+                    witness=hit)
     return None
 
 
@@ -322,8 +324,8 @@ def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
 
     A nested system with row bands has U_t = F(A, t, t) | F(B, t, t), whose
     size is, per pool, the two top bands' widths less their overlap, read
-    for at most _ROW_CHUNK levels per call.  Any other system ORs its bit
-    rows and counts bits."""
+    for at most _ROW_CHUNK levels per call.  Any other system counts the
+    bits of its ``_bit_unions``."""
     if sys.nested and sys.row_bands_fn is not None:
         for a in range(1, t_max + 1, _ROW_CHUNK):
             ts = np.arange(a, min(a + _ROW_CHUNK, t_max + 1), dtype=np.int64)
@@ -332,12 +334,20 @@ def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
                     - _width(*_meet(top_a, top_b)))
             yield from zip(ts.tolist(), size.tolist())
         return
-    bit_of: dict[int, int] = {}
-    bits = 0
+    for t, fa, fb in _bit_unions(sys, t_max, {}):
+        yield t, (fa | fb).bit_count()
+
+
+def _bit_unions(
+    sys: FSystemSpec, t_max: int, bit_of: dict[int, int]
+) -> Iterator[tuple[int, int, int]]:
+    """(t, F_A(t), F_B(t)) for t = 1..t_max, where F_c(t), the union of
+    every side-c set of level at most t, is a bit row numbered by bit_of."""
+    fa = fb = 0
     for t in range(1, t_max + 1):
-        for side in SIDES:
-            bits = reduce(or_, sys.bit_row(side, t, bit_of), bits)
-        yield t, bits.bit_count()
+        fa = reduce(or_, sys.bit_row(Side.A, t, bit_of), fa)
+        fb = reduce(or_, sys.bit_row(Side.B, t, bit_of), fb)
+        yield t, fa, fb
 
 
 def check_competitiveness(
@@ -355,14 +365,9 @@ def check_competitiveness(
     out = []
     for t, size in union_sizes(sys, t_max):
         if size - lam > floor_rn(t):
-            out.append(
-                Violation(
-                    kind=ViolationKind.COMPETITIVENESS,
-                    params={"t": t},
-                    lhs=f"|U_t| = {size}",
-                    rhs=f"r*t + lambda = {r * t + lam}",
-                )
-            )
+            out.append(Violation(
+                kind=ViolationKind.COMPETITIVENESS, params={"t": t},
+                lhs=f"|U_t| = {size}", rhs=f"r*t + lambda = {r * t + lam}"))
             if limit and len(out) >= limit:
                 break
     return out
@@ -426,6 +431,23 @@ def _overlap(sys: FSystemSpec, t: int, k: int) -> FrequencySet:
     return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
 
 
+def _shared_bits(
+    sys: FSystemSpec, levels: Iterable[int], bit_of: dict[int, int]
+) -> dict[int, int]:
+    """_shared_sets of a system that is not nested, as bit rows."""
+    wanted = set(levels)
+    return {tau: fa & fb for tau, fa, fb in
+            _bit_unions(sys, max(wanted), bit_of) if tau in wanted}
+
+
+def _pair_bits(
+    sys: FSystemSpec, t: int, k: int, bit_of: dict[int, int]
+) -> list[int]:
+    """The two (t, k) sets as bit rows, each read alone: a plugin serves
+    them from its cache, or asks for these two sets and no more."""
+    return [sys.bit_row(side, t, bit_of, (k,))[0] for side in SIDES]
+
+
 def _doubling_bound(prev: int, lam: int, t: int) -> tuple[int, int]:
     """(base, n) with base - R*n = 2*prev + (10-7R)t - 3*lambda: the least
     size the doubling recurrence allows at level 2t when the level-t
@@ -452,19 +474,23 @@ def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
-def _lemma_sizes_sets(
-    sys: FSystemSpec, evens: range, shared: dict[int, FrequencySet]
+def _lemma_sizes_bits(
+    sys: FSystemSpec, evens: range
 ) -> Iterator[tuple[int, ...]]:
     """Per even t: t, then the sizes of Z_2t,t, S_t, S_2t,t, S_t u Z_3t/2,t,
-    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, from the sets, with S_tau
-    from ``shared``."""
+    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, as popcounts of bit rows
+    under one numbering, with S_tau from ``_shared_bits``."""
+    bit_of: dict[int, int] = {}
+    shared = _shared_bits(sys, [*evens, *(2 * t for t in evens)], bit_of)
     for t in evens:
-        stats = _stats_at(sys, t, shared)
-        s_2t = shared[2 * t]
-        z_top = _overlap(sys, 3 * t, 2 * t)
-        yield (t, len(_overlap(sys, 2 * t, t)), len(stats.s_t),
-               len(stats.s_2t_t), len(stats.s_t | stats.z_3t2_t), len(z_top),
-               len(s_2t - z_top), len(s_2t | z_top))
+        s_t, s_2t = shared[t], shared[2 * t]
+        a, b = _pair_bits(sys, 2 * t, t, bit_of)
+        s_u_z = s_t | and_(*_pair_bits(sys, 3 * t // 2, t, bit_of))
+        z_top = and_(*_pair_bits(sys, 3 * t, 2 * t, bit_of))
+        yield (t, (a & b).bit_count(), s_t.bit_count(),
+               (s_2t & (a | b)).bit_count(), s_u_z.bit_count(),
+               z_top.bit_count(), (s_2t & ~z_top).bit_count(),
+               (s_2t | z_top).bit_count())
 
 
 # the (t, k) entries the lemma chain reads at an even level t, as multiples
@@ -475,7 +501,7 @@ _LEMMA_ENTRIES = ((2, 2), (4, 4), (4, 2), (3, 2), (6, 4))
 def _lemma_sizes_bands(
     sys: FSystemSpec, evens: range
 ) -> Iterator[tuple[int, ...]]:
-    """_lemma_sizes_sets of a nested system with row bands, on the band
+    """_lemma_sizes_bits of a nested system with row bands, on the band
     arrays.  S_tau is the meet of the top bands, and every set below, and
     the meet of any of them, is one band per pool, so each size is a sum of
     band widths by inclusion and exclusion.  Each call to ``row_bands_fn``
@@ -523,7 +549,7 @@ def lemma_chain_check(
     those properties the result is empty; a violation therefore indicates
     that the assumed properties fail somewhere on that horizon.  Generator
     queries reach level 3*t_max.  A nested system with row bands is read on
-    its band arrays, any other on its sets.
+    its band arrays, any other on its bit rows.
     """
     out: list[Violation] = []
     if t_max < 2:
@@ -533,69 +559,37 @@ def lemma_chain_check(
     if sys.nested and sys.row_bands_fn is not None:
         sizes = _lemma_sizes_bands(sys, evens)
     else:
-        shared = _shared_sets(sys, [*evens, *(2 * t for t in evens)])
-        sizes = _lemma_sizes_sets(sys, evens, shared)
+        sizes = _lemma_sizes_bits(sys, evens)
     for t, n_clash, s_t, s_2t_t, s_u_z, z_top, packed, grown in sizes:
         if n_clash:
-            out.append(
-                Violation(
-                    kind=ViolationKind.F2,
-                    params={"side": Side.A, "t": 2 * t, "k": t,
-                            "t_other": 2 * t, "k_other": t},
-                    lhs=f"|overlap| = {n_clash}",
-                    rhs="0",
-                    witness=_overlap(sys, 2 * t, t),
-                )
-            )
+            out.append(Violation(
+                kind=ViolationKind.F2,
+                params={"side": Side.A, "t": 2 * t, "k": t,
+                        "t_other": 2 * t, "k_other": t},
+                lhs=f"|overlap| = {n_clash}", rhs="0",
+                witness=_overlap(sys, 2 * t, t)))
         # each inequality is lhs >= base - R*n, as (kind, lhs, (base, n),
         # left text, right text)
         checks = (
-            (
-                ViolationKind.SHARED_LOWER,
-                s_t,
-                (2 * t - lam, t),
-                f"|S_t| = {s_t}",
-                "(2-R)t - lambda",
-            ),
-            (
-                ViolationKind.SHARED_SPLIT_LOWER,
-                s_2t_t,
-                (6 * t - 2 * lam, 4 * t),
-                f"|S_2t,t| = {s_2t_t}",
-                "(6-4R)t - 2*lambda",
-            ),
-            (
-                ViolationKind.SHARED_PACKING,
-                packed,
-                (s_u_z + s_2t_t, 0),
-                f"|S_2t \\ Z_3t,2t| = {packed}",
-                f"|S_t u Z| + |S_2t,t| = {s_u_z + s_2t_t}",
-            ),
-            (
-                ViolationKind.CARRY_LOWER,
-                z_top,
-                (s_u_z + 4 * t - lam, 3 * t),
-                f"|Z_3t,2t| = {z_top}",
-                "|S_t u Z| - (3R-4)t - lambda",
-            ),
-            (
-                ViolationKind.RECURRENCE,
-                grown,
-                _doubling_bound(s_u_z, lam, t),
-                f"|S_2t u Z_3t,2t| = {grown}",
-                "2|S_t u Z| + (10-7R)t - 3*lambda",
-            ),
+            (ViolationKind.SHARED_LOWER, s_t, (2 * t - lam, t),
+             f"|S_t| = {s_t}", "(2-R)t - lambda"),
+            (ViolationKind.SHARED_SPLIT_LOWER, s_2t_t,
+             (6 * t - 2 * lam, 4 * t),
+             f"|S_2t,t| = {s_2t_t}", "(6-4R)t - 2*lambda"),
+            (ViolationKind.SHARED_PACKING, packed, (s_u_z + s_2t_t, 0),
+             f"|S_2t \\ Z_3t,2t| = {packed}",
+             f"|S_t u Z| + |S_2t,t| = {s_u_z + s_2t_t}"),
+            (ViolationKind.CARRY_LOWER, z_top, (s_u_z + 4 * t - lam, 3 * t),
+             f"|Z_3t,2t| = {z_top}", "|S_t u Z| - (3R-4)t - lambda"),
+            (ViolationKind.RECURRENCE, grown, _doubling_bound(s_u_z, lam, t),
+             f"|S_2t u Z_3t,2t| = {grown}",
+             "2|S_t u Z| + (10-7R)t - 3*lambda"),
         )
         for kind, lhs, (base, n), lhs_text, rhs_text in checks:
             if base - lhs > floor_rn(n):
-                out.append(
-                    Violation(
-                        kind=kind,
-                        params={"t": t, "lambda": lam},
-                        lhs=lhs_text,
-                        rhs=f"{rhs_text} = {GoldenNumber(base) - r * n}",
-                    )
-                )
+                out.append(Violation(
+                    kind=kind, params={"t": t, "lambda": lam}, lhs=lhs_text,
+                    rhs=f"{rhs_text} = {GoldenNumber(base) - r * n}"))
     return out
 
 
@@ -650,7 +644,8 @@ def gamma_trace(
 
     Step i uses the doubling recurrence at t_i: the level-(2t_i) numerator
     must gain at least (10 - 7R)t_i - 3*lambda over twice the level-t_i one,
-    and every numerator is capped by |S_{2t_i}| <= 2R*t_i + lambda.
+    and every numerator is capped by |S_{2t_i}| <= 2R*t_i + lambda.  A
+    nested system is read on its top sets, any other on its bit rows.
     """
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
@@ -659,39 +654,37 @@ def gamma_trace(
     trace = GammaTrace(theta=theta, lam=lam)
     floor_rn = _floor_memo(*_triple(r))
     scales = [doubling_scale(theta, lam, i) for i in range(steps + 1)]
-    shared = _shared_sets(sys, [*scales, *(2 * t for t in scales)])
+    levels = [*scales, *(2 * t for t in scales)]
+    # per scale t, |S_t u Z_3t/2,t| and |S_2t|
+    if sys.nested:
+        shared = _shared_sets(sys, levels)
+        measured = [(len(shared[t] | _overlap(sys, 3 * t // 2, t)),
+                     len(shared[2 * t])) for t in scales]
+    else:
+        bit_of: dict[int, int] = {}
+        bits = _shared_bits(sys, levels, bit_of)
+        measured = [((bits[t] | and_(*_pair_bits(sys, 3 * t // 2, t, bit_of))
+                      ).bit_count(), bits[2 * t].bit_count()) for t in scales]
     sizes: list[int] = []
-    for i, t in enumerate(scales):
-        size = len(shared[t] | _overlap(sys, 3 * t // 2, t))
+    for i, (t, (size, s_2t)) in enumerate(zip(scales, measured)):
         sizes.append(size)
         trace.entries.append(
             GammaEntry(i=i, t=t, numerator_size=size, gamma=Fraction(size, t))
         )
-        s_2t = len(shared[2 * t])
         # x > 2R*t + lambda exactly when x - lambda > floor(R*2t)
         if max(size, s_2t) - lam > floor_rn(2 * t):
-            trace.violations.append(
-                Violation(
-                    kind=ViolationKind.GAMMA_CAP,
-                    params={"i": i, "t": t},
-                    lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
-                    rhs=f"2R*t + lambda = {r * (2 * t) + lam}",
-                )
-            )
+            trace.violations.append(Violation(
+                kind=ViolationKind.GAMMA_CAP, params={"i": i, "t": t},
+                lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
+                rhs=f"2R*t + lambda = {r * (2 * t) + lam}"))
     for i, t in enumerate(scales[:-1]):
         base, n = _doubling_bound(sizes[i], lam, t)
         if base - sizes[i + 1] > floor_rn(n):
-            trace.violations.append(
-                Violation(
-                    kind=ViolationKind.GAMMA_STEP,
-                    params={"i": i, "t": t},
-                    lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
-                    rhs=(
-                        "2|S u Z at t| + (10-7R)t - 3*lambda = "
-                        f"{GoldenNumber(base) - r * n}"
-                    ),
-                )
-            )
+            trace.violations.append(Violation(
+                kind=ViolationKind.GAMMA_STEP, params={"i": i, "t": t},
+                lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
+                rhs=("2|S u Z at t| + (10-7R)t - 3*lambda = "
+                     f"{GoldenNumber(base) - r * n}")))
     return trace
 
 

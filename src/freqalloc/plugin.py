@@ -15,15 +15,15 @@ a repeated query is answered by replay, and determinism is enforced.
 
 The child starts at the first ``query``.  After that, a row's uncached
 requests all go out in windows of at most _WINDOW_BYTES, so a row of up to
-about a hundred sets costs one round trip.  Each reply is decoded once into
-a ``FrequencySet`` and a bit row: a Python int with bit i set for the i-th
-distinct value the plugin has replied with, numbered in first-seen order.
-This compression makes a plugin that replies 10**12 cost no more than one
-that replies 1..t.  Every value is a plain frequency, so values number
-frequency keys one to one.  The checker's F2 sweep, the size floor and the
-row unions read these ints.  The child's stderr goes to an unnamed
-temporary file, and every fault raised after the start ends with the last
-_STDERR_TAIL_BYTES of it.
+about a hundred sets costs one round trip.  Each reply is validated once
+and cached as its values and its bit row: a Python int with bit i set for
+the i-th distinct value the plugin has replied with, in first-seen order.
+So a plugin that replies 10**12 costs no more than one that replies 1..t.
+Every value is a plain frequency, so values number frequency keys one to
+one.  Every sweep of the checker reads these ints; a ``FrequencySet`` is
+built, once, only for a reply that ``query`` or ``row`` asks for.  The
+child's stderr goes to an unnamed temporary file, and every fault raised
+after the start ends with the last _STDERR_TAIL_BYTES of it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ _WINDOW_BYTES = 4096
 _STDERR_TAIL_BYTES = 2048
 
 Key = tuple[str, int, int]
+# the k-values of some sets of one row; None for the whole row, k = 1..t
+Ks = Optional[Sequence[int]]
 
 
 class PluginFault(Exception):
@@ -61,6 +63,11 @@ def _request(side: str, t: int, k: int) -> str:
     return f'{{"side": "{side}", "t": {t}, "k": {k}}}'
 
 
+def _plain_set(values: list[int]) -> FrequencySet:
+    """The plain frequencies of a validated reply's values."""
+    return FrequencySet((PoolTag.PLAIN, v, v + 1) for v in values)
+
+
 class PluginSystem:
     """Owns the child process and exposes its replies as an FSystemSpec.
     It holds no lock: one thread queries it, as every caller in the package
@@ -69,8 +76,9 @@ class PluginSystem:
     def __init__(self, argv: Sequence[str]) -> None:
         self.argv = list(argv)
         self.name = f"plugin:{self.argv[0]}"
-        # each reply as its set and its bit row
-        self._cache: dict[Key, tuple[FrequencySet, int]] = {}
+        # each reply as its values and its bit row, and the sets built so far
+        self._cache: dict[Key, tuple[list[int], int]] = {}
+        self._sets: dict[Key, FrequencySet] = {}
         # bit position of each value replied so far, in first-seen order
         self._bit_of: dict[int, int] = {}
         self._proc: Optional[subprocess.Popen[bytes]] = None
@@ -102,29 +110,34 @@ class PluginSystem:
 
     def query(self, side: Side, t: int, k: int) -> FrequencySet:
         key = (side.value, t, k)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[0]
-        self._ensure_started()
-        self._exchange([(key, _request(*key))])
-        return self._cache[key][0]
+        if key not in self._cache:
+            self._ensure_started()
+            self._exchange([(key, _request(*key))])
+        return self._set(key)
+
+    def _set(self, key: Key) -> FrequencySet:
+        """The set of a cached reply, built from its values on first use."""
+        fs = self._sets.get(key)
+        if fs is None:
+            fs = self._sets[key] = _plain_set(self._cache[key][0])
+        return fs
 
     def row(self, side: Side, t: int) -> list[FrequencySet]:
-        """F(side, t, k) for k = 1..t (see ``_fetch_row``)."""
-        cache = self._cache
-        return [cache[key][0] for key in self._fetch_row(side, t)]
+        """F(side, t, k) for k = 1..t (see ``_fetch``)."""
+        return [self._set(key) for key in self._fetch(side, t)]
 
-    def bit_row(self, side: Side, t: int) -> list[int]:
-        """The bit rows of F(side, t, k) for k = 1..t (module docstring)."""
+    def bit_row(self, side: Side, t: int, ks: Ks = None) -> list[int]:
+        """The bit rows (module docstring) of F(side, t, k) for k in ks."""
         cache = self._cache
-        return [cache[key][1] for key in self._fetch_row(side, t)]
+        return [cache[key][1] for key in self._fetch(side, t, ks)]
 
-    def _fetch_row(self, side: Side, t: int) -> list[Key]:
-        """The cache keys of level t on one side, each cached on return.
-        Before the child runs, the first uncached key goes through
+    def _fetch(self, side: Side, t: int, ks: Ks = None) -> list[Key]:
+        """The cache keys of F(side, t, k) for k in ks, each cached on
+        return.  Before the child runs, the first uncached key goes through
         ``query``, which starts it; every other uncached key goes out in
         windows of at most _WINDOW_BYTES request bytes."""
-        keys = [(side.value, t, k) for k in range(1, t + 1)]
+        keys = [(side.value, t, k)
+                for k in (range(1, t + 1) if ks is None else ks)]
         missing = [key for key in keys if key not in self._cache]
         if missing and self._proc is None:
             self.query(side, t, missing.pop(0)[2])
@@ -214,11 +227,11 @@ class PluginSystem:
     @staticmethod
     def _decode(
         line: bytes, request: str, bit_of: dict[int, int]
-    ) -> tuple[FrequencySet, int]:
-        """The set a reply line lists and its bit row, validated, banded and
-        numbered in one pass: the values are checked strictly increasing, so
-        the bands come out in canonical order, and a value not in ``bit_of``
-        takes the next free position there."""
+    ) -> tuple[list[int], int]:
+        """The values a reply line lists and their bit row, validated and
+        numbered in one pass: each value is checked a positive int above the
+        one before, and a value not in ``bit_of`` takes the next free
+        position there."""
         try:
             reply = json.loads(line)
         except ValueError as exc:  # bad JSON or bad UTF-8
@@ -228,10 +241,7 @@ class PluginSystem:
         freqs = reply["freqs"]
         if not isinstance(freqs, list):
             raise PluginFault(f"'freqs' is not a list in reply to {request}")
-        plain = PoolTag.PLAIN
-        bands = []
-        bits = 0
-        start, prev = 1, 0
+        bits = prev = 0
         for value in freqs:
             # not isinstance: json gives bool, an int subclass, for true
             if type(value) is not int:
@@ -242,27 +252,17 @@ class PluginSystem:
                     else f"frequencies not strictly increasing at {value} "
                          f"in {line!r}"
                 )
-            if value != prev + 1:
-                if prev:
-                    bands.append((plain, start, prev + 1))
-                start = value
             prev = value
             bits |= 1 << bit_of.setdefault(value, len(bit_of))
-        if prev:
-            bands.append((plain, start, prev + 1))
-        return FrequencySet._raw(tuple(bands)), bits
+        return freqs, bits
 
     def spec(
         self, claimed_ratio: GoldenNumber, claimed_lambda: int
     ) -> FSystemSpec:
         return FSystemSpec(
-            name=self.name,
-            claimed_ratio=claimed_ratio,
-            claimed_lambda=claimed_lambda,
-            generator=self.query,
-            row_fn=self.row,
-            bit_row_fn=self.bit_row,
-        )
+            name=self.name, claimed_ratio=claimed_ratio,
+            claimed_lambda=claimed_lambda, generator=self.query,
+            row_fn=self.row, bit_row_fn=self.bit_row)
 
     def close(self) -> None:
         proc, self._proc = self._proc, None

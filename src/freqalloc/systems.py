@@ -83,7 +83,7 @@ from .golden import floor_linear  # noqa: F401
 
 Generator = Callable[[Side, int, int], FrequencySet]
 Row = Callable[[Side, int], Sequence[FrequencySet]]
-BitRow = Callable[[Side, int], Sequence[int]]
+BitRow = Callable[[Side, int, Optional[Sequence[int]]], Sequence[int]]
 if TYPE_CHECKING:
     import numpy as np
 
@@ -149,9 +149,10 @@ class FSystemSpec:
     a structurally identical set.  ``row_fn(side, t)`` optionally returns
     the level-t sets for k = 1..t at once, for a system that serves a row
     cheaper than t single sets (a plugin pipelines its queries); it must
-    agree with the generator exactly.  ``bit_row_fn(side, t)`` optionally
-    returns the same row as bit rows (``bit_row``), numbered by the system
-    itself: a plugin keeps them next to its cached sets.
+    agree with the generator exactly.  ``bit_row_fn(side, t, ks)`` optionally
+    returns the sets F(side, t, k) for k in ks (all of row t when ks is
+    None) as bit rows (``bit_row``), numbered by the system itself: a plugin
+    keeps them next to its cached values.
 
     ``nested`` states that every set of side c at level at most t is a
     subset of F(c, t, t), for every c and t.  Then F(c, t, t) is the union
@@ -200,17 +201,19 @@ class FSystemSpec:
         return [self.sets(side, t, k) for k in range(1, t + 1)]
 
     def bit_row(
-        self, side: Side, t: int, bit_of: dict[int, int]
+        self, side: Side, t: int, bit_of: dict[int, int],
+        ks: Optional[Sequence[int]] = None,
     ) -> Sequence[int]:
-        """The level-t sets of one side for k = 1..t as bit rows: ints with
-        one bit per frequency key.  With ``bit_row_fn`` the system numbers
-        the keys itself; otherwise ``bit_of``, the map of the calling sweep,
-        numbers them, and a key new to it takes the next free bit.  Within
-        one sweep, equal keys always share a bit."""
+        """The level-t sets of one side for k in ks (by default 1..t) as bit
+        rows: ints with one bit per frequency key.  With ``bit_row_fn`` the
+        system numbers the keys itself; otherwise ``bit_of``, the map of the
+        calling sweep, numbers them, and a key new to it takes the next free
+        bit.  Within one sweep, equal keys always share a bit."""
         if self.bit_row_fn is not None:
-            return self.bit_row_fn(side, t)
+            return self.bit_row_fn(side, t, ks)
         out = []
-        for fs in self.row(side, t):
+        for fs in (self.row(side, t) if ks is None
+                   else [self.sets(side, t, k) for k in ks]):
             bits = 0
             for pool, lo, hi in fs.bands:
                 scale, offset = KEY_BY_RANK[pool.rank]
@@ -239,7 +242,7 @@ class FSystemSpec:
         if self.row_bands_fn is None:
             if self.bit_row_fn is not None:
                 return [bits.bit_count() for tau in range(t, t_hi + 1)
-                        for bits in self.bit_row_fn(side, tau)]
+                        for bits in self.bit_row_fn(side, tau, None)]
             return [len(fs) for tau in range(t, t_hi + 1)
                     for fs in self.row(side, tau)]
         import numpy as np

@@ -43,6 +43,7 @@ from oracles import (
     check_f1_exhaustive,
     check_f2_exhaustive,
     check_f2_sets,
+    lemma_sizes_sets,
     mixed_pool_system,
     pool_band,
     pool_prefix,
@@ -511,6 +512,16 @@ class TestF2Bits:
         assert not sys_.nested
         assert list(union_sizes(sys_, 30)) == union_sizes_sets(sys_, 30)
 
+    @pytest.mark.parametrize("factory", BIT_SWEEP_CASES, ids=BIT_SWEEP_IDS)
+    def test_lemma_sizes_by_popcount(self, factory):
+        # the lemma chain's sizes on bit rows against the same sizes on
+        # sets, S_tau from the folded unions; its S_2t reach level 40 and
+        # its Z_3t,2t level 60
+        sys_ = factory()
+        evens = range(2, 21, 2)
+        assert list(checker._lemma_sizes_bits(sys_, evens)) == (
+            lemma_sizes_sets(sys_, evens, shared_sets_folds(sys_, 40)))
+
     def test_equal_keys_share_a_bit(self):
         # the plain and built-in frequencies encoded 3 are two frequencies
         # with two keys: mixed-pools stays clean, and its union counts both
@@ -966,7 +977,7 @@ def differential_system(name: str) -> FSystemSpec:
                                      generator=functools.cache(base.generator))
         bit_of = {}
         return dataclasses.replace(cached, bit_row_fn=functools.cache(
-            lambda side, t: cached.bit_row(side, t, bit_of)))
+            lambda side, t, ks: cached.bit_row(side, t, bit_of, ks)))
     if name != "mutant":
         return {"golden": golden_system, "half": half_system,
                 "trivial": trivial_system}[name]()
@@ -1218,8 +1229,8 @@ class TestNestedPaths:
         shared = {t: fa & fb for t, (fa, fb) in folds}
         assert checker._shared_sets(sys_, shared) == shared
         evens = range(2, top // 2 + 1, 2)
-        assert list(checker._lemma_sizes_bands(sys_, evens)) == list(
-            checker._lemma_sizes_sets(sys_, evens, shared))
+        assert list(checker._lemma_sizes_bands(sys_, evens)) == (
+            lemma_sizes_sets(sys_, evens, shared))
         seen = set()
         for r in (sys_.claimed_ratio, parse_exact("1.42"), GoldenNumber(2)):
             for lam in {0, sys_.claimed_lambda}:

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import re
+import subprocess
 import sys
 import textwrap
 from collections import Counter
@@ -14,7 +16,7 @@ from freqalloc import plugin
 from freqalloc.checker import (check_competitiveness, check_f1, check_f2,
                                union_sizes)
 from freqalloc.cli import main
-from freqalloc.frequencies import PoolTag, Side
+from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber
 from freqalloc.plugin import PluginFault, PluginSystem
 
@@ -397,6 +399,112 @@ class TestBitRows:
             assert list(union_sizes(spec, 14)) == union_sizes_sets(spec, 14)
 
 
+ODD_EVEN = Path(__file__).resolve().parents[1] / "bench" / "oddeven_plugin.py"
+
+# both sides reply 1..k: F1 holds and |U_t| = t, but the sets clash from
+# level 2 on, so a falsify that checks F2 only to level 1 traces gamma
+PREFIX_BOTH = """
+import json, sys
+for line in sys.stdin:
+    k = json.loads(line)["k"]
+    sys.stdout.write(json.dumps({"freqs": list(range(1, k + 1))}) + "\\n")
+    sys.stdout.flush()
+"""
+
+# (plugin body, command line, SHA-256 of the --out file with the
+# interpreter's path, which names the system, replaced by PYTHON), recorded
+# when every check of a plugin read its replies as sets: the F1 witnesses,
+# the F2 witnesses with the lemma chain's clash and packing, and a gamma trace
+VERDICTS = {
+    "f1": (SHORT_WHEN_ODD,
+           ["verify", "--r", "2", "--lambda", "0", "--t-max", "16",
+            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "8"],
+           "47bb629da7f1530335c6b551d2df41697ad6b0f91c22e36403c6db32e34dd0f7"),
+    "f2": (OVERLAPPING,
+           ["verify", "--r", "2", "--lambda", "0", "--t-max", "16",
+            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "8"],
+           "51ccb9f41ae0080622f2fbcbbccc4f4ad589a51d23329f1e44159a56d5d1b41d"),
+    "gamma": (PREFIX_BOTH,
+              ["falsify", "--r", "1.2", "--lambda", "1", "--t-max", "400",
+               "--f2-t-max", "1"],
+              "f198260b723d7153de11db8f8165ea034148032cd7b14a31dba73eb6f14e0d36"),
+}
+
+
+class TestLazySets:
+    """Replies are kept as values and bit rows, and a FrequencySet is built
+    only where a set is asked for."""
+
+    def test_clean_verify_builds_no_set_past_the_first_query(self, tmp_path,
+                                                              monkeypatch):
+        # every check, the lemma chain included, reads bit rows; the one set
+        # built is the reply to the query that starts the child, which
+        # query returns (TestSetupAccounting)
+        built = []
+        init, raw = FrequencySet.__init__, FrequencySet._raw.__func__
+
+        def counting_init(fs, *args):
+            built.append("__init__")
+            init(fs, *args)
+
+        def counting_raw(cls, bands):
+            built.append("_raw")
+            return raw(cls, bands)
+
+        monkeypatch.setattr(FrequencySet, "__init__", counting_init)
+        monkeypatch.setattr(FrequencySet, "_raw", classmethod(counting_raw))
+        values = []
+        plain_set = plugin._plain_set
+
+        def recording_plain_set(vs):
+            values.append(vs)
+            return plain_set(vs)
+
+        monkeypatch.setattr(plugin, "_plain_set", recording_plain_set)
+        code = main(["verify", "--system", f"plugin:{ODD_EVEN}", "--r", "2",
+                     "--lambda", "0", "--t-max", "40", "--lemma-t-max", "20",
+                     "--checks", "f1,f2,competitiveness,lemmas",
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 0
+        assert values == [[1]]
+        assert built == ["__init__"]
+
+    @pytest.mark.parametrize("case", VERDICTS)
+    def test_violations_unchanged(self, tmp_path, case):
+        body, argv, digest = VERDICTS[case]
+        out = tmp_path / "out.json"
+        code = main([argv[0], "--system", f"plugin:{script(tmp_path, body)}",
+                     *argv[1:], "--out", str(out)])
+        assert code == 1
+        data = out.read_bytes().replace(
+            f"plugin:{sys.executable}".encode(), b"plugin:PYTHON")
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_verify_memory_bound(self, tmp_path):
+        # verify to T = 150 caches 22,650 replies; kept as values and bit
+        # rows they peak near 46 MB, where a set per reply took 116 MB.  The
+        # child reports VmHWM, the peak of its own address space:
+        # ru_maxrss would carry over this process's peak through fork and
+        # exec, and the plugin's own memory is not counted
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status to read the child's peak")
+        argv = ["verify", "--system", f"plugin:{ODD_EVEN}", "--r", "2",
+                "--lambda", "0", "--t-max", "150", "--f2-t-max", "150",
+                "--out", str(tmp_path / "out.json")]
+        code = (
+            "from pathlib import Path\n"
+            "from freqalloc.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "status = Path('/proc/self/status').read_text().splitlines()\n"
+            "print(next(x for x in status if x.startswith('VmHWM:')).split()[1])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+        assert peak_mb < 80, f"verify peaked at {peak_mb:.0f} MB"
+
+
 # each malformed reply with the reason it is refused
 MALFORMED = [
     (b"not json at all", "malformed reply"),
@@ -425,14 +533,18 @@ class TestDecode:
     def test_matches_constructor(self, replies):
         # replies decoded one after another share one numbering, which
         # gives each distinct value the next bit: however large the values,
-        # every bit lies below the number of distinct values decoded
+        # every bit lies below the number of distinct values decoded.  The
+        # set built later from the values bands their runs and gaps as the
+        # normalizing constructor does
         bit_of: dict[int, int] = {}
         seen: set[int] = set()
         for freqs in replies:
             line = json.dumps({"freqs": sorted(freqs)}).encode()
-            decoded, bits = PluginSystem._decode(line, "request", bit_of)
+            values, bits = PluginSystem._decode(line, "request", bit_of)
             seen |= freqs
-            assert decoded.bands == from_indices(PoolTag.PLAIN, freqs).bands
+            assert values == sorted(freqs)
+            assert plugin._plain_set(values).bands == from_indices(
+                PoolTag.PLAIN, freqs).bands
             assert bits.bit_length() <= len(seen)
             assert bits == sum(1 << bit_of[value] for value in freqs)
         assert bit_of.keys() == seen
