@@ -19,14 +19,13 @@ it is only a candidate, which the witness rescan confirms or drops.
 
 Every other system (every plugin) is swept on bit rows
 (``FSystemSpec.bit_row``): Python ints with one bit per distinct frequency
-key, numbered in first-seen order, one numbering per sweep.  ``check_f2``
-keeps each column union and each prefix union as one int, so a level costs
-one OR per set and one AND per (row, prefix), and a hit is exact.
-``check_f1`` reads these systems' sizes as popcounts, and ``union_sizes``,
-the lemma chain and the gamma trace read their unions, S_tau and Z_{t,k},
-and the meets and differences of these, as ORs, ANDs and popcounts.  Both
-F2 sweeps report the same violations in the same order, each with its
-witness from ``_witness_pair`` on the sets.
+key, numbered in first-seen order.  ``check_f2`` keeps each column union
+and each prefix union as one int, so a level costs one OR per set and one
+AND per (row, prefix), and a hit is exact.  ``union_sizes`` ORs the rows of
+every system but a nested one with row bands and counts bits, and
+``check_f1`` reads a plugin's sizes as popcounts.  Both F2 sweeps report
+the same violations in the same order, each with its witness from
+``_witness_pair`` on the sets.
 
 A nested system (``FSystemSpec.nested``) needs no sweep for its unions:
 the union of all side-c sets up to level t is F(c, t, t).  So U_t is
@@ -34,9 +33,9 @@ F(A, t, t) | F(B, t, t) and the shared set S_t is F(A, t, t) & F(B, t, t),
 read at the wanted levels only.  With row bands, every set the lemma chain
 and ``union_sizes`` read, and every intersection of two of them, is one
 band per pool, so their sizes come from the band arrays by inclusion and
-exclusion, at most _ROW_CHUNK entries per call.  On either path a
-FrequencySet is built only for a reported witness; only the public
-``shared_stats`` folds the rows of a system that is not nested into sets.
+exclusion, at most _ROW_CHUNK entries per call; a FrequencySet is built only
+for a reported witness.  The lemma chain and the gamma trace of any other
+system read S_tau and Z_t,k, and their unions and meets, on bit rows.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
@@ -54,13 +53,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
-# imported with the module although no plugin check uses it: every band
-# system's checks do, so importing it on first use would only move its cost
-# (about 0.1 s) from the CLI's import into the first check of a band system
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
@@ -146,35 +142,31 @@ def check_f1(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     out = []
-    banded = sys.row_bands_fn is not None
-    if limit and not banded:
+    if limit and sys.row_bands_fn is None:
         blocks: Iterable[tuple[int, int]] = (
             (t, t) for t in range(1, t_max + 1))
     else:
         blocks = level_blocks(1, t_max)
     for t_lo, t_hi in blocks:
-        if banded:
-            ts, ks = level_entries(t_lo, t_hi)
-        else:
-            # a list of sizes (popcounts of bit rows) is compared in Python
-            entries = [(t, k) for t in range(t_lo, t_hi + 1)
-                       for k in range(1, t + 1)]
+        ts, ks = level_entries(t_lo, t_hi)
         hits = []
         for s, side in enumerate(SIDES):
-            sizes = sys.row_sizes(side, t_lo, t_hi)
-            if banded:
-                short = np.flatnonzero(sizes < ks)
-                hits += zip(ts[short].tolist(), repeat(s), ks[short].tolist())
-            else:
-                hits += [(t, s, k)
-                         for (t, k), n in zip(entries, sizes) if n < k]
+            sizes = np.asarray(sys.row_sizes(side, t_lo, t_hi))
+            short = np.flatnonzero(sizes < ks)
+            hits += [(t, s, k)
+                     for t, k in zip(ts[short].tolist(), ks[short].tolist())]
         for t, s, k in sorted(hits):
             # recover the witness from the generator proper
             fs = sys.sets(SIDES[s], t, k)
-            out.append(Violation(
-                kind=ViolationKind.F1,
-                params={"side": SIDES[s], "t": t, "k": k},
-                lhs=f"|F| = {len(fs)}", rhs=f"k = {k}", witness=fs))
+            out.append(
+                Violation(
+                    kind=ViolationKind.F1,
+                    params={"side": SIDES[s], "t": t, "k": k},
+                    lhs=f"|F| = {len(fs)}",
+                    rhs=f"k = {k}",
+                    witness=fs,
+                )
+            )
             if limit and len(out) >= limit:
                 return out
     return out
@@ -212,10 +204,17 @@ def _witness_pair(
             if hit:
                 return Violation(
                     kind=ViolationKind.F2,
-                    params={"side": side, "t": t, "k": k,
-                            "t_other": tp, "k_other": kp},
-                    lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}", rhs="0",
-                    witness=hit)
+                    params={
+                        "side": side,
+                        "t": t,
+                        "k": k,
+                        "t_other": tp,
+                        "k_other": kp,
+                    },
+                    lhs=f"|F(t,k) & F'(t',k')| = {len(hit)}",
+                    rhs="0",
+                    witness=hit,
+                )
     return None
 
 
@@ -324,8 +323,8 @@ def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
 
     A nested system with row bands has U_t = F(A, t, t) | F(B, t, t), whose
     size is, per pool, the two top bands' widths less their overlap, read
-    for at most _ROW_CHUNK levels per call.  Any other system counts the
-    bits of its ``_bit_unions``."""
+    for at most _ROW_CHUNK levels per call.  Any other system ORs its bit
+    rows and counts bits."""
     if sys.nested and sys.row_bands_fn is not None:
         for a in range(1, t_max + 1, _ROW_CHUNK):
             ts = np.arange(a, min(a + _ROW_CHUNK, t_max + 1), dtype=np.int64)
@@ -365,9 +364,14 @@ def check_competitiveness(
     out = []
     for t, size in union_sizes(sys, t_max):
         if size - lam > floor_rn(t):
-            out.append(Violation(
-                kind=ViolationKind.COMPETITIVENESS, params={"t": t},
-                lhs=f"|U_t| = {size}", rhs=f"r*t + lambda = {r * t + lam}"))
+            out.append(
+                Violation(
+                    kind=ViolationKind.COMPETITIVENESS,
+                    params={"t": t},
+                    lhs=f"|U_t| = {size}",
+                    rhs=f"r*t + lambda = {r * t + lam}",
+                )
+            )
             if limit and len(out) >= limit:
                 break
     return out
@@ -562,34 +566,65 @@ def lemma_chain_check(
         sizes = _lemma_sizes_bits(sys, evens)
     for t, n_clash, s_t, s_2t_t, s_u_z, z_top, packed, grown in sizes:
         if n_clash:
-            out.append(Violation(
-                kind=ViolationKind.F2,
-                params={"side": Side.A, "t": 2 * t, "k": t,
-                        "t_other": 2 * t, "k_other": t},
-                lhs=f"|overlap| = {n_clash}", rhs="0",
-                witness=_overlap(sys, 2 * t, t)))
+            out.append(
+                Violation(
+                    kind=ViolationKind.F2,
+                    params={"side": Side.A, "t": 2 * t, "k": t,
+                            "t_other": 2 * t, "k_other": t},
+                    lhs=f"|overlap| = {n_clash}",
+                    rhs="0",
+                    witness=_overlap(sys, 2 * t, t),
+                )
+            )
         # each inequality is lhs >= base - R*n, as (kind, lhs, (base, n),
         # left text, right text)
         checks = (
-            (ViolationKind.SHARED_LOWER, s_t, (2 * t - lam, t),
-             f"|S_t| = {s_t}", "(2-R)t - lambda"),
-            (ViolationKind.SHARED_SPLIT_LOWER, s_2t_t,
-             (6 * t - 2 * lam, 4 * t),
-             f"|S_2t,t| = {s_2t_t}", "(6-4R)t - 2*lambda"),
-            (ViolationKind.SHARED_PACKING, packed, (s_u_z + s_2t_t, 0),
-             f"|S_2t \\ Z_3t,2t| = {packed}",
-             f"|S_t u Z| + |S_2t,t| = {s_u_z + s_2t_t}"),
-            (ViolationKind.CARRY_LOWER, z_top, (s_u_z + 4 * t - lam, 3 * t),
-             f"|Z_3t,2t| = {z_top}", "|S_t u Z| - (3R-4)t - lambda"),
-            (ViolationKind.RECURRENCE, grown, _doubling_bound(s_u_z, lam, t),
-             f"|S_2t u Z_3t,2t| = {grown}",
-             "2|S_t u Z| + (10-7R)t - 3*lambda"),
+            (
+                ViolationKind.SHARED_LOWER,
+                s_t,
+                (2 * t - lam, t),
+                f"|S_t| = {s_t}",
+                "(2-R)t - lambda",
+            ),
+            (
+                ViolationKind.SHARED_SPLIT_LOWER,
+                s_2t_t,
+                (6 * t - 2 * lam, 4 * t),
+                f"|S_2t,t| = {s_2t_t}",
+                "(6-4R)t - 2*lambda",
+            ),
+            (
+                ViolationKind.SHARED_PACKING,
+                packed,
+                (s_u_z + s_2t_t, 0),
+                f"|S_2t \\ Z_3t,2t| = {packed}",
+                f"|S_t u Z| + |S_2t,t| = {s_u_z + s_2t_t}",
+            ),
+            (
+                ViolationKind.CARRY_LOWER,
+                z_top,
+                (s_u_z + 4 * t - lam, 3 * t),
+                f"|Z_3t,2t| = {z_top}",
+                "|S_t u Z| - (3R-4)t - lambda",
+            ),
+            (
+                ViolationKind.RECURRENCE,
+                grown,
+                _doubling_bound(s_u_z, lam, t),
+                f"|S_2t u Z_3t,2t| = {grown}",
+                "2|S_t u Z| + (10-7R)t - 3*lambda",
+            ),
         )
         for kind, lhs, (base, n), lhs_text, rhs_text in checks:
             if base - lhs > floor_rn(n):
-                out.append(Violation(
-                    kind=kind, params={"t": t, "lambda": lam}, lhs=lhs_text,
-                    rhs=f"{rhs_text} = {GoldenNumber(base) - r * n}"))
+                out.append(
+                    Violation(
+                        kind=kind,
+                        params={"t": t, "lambda": lam},
+                        lhs=lhs_text,
+                        rhs=f"{rhs_text} = {GoldenNumber(base) - r * n}",
+                    )
+                )
     return out
 
 
@@ -673,18 +708,28 @@ def gamma_trace(
         )
         # x > 2R*t + lambda exactly when x - lambda > floor(R*2t)
         if max(size, s_2t) - lam > floor_rn(2 * t):
-            trace.violations.append(Violation(
-                kind=ViolationKind.GAMMA_CAP, params={"i": i, "t": t},
-                lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
-                rhs=f"2R*t + lambda = {r * (2 * t) + lam}"))
+            trace.violations.append(
+                Violation(
+                    kind=ViolationKind.GAMMA_CAP,
+                    params={"i": i, "t": t},
+                    lhs=f"|S u Z| = {size}, |S_2t| = {s_2t}",
+                    rhs=f"2R*t + lambda = {r * (2 * t) + lam}",
+                )
+            )
     for i, t in enumerate(scales[:-1]):
         base, n = _doubling_bound(sizes[i], lam, t)
         if base - sizes[i + 1] > floor_rn(n):
-            trace.violations.append(Violation(
-                kind=ViolationKind.GAMMA_STEP, params={"i": i, "t": t},
-                lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
-                rhs=("2|S u Z at t| + (10-7R)t - 3*lambda = "
-                     f"{GoldenNumber(base) - r * n}")))
+            trace.violations.append(
+                Violation(
+                    kind=ViolationKind.GAMMA_STEP,
+                    params={"i": i, "t": t},
+                    lhs=f"|S u Z at 2t| = {sizes[i + 1]}",
+                    rhs=(
+                        "2|S u Z at t| + (10-7R)t - 3*lambda = "
+                        f"{GoldenNumber(base) - r * n}"
+                    ),
+                )
+            )
     return trace
 
 

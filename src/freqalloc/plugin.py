@@ -260,9 +260,13 @@ class PluginSystem:
         self, claimed_ratio: GoldenNumber, claimed_lambda: int
     ) -> FSystemSpec:
         return FSystemSpec(
-            name=self.name, claimed_ratio=claimed_ratio,
-            claimed_lambda=claimed_lambda, generator=self.query,
-            row_fn=self.row, bit_row_fn=self.bit_row)
+            name=self.name,
+            claimed_ratio=claimed_ratio,
+            claimed_lambda=claimed_lambda,
+            generator=self.query,
+            row_fn=self.row,
+            bit_row_fn=self.bit_row,
+        )
 
     def close(self) -> None:
         proc, self._proc = self._proc, None

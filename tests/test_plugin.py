@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import re
 import subprocess
@@ -411,24 +410,33 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
-# (plugin body, command line, SHA-256 of the --out file with the
-# interpreter's path, which names the system, replaced by PYTHON), recorded
-# when every check of a plugin read its replies as sets: the F1 witnesses,
-# the F2 witnesses with the lemma chain's clash and packing, and a gamma trace
+# (plugin body, command line) of plugins that break a check: the F1
+# witnesses, the F2 witnesses with the lemma chain's clash and packing, and
+# a gamma trace.  tests/fixtures/plugin_<case>.json holds the ``verdict`` of
+# each one's --out, recorded when every check of a plugin read its replies
+# as sets
 VERDICTS = {
     "f1": (SHORT_WHEN_ODD,
-           ["verify", "--r", "2", "--lambda", "0", "--t-max", "16",
-            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "8"],
-           "47bb629da7f1530335c6b551d2df41697ad6b0f91c22e36403c6db32e34dd0f7"),
+           ["verify", "--r", "2", "--lambda", "0", "--t-max", "6",
+            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "6"]),
     "f2": (OVERLAPPING,
-           ["verify", "--r", "2", "--lambda", "0", "--t-max", "16",
-            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "8"],
-           "51ccb9f41ae0080622f2fbcbbccc4f4ad589a51d23329f1e44159a56d5d1b41d"),
+           ["verify", "--r", "2", "--lambda", "0", "--t-max", "6",
+            "--checks", "f1,f2,competitiveness,lemmas", "--lemma-t-max", "6"]),
     "gamma": (PREFIX_BOTH,
               ["falsify", "--r", "1.2", "--lambda", "1", "--t-max", "400",
-               "--f2-t-max", "1"],
-              "f198260b723d7153de11db8f8165ea034148032cd7b14a31dba73eb6f14e0d36"),
+               "--f2-t-max", "1"]),
 }
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def verdict(doc):
+    """What the checks computed in an --out document: each violation's kind,
+    parameters, both sides and witness, and the gamma trace's entries."""
+    fields = ("kind", "params", "lhs", "rhs", "witness")
+    trace = doc["gamma_trace"]
+    return {"violations": [{f: v[f] for f in fields if f in v}
+                           for v in doc["violations"]],
+            "gamma_entries": trace and trace["entries"]}
 
 
 class TestLazySets:
@@ -471,14 +479,19 @@ class TestLazySets:
 
     @pytest.mark.parametrize("case", VERDICTS)
     def test_violations_unchanged(self, tmp_path, case):
-        body, argv, digest = VERDICTS[case]
+        body, argv = VERDICTS[case]
         out = tmp_path / "out.json"
         code = main([argv[0], "--system", f"plugin:{script(tmp_path, body)}",
                      *argv[1:], "--out", str(out)])
         assert code == 1
-        data = out.read_bytes().replace(
-            f"plugin:{sys.executable}".encode(), b"plugin:PYTHON")
-        assert hashlib.sha256(data).hexdigest() == digest
+        got = verdict(json.loads(out.read_text()))
+        expected = json.loads((FIXTURES / f"plugin_{case}.json").read_text())
+        assert got["gamma_entries"] == expected["gamma_entries"]
+        # one violation at a time, so that a failure names the first change
+        for i, (g, e) in enumerate(zip(got["violations"],
+                                       expected["violations"])):
+            assert g == e, f"violation {i}"
+        assert len(got["violations"]) == len(expected["violations"])
 
     def test_verify_memory_bound(self, tmp_path):
         # verify to T = 150 caches 22,650 replies; kept as values and bit
