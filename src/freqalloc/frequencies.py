@@ -11,9 +11,9 @@ frequencies read it, and the allocator decodes it.  Sets are stored as
 per-pool runs of consecutive integer indices (the systems floor exact
 boundaries into them), so unions over long prefixes stay cheap.  Every set
 keeps its bands canonical: sorted by (pool rank, lo), with touching or
-overlapping bands of a pool coalesced.  Union is one linear merge of two
-canonical band tuples, so only the constructor and ``union_all`` sort bands;
-iteration sorts the expanded set once by key.
+overlapping bands of a pool coalesced.  One function sorts and coalesces
+bands for the constructor, for ``|`` and for ``union_all``; iteration sorts
+the expanded set once by key.
 """
 
 from __future__ import annotations
@@ -216,53 +216,7 @@ class FrequencySet:
     def __or__(self, other: "FrequencySet") -> "FrequencySet":
         if not isinstance(other, FrequencySet):
             return NotImplemented
-        a, b = self._bands, other._bands
-        if not a:
-            return other
-        if not b:
-            return self
-        # one pass over both canonical band tuples in (pool rank, lo) order;
-        # (cp, clo, chi) is the band being built, which swallows each next
-        # band of its pool that touches or overlaps it, as _normalize does
-        out: list[Band] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        cp, clo, chi = None, 0, 0
-        while i < na and j < nb:
-            x, y = a[i], b[j]
-            px, py = x[0], y[0]
-            if px is py:
-                if x[1] <= y[1]:
-                    p, lo, hi = x
-                    i += 1
-                else:
-                    p, lo, hi = y
-                    j += 1
-            elif px.rank < py.rank:
-                p, lo, hi = x
-                i += 1
-            else:
-                p, lo, hi = y
-                j += 1
-            if p is cp and lo <= chi:
-                if hi > chi:
-                    chi = hi
-            else:
-                if cp is not None:
-                    out.append((cp, clo, chi))
-                cp, clo, chi = p, lo, hi
-        # the rest of one tuple is canonical past the bands the current band
-        # swallows whole, and past the one it may coalesce with
-        rest = a[i:] if i < na else b[j:]
-        m, n = 0, len(rest)
-        while m < n and rest[m][0] is cp and rest[m][2] <= chi:
-            m += 1
-        if m < n and rest[m][0] is cp and rest[m][1] <= chi:
-            chi = rest[m][2]
-            m += 1
-        out.append((cp, clo, chi))
-        out.extend(rest[m:])
-        return FrequencySet._raw(tuple(out))
+        return FrequencySet(self._bands + other._bands)
 
     def __and__(self, other: "FrequencySet") -> "FrequencySet":
         if not isinstance(other, FrequencySet):

@@ -78,13 +78,6 @@ class UniversalGraph:
 
     def materialize(self) -> BipartiteInstance:
         """Explicit instance with all edges; guarded, they grow as T^4."""
-        # quarter of T^4 underestimates the count; refuse huge T before
-        # spending time counting exactly
-        if self.horizon**4 // 4 > 4 * MAX_EDGES:
-            raise ResourceGuardError(
-                f"universal graph at T={self.horizon} has on the order of "
-                f"{self.horizon**4 // 4} edges, over the guard of {MAX_EDGES}"
-            )
         est = self.edge_count()
         if est > MAX_EDGES:
             raise ResourceGuardError(

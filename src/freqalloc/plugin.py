@@ -21,9 +21,9 @@ the i-th distinct value the plugin has replied with, in first-seen order.
 So a plugin that replies 10**12 costs no more than one that replies 1..t.
 Every value is a plain frequency, so values number frequency keys one to
 one.  Every sweep of the checker reads these ints; a ``FrequencySet`` is
-built, once, only for a reply that ``query`` or ``row`` asks for.  The
-child's stderr goes to an unnamed temporary file, and every fault raised
-after the start ends with the last _STDERR_TAIL_BYTES of it.
+built, once, only for a reply that ``query`` asks for.  The child's
+stderr goes to an unnamed temporary file, and every fault raised after the
+start ends with the last _STDERR_TAIL_BYTES of it.
 """
 
 from __future__ import annotations
@@ -113,18 +113,11 @@ class PluginSystem:
         if key not in self._cache:
             self._ensure_started()
             self._exchange([(key, _request(*key))])
-        return self._set(key)
-
-    def _set(self, key: Key) -> FrequencySet:
-        """The set of a cached reply, built from its values on first use."""
+        # the set of a cached reply, built from its values on first use
         fs = self._sets.get(key)
         if fs is None:
             fs = self._sets[key] = _plain_set(self._cache[key][0])
         return fs
-
-    def row(self, side: Side, t: int) -> list[FrequencySet]:
-        """F(side, t, k) for k = 1..t (see ``_fetch``)."""
-        return [self._set(key) for key in self._fetch(side, t)]
 
     def bit_row(self, side: Side, t: int, ks: Ks = None) -> list[int]:
         """The bit rows (module docstring) of F(side, t, k) for k in ks."""
@@ -264,7 +257,6 @@ class PluginSystem:
             claimed_ratio=claimed_ratio,
             claimed_lambda=claimed_lambda,
             generator=self.query,
-            row_fn=self.row,
             bit_row_fn=self.bit_row,
         )
 

@@ -82,7 +82,6 @@ from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
 from .golden import floor_linear  # noqa: F401
 
 Generator = Callable[[Side, int, int], FrequencySet]
-Row = Callable[[Side, int], Sequence[FrequencySet]]
 BitRow = Callable[[Side, int, Optional[Sequence[int]]], Sequence[int]]
 if TYPE_CHECKING:
     import numpy as np
@@ -146,10 +145,7 @@ class FSystemSpec:
     """An F-system oracle plus its claimed competitive ratio and constant.
 
     ``generator`` must be deterministic: the same (side, t, k) always yields
-    a structurally identical set.  ``row_fn(side, t)`` optionally returns
-    the level-t sets for k = 1..t at once, for a system that serves a row
-    cheaper than t single sets (a plugin pipelines its queries); it must
-    agree with the generator exactly.  ``bit_row_fn(side, t, ks)`` optionally
+    a structurally identical set.  ``bit_row_fn(side, t, ks)`` optionally
     returns the sets F(side, t, k) for k in ks (all of row t when ks is
     None) as bit rows (``bit_row``), numbered by the system itself: a plugin
     keeps them next to its cached values.
@@ -179,7 +175,6 @@ class FSystemSpec:
     claimed_ratio: GoldenNumber
     claimed_lambda: int
     generator: Generator
-    row_fn: Optional[Row] = None
     nested: bool = False
     row_bands_fn: Optional[RowBands] = None
     bit_row_fn: Optional[BitRow] = None
@@ -192,12 +187,10 @@ class FSystemSpec:
         return self.generator(side, t, k)
 
     def row(self, side: Side, t: int) -> Sequence[FrequencySet]:
-        """The level-t sets of one side for k = 1..t: ``row_fn`` where the
-        system has one, else one ``sets`` call per k."""
+        """The level-t sets of one side for k = 1..t, one ``sets`` call
+        per k."""
         if t < 1:
             raise ValueError(f"level must be >= 1, got t={t}")
-        if self.row_fn is not None:
-            return self.row_fn(side, t)
         return [self.sets(side, t, k) for k in range(1, t + 1)]
 
     def bit_row(

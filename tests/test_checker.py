@@ -717,30 +717,6 @@ class TestRunChecks:
         assert report.min_lambda_on_horizon is None
 
 
-class TestRowFn:
-    @pytest.mark.parametrize("seed", range(2))
-    def test_sweeps_read_rows(self, seed):
-        # on a system without row bands, each sweep takes its sets a row at
-        # a time from row_fn, and finds what it finds on the generator alone
-        base = sparse_system(seed)
-        rows = Counter()
-
-        def row(side, t):
-            rows[side, t] += 1
-            return [base.generator(side, t, k) for k in range(1, t + 1)]
-
-        piped = dataclasses.replace(base, row_fn=row)
-        every = {(side, t) for side in Side for t in range(1, 21)}
-        for check in (
-            functools.partial(check_f1, t_max=20),
-            functools.partial(check_f2, t_max=20),
-            lambda s: check_competitiveness(s, GoldenNumber(2), 0, 20),
-        ):
-            rows.clear()
-            assert check(piped) == check(base)
-            assert set(rows) == every
-
-
 class TestFalsify:
     def test_golden_claiming_142_refuted(self):
         verdict = falsify(golden_system(), parse_exact("1.42"), 8, 1000)
@@ -803,6 +779,14 @@ class TestGammaTrace:
         assert [(v.kind, v.params["i"]) for v in trace.violations] == [
             (ViolationKind.GAMMA_STEP, i) for i in steps
         ]
+
+    @pytest.mark.parametrize(
+        "sys_", [golden_system(), without_bands(golden_system)],
+        ids=["nested", "stripped"],
+    )
+    def test_negative_steps_rejected(self, sys_):
+        with pytest.raises(ValueError, match="steps"):
+            gamma_trace(sys_, C.r0, 1, theta=2, steps=-1)
 
 
 # The GoldenNumber forms of the four ratio decisions, as the checker made

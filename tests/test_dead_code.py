@@ -5,9 +5,12 @@ A module-level function, class or assignment under ``src/freqalloc`` must be
 named in the code of another top-level statement under ``src/`` or
 ``bench/``, or be listed in ``freqalloc.__all__``.  A method of a class
 under ``src/freqalloc`` must be read as an attribute by code under ``src/``
-or ``bench/``.  Only code counts: docstrings and comments are not parsed as
-names, and an import alone does not use what it imports.  Dunders are
-exempt, as is the console-script entry point that ``pyproject.toml`` names.
+or ``bench/``.  A dataclass field there with a plain default, an option its
+callers may leave out, must be passed by keyword to its class somewhere
+under ``src/`` or ``bench/``; ``default_factory`` fields are exempt.  Only
+code counts: docstrings and comments are not parsed as names, and an import
+alone does not use what it imports.  Dunders are exempt, as is the
+console-script entry point that ``pyproject.toml`` names.
 """
 
 import ast
@@ -113,3 +116,61 @@ def uncalled_methods() -> list[str]:
 
 def test_every_method_is_called():
     assert uncalled_methods() == []
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        for dec in cls.decorator_list
+        for target in [dec.func if isinstance(dec, ast.Call) else dec]
+    )
+
+
+def has_plain_default(stmt: ast.stmt) -> bool:
+    """An annotated field whose default is a value, not a factory."""
+    if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
+        return False
+    value = stmt.value
+    return not (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "field"
+        and any(kw.arg == "default_factory" for kw in value.keywords)
+    )
+
+
+def callee(call: ast.Call) -> str:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else ""
+
+
+def unpassed_defaults() -> list[str]:
+    """Dataclass fields with a plain default that no call of their class
+    under ``src/`` or ``bench/`` passes by keyword."""
+    passed = set()  # (class name, keyword)
+    fields = []  # (module.Class.field, class name, field)
+    for path, tree in parsed_modules():
+        passed |= {
+            (callee(node), kw.arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+        }
+        if path.parent != PACKAGE:
+            continue
+        fields.extend(
+            (f"{path.stem}.{cls.name}.{stmt.target.id}", cls.name,
+             stmt.target.id)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+            for stmt in cls.body
+            if has_plain_default(stmt)
+        )
+    return [where for where, cls, name in fields if (cls, name) not in passed]
+
+
+def test_every_field_default_is_overridden():
+    assert unpassed_defaults() == []

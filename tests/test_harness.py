@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from freqalloc import harness
 from freqalloc.allocation import Allocator, static_opt
 from freqalloc.checker import check_f2
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
@@ -193,6 +194,12 @@ class TestUniversalGraph:
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
             UniversalGraph(10**6).materialize()
+
+    def test_guard_is_the_exact_edge_count(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_EDGES", UniversalGraph(6).edge_count())
+        UniversalGraph(6).materialize()
+        with pytest.raises(ResourceGuardError):
+            UniversalGraph(7).materialize()
 
 
 class TestUniversalInstance:

@@ -116,6 +116,12 @@ def spawn(tmp_path, body, name="plug.py", args=()):
                          *map(str, args)])
 
 
+def replied(plug, bits):
+    """The plain frequencies that a bit row of ``plug`` stands for."""
+    return from_indices(PoolTag.PLAIN, [
+        value for value, bit in plug._bit_of.items() if bits >> bit & 1])
+
+
 def verify_exit(tmp_path, body, capsys, t_max):
     """Exit code and stderr of ``verify`` on a plugin with this body."""
     code = main(["verify", "--system", f"plugin:{script(tmp_path, body)}",
@@ -143,7 +149,7 @@ class TestProtocol:
             again = plug.query(Side.B, 7, 4)
             assert first == again
             assert min(f.index for f in again) == 1  # cached, not re-asked
-            assert plug.row(Side.B, 7)[3] == first
+            assert replied(plug, plug.bit_row(Side.B, 7)[3]) == first
 
 
 class TestPipelining:
@@ -154,16 +160,19 @@ class TestPipelining:
         monkeypatch.setattr(plugin, "REPLY_DEADLINE_S", 10.0)
         with spawn(tmp_path, RUN_OF_32) as piped, \
                 spawn(tmp_path, RUN_OF_32) as single:
-            row = piped.row(Side.A, 3000)
-            assert row == [single.query(Side.A, 3000, k)
-                           for k in range(1, 3001)]
+            row = piped.bit_row(Side.A, 3000)
+            for k in range(1, 3001):
+                single.query(Side.A, 3000, k)
+            # both got the same values in the same order, so both number
+            # them alike
+            assert row == single.bit_row(Side.A, 3000)
 
     def test_exit_mid_row(self, tmp_path):
         with spawn(tmp_path, EXIT_AFTER % 5) as plug:
             request = '{"side": "A", "t": 20, "k": 6}'
             with pytest.raises(PluginFault,
                                match=re.escape(f"answering {request}")):
-                plug.row(Side.A, 20)
+                plug.bit_row(Side.A, 20)
 
     def test_exit_mid_row_exits_2(self, tmp_path, capsys):
         code, err = verify_exit(tmp_path, EXIT_AFTER % 7, capsys, 5)
@@ -174,10 +183,11 @@ class TestPipelining:
         log = tmp_path / "requests.log"
         with spawn(tmp_path, LOGGING, args=[log]) as plug:
             singles = {k: plug.query(Side.A, 8, k) for k in (3, 8)}
-            row = plug.row(Side.A, 8)
-            assert plug.row(Side.A, 8) == row
-            assert all(row[k - 1] == fs for k, fs in singles.items())
-            plug.row(Side.B, 8)
+            row = plug.bit_row(Side.A, 8)
+            assert plug.bit_row(Side.A, 8) == row
+            assert all(replied(plug, row[k - 1]) == fs
+                       for k, fs in singles.items())
+            plug.bit_row(Side.B, 8)
         asked = Counter(
             (req["side"], req["t"], req["k"])
             for req in map(json.loads, log.read_text().splitlines())
@@ -207,7 +217,7 @@ class TestDeadline:
         monkeypatch.setattr(plugin, "REPLY_DEADLINE_S", 0.3)
         with spawn(tmp_path, NEVER_READS) as plug:
             with pytest.raises(PluginFault, match="read no input for 0.3 s"):
-                plug.row(Side.A, 5000)
+                plug.bit_row(Side.A, 5000)
 
 
 # writes to stderr, then exits without answering
@@ -237,7 +247,7 @@ class TestStderrTail:
         noise = "x" * 10_000 + "boom"
         with spawn(tmp_path, STDERR_THEN_EXIT % noise) as plug:
             with pytest.raises(PluginFault) as caught:
-                plug.row(Side.B, 3)
+                plug.bit_row(Side.B, 3)
         tail = str(caught.value).partition("its stderr ends with ")[2]
         assert tail == repr(noise[-plugin._STDERR_TAIL_BYTES:])
 
@@ -276,14 +286,12 @@ class TestSetupAccounting:
     """The check-plugin benchmark books the child's start as set-up by
     timing the first PluginSystem.query, so the child must start there."""
 
-    @pytest.mark.parametrize("first", ["query", "row", "bit_row", "spec_bits"])
+    @pytest.mark.parametrize("first", ["query", "bit_row", "spec_bits"])
     def test_child_starts_inside_query(self, tmp_path, monkeypatch, first):
         starts = record_child_starts(monkeypatch)
         with spawn(tmp_path, WELL_BEHAVED) as plug:
             if first == "query":
                 plug.query(Side.B, 4, 2)
-            elif first == "row":
-                plug.row(Side.A, 6)
             elif first == "bit_row":
                 plug.bit_row(Side.A, 6)
             else:
@@ -326,26 +334,6 @@ class TestSetupAccounting:
             assert len(want) > 3
             assert got == want
             assert check_f1(spec, 12, limit=3) == want[:3]
-
-    def test_limit_reads_no_level_past_the_last_violation(self, tmp_path,
-                                                          monkeypatch):
-        # with a limit, a plugin is read one level at a time: the third
-        # short set is (3, A, 2), so levels 1..3 of both sides are asked
-        # for, 1 + 1 + 2 + 2 + 3 + 3 sets, and no more
-        requests = []
-        exchange = PluginSystem._exchange
-
-        def counting(system, window):
-            requests.extend(key for key, _ in window)
-            return exchange(system, window)
-
-        monkeypatch.setattr(PluginSystem, "_exchange", counting)
-        with spawn(tmp_path, SHORT_WHEN_ODD) as plug:
-            got = check_f1(plug.spec(GoldenNumber(2), 0), 50, limit=3)
-            assert len(requests) == 12
-            assert max(t for _, t, _ in requests) == 3
-            assert got == check_f1_exhaustive(plug.spec(GoldenNumber(2), 0),
-                                              50)[:3]
 
 
 # the odd-even plugin, one value short of k whenever t + k is odd
