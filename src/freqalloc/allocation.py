@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
@@ -389,6 +389,10 @@ class Allocator:
     order costs O(k).  A pick also points its band's first key past itself,
     so most lookups end there or one hop from it, and only longer chains
     walk the union-find.
+
+    With ``validate="neighbors"``, and only then, a map from each key to the
+    vertices holding it refuses a pick that a neighbour holds, in one set
+    test; the union-finds stay the only record of a vertex's frequencies.
     """
 
     def __init__(
@@ -407,6 +411,8 @@ class Allocator:
         # vertex -> next-free union-find over keys; its keys are the keys of
         # the vertex's frequencies, the only record of them
         self._next_free: dict[Hashable, dict[int, int]] = {}
+        # validate="neighbors" only: key -> the vertices holding it
+        self._holders: defaultdict[int, set[Hashable]] = defaultdict(set)
         self._all_keys: set[int] = set()
 
     def request(self, v: Hashable) -> Frequency:
@@ -445,12 +451,14 @@ class Allocator:
         pick = Frequency._raw(best_pool, index)
         self._all_keys.add(best)
         if self.validate == "neighbors":
-            for w in self.instance.neighbors(v):
-                if best in self._next_free.get(w, ()):
-                    raise AllocationError(
-                        f"frequency {pick} assigned to {v} is already used at "
-                        f"adjacent {w}"
-                    )
+            holders = self._holders[best]
+            if not holders.isdisjoint(self.instance.neighbors(v)):
+                w = next(w for w in self.instance.neighbors(v) if w in holders)
+                raise AllocationError(
+                    f"frequency {pick} assigned to {v} is already used at "
+                    f"adjacent {w}"
+                )
+            holders.add(v)
         elif self.validate == "full":
             context = f" after assigning {pick} to {v}"
             fault = _assignment_fault(self.instance, self.assignment_sets(), context)

@@ -6,10 +6,10 @@ comparisons, signs and floors are computed exactly; floating point is never
 consulted for a decision.
 
 A rate r = (u + v*sqrt5)/w enters hot loops as its integer triple
-(``_triple``), and r*n is floored as ``floor_linear(u*n, v*n, w)``, memoised
-per rate by ``_floor_memo``.  The band systems build their boundaries and the
-checker decides its inequalities this way, so neither builds a GoldenNumber
-per level.
+(``_triple``), and r*n is floored in one exact step as ``floor_linear(u*n,
+v*n, w)``, memoised per rate by ``_floor_memo`` or listed by ``_extend_floors``.
+The band systems build their boundaries and the checker decides its
+inequalities this way, so neither builds a GoldenNumber per level.
 """
 
 from __future__ import annotations
@@ -23,27 +23,12 @@ from typing import Callable, NamedTuple, Union
 RatLike = Union[int, Fraction]
 
 
-def _le_sqrt5(d: int, v: int) -> bool:
-    """Is d <= v*sqrt(5), for integers d, v?  Exact.
-
-    sqrt(5) is irrational, so d == v*sqrt(5) only when d == v == 0; squaring
-    is therefore safe on either side.
-    """
-    if d <= 0:
-        if v >= 0:
-            return True
-        return d * d >= 5 * v * v
-    if v <= 0:
-        return False
-    return d * d <= 5 * v * v
-
-
 def floor_linear(u: int, v: int, w: int) -> int:
-    """Floor of (u + v*sqrt(5)) / w for integers u, v and w > 0.
+    """Floor of (u + v*sqrt(5)) / w for integers u, v and w > 0, in one step.
 
-    Seeds a candidate from the integer square root (a certified bracket of
-    v*sqrt(5)) and corrects it with exact comparisons; the correction loops
-    run at most one step each.
+    For integer u and w > 0, floor((u + y)/w) = floor((u + floor(y))/w), and
+    floor(v*sqrt5) is isqrt(5v^2) for v > 0 and -isqrt(5v^2) - 1 for v < 0,
+    since v*sqrt5 is irrational; so no comparison corrects the result.
     """
     if w <= 0:
         raise ValueError("denominator must be positive")
@@ -51,14 +36,8 @@ def floor_linear(u: int, v: int, w: int) -> int:
         return u // w
     m = math.isqrt(5 * v * v)
     if v > 0:
-        n = (u + m) // w
-    else:
-        n = (u - m - 1) // w
-    while not _le_sqrt5(w * n - u, v):
-        n -= 1
-    while _le_sqrt5(w * (n + 1) - u, v):
-        n += 1
-    return n
+        return (u + m) // w
+    return (u - m - 1) // w
 
 
 @total_ordering
@@ -213,6 +192,12 @@ def _floor_memo(u: int, v: int, w: int) -> Callable[[int], int]:
         return floor_linear(u * n, v * n, w)
 
     return floor_of
+
+
+def _extend_floors(table: list[int], u: int, v: int, w: int, size: int) -> None:
+    """Extend table, whose entry n is floor((u + v*sqrt5)*n/w), to size
+    entries, in place."""
+    table.extend([floor_linear(u * n, v * n, w) for n in range(len(table), size)])
 
 
 class Constants(NamedTuple):

@@ -31,9 +31,9 @@ In shared(c') the cap floor(beta*t) changes nothing, since k <= t.
 Floors are monotone, so each min is exactly the construction's split at
 phi*k = t: below it the band ends at phi*beta*k (phi*rho*k), above it at
 beta*t (rho*t).  Every boundary is the floor of a rate in Q(sqrt5) times one
-integer, and rates equal as numbers share one per-system memo, so a sweep to
-level t computes O(t) square-root floors rather than several per set.  The
-generator and the row bands both read the rates from one per-side table.
+integer, and rates equal as numbers share one per-system list of floors, read
+by index and grown in place to _SCALAR_LIMIT levels (memos serve later ones),
+so a sweep to level t computes O(t) square-root floors, not several per set.
 
 Nonnegative rates make every band system nested: at k = t each band
 starts at its pool's first index, and no band's upper end falls as t or k
@@ -51,8 +51,8 @@ and rho), read at t, k and t - k.  The tables reach as many levels as keep
 the system's steepest rate exact in int32 (at most _VEC_LIMIT), and later
 levels come from the generator.  The tables start at the first
 ``row_bands`` call, not when the system is built, and the module imports
-numpy only inside its vector code: the generator, which floors through the
-scalar memos, and so the allocator and the replay, run without it.
+numpy only inside its vector code: the generator, which reads the scalar
+lists, and so the allocator and the replay, run without it.
 Callers walk levels 1..t_max in the
 blocks of ``level_blocks``: runs of whole levels of at most _ROW_CHUNK
 entries in all, or one level that alone holds more.  ``row_sizes`` of any
@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 from .frequencies import (KEY_BY_RANK, POOL_COUNT, FrequencySet, PoolTag, Side,
                           union_all)
 from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
-                     _floor_memo, _triple)
+                     _extend_floors, _floor_memo, _triple)
 # unused here, but bench/tracer.py patches floor_linear in systems too
 from .golden import floor_linear  # noqa: F401
 
@@ -97,6 +97,9 @@ _VEC_LIMIT = 3 * 10**7
 # few int64 arrays of POOL_COUNT times this length (a few hundred kB),
 # whatever the levels
 _ROW_CHUNK = 1 << 12
+# the most levels a band system's scalar floor lists hold per rate, the size
+# of the memos that serve later levels
+_SCALAR_LIMIT = 1 << 16
 
 
 def level_blocks(t_lo: int, t_hi: int) -> Iterator[tuple[int, int]]:
@@ -188,9 +191,12 @@ class FSystemSpec:
 
     def row(self, side: Side, t: int) -> Sequence[FrequencySet]:
         """The level-t sets of one side for k = 1..t, one ``sets`` call
-        per k."""
+        per k, after one ``bit_row_fn`` call for the row where the system
+        has one: a plugin asks for the row in windows and caches the replies."""
         if t < 1:
             raise ValueError(f"level must be >= 1, got t={t}")
+        if self.bit_row_fn is not None:
+            self.bit_row_fn(side, t, None)
         return [self.sets(side, t, k) for k in range(1, t + 1)]
 
     def bit_row(
@@ -277,15 +283,19 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
     m = np.sqrt(x.astype(np.float64)).astype(np.int64)
     m -= m * m > x
     m += (m + 1) * (m + 1) <= x
-    n = np.where(v >= 0, (u + m) // w, (u - m - 1) // w)
-    # the seed is within one of the floor, always from below
-    d = w * (n + 1) - u
-    up = np.where(
-        d <= 0,
-        (v >= 0) | (d * d >= x),
-        (v > 0) & (d * d <= x),
-    )
-    return n + up
+    # m is now isqrt(5v^2), and floor((u + y)/w) = floor((u + floor(y))/w);
+    # v*sqrt5 is 0 or irrational, so its floor is m for v >= 0, else -m - 1
+    return np.where(v >= 0, (u + m) // w, (u - m - 1) // w)
+
+
+class _Memo:
+    """A rate's floors past the scalar lists, read as memo[n] like a list."""
+
+    def __init__(self, u: int, v: int, w: int) -> None:
+        self.floor_of = _floor_memo(u, v, w)
+
+    def __getitem__(self, n: int) -> int:
+        return self.floor_of(n)
 
 
 def band_system(
@@ -311,24 +321,17 @@ def band_system(
     if min(alpha, beta, rho, phi, GoldenNumber(kappa)) < 0:
         raise ValueError(f"band system {name!r} needs nonnegative rates")
 
-    # per distinct (u, v, w): one scalar memo and the index of one floor table
-    rates: dict[tuple[int, int, int], tuple[Callable[[int], int], int]] = {}
+    # per distinct (u, v, w): its index among the rates of the floor tables
+    rates: dict[tuple[int, int, int], int] = {}
 
-    def rate(r: GoldenNumber) -> tuple[Callable[[int], int], int]:
-        key = _triple(r)
-        if key not in rates:
-            rates[key] = _floor_memo(*key), len(rates)
-        return rates[key]
+    def rate(*rs: GoldenNumber) -> tuple[int, ...]:
+        return tuple(rates.setdefault(_triple(r), len(rates)) for r in rs)
 
-    def bounded(x: GoldenNumber, y: GoldenNumber, z: GoldenNumber) -> tuple:
-        """The band (floor(x*(t-k)), min(floor(y*k), floor(z*t))] as the
-        scalar memos of x, y and z, then their table indices."""
-        (fx, ix), (fy, iy), (fz, iz) = map(rate, (x, y, z))
-        return fx, fy, fz, ix, iy, iz
-
-    own = bounded(beta, phi * beta, beta)
-    cross = bounded(phi * beta, beta, beta)
-    sym = bounded(phi * rho, phi * rho, rho)
+    # each bounded pool's band (floor(x*(t-k)), min(floor(y*k), floor(z*t))]
+    # as the table indices of its rates x, y and z
+    own = rate(beta, phi * beta, beta)
+    cross = rate(phi * beta, beta, beta)
+    sym = rate(phi * rho, phi * rho, rho)
     sa, sb, q = PoolTag.SHARED_A, PoolTag.SHARED_B, PoolTag.SYMMETRIC
     # per side: its private pool, then each bounded pool in rank order with
     # its rates (module docstring)
@@ -336,23 +339,46 @@ def band_system(
         Side.A: (PoolTag.PRIVATE_A, ((sa, *own), (sb, *cross), (q, *sym))),
         Side.B: (PoolTag.PRIVATE_B, ((sa, *cross), (sb, *own), (q, *sym))),
     }
-    private, i_alpha = rate(alpha)
+    (i_alpha,) = rate(alpha)
     # the levels the floor tables serve: up to here every value that
     # _floor_linear_vec forms, and each table entry, stays below 2**30 (its
     # squares below 2**60); row_bands reads any later level from gen
     reach = min(_VEC_LIMIT, ((1 << 30) - 1) // max(
         abs(u) + 3 * abs(v) + w for u, v, w in rates))
 
+    # scalars[i][n] = floor(rate_i * n) for each n below their common length,
+    # grown in place at least twofold up to _SCALAR_LIMIT entries; gen reads
+    # later levels through the per-rate memos.  Each layout is pools with
+    # rate index i read as floors[i], and alpha's floors after the private tag
+    scalars: list[list[int]] = [[] for _ in rates]
+    by_list, by_memo = (
+        {side: (tag, floors[i_alpha],
+                tuple((pool, *(floors[i] for i in ixs)) for pool, *ixs in rows))
+         for side, (tag, rows) in pools.items()}
+        for floors in (scalars, [_Memo(*key) for key in rates]))
+    held = scalars[i_alpha]
+
+    def floors_at(t: int) -> dict:
+        """by_list once the lists hold level t, or by_memo past the bound."""
+        if t >= _SCALAR_LIMIT:
+            return by_memo
+        size = min(max(t + 1, 2 * len(held)), _SCALAR_LIMIT)
+        for (u, v, w), table in zip(rates, scalars):
+            _extend_floors(table, u, v, w, size)
+        return by_list
+
     @lru_cache(maxsize=1 << 16)
     def gen(side: Side, t: int, k: int) -> FrequencySet:
         n = t - k
-        private_tag, rows = pools[side]
+        # n and k are at most t, so one check on t covers every lookup
+        private_tag, private, rows = (
+            by_list if t < len(held) else floors_at(t))[side]
         bands = []
-        p = private(t) + pad + kappa * k
+        p = private[t] + pad + kappa * k
         if p >= 1:
             bands.append((private_tag, 1, p + 1))
-        for pool, x, y, z, _, _, _ in rows:
-            lo, hi, top = x(n), y(k), z(t)
+        for pool, x, y, z in rows:
+            lo, hi, top = x[n], y[k], z[t]
             if top < hi:
                 hi = top
             if hi > lo:
@@ -417,7 +443,7 @@ def band_system(
         hi[p] += pad
         if kappa:
             hi[p] += kappa * ks
-        for pool, _, _, _, i_x, i_y, i_z in rows:
+        for pool, i_x, i_y, i_z in rows:
             lo[pool.rank] = at_tk[i_x]
             np.minimum(at_k[i_y], at_t[i_z], out=hi[pool.rank])
         return lo, hi

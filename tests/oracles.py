@@ -12,6 +12,39 @@ PRIVATE = {Side.A: PoolTag.PRIVATE_A, Side.B: PoolTag.PRIVATE_B}
 SHARED = {Side.A: PoolTag.SHARED_A, Side.B: PoolTag.SHARED_B}
 
 
+def _le_sqrt5(d: int, v: int) -> bool:
+    """Is d <= v*sqrt(5), for integers d, v?  Exact.
+
+    sqrt(5) is irrational, so d == v*sqrt(5) only when d == v == 0; squaring
+    is therefore safe on either side.
+    """
+    if d <= 0:
+        if v >= 0:
+            return True
+        return d * d >= 5 * v * v
+    if v <= 0:
+        return False
+    return d * d <= 5 * v * v
+
+
+def floor_linear_corrected(u: int, v: int, w: int) -> int:
+    """Floor of (u + v*sqrt(5)) / w for integers u, v and w > 0, as first
+    written: seeded from the integer square root and corrected by exact
+    comparisons, in loops that stop only at the floor."""
+    if v == 0:
+        return u // w
+    m = math.isqrt(5 * v * v)
+    if v > 0:
+        n = (u + m) // w
+    else:
+        n = (u - m - 1) // w
+    while not _le_sqrt5(w * n - u, v):
+        n -= 1
+    while _le_sqrt5(w * (n + 1) - u, v):
+        n += 1
+    return n
+
+
 def set_to_pyset(s: FrequencySet) -> set[tuple[int, int]]:
     """Expand to a plain set of (pool rank, index) pairs."""
     return {(p.rank, i) for p, lo, hi in s.bands for i in range(lo, hi)}

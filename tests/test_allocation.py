@@ -427,6 +427,36 @@ class TestNeighborValidation:
         with pytest.raises(AllocationError, match="already used at adjacent u"):
             alloc.request("v")
 
+    def test_clash_names_the_adjacent_holder(self):
+        # a holds F1 first but is not adjacent to v; u, which is, holds it
+        # next, and v's pick of F1 names u
+        inst = instance(["a", "b", "u", "v"], [("a", "b"), ("u", "v")])
+        alloc = Allocator(inst, CLASHING, validate="neighbors")
+        alloc.request("a")
+        alloc.request("u")
+        clash = r"^frequency 1 assigned to v is already used at adjacent u$"
+        with pytest.raises(AllocationError, match=clash):
+            alloc.request("v")
+
+    def test_clash_names_the_first_neighbor(self):
+        # y holds F1 before x, yet x comes first among v's neighbours
+        inst = instance(["v", "x", "y"], [("v", "y"), ("v", "x")])
+        assert inst.neighbors("v") == ("x", "y")
+        alloc = Allocator(inst, CLASHING, validate="neighbors")
+        alloc.request("y")
+        alloc.request("x")
+        clash = r"^frequency 1 assigned to v is already used at adjacent x$"
+        with pytest.raises(AllocationError, match=clash):
+            alloc.request("v")
+
+    @pytest.mark.parametrize("mode", ["none", "full"])
+    def test_holders_kept_in_neighbors_mode_only(self, mode):
+        inst = instance(["u", "v", "x"], [("u", "v"), ("x", "v")])
+        alloc = Allocator(inst, golden_system(), validate=mode)
+        for vertex in ["u", "v", "x", "u", "v"]:
+            alloc.request(vertex)
+        assert not alloc._holders
+
     def test_full_check_names_the_edge(self):
         inst = instance(["u", "v"], [("u", "v")])
         alloc = Allocator(inst, CLASHING, validate="full")

@@ -14,6 +14,8 @@ from freqalloc.golden import (
     parse_exact,
 )
 
+from oracles import floor_linear_corrected
+
 C = constants()
 
 
@@ -165,6 +167,23 @@ class TestFloor:
                 GoldenNumber(Fraction(u, w), Fraction(v, w))
             )
             assert got == want, (u, v, w)
+
+    def test_floor_linear_matches_corrected_oracle(self):
+        # the one-step floor against the seed-and-correct form, whose loops
+        # move the seed wherever it is off: random inputs of 4 to 200 bits,
+        # with every sign of u and v, and the edges v = 0 and w = 1
+        rng = random.Random(23)
+        cases = [(u, v, w) for u in (-7, -1, 0, 1, 7) for v in (-3, -1, 0, 1, 3)
+                 for w in (1, 2, 11, 22)]
+        for bits in (4, 16, 64, 200):
+            for _ in range(2000):
+                u = rng.randint(-(1 << bits), 1 << bits)
+                v = rng.randint(-(1 << bits), 1 << bits)
+                w = rng.randint(1, 1 << bits)
+                cases += [(u, v, w), (u, v, 1), (u, 0, w), (-abs(u), -abs(v), w)]
+        for u, v, w in cases:
+            assert floor_linear(u, v, w) == floor_linear_corrected(u, v, w), (
+                u, v, w)
 
     @given(goldens)
     @settings(max_examples=200, deadline=None)

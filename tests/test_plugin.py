@@ -11,16 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqalloc import plugin
+from freqalloc import checker, plugin
 from freqalloc.checker import (check_competitiveness, check_f1, check_f2,
-                               union_sizes)
+                               shared_stats, union_sizes)
 from freqalloc.cli import main
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber
 from freqalloc.plugin import PluginFault, PluginSystem
 
 from oracles import (check_f1_exhaustive, check_f2_sets, from_indices,
-                     union_sizes_sets)
+                     shared_sets_folds, union_sizes_sets)
 
 WELL_BEHAVED = """
 import json, sys
@@ -321,6 +321,35 @@ class TestSetupAccounting:
         # check_f1 reads levels 1..50 as one block, side A's rows before
         # side B's, and the F2 sweep finds every row cached
         assert exchanges == [t for _ in "AB" for t in range(1, 51)]
+
+    def test_shared_stats_reads_rows_in_windows(self, monkeypatch, tmp_path):
+        # shared_stats at t = 40 folds the rows of levels 1..80 of a system
+        # that is not nested: one exchange per row, not one per set, and
+        # the (80, 40) and (60, 40) sets it reads next come from the cache
+        exchanges = []
+        exchange = PluginSystem._exchange
+
+        def counting(system, window):
+            exchanges.append(len(window))
+            return exchange(system, window)
+
+        monkeypatch.setattr(PluginSystem, "_exchange", counting)
+        script = Path(__file__).resolve().parents[1] / "bench" / "oddeven_plugin.py"
+        with PluginSystem([sys.executable, str(script)]) as plug:
+            shared_stats(plug.spec(GoldenNumber(2), 0), 40)
+        assert exchanges == [t for t in range(1, 81) for _ in "AB"]
+
+    def test_shared_sets_match_folds(self, tmp_path):
+        with spawn(tmp_path, OVERLAPPING) as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            want = shared_sets_folds(spec, 80)
+            assert want[40] and want[80]
+            assert checker._shared_sets(spec, [40, 80]) == {
+                40: want[40], 80: want[80]}
+            stats = shared_stats(spec, 40)
+            assert stats.s_t == want[40]
+            used = spec.sets(Side.A, 80, 40) | spec.sets(Side.B, 80, 40)
+            assert stats.s_2t_t == want[80] & used
 
     def test_block_walk_of_short_sets(self, tmp_path, monkeypatch):
         # check_f1 reads a plugin in blocks of levels, yet reports what the

@@ -59,6 +59,19 @@ def golden_padded(pad: int) -> FSystemSpec:
                        beta=C.beta, rho=C.rho, phi=C.phi)
 
 
+def floor_calls(monkeypatch) -> list:
+    """Record every call through golden's ``floor_linear`` binding, which
+    the memos and the scalar lists floor through; the list of calls."""
+    calls = []
+
+    def counting(u, v, w):
+        calls.append((u, v, w))
+        return floor_linear(u, v, w)
+
+    monkeypatch.setattr(golden, "floor_linear", counting)
+    return calls
+
+
 def canonical_bands(lo, hi):
     empty = lo >= hi
     return np.where(empty, 0, lo).tolist(), np.where(empty, 0, hi).tolist()
@@ -221,6 +234,58 @@ class TestGolden:
         calls.clear()
         assert golden_system().sets(Side.A, 60, 60) == top
         assert calls, "a new system reused another system's floors"
+
+    def test_scalar_lists_at_their_boundaries(self, monkeypatch):
+        # one system grown level by level, and a fresh one per level whose
+        # lists end at exactly that level: the lists double at every 2**j
+        # and stop at 2**16 entries, past which the memos serve
+        levels = sorted({1, 10**12, *(2**j + d for j in range(1, 17)
+                                      for d in (-1, 0, 1))})
+        grown = golden_system()
+        for t in levels:
+            for go in (grown, golden_system()):
+                for k in sorted({0, 1, t // 2, t}):
+                    for side in SIDES:
+                        assert go.sets(side, t, k) == reference_golden(
+                            side, t, k), (side, t, k)
+        calls = floor_calls(monkeypatch)
+        # past the bound a set costs its ten memo lookups, and no list grows
+        grown.sets(Side.A, 2**16 + 7, 5)
+        assert 0 < len(calls) <= 10
+
+    def test_scalar_lists_serve_lower_levels(self, monkeypatch):
+        # once a set of level t is built, every set of level at most t reads
+        # its floors from the lists
+        go = golden_system()
+        go.sets(Side.B, 300, 7)
+        calls = floor_calls(monkeypatch)
+        for t in range(1, 301):
+            for k in range(t + 1):
+                for side in SIDES:
+                    go.sets(side, t, k)
+        assert calls == []
+        go.sets(Side.A, 301, 1)
+        assert calls
+
+    def test_vectorised_floor_matches_scalar(self):
+        # random int64 inputs up to the tables' reach, where every value
+        # stays below 2**30, with negative u and v; and every v below 2**30
+        # with m^2 - 5v^2 = +-1, where 5v^2 sits next to a square and a
+        # float square root may round across it
+        rng = np.random.default_rng(29)
+        bound = 1 << 30
+        pell = [(1, 0), (2, 1)]
+        while 4 * pell[-2][0] + 9 * pell[-2][1] < bound:
+            m, v = pell[-2]
+            pell.append((9 * m + 20 * v, 4 * m + 9 * v))
+        near = [sign * v for _, v in pell[1:] for sign in (1, -1)]
+        u = rng.integers(-bound + 1, bound, size=20_000 + len(near))
+        v = np.concatenate([rng.integers(-bound + 1, bound, size=20_000),
+                            np.array(near, dtype=np.int64)])
+        for w in (1, 11, 22, 12_345):
+            got = _floor_linear_vec(u, v, w).tolist()
+            assert got == [floor_linear(a, b, w)
+                           for a, b in zip(u.tolist(), v.tolist())], w
 
     @pytest.mark.parametrize(
         "coeffs",
