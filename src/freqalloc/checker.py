@@ -19,13 +19,13 @@ it is only a candidate, which the witness rescan confirms or drops.
 
 Every other system (every plugin) is swept on bit rows
 (``FSystemSpec.bit_row``): Python ints with one bit per distinct frequency
-key, numbered in first-seen order.  ``check_f2`` keeps each column union
-and each prefix union as one int, so a level costs one OR per set and one
-AND per (row, prefix), and a hit is exact.  ``union_sizes`` ORs the rows of
-every system but a nested one with row bands and counts bits, and
-``check_f1`` reads a plugin's sizes as popcounts.  Both F2 sweeps report
-the same violations in the same order, each with its witness from
-``_witness_pair`` on the sets.
+key, numbered in first-seen order, one numbering per system (``bit_row``
+tells by whom).  ``check_f2`` keeps each column union and each prefix union
+as one int, so a level costs one OR per set and one AND per (row, prefix),
+and a hit is exact.  ``union_sizes`` ORs the rows of every system but a
+nested one with row bands and counts bits, and ``check_f1`` reads a
+plugin's sizes as popcounts.  Both F2 sweeps report the same violations in
+the same order, each with its witness from ``_witness_pair`` on the sets.
 
 A nested system (``FSystemSpec.nested``) needs no sweep for its unions:
 the union of all side-c sets up to level t is F(c, t, t).  So U_t is
@@ -217,13 +217,11 @@ def _check_f2_sets(
     """check_f2 on bit rows; any system.  A row meets a prefix union exactly
     when their AND is nonzero, so every flagged row has a witness."""
     out: list[Violation] = []
-    # bit positions of the frequency keys this sweep has seen
-    bit_of: dict[int, int] = {}
     # cols[s][m - 1] is the OR over t' of the bit rows of F(SIDES[s], t', m);
     # it and rows are lists by side number, which hashes no Side enum
     cols = [[0] * t_max for _ in SIDES]
     for t in range(1, t_max + 1):
-        rows = [sys.bit_row(side, t, bit_of) for side in SIDES]
+        rows = [sys.bit_row(side, t) for side in SIDES]
         cols[1][:t] = map(or_, cols[1][:t], rows[1])
         # the side A row (s = 0) meets side B history including level t
         # itself; the side B row meets strictly earlier side A history,
@@ -326,19 +324,19 @@ def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
                     - _width(*_meet(top_a, top_b)))
             yield from zip(ts.tolist(), size.tolist())
         return
-    for t, fa, fb in _bit_unions(sys, t_max, {}):
+    for t, fa, fb in _bit_unions(sys, t_max):
         yield t, (fa | fb).bit_count()
 
 
 def _bit_unions(
-    sys: FSystemSpec, t_max: int, bit_of: dict[int, int]
+    sys: FSystemSpec, t_max: int
 ) -> Iterator[tuple[int, int, int]]:
     """(t, F_A(t), F_B(t)) for t = 1..t_max, where F_c(t), the union of
-    every side-c set of level at most t, is a bit row numbered by bit_of."""
+    every side-c set of level at most t, is a bit row."""
     fa = fb = 0
     for t in range(1, t_max + 1):
-        fa = reduce(or_, sys.bit_row(Side.A, t, bit_of), fa)
-        fb = reduce(or_, sys.bit_row(Side.B, t, bit_of), fb)
+        fa = reduce(or_, sys.bit_row(Side.A, t), fa)
+        fb = reduce(or_, sys.bit_row(Side.B, t), fb)
         yield t, fa, fb
 
 
@@ -428,21 +426,17 @@ def _overlap(sys: FSystemSpec, t: int, k: int) -> FrequencySet:
     return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
 
 
-def _shared_bits(
-    sys: FSystemSpec, levels: Iterable[int], bit_of: dict[int, int]
-) -> dict[int, int]:
+def _shared_bits(sys: FSystemSpec, levels: Iterable[int]) -> dict[int, int]:
     """_shared_sets of a system that is not nested, as bit rows."""
     wanted = set(levels)
     return {tau: fa & fb for tau, fa, fb in
-            _bit_unions(sys, max(wanted), bit_of) if tau in wanted}
+            _bit_unions(sys, max(wanted)) if tau in wanted}
 
 
-def _pair_bits(
-    sys: FSystemSpec, t: int, k: int, bit_of: dict[int, int]
-) -> list[int]:
+def _pair_bits(sys: FSystemSpec, t: int, k: int) -> list[int]:
     """The two (t, k) sets as bit rows, each read alone: a plugin serves
     them from its cache, or asks for these two sets and no more."""
-    return [sys.bit_row(side, t, bit_of, (k,))[0] for side in SIDES]
+    return [sys.bit_row(side, t, ks=(k,))[0] for side in SIDES]
 
 
 def _doubling_bound(prev: int, lam: int, t: int) -> tuple[int, int]:
@@ -475,15 +469,14 @@ def _lemma_sizes_bits(
     sys: FSystemSpec, evens: range
 ) -> Iterator[tuple[int, ...]]:
     """Per even t: t, then the sizes of Z_2t,t, S_t, S_2t,t, S_t u Z_3t/2,t,
-    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, as popcounts of bit rows
-    under one numbering, with S_tau from ``_shared_bits``."""
-    bit_of: dict[int, int] = {}
-    shared = _shared_bits(sys, [*evens, *(2 * t for t in evens)], bit_of)
+    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, as popcounts of bit rows,
+    with S_tau from ``_shared_bits``."""
+    shared = _shared_bits(sys, [*evens, *(2 * t for t in evens)])
     for t in evens:
         s_t, s_2t = shared[t], shared[2 * t]
-        a, b = _pair_bits(sys, 2 * t, t, bit_of)
-        s_u_z = s_t | and_(*_pair_bits(sys, 3 * t // 2, t, bit_of))
-        z_top = and_(*_pair_bits(sys, 3 * t, 2 * t, bit_of))
+        a, b = _pair_bits(sys, 2 * t, t)
+        s_u_z = s_t | and_(*_pair_bits(sys, 3 * t // 2, t))
+        z_top = and_(*_pair_bits(sys, 3 * t, 2 * t))
         yield (t, (a & b).bit_count(), s_t.bit_count(),
                (s_2t & (a | b)).bit_count(), s_u_z.bit_count(),
                z_top.bit_count(), (s_2t & ~z_top).bit_count(),
@@ -691,9 +684,8 @@ def gamma_trace(
         measured = [(len(shared[t] | _overlap(sys, 3 * t // 2, t)),
                      len(shared[2 * t])) for t in scales]
     else:
-        bit_of: dict[int, int] = {}
-        bits = _shared_bits(sys, levels, bit_of)
-        measured = [((bits[t] | and_(*_pair_bits(sys, 3 * t // 2, t, bit_of))
+        bits = _shared_bits(sys, levels)
+        measured = [((bits[t] | and_(*_pair_bits(sys, 3 * t // 2, t))
                       ).bit_count(), bits[2 * t].bit_count()) for t in scales]
     sizes: list[int] = []
     for i, (t, (size, s_2t)) in enumerate(zip(scales, measured)):

@@ -43,8 +43,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-UNIVERSAL_EXPORT_GUARD = 64
-
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT) -> None:
@@ -213,12 +211,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     if args.mode == "universal":
-        if args.t_max > UNIVERSAL_EXPORT_GUARD:
-            sys.stderr.write(
-                f"refusing to materialize the universal graph at T={args.t_max}; "
-                f"the guard is T <= {UNIVERSAL_EXPORT_GUARD} (edges grow as T^4)\n"
-            )
-            return EXIT_RESOURCE
+        # past harness.MAX_EDGES, materialize raises ResourceGuardError,
+        # which main reports with exit 3
         graph = harness.UniversalGraph(args.t_max)
         inst = graph.materialize()
         requests = list(graph.request_stream())

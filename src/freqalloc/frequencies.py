@@ -12,8 +12,9 @@ per-pool runs of consecutive integer indices (the systems floor exact
 boundaries into them), so unions over long prefixes stay cheap.  Every set
 keeps its bands canonical: sorted by (pool rank, lo), with touching or
 overlapping bands of a pool coalesced.  One function sorts and coalesces
-bands for the constructor, for ``|`` and for ``union_all``; iteration sorts
-the expanded set once by key.
+bands for the constructor, for ``|`` and for ``union_all``; one walk over
+both band tuples gives ``&`` and ``-``; iteration sorts the expanded set once
+by key.
 """
 
 from __future__ import annotations
@@ -146,6 +147,34 @@ def _normalize(bands: Iterable[Band]) -> tuple[Band, ...]:
     return tuple(out)
 
 
+def _walk(a: tuple[Band, ...], b: tuple[Band, ...],
+          covered: bool) -> "FrequencySet":
+    """The pieces of each band of a that b covers (``&``), or else leaves
+    out (``-``): canonical as they come, as no two bands of a or b touch."""
+    out: list[Band] = []
+    n = len(b)
+    j = 0
+    for p, lo, hi in a:
+        # b's bands wholly before this one lie before every later one too
+        while j < n and (b[j][0].rank < p.rank
+                         or b[j][0] is p and b[j][2] <= lo):
+            j += 1
+        cur, k = lo, j
+        while cur < hi and k < n:
+            q, blo, bhi = b[k]
+            if q is not p or blo >= hi:
+                break
+            if covered:
+                out.append((p, max(blo, cur), min(bhi, hi)))
+            elif blo > cur:
+                out.append((p, cur, blo))
+            cur = bhi
+            k += 1
+        if not covered and cur < hi:
+            out.append((p, cur, hi))
+    return FrequencySet._raw(tuple(out))
+
+
 class FrequencySet:
     """An immutable, duplicate-free set of frequencies in canonical order."""
 
@@ -221,54 +250,12 @@ class FrequencySet:
     def __and__(self, other: "FrequencySet") -> "FrequencySet":
         if not isinstance(other, FrequencySet):
             return NotImplemented
-        out: list[Band] = []
-        a, b = self._bands, other._bands
-        i = j = 0
-        while i < len(a) and j < len(b):
-            pa, loa, hia = a[i]
-            pb, lob, hib = b[j]
-            if pa.rank != pb.rank:
-                if pa.rank < pb.rank:
-                    i += 1
-                else:
-                    j += 1
-                continue
-            lo = max(loa, lob)
-            hi = min(hia, hib)
-            if lo < hi:
-                out.append((pa, lo, hi))
-            if hia <= hib:
-                i += 1
-            else:
-                j += 1
-        return FrequencySet._raw(tuple(out))
+        return _walk(self._bands, other._bands, True)
 
     def __sub__(self, other: "FrequencySet") -> "FrequencySet":
         if not isinstance(other, FrequencySet):
             return NotImplemented
-        if not other._bands or not self._bands:
-            return self
-        out: list[Band] = []
-        b = other._bands
-        j = 0
-        for pa, lo, hi in self._bands:
-            while j < len(b) and (
-                b[j][0].rank < pa.rank or (b[j][0].rank == pa.rank and b[j][2] <= lo)
-            ):
-                j += 1
-            k = j
-            cur = lo
-            while k < len(b) and b[k][0].rank == pa.rank and b[k][1] < hi:
-                _, blo, bhi = b[k]
-                if blo > cur:
-                    out.append((pa, cur, min(blo, hi)))
-                cur = max(cur, bhi)
-                if cur >= hi:
-                    break
-                k += 1
-            if cur < hi:
-                out.append((pa, cur, hi))
-        return FrequencySet._raw(tuple(out))
+        return _walk(self._bands, other._bands, False)
 
     def isdisjoint(self, other: "FrequencySet") -> bool:
         return not (self & other)

@@ -27,8 +27,8 @@ from .golden import GoldenNumber
 from .systems import FSystemSpec
 
 
-# the most edges UniversalGraph.materialize builds
-MAX_EDGES = 5_000_000
+# the most edges UniversalGraph.materialize builds, the edge count at T = 64
+MAX_EDGES = 2_839_200
 
 # the largest doubling scale lower_bound_instance builds unless told otherwise
 SCALE_DEFAULT_CAP = 1_000_000
@@ -271,8 +271,7 @@ class RunReport:
 
 
 class CollisionError(Exception):
-    def __init__(self, detail: str) -> None:
-        super().__init__(detail)
+    """A universal replay met a collision or an optimum off its level."""
 
 
 def run_universal(system: FSystemSpec, t_max: int) -> RunReport:

@@ -16,20 +16,21 @@ a repeated query is answered by replay, and determinism is enforced.
 The child starts at the first ``query``.  After that, a row's uncached
 requests all go out in windows of at most _WINDOW_BYTES, so a row of up to
 about a hundred sets costs one round trip.  Each reply is validated once
-and cached as its values and its bit row: a Python int with bit i set for
-the i-th distinct value the plugin has replied with, in first-seen order.
-So a plugin that replies 10**12 costs no more than one that replies 1..t.
-Every value is a plain frequency, so values number frequency keys one to
-one.  Every sweep of the checker reads these ints; a ``FrequencySet`` is
-built, once, only for a reply that ``query`` asks for.  The child's
-stderr goes to an unnamed temporary file, and every fault raised after the
-start ends with the last _STDERR_TAIL_BYTES of it.
+and cached as its bit row alone: a Python int with bit i set for the i-th
+distinct value the plugin has replied with, in first-seen order.  So a
+plugin that replies 10**12 costs no more than one that replies 1..t.  Every
+value is a plain frequency, so values number frequency keys one to one.
+Every sweep of the checker reads these ints; a ``FrequencySet`` is built,
+once, only for a reply that ``query`` asks for, from the values its bits
+stand for.  The child's stderr goes to an unnamed temporary file, and every
+fault raised after the start ends with the last _STDERR_TAIL_BYTES of it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import selectors
 import subprocess
 import tempfile
@@ -76,11 +77,13 @@ class PluginSystem:
     def __init__(self, argv: Sequence[str]) -> None:
         self.argv = list(argv)
         self.name = f"plugin:{self.argv[0]}"
-        # each reply as its values and its bit row, and the sets built so far
-        self._cache: dict[Key, tuple[list[int], int]] = {}
+        # each reply as its bit row, and the sets built so far
+        self._cache: dict[Key, int] = {}
         self._sets: dict[Key, FrequencySet] = {}
-        # bit position of each value replied so far, in first-seen order
+        # bit position of each value replied so far, in first-seen order,
+        # and the value of each bit as of the last set built
         self._bit_of: dict[int, int] = {}
+        self._value_of: list[int] = []
         self._proc: Optional[subprocess.Popen[bytes]] = None
         self._replies: Optional[selectors.BaseSelector] = None
         self._stderr: Optional[IO[bytes]] = None
@@ -109,29 +112,32 @@ class PluginSystem:
         return self._proc
 
     def query(self, side: Side, t: int, k: int) -> FrequencySet:
+        """F(side, t, k), asked of the child (started here if need be) unless
+        cached, and built once, from its bit row."""
         key = (side.value, t, k)
         if key not in self._cache:
             self._ensure_started()
             self._exchange([(key, _request(*key))])
-        # the set of a cached reply, built from its values on first use
         fs = self._sets.get(key)
         if fs is None:
-            fs = self._sets[key] = _plain_set(self._cache[key][0])
+            if len(self._value_of) < len(self._bit_of):
+                self._value_of = list(self._bit_of)
+            # bit i, the i-th binary digit from the right, stands for the
+            # i-th key of _bit_of: O(bit length), one match per set bit
+            digits = bin(self._cache[key])[:1:-1]
+            fs = self._sets[key] = _plain_set(
+                [self._value_of[m.start()] for m in re.finditer("1", digits)])
         return fs
 
     def bit_row(self, side: Side, t: int, ks: Ks = None) -> list[int]:
-        """The bit rows (module docstring) of F(side, t, k) for k in ks."""
+        """The bit rows (module docstring) of F(side, t, k) for k in ks, each
+        cached on return.  Before the child runs, the first uncached key
+        goes through ``query``, which starts it; every other uncached key
+        goes out in windows of at most _WINDOW_BYTES request bytes."""
         cache = self._cache
-        return [cache[key][1] for key in self._fetch(side, t, ks)]
-
-    def _fetch(self, side: Side, t: int, ks: Ks = None) -> list[Key]:
-        """The cache keys of F(side, t, k) for k in ks, each cached on
-        return.  Before the child runs, the first uncached key goes through
-        ``query``, which starts it; every other uncached key goes out in
-        windows of at most _WINDOW_BYTES request bytes."""
         keys = [(side.value, t, k)
                 for k in (range(1, t + 1) if ks is None else ks)]
-        missing = [key for key in keys if key not in self._cache]
+        missing = [key for key in keys if key not in cache]
         if missing and self._proc is None:
             self.query(side, t, missing.pop(0)[2])
         window: list[tuple[Key, str]] = []
@@ -145,7 +151,7 @@ class PluginSystem:
             size += len(request) + 1
         if window:
             self._exchange(window)
-        return keys
+        return [cache[key] for key in keys]
 
     def _exchange(self, window: list[tuple[Key, str]]) -> None:
         """Send a window of requests, then read and cache their replies; a
@@ -218,10 +224,8 @@ class PluginSystem:
         return PluginFault(f"plugin {what}")
 
     @staticmethod
-    def _decode(
-        line: bytes, request: str, bit_of: dict[int, int]
-    ) -> tuple[list[int], int]:
-        """The values a reply line lists and their bit row, validated and
+    def _decode(line: bytes, request: str, bit_of: dict[int, int]) -> int:
+        """The bit row of the values a reply line lists, validated and
         numbered in one pass: each value is checked a positive int above the
         one before, and a value not in ``bit_of`` takes the next free
         position there."""
@@ -247,7 +251,7 @@ class PluginSystem:
                 )
             prev = value
             bits |= 1 << bit_of.setdefault(value, len(bit_of))
-        return freqs, bits
+        return bits
 
     def spec(
         self, claimed_ratio: GoldenNumber, claimed_lambda: int

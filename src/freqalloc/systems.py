@@ -61,15 +61,15 @@ entries per pass; ``check_f1`` reads the sizes of every system a block at
 a time, and ``check_f2`` takes its level rows as slices of the blocks'
 arrays.  The checks of any other system read bit rows
 (``FSystemSpec.bit_row``): each set as a Python int whose bit i stands for
-the i-th distinct frequency key seen, in first-seen order.  Numbering keys
-as they come keeps every int as short as the number of distinct
-frequencies, however large the keys.
+the i-th distinct frequency key the spec has seen, in first-seen order.
+Numbering keys as they come keeps every int as short as the number of
+distinct frequencies, however large the keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
@@ -151,7 +151,7 @@ class FSystemSpec:
     a structurally identical set.  ``bit_row_fn(side, t, ks)`` optionally
     returns the sets F(side, t, k) for k in ks (all of row t when ks is
     None) as bit rows (``bit_row``), numbered by the system itself: a plugin
-    keeps them next to its cached values.
+    caches each reply as its bit row.
 
     ``nested`` states that every set of side c at level at most t is a
     subset of F(c, t, t), for every c and t.  Then F(c, t, t) is the union
@@ -181,6 +181,10 @@ class FSystemSpec:
     nested: bool = False
     row_bands_fn: Optional[RowBands] = None
     bit_row_fn: Optional[BitRow] = None
+    # the bit of each frequency key that bit_row has numbered, in first-seen
+    # order; a copy made by dataclasses.replace starts a fresh one
+    _bit_of: dict[int, int] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
         if t < 1:
@@ -200,16 +204,16 @@ class FSystemSpec:
         return [self.sets(side, t, k) for k in range(1, t + 1)]
 
     def bit_row(
-        self, side: Side, t: int, bit_of: dict[int, int],
-        ks: Optional[Sequence[int]] = None,
+        self, side: Side, t: int, *, ks: Optional[Sequence[int]] = None
     ) -> Sequence[int]:
         """The level-t sets of one side for k in ks (by default 1..t) as bit
         rows: ints with one bit per frequency key.  With ``bit_row_fn`` the
-        system numbers the keys itself; otherwise ``bit_of``, the map of the
-        calling sweep, numbers them, and a key new to it takes the next free
-        bit.  Within one sweep, equal keys always share a bit."""
+        system numbers the keys itself; otherwise the spec's own map does,
+        kept for its life, and a key new to it takes the next free bit.  So
+        equal keys share a bit across every sweep of one spec."""
         if self.bit_row_fn is not None:
             return self.bit_row_fn(side, t, ks)
+        bit_of = self._bit_of
         out = []
         for fs in (self.row(side, t) if ks is None
                    else [self.sets(side, t, k) for k in ks]):
@@ -281,8 +285,10 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
 
     x = 5 * v * v
     m = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    # x < 2^60 under band_system's reach: rounding x to float64 moves its
+    # root by under half an ulp of the root, so the float root never falls
+    # below isqrt(x), an exact float, and may exceed it by one, fixed here
     m -= m * m > x
-    m += (m + 1) * (m + 1) <= x
     # m is now isqrt(5v^2), and floor((u + y)/w) = floor((u + floor(y))/w);
     # v*sqrt5 is 0 or irrational, so its floor is m for v >= 0, else -m - 1
     return np.where(v >= 0, (u + m) // w, (u - m - 1) // w)

@@ -526,12 +526,11 @@ class TestF2Bits:
         # the plain and built-in frequencies encoded 3 are two frequencies
         # with two keys: mixed-pools stays clean, and its union counts both
         sys_ = mixed_pool_system()
-        bit_of: dict[int, int] = {}
-        row_a = sys_.bit_row(Side.A, 3, bit_of)
-        row_b = sys_.bit_row(Side.B, 3, bit_of)
-        assert len(bit_of) == 6
+        row_a = sys_.bit_row(Side.A, 3)
+        row_b = sys_.bit_row(Side.B, 3)
+        assert len(sys_._bit_of) == 6
         assert all(a & b == 0 for a in row_a for b in row_b)
-        assert sys_.bit_row(Side.A, 3, bit_of) == row_a
+        assert sys_.bit_row(Side.A, 3) == row_a
         assert dict(union_sizes(sys_, 3))[3] == 6
 
 
@@ -959,9 +958,9 @@ def differential_system(name: str) -> FSystemSpec:
             functools.partial(differential_system, name.removesuffix("-sets")))
         cached = dataclasses.replace(base,
                                      generator=functools.cache(base.generator))
-        bit_of = {}
+        # cached numbers the keys for its whole life, as a plugin does
         return dataclasses.replace(cached, bit_row_fn=functools.cache(
-            lambda side, t, ks: cached.bit_row(side, t, bit_of, ks)))
+            lambda side, t, ks: cached.bit_row(side, t, ks=ks)))
     if name != "mutant":
         return {"golden": golden_system, "half": half_system,
                 "trivial": trivial_system}[name]()

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from freqalloc import cli
+from freqalloc import cli, harness
 from freqalloc.cli import main
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.systems import golden_system
@@ -203,6 +203,19 @@ class TestAdversary:
             "--out-graph", str(tmp_path / "g"), "--out-requests",
             str(tmp_path / "r"),
         ) == 3
+
+    def test_universal_bound_is_the_harness_guard(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # one bound, harness.MAX_EDGES: at exactly its edge count the export
+        # runs, one level more is refused through main's handler
+        monkeypatch.setattr(harness, "MAX_EDGES",
+                            harness.UniversalGraph(6).edge_count())
+        outs = ["--out-graph", str(tmp_path / "g"),
+                "--out-requests", str(tmp_path / "r")]
+        assert run_cli("adversary", "universal", "--t-max", "6", *outs) == 0
+        capsys.readouterr()
+        assert run_cli("adversary", "universal", "--t-max", "7", *outs) == 3
+        assert capsys.readouterr().err.startswith("refused: ")
 
     def test_lower_bound(self, tmp_path):
         g = tmp_path / "g.json"

@@ -153,6 +153,26 @@ class TestSetOps:
             assert (a | b).bands == FrequencySet(a.bands + b.bands).bands
             assert (b | a).bands == (a | b).bands
 
+    def test_meet_and_difference_are_canonical(self):
+        # & and - build their bands unnormalized, so they must come out as
+        # the constructor would give them, or == and hash break on equal
+        # sets: on split pairs, and on sets of one band per frequency
+        # against each other and against one wide band
+        rng = random.Random(14)
+        pairs = [split_band_set(rng) for _ in range(3000)]
+        for _ in range(100):
+            a = from_indices(PoolTag.PLAIN, rng.sample(range(2, 800, 2), 200))
+            b = from_indices(PoolTag.PLAIN,
+                             rng.sample(range(1, 800), rng.randint(1, 300)))
+            lo = rng.randint(1, 600)
+            wide = FrequencySet([(PoolTag.PLAIN, lo, lo + rng.randint(1, 200))])
+            pairs += [(a, b), (a, wide)]
+        assert max(len(a.bands) for a, _ in pairs) == 200
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                for got in (a & b, a - b):
+                    assert got.bands == FrequencySet(got.bands).bands
+
     def test_union_of_fragmented_sets(self):
         # one band per frequency, the shape plugin sets arrive in
         rng = random.Random(12)

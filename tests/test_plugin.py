@@ -15,8 +15,8 @@ from freqalloc import checker, plugin
 from freqalloc.checker import (check_competitiveness, check_f1, check_f2,
                                shared_stats, union_sizes)
 from freqalloc.cli import main
-from freqalloc.frequencies import FrequencySet, PoolTag, Side
-from freqalloc.golden import GoldenNumber
+from freqalloc.frequencies import KEY_BY_RANK, FrequencySet, PoolTag, Side
+from freqalloc.golden import GoldenNumber, parse_exact
 from freqalloc.plugin import PluginFault, PluginSystem
 
 from oracles import (check_f1_exhaustive, check_f2_sets, from_indices,
@@ -295,7 +295,7 @@ class TestSetupAccounting:
             elif first == "bit_row":
                 plug.bit_row(Side.A, 6)
             else:
-                plug.spec(GoldenNumber(2), 0).bit_row(Side.B, 6, {})
+                plug.spec(GoldenNumber(2), 0).bit_row(Side.B, 6)
             assert starts == [True]
             assert check_f1(plug.spec(GoldenNumber(2), 0), 8) == []
         assert starts == [True]
@@ -392,6 +392,26 @@ for line in sys.stdin:
 """
 
 
+# a reply per (side, t, k) whose later levels bring new values; side B's
+# reach 10**12 at level 12
+NEW_VALUES = """
+def reply(side, t, k):
+    if side == "A":
+        return sorted({1, t, 2 * t + k})
+    return sorted({k, t + k, t * t + k, 10**12 - 12 + t})
+"""
+
+# answers each request line with reply(side, t, k)
+PLUGIN_LOOP = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    freqs = reply(req["side"], req["t"], req["k"])
+    sys.stdout.write(json.dumps({"freqs": freqs}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
 class TestBitRows:
     def test_numbered_as_the_sweep_numbers_keys(self, tmp_path):
         # plain keys rise with the value, so the plugin's first-seen
@@ -399,11 +419,15 @@ class TestBitRows:
         with spawn(tmp_path, OVERLAPPING) as plug:
             spec = plug.spec(GoldenNumber(2), 0)
             converted = dataclasses.replace(spec, bit_row_fn=None)
-            bit_of: dict[int, int] = {}
             for t in range(1, 10):
                 for side in Side:
-                    assert spec.bit_row(side, t, {}) == converted.bit_row(
-                        side, t, bit_of)
+                    row = spec.bit_row(side, t)
+                    assert len(row) == t and all(row)
+                    assert row == converted.bit_row(side, t)
+            scale, offset = KEY_BY_RANK[PoolTag.PLAIN.rank]
+            assert converted._bit_of == {
+                scale * value + offset: bit
+                for value, bit in plug._bit_of.items()}
 
     @pytest.mark.parametrize("limit", [None, 4])
     def test_checks_match_set_oracles(self, tmp_path, limit):
@@ -413,6 +437,54 @@ class TestBitRows:
             assert len(want) == 4 if limit else len(want) > 4
             assert check_f2(spec, 14, limit=limit) == want
             assert list(union_sizes(spec, 14)) == union_sizes_sets(spec, 14)
+
+    def test_sets_match_their_replies(self, tmp_path):
+        # later rows bring new values, 10**12 among them, so the numbering
+        # grows between the sets query builds; each set, built from its bit
+        # row, equals the set of the values its reply listed
+        scope: dict = {}
+        exec(NEW_VALUES, scope)
+        reply = scope["reply"]
+        with spawn(tmp_path, NEW_VALUES + PLUGIN_LOOP) as plug:
+            keys = []
+            for t in range(1, 13):
+                plug.bit_row(Side.A, t)
+                keys += [(side, t, k) for side in Side for k in (1, t)]
+                for side, tq, k in keys:
+                    assert plug.query(side, tq, k) == from_indices(
+                        PoolTag.PLAIN, reply(side.value, tq, k))
+            assert 10**12 in plug._bit_of
+
+    def test_checks_match_fixture(self, tmp_path):
+        # F2 witnesses, shared sets and gamma traces on OVERLAPPING, each on
+        # a fresh plugin, against tests/fixtures/plugin_overlapping.json,
+        # recorded when every reply was cached as its values and bit row
+        def encoded(fs):
+            return [enc for enc, _, _ in fs.iter_encoded()]
+
+        def fresh():
+            return spawn(tmp_path, OVERLAPPING)
+
+        got = {}
+        with fresh() as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            got["check_f2"] = [v.to_json() for v in check_f2(spec, 10)]
+        with fresh() as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            got["shared_stats"] = {
+                str(t): [encoded(s.s_t), encoded(s.s_2t_t),
+                         encoded(s.z_3t2_t)]
+                for t in (2, 4, 6, 8, 10) for s in [shared_stats(spec, t)]}
+        with fresh() as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            got["gamma_trace"] = [
+                checker.gamma_trace(spec, parse_exact(r), lam, theta,
+                                    steps).to_json()
+                for r, lam, theta, steps in (("1.42", 1, 1, 1),
+                                             ("R0", 2, 1, 1),
+                                             ("4/3", 1, 2, 1))]
+        want = json.loads((FIXTURES / "plugin_overlapping.json").read_text())
+        assert got == want
 
 
 ODD_EVEN = Path(__file__).resolve().parents[1] / "bench" / "oddeven_plugin.py"
@@ -457,7 +529,7 @@ def verdict(doc):
 
 
 class TestLazySets:
-    """Replies are kept as values and bit rows, and a FrequencySet is built
+    """Replies are kept as bit rows, and a FrequencySet is built
     only where a set is asked for."""
 
     def test_clean_verify_builds_no_set_past_the_first_query(self, tmp_path,
@@ -511,8 +583,8 @@ class TestLazySets:
         assert len(got["violations"]) == len(expected["violations"])
 
     def test_verify_memory_bound(self, tmp_path):
-        # verify to T = 150 caches 22,650 replies; kept as values and bit
-        # rows they peak near 46 MB, where a set per reply took 116 MB.  The
+        # verify to T = 150 caches 22,650 replies; kept as bit rows they
+        # peak near 34 MB, where a set per reply took 116 MB.  The
         # child reports VmHWM, the peak of its own address space:
         # ru_maxrss would carry over this process's peak through fork and
         # exec, and the plugin's own memory is not counted
@@ -564,16 +636,17 @@ class TestDecode:
         # replies decoded one after another share one numbering, which
         # gives each distinct value the next bit: however large the values,
         # every bit lies below the number of distinct values decoded.  The
-        # set built later from the values bands their runs and gaps as the
-        # normalizing constructor does
-        bit_of: dict[int, int] = {}
+        # set that query builds from a cached bit row, with no child to ask,
+        # bands the reply's runs and gaps as the normalizing constructor does
+        plug = PluginSystem(["no-child"])
+        bit_of = plug._bit_of
         seen: set[int] = set()
-        for freqs in replies:
+        for k, freqs in enumerate(replies, 1):
             line = json.dumps({"freqs": sorted(freqs)}).encode()
-            values, bits = PluginSystem._decode(line, "request", bit_of)
+            bits = plug._cache["A", 4, k] = PluginSystem._decode(
+                line, "request", bit_of)
             seen |= freqs
-            assert values == sorted(freqs)
-            assert plugin._plain_set(values).bands == from_indices(
+            assert plug.query(Side.A, 4, k).bands == from_indices(
                 PoolTag.PLAIN, freqs).bands
             assert bits.bit_length() <= len(seen)
             assert bits == sum(1 << bit_of[value] for value in freqs)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -269,16 +270,23 @@ class TestGolden:
 
     def test_vectorised_floor_matches_scalar(self):
         # random int64 inputs up to the tables' reach, where every value
-        # stays below 2**30, with negative u and v; and every v below 2**30
+        # stays below 2**30, with negative u and v; every v below 2**30
         # with m^2 - 5v^2 = +-1, where 5v^2 sits next to a square and a
-        # float square root may round across it
+        # float square root may round across it; and, with their
+        # neighbours, the only v up to (2**30 - 1) // 3 whose float root
+        # of 5v^2 rounds above isqrt (none rounds below it)
         rng = np.random.default_rng(29)
         bound = 1 << 30
         pell = [(1, 0), (2, 1)]
         while 4 * pell[-2][0] + 9 * pell[-2][1] < bound:
             m, v = pell[-2]
             pell.append((9 * m + 20 * v, 4 * m + 9 * v))
-        near = [sign * v for _, v in pell[1:] for sign in (1, -1)]
+        over = [102334155, 133957148, 173045317, 204668310, 236291303,
+                243756479, 267914296, 275379472, 307002465, 314467641,
+                338625458, 346090634]
+        near = [sign * v for v in [*(v for _, v in pell[1:]),
+                                   *(v + d for v in over for d in (-1, 0, 1))]
+                for sign in (1, -1)]
         u = rng.integers(-bound + 1, bound, size=20_000 + len(near))
         v = np.concatenate([rng.integers(-bound + 1, bound, size=20_000),
                             np.array(near, dtype=np.int64)])
@@ -625,3 +633,47 @@ class TestSpecContracts:
             sys_.sets(Side.A, 3, 4)
         with pytest.raises(ValueError):
             sys_.sets(Side.A, 3, -1)
+
+
+class TestBitRow:
+    """A generator-only system numbers frequency keys with one map that its
+    spec keeps for life."""
+
+    @staticmethod
+    def stripped(factory):
+        return dataclasses.replace(factory(), row_bands_fn=None, nested=False)
+
+    @pytest.mark.parametrize("factory", [trivial_system, golden_system])
+    def test_equal_sets_equal_rows_across_sweeps(self, factory):
+        # two sweeps of one spec over overlapping levels, as two checks
+        # make them: a set has one bit row however often it is read, and
+        # distinct sets have distinct rows
+        sys_ = self.stripped(factory)
+        rows = {}
+        for levels in (range(1, 9), range(5, 13)):
+            for t in levels:
+                for side in SIDES:
+                    for k, bits in enumerate(sys_.bit_row(side, t), 1):
+                        rows.setdefault(sys_.sets(side, t, k), set()).add(bits)
+        assert all(len(bits) == 1 for bits in rows.values())
+        assert len({bits for (bits,) in rows.values()}) == len(rows)
+        # trivial's side-c sets depend on k alone
+        if factory is trivial_system:
+            assert len(rows) == 2 * 12
+
+    def test_replace_starts_a_fresh_numbering(self):
+        sys_ = self.stripped(trivial_system)
+        sys_.bit_row(Side.B, 5)
+        copy = dataclasses.replace(sys_, name="copy")
+        assert copy._bit_of == {}
+        # F(A, 1, 1) is PA1, the first key the copy numbers
+        assert copy.bit_row(Side.A, 1) == [1]
+        assert len(sys_._bit_of) == 5 and sys_.bit_row(Side.A, 1) == [1 << 5]
+
+    def test_numbering_is_not_positional(self):
+        # a stale numbering passed by position raises rather than landing
+        # in ks and selecting no sets
+        sys_ = self.stripped(trivial_system)
+        with pytest.raises(TypeError):
+            sys_.bit_row(Side.A, 3, {})
+        assert sys_.bit_row(Side.A, 3, ks=(2,)) == [0b11]
