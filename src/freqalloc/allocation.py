@@ -493,13 +493,17 @@ def assignment_to_json(assignment: dict[str, FrequencySet]) -> dict:
 
 def load_requests(lines: Iterable[str]) -> list[str]:
     """Parse a JSON-lines request stream of {"vertex": id} records; a line
-    of another shape, or an id that is not a string, raises ValueError."""
+    of another shape, nested too deep to parse, or an id that is not a
+    string, raises ValueError."""
     out = []
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
+        try:
+            doc = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"request line {i} is nested too deep") from None
         if not isinstance(doc, dict) or "vertex" not in doc:
             raise ValueError(f"request line {i} lacks a 'vertex' field: {line!r}")
         vid = doc["vertex"]

@@ -61,7 +61,7 @@ import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
 from .golden import GoldenNumber, _floor_memo, _triple
-from .harness import doubling_scale
+from .harness import doubling_scale, doubling_scale_text
 from .systems import (_ROW_CHUNK, FSystemSpec, _meet, _width, level_blocks,
                       level_entries)
 
@@ -612,14 +612,6 @@ def lemma_chain_check(
                     )
                 )
     return out
-
-
-def doubling_scale_text(theta: int, lam: int, i: int) -> str:
-    """t_i as an exact integer up to i = 64, and beyond that, where it can
-    be astronomic, as the text 6*theta*lambda*2^i."""
-    if i <= 64:
-        return str(doubling_scale(theta, lam, i))
-    return f"6*{theta}*{lam}*2^{i}"
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes are a contract: 0 clean, 1 property violation (or refuted claim),
-2 bad input or plugin fault, 3 resource refusal.  All outputs are
+2 bad input or plugin fault, 3 resource refusal.  ``main`` alone turns an
+exception into an exit code and a stderr prefix; any other exception is a
+bug and keeps its traceback.  Each outside file is read under one guard, so
+a malformed, non-UTF-8 or deeply nested one exits 2.  All outputs are
 deterministic byte for byte for identical inputs: JSON is written with
 sorted keys and exact numbers are rendered canonically.
 """
@@ -45,9 +48,7 @@ EXIT_RESOURCE = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT) -> None:
-        super().__init__(message)
-        self.code = code
+    """Bad input the CLI itself detects: exit 2."""
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -62,13 +63,6 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _write_json(path: Optional[str], doc: object) -> None:
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_ratio(text: str) -> GoldenNumber:
@@ -128,17 +122,20 @@ def _open_system(
 def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
     BipartiteInstance, list[str]
 ]:
-    doc = _load_json(graph_path)
     try:
-        inst = BipartiteInstance.from_json(doc)
-    except ValueError as exc:
+        data = Path(graph_path).read_bytes()
+    except OSError as exc:
+        raise _CliError(f"cannot read {graph_path}: {exc}") from exc
+    try:
+        inst = BipartiteInstance.from_json(json.loads(data.decode("utf-8")))
+    except (ValueError, RecursionError) as exc:
         raise _CliError(f"bad graph file {graph_path}: {exc}") from exc
     requests: list[str] = []
     if requests_path is not None:
         try:
             lines = Path(requests_path).read_text(encoding="utf-8").splitlines()
             requests = load_requests(lines)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise _CliError(f"bad request file {requests_path}: {exc}") from exc
         for v in requests:
             if v not in inst.sides:
@@ -211,19 +208,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     if args.mode == "universal":
-        # past harness.MAX_EDGES, materialize raises ResourceGuardError,
-        # which main reports with exit 3
         graph = harness.UniversalGraph(args.t_max)
         inst = graph.materialize()
         requests = list(graph.request_stream())
     else:
-        try:
-            inst, requests = harness.lower_bound_instance(
-                args.theta, args.lam, scale_cap=args.scale_cap
-            )
-        except harness.ScaleCapError as exc:
-            sys.stderr.write(f"{exc}\n")
-            return EXIT_RESOURCE
+        inst, requests = harness.lower_bound_instance(
+            args.theta, args.lam, scale_cap=args.scale_cap
+        )
     _write_json(args.out_graph, inst.to_json())
     _write_text(args.out_requests, harness.requests_to_jsonl(requests))
     return EXIT_CLEAN
@@ -237,11 +228,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
         value = static_opt(inst)
         method = "static"
     else:
-        try:
-            value = brute_force_opt(inst, budget_cap=args.budget)
-        except BudgetExceededError as exc:
-            sys.stderr.write(f"{exc}\n")
-            return EXIT_RESOURCE
+        value = brute_force_opt(inst, budget_cap=args.budget)
         method = "brute_force"
     _write_json(args.out, {"optimum": value, "method": method})
     return EXIT_CLEAN
@@ -368,10 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except NotBipartiteError as exc:
+    except (_CliError, NotBipartiteError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except PluginFault as exc:
@@ -380,12 +364,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AllocationError as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return EXIT_VIOLATION
-    except harness.ResourceGuardError as exc:
+    except (harness.ResourceGuardError, BudgetExceededError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_RESOURCE
-    except harness.CollisionError as exc:
-        sys.stderr.write(f"collision: {exc}\n")
-        return EXIT_VIOLATION
 
 
 def entry() -> None:

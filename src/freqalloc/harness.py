@@ -13,6 +13,12 @@ The edge rule is written twice, as the ``UniversalGraph.adjacent``
 predicate and as the id ranges of ``UniversalInstance.neighbors``, which
 ``UniversalGraph.materialize`` also reads.  The "A:t,k" string ids name
 vertices in exported graphs, request streams and collision witnesses.
+
+``lower_bound_instance`` builds the sub-instance of the 10/7 argument at
+the doubling scales t_i = 6*theta*lambda*2^i.  ``doubling_scale`` and
+``doubling_scale_text``, which the falsifier also reads, are the one home
+of the scale and of its rendering.  A construction too large to build
+raises ``ResourceGuardError`` (``ScaleCapError`` for a scale past its cap).
 """
 
 from __future__ import annotations
@@ -38,13 +44,13 @@ class ResourceGuardError(Exception):
     """A requested construction would not fit in memory or on disk."""
 
 
-class ScaleCapError(Exception):
-    def __init__(self, theta: int, lam: int, t_theta: int, cap: int) -> None:
-        super().__init__(
-            f"largest scale 6*{theta}*{lam}*2^{theta} = {t_theta} exceeds the "
-            f"cap {cap}"
-        )
-        self.t_theta = t_theta
+class ScaleCapError(ResourceGuardError):
+    def __init__(self, theta: int, lam: int, cap: int) -> None:
+        formula = f"6*{theta}*{lam}*2^{theta}"
+        # past i = 64 the scale's text is the formula itself
+        scale = doubling_scale_text(theta, lam, theta)
+        shown = formula if scale == formula else f"{formula} = {scale}"
+        super().__init__(f"largest scale {shown} exceeds the cap {cap}")
 
 
 def vertex_id(side: Side, t: int, k: int) -> str:
@@ -335,6 +341,14 @@ def doubling_scale(theta: int, lam: int, i: int) -> int:
     return 6 * theta * lam * 2**i
 
 
+def doubling_scale_text(theta: int, lam: int, i: int) -> str:
+    """t_i as an exact integer up to i = 64, and beyond that, where it can
+    be astronomic, as the text 6*theta*lambda*2^i."""
+    if i <= 64:
+        return str(doubling_scale(theta, lam, i))
+    return f"6*{theta}*{lam}*2^{i}"
+
+
 def lower_bound_instance(
     theta: int, lam: int, scale_cap: int = SCALE_DEFAULT_CAP
 ) -> tuple[BipartiteInstance, list[str]]:
@@ -344,13 +358,14 @@ def lower_bound_instance(
     Only the vertex families (t_i, t_i), (2t_i, t_i), (3t_i, 2t_i) and
     (3t_i/2, t_i) on both sides are included (duplicates across scales are
     merged), with the edge rule restricted to them and the phase-ordered
-    request stream touching only those vertices.
+    request stream touching only those vertices.  A largest scale past
+    ``scale_cap`` is refused, and unformed once 2^theta alone exceeds it.
     """
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
-    t_theta = doubling_scale(theta, lam, theta)
-    if t_theta > scale_cap:
-        raise ScaleCapError(theta, lam, t_theta, scale_cap)
+    if (theta >= scale_cap.bit_length()
+            or doubling_scale(theta, lam, theta) > scale_cap):
+        raise ScaleCapError(theta, lam, scale_cap)
     families: set[tuple[int, int]] = set()
     for i in range(theta + 1):
         t = doubling_scale(theta, lam, i)

@@ -231,7 +231,7 @@ class PluginSystem:
         position there."""
         try:
             reply = json.loads(line)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8, depth
             raise PluginFault(f"malformed reply {line!r} to {request}") from exc
         if not isinstance(reply, dict) or "freqs" not in reply:
             raise PluginFault(f"reply to {request} lacks a 'freqs' list: {line!r}")

@@ -193,16 +193,6 @@ class FSystemSpec:
             raise ValueError(f"need 0 <= k <= t, got k={k}, t={t}")
         return self.generator(side, t, k)
 
-    def row(self, side: Side, t: int) -> Sequence[FrequencySet]:
-        """The level-t sets of one side for k = 1..t, one ``sets`` call
-        per k, after one ``bit_row_fn`` call for the row where the system
-        has one: a plugin asks for the row in windows and caches the replies."""
-        if t < 1:
-            raise ValueError(f"level must be >= 1, got t={t}")
-        if self.bit_row_fn is not None:
-            self.bit_row_fn(side, t, None)
-        return [self.sets(side, t, k) for k in range(1, t + 1)]
-
     def bit_row(
         self, side: Side, t: int, *, ks: Optional[Sequence[int]] = None
     ) -> Sequence[int]:
@@ -215,10 +205,9 @@ class FSystemSpec:
             return self.bit_row_fn(side, t, ks)
         bit_of = self._bit_of
         out = []
-        for fs in (self.row(side, t) if ks is None
-                   else [self.sets(side, t, k) for k in ks]):
+        for k in range(1, t + 1) if ks is None else ks:
             bits = 0
-            for pool, lo, hi in fs.bands:
+            for pool, lo, hi in self.sets(side, t, k).bands:
                 scale, offset = KEY_BY_RANK[pool.rank]
                 for key in range(scale * lo + offset, scale * hi + offset,
                                  scale):
@@ -227,8 +216,12 @@ class FSystemSpec:
         return out
 
     def row_union(self, side: Side, t: int) -> FrequencySet:
-        """Union over 1 <= k <= t of the level-t sets for one side."""
-        return union_all(self.row(side, t))
+        """Union over 1 <= k <= t of the level-t sets for one side, after one
+        ``bit_row_fn`` call for the row where the system has one: a plugin
+        asks for the row in windows and caches the replies."""
+        if self.bit_row_fn is not None:
+            self.bit_row_fn(side, t, None)
+        return union_all(self.sets(side, t, k) for k in range(1, t + 1))
 
     def row_sizes(
         self, side: Side, t: int, t_hi: Optional[int] = None
@@ -236,18 +229,14 @@ class FSystemSpec:
         """Cardinalities of F(side, tau, k) for t <= tau <= t_hi (t_hi = t by
         default) and k = 1..tau, in (tau, k) order: the widths of the row
         bands, at most _ROW_CHUNK entries per pass, where the system has
-        them, else one level after another: the popcounts of the bit rows
-        where the system serves them, else the sizes of the sets."""
+        them, else the popcounts of ``bit_row``, one level after another."""
         if t_hi is None:
             t_hi = t
         if not 1 <= t <= t_hi:
             raise ValueError(f"need 1 <= t <= t_hi, got t={t}, t_hi={t_hi}")
         if self.row_bands_fn is None:
-            if self.bit_row_fn is not None:
-                return [bits.bit_count() for tau in range(t, t_hi + 1)
-                        for bits in self.bit_row_fn(side, tau, None)]
-            return [len(fs) for tau in range(t, t_hi + 1)
-                    for fs in self.row(side, tau)]
+            return [bits.bit_count() for tau in range(t, t_hi + 1)
+                    for bits in self.bit_row(side, tau)]
         import numpy as np
 
         out = np.empty((t_hi - t + 1) * (t_hi + t) // 2, dtype=np.int64)

@@ -209,6 +209,15 @@ def check_f2_exhaustive(sys, t_max: int) -> list[Violation]:
     return out
 
 
+def sets_row(sys, side: Side, t: int) -> list[FrequencySet]:
+    """The level-t sets of one side for k = 1..t, one ``sets`` call per k,
+    after one ``bit_row_fn`` call for the row where the system has one: a
+    plugin asks for the row in windows and caches the replies."""
+    if sys.bit_row_fn is not None:
+        sys.bit_row_fn(side, t, None)
+    return [sys.sets(side, t, k) for k in range(1, t + 1)]
+
+
 def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
     """check_f2 on FrequencySet unions: the reduced sweep that the bit-row
     and band-hull sweeps replace, with the same anchors, witnesses and
@@ -226,7 +235,7 @@ def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
         return pref
 
     for t in range(1, t_max + 1):
-        rows = [sys.row(s, t) for s in SIDES]
+        rows = [sets_row(sys, s, t) for s in SIDES]
         for m in range(1, t + 1):
             cols[1][m] = cols[1][m] | rows[1][m - 1]
         # the side A row (s = 0) meets side B history including level t
@@ -253,8 +262,8 @@ def row_union_folds(sys, t_max: int) -> list[tuple[FrequencySet, ...]]:
     out = []
     fa = fb = FrequencySet.empty()
     for t in range(1, t_max + 1):
-        fa = fa | union_all(sys.row(Side.A, t))
-        fb = fb | union_all(sys.row(Side.B, t))
+        fa = fa | union_all(sets_row(sys, Side.A, t))
+        fb = fb | union_all(sets_row(sys, Side.B, t))
         out.append((fa, fb))
     return out
 

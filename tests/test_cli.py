@@ -17,8 +17,9 @@ def run_cli(*argv):
 
 
 def write_graph(tmp_path, doc, name="graph.json"):
+    # bytes are written as they are: files that json.dumps cannot make
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return str(p)
 
 
@@ -405,6 +406,37 @@ class TestBadNumbers:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversary", "lower-bound", "--theta", "35", "--lambda", "1"],
+            ["adversary", "lower-bound", "--theta", "100000", "--lambda", "1"],
+            ["adversary", "lower-bound", "--theta", "1000000000",
+             "--lambda", "1"],
+            ["adversary", "universal", "--t-max", "65"],
+            ["opt", "brute", "--budget", "10"],
+        ],
+        ids=["theta-35", "theta-1e5", "theta-1e9", "universal-65", "budget"],
+    )
+    def test_refusal_exits_3_without_traceback(self, tmp_path, argv):
+        # every refusal leaves through main's one handler
+        if argv[0] == "adversary":
+            argv = argv + ["--out-graph", str(tmp_path / "g.json"),
+                           "--out-requests", str(tmp_path / "r.jsonl")]
+        if argv[0] == "opt":
+            argv = argv + ["--graph", write_graph(tmp_path, EDGE_GRAPH),
+                           "--requests",
+                           write_requests(tmp_path, ["u"] * 9 + ["v"] * 9)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqalloc.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("refused: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestBadGraphs:
     @pytest.mark.parametrize(
@@ -422,6 +454,11 @@ class TestBadGraphs:
             },
             {"vertices": [{"id": "u"}, {"id": "u"}], "edges": []},
             {"vertices": [{"id": "u"}, {"side": "A"}], "edges": []},
+            pytest.param(b'{"vertices": [{"id": "\xff"}], "edges": []}',
+                         id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep"),
+            pytest.param(b'{"vertices": [], "edges": [' + b"7" * 5000 + b"]}",
+                         id="long-int"),
         ],
     )
     @pytest.mark.parametrize(
@@ -466,6 +503,30 @@ class TestBadRequests:
         assert "Traceback" not in proc.stderr
         assert "bad request file" in proc.stderr
         assert "is not a string" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", [["opt", "static"], ["run", "--system", "golden"]]
+    )
+    def test_deep_line_exits_2(self, tmp_path, command):
+        requests = tmp_path / "requests.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        requests.write_text(f'{{"vertex": "u"}}\n{deep}\n')
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "freqalloc.cli", *command,
+                "--graph", write_graph(tmp_path, EDGE_GRAPH),
+                "--requests", str(requests),
+                "--out", str(tmp_path / "out.json"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"error: bad request file {requests}: request line 2 is nested "
+            "too deep\n")
 
 
 class TestBadOutputs:

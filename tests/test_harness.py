@@ -479,7 +479,27 @@ class TestLowerBoundInstance:
     def test_scale_cap_refusal(self):
         with pytest.raises(ScaleCapError) as err:
             lower_bound_instance(35, 1, scale_cap=10**6)
-        assert err.value.t_theta == 6 * 35 * 2**35
+        assert str(err.value) == (
+            "largest scale 6*35*1*2^35 = 7215545057280 exceeds the cap 1000000")
+
+    def test_refusal_forms_no_scale_past_the_cap_bits(self, monkeypatch):
+        # from theta = cap.bit_length() on, 2^theta alone exceeds the cap:
+        # the refusal asks for no scale at or past that index, and prints
+        # the largest one as text
+        asked = []
+        scale = harness.doubling_scale
+
+        def counting_scale(theta, lam, i):
+            asked.append(i)
+            return scale(theta, lam, i)
+
+        monkeypatch.setattr(harness, "doubling_scale", counting_scale)
+        with pytest.raises(ScaleCapError) as err:
+            lower_bound_instance(10**9, 1)
+        assert isinstance(err.value, harness.ResourceGuardError)
+        assert all(i < harness.SCALE_DEFAULT_CAP.bit_length() for i in asked)
+        assert str(err.value) == (
+            "largest scale 6*1000000000*1*2^1000000000 exceeds the cap 1000000")
 
     def test_bipartite(self):
         inst, _ = lower_bound_instance(2, 1)

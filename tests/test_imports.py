@@ -6,6 +6,10 @@ checker's and the plugin runner's names lazily, and the systems module
 imports numpy only inside its vector code.  The checker, and so the CLI,
 load numpy when they are imported.  Each placement is checked in a fresh
 child interpreter, since this process has long loaded everything.
+
+The same parse pins two placements of the design: ``cli.main`` is the one
+function that maps an exception to an exit code, and the doubling scale's
+text has one home, ``harness``.
 """
 
 import ast
@@ -121,6 +125,42 @@ def test_only_checker_imports_numpy_at_module_level():
             ):
                 top.add(path.stem)
     assert top == {"checker"}
+
+
+REFUSALS = {"ResourceGuardError", "ScaleCapError", "BudgetExceededError"}
+
+
+def cli_functions() -> list[ast.FunctionDef]:
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)]
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Identifiers named under node, as names or attributes."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    others = [f for f in cli_functions() if f.name != "main"]
+    assert len(others) < len(cli_functions())
+    for func in others:
+        assert not {"EXIT_INPUT", "EXIT_RESOURCE"} & names_in(func), func.name
+        for handler in ast.walk(func):
+            if isinstance(handler, ast.ExceptHandler) and handler.type:
+                assert not REFUSALS & names_in(handler.type), func.name
+
+
+def test_doubling_scale_text_defined_in_harness_only():
+    homes = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(isinstance(node, ast.FunctionDef)
+               and node.name == "doubling_scale_text"
+               for node in ast.walk(tree)):
+            homes.add(path.stem)
+    assert homes == {"harness"}
 
 
 class TestLazyExports:

@@ -622,6 +622,7 @@ MALFORMED = [
     (b'{"freqs": ["x"]}', "non-integer frequency 'x' "),
     (b'{"freqs": [true]}', "non-integer frequency True "),
     (b'{"freqs": [1.0]}', "non-integer frequency 1.0 "),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "malformed reply", id="deep"),
 ]
 
 
