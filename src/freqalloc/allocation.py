@@ -11,9 +11,12 @@ cross-side disjointness guarantees neighbours never share.  First fit is
 found band by band: each vertex keeps one next-free union-find over the
 keys of the frequencies it holds, so a request costs O(bands * log k)
 amortised rather than a canonical scan of O(k).  That union-find is the only
-record of a vertex's frequencies (``assignment_sets`` decodes its keys), and
-one check over ``neighbors`` serves ``assignment_valid`` and
-``validate="full"``.
+record of a vertex's frequencies, and one check over ``neighbors`` serves
+``assignment_valid`` and ``validate="full"``.  ``Allocator.request_key``
+serves a request and returns the picked frequency's key; ``request`` returns
+the frequency itself.  The allocator builds each frequency once, on the
+first pick of its key, into a map from key to frequency, which also counts
+the distinct frequencies used and names those of ``assignment_sets``.
 
 The allocator reads an instance only through the ``Instance`` protocol.
 ``BipartiteInstance`` implements it over explicit adjacency and string ids,
@@ -29,8 +32,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
-from .frequencies import (_POOLS_BY_RANK, KEY_BY_RANK, POOL_COUNT, Frequency,
-                          FrequencySet, PoolTag, Side)
+from .frequencies import KEY_BY_RANK, Frequency, FrequencySet, PoolTag, Side
 from .systems import FSystemSpec
 
 
@@ -390,6 +392,13 @@ class Allocator:
     so most lookups end there or one hop from it, and only longer chains
     walk the union-find.
 
+    ``request_key`` does all of this and returns the picked key, which is
+    all a caller keeping its own records by key needs.  The first pick of a
+    key builds its ``Frequency`` (checking its index) into a map from key to
+    frequency; ``request`` looks the pick up there, ``distinct_used`` is the
+    map's size, and ``assignment_sets`` reads each held key's pool and index
+    from it.  The map holds one entry per distinct frequency used.
+
     With ``validate="neighbors"``, and only then, a map from each key to the
     vertices holding it refuses a pick that a neighbour holds, in one set
     test; the union-finds stay the only record of a vertex's frequencies.
@@ -413,9 +422,12 @@ class Allocator:
         self._next_free: dict[Hashable, dict[int, int]] = {}
         # validate="neighbors" only: key -> the vertices holding it
         self._holders: defaultdict[int, set[Hashable]] = defaultdict(set)
-        self._all_keys: set[int] = set()
+        # key -> its frequency, for every key picked so far
+        self._used: dict[int, Frequency] = {}
 
-    def request(self, v: Hashable) -> Frequency:
+    def request_key(self, v: Hashable) -> int:
+        """Serve one request at v and return the key of the frequency picked;
+        ``request`` returns the frequency itself."""
         side, k, cand = self.instance.admit(v)
         if cand > self.t:
             self.t = cand
@@ -442,14 +454,18 @@ class Allocator:
                 f"system {self.system.name!r} offers only {len(fs)} frequencies "
                 f"for side {side}, t={self.t}, k={k}; the size floor requires {k}"
             )
-        index = best_lo + (best - best_first) // best_scale
-        if index < 1:
-            raise ValueError(f"frequency index must be >= 1, got {index}")
+        used = self._used
+        pick = used.get(best)
+        if pick is None:
+            # keys map to (pool, index) one to one, so the first pick of a
+            # key checks its index for every later one
+            index = best_lo + (best - best_first) // best_scale
+            if index < 1:
+                raise ValueError(f"frequency index must be >= 1, got {index}")
+            pick = used[best] = Frequency._raw(best_pool, index)
         # the band's keys up to the pick are all held now, so its first key
         # may point past the pick
         next_free[best] = next_free[best_first] = best + best_scale
-        pick = Frequency._raw(best_pool, index)
-        self._all_keys.add(best)
         if self.validate == "neighbors":
             holders = self._holders[best]
             if not holders.isdisjoint(self.instance.neighbors(v)):
@@ -464,23 +480,23 @@ class Allocator:
             fault = _assignment_fault(self.instance, self.assignment_sets(), context)
             if fault is not None:
                 raise AllocationError(fault)
-        return pick
+        return best
+
+    def request(self, v: Hashable) -> Frequency:
+        return self._used[self.request_key(v)]
 
     def distinct_used(self) -> int:
-        return len(self._all_keys)
+        return len(self._used)
 
     def assignment_sets(self) -> dict[Hashable, FrequencySet]:
-        """Each served vertex's frequencies, decoded from its union-find's
-        keys: the rank is the key mod POOL_COUNT."""
+        """Each served vertex's frequencies: the ones its union-find's keys
+        name in the map of used keys."""
+        used = self._used
         out = {}
         for v, next_free in self._next_free.items():
-            bands = []
-            for key in next_free:
-                scale, offset = KEY_BY_RANK[key % POOL_COUNT]
-                i = (key - offset) // scale
-                bands.append((_POOLS_BY_RANK[key % POOL_COUNT], i, i + 1))
-            if bands:
-                out[v] = FrequencySet(bands)
+            held = [used[key] for key in next_free]
+            if held:
+                out[v] = FrequencySet((f.pool, f.index, f.index + 1) for f in held)
         return out
 
 

@@ -24,11 +24,12 @@ raises ``ResourceGuardError`` (``ScaleCapError`` for a scale past its cap).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
-from .frequencies import KEY_BY_RANK, SIDES, Side
+from .frequencies import SIDES, Side
 from .golden import GoldenNumber
 from .systems import FSystemSpec
 
@@ -47,7 +48,7 @@ class ResourceGuardError(Exception):
 class ScaleCapError(ResourceGuardError):
     def __init__(self, theta: int, lam: int, cap: int) -> None:
         formula = f"6*{theta}*{lam}*2^{theta}"
-        # past i = 64 the scale's text is the formula itself
+        # past i = 64 or the digit limit the scale's text is the formula itself
         scale = doubling_scale_text(theta, lam, theta)
         shown = formula if scale == formula else f"{formula} = {scale}"
         super().__init__(f"largest scale {shown} exceeds the cap {cap}")
@@ -205,12 +206,17 @@ class UniversalInstance:
         running counter.
 
         Loaded vertices have level at most the highest level admitted, and
-        those are the first ids of each side.  All of them have level <=
-        phase, and every loaded index m has a witness vertex at level phase,
-        so the partners of a loaded (t, k) are exactly the opposite indices
-        up to phase - k and the best partner load is a prefix maximum over
-        the index.
+        those are the first ids of each side.  A phase below that level
+        raises ValueError, so all of them have level <= phase.  Every loaded
+        index m has a witness vertex at level phase, so the partners of a
+        loaded (t, k) are exactly the opposite indices up to phase - k >= 0,
+        and the best partner load is a prefix maximum over the index.
         """
+        if phase < self._top_level:
+            raise ValueError(
+                f"phase {phase} is below the highest admitted level "
+                f"{self._top_level}"
+            )
         top = self._top_level * (self._top_level + 1) // 2
         indices = self._index[:top]
         rows = [
@@ -233,7 +239,7 @@ class UniversalInstance:
             for load, k in zip(row, indices):
                 if load <= 0:
                     continue
-                total = load + partner[max(0, min(phase, phase - k))]
+                total = load + partner[phase - k]
                 if total > best:
                     best = total
         return best
@@ -288,12 +294,13 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     exactly when k' <= t - k.  Any collision or size-floor shortfall aborts
     with a witness; per phase, the optimum is recomputed independently and
     the count of distinct frequencies is compared with floor(r*t) + lambda.
+    Picks come as frequency keys from ``Allocator.request_key`` and the
+    records are kept by key; only a collision message names the frequency.
     """
     r, add = system.claimed_ratio, system.claimed_lambda
     inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
-    request = alloc.request
-    keys = KEY_BY_RANK
+    request = alloc.request_key
     # per side, by frequency key, the smallest k-index using the frequency
     # and its vertex
     min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
@@ -305,14 +312,13 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
             for k in range(1, t + 1):
                 v = first + k - 1
                 for _ in range(k):
-                    f = request(v)
-                    scale, offset = keys[f.pool.rank]
-                    key = scale * f.index + offset
+                    key = request(v)
                     hit = theirs.get(key)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(
-                            f"frequency {f} assigned to {inst.name(v)} is "
-                            f"already used at adjacent {inst.name(hit[1])}"
+                            f"frequency {alloc._used[key]} assigned to "
+                            f"{inst.name(v)} is already used at adjacent "
+                            f"{inst.name(hit[1])}"
                         )
                     held = mine.get(key)
                     if held is None or k < held[0]:
@@ -342,10 +348,15 @@ def doubling_scale(theta: int, lam: int, i: int) -> int:
 
 
 def doubling_scale_text(theta: int, lam: int, i: int) -> str:
-    """t_i as an exact integer up to i = 64, and beyond that, where it can
-    be astronomic, as the text 6*theta*lambda*2^i."""
+    """t_i as an exact integer up to i = 64 while its decimal fits the
+    interpreter's digit limit (``sys.get_int_max_str_digits``, 0 for none),
+    and otherwise, where it can be astronomic, as the text
+    6*theta*lambda*2^i."""
     if i <= 64:
-        return str(doubling_scale(theta, lam, i))
+        scale = doubling_scale(theta, lam, i)
+        limit = sys.get_int_max_str_digits()
+        if not limit or scale < 10**limit:
+            return str(scale)
     return f"6*{theta}*{lam}*2^{i}"
 
 

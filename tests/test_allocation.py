@@ -411,6 +411,44 @@ class TestFirstFitDifferential:
             }
 
 
+class TestKeyPath:
+    """``request_key`` is ``request``'s core: a twin allocator serving the
+    same stream through it picks the keys of the frequencies ``request``
+    returns."""
+
+    @pytest.mark.parametrize(
+        "system", [trivial_system, half_system, golden_system]
+    )
+    def test_keys_match_the_frequency_path(self, system):
+        rng = random.Random(f"key path {system.__name__}")
+        for _ in range(8):
+            build, stream = random_replay(rng)
+            by_frequency = Allocator(build(), system())
+            by_key = Allocator(build(), system())
+            for v in stream:
+                assert by_key.request_key(v) == by_frequency.request(v)._key()
+            assert by_key.distinct_used() == by_frequency.distinct_used()
+
+    def test_key_path_clash_names_the_frequency(self):
+        # both sides draw PRIVATE_A from index 3, so v's first pick is PA3,
+        # which its neighbour u holds
+        overlapping = FSystemSpec(
+            name="overlapping",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: FrequencySet(
+                [(PoolTag.PRIVATE_A, 3, 3 + k)]
+            ),
+        )
+        clash = r"^frequency PA3 assigned to v is already used at adjacent u$"
+        for serve in (Allocator.request, Allocator.request_key):
+            inst = instance(["u", "v"], [("u", "v")])
+            alloc = Allocator(inst, overlapping, validate="neighbors")
+            serve(alloc, "u")
+            with pytest.raises(AllocationError, match=clash):
+                serve(alloc, "v")
+
+
 CLASHING = FSystemSpec(
     name="clashing",
     claimed_ratio=GoldenNumber(2),

@@ -235,6 +235,34 @@ class TestAdversary:
             str(tmp_path / "r"),
         ) == 3
 
+    def test_lower_bound_refusal_at_the_digit_limit(self, tmp_path, capsys):
+        # at theta 1 the largest scale is 12*lambda: the refusal prints its
+        # decimal while that fits the interpreter's digit limit, and the
+        # formula alone from the first lambda whose scale has one digit more;
+        # no lambda past the limit - 1 nines is formed
+        limit = 4300
+        last_fit = "8" + "3" * (limit - 2)  # (10^limit - 1) // 12
+        cases = [
+            (last_fit, f" = {'9' * (limit - 2)}96"),  # 10^limit - 4
+            ("8" + "3" * (limit - 3) + "4", ""),
+            ("9" * (limit - 1), ""),
+        ]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for lam, decimal in cases:
+                assert run_cli(
+                    "adversary", "lower-bound", "--theta", "1", "--lambda", lam,
+                    "--out-graph", str(tmp_path / "g"), "--out-requests",
+                    str(tmp_path / "r"),
+                ) == 3
+                assert capsys.readouterr().err == (
+                    f"refused: largest scale 6*1*{lam}*2^1{decimal} exceeds "
+                    "the cap 1000000\n"
+                )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     @pytest.mark.parametrize("system", ["trivial", "half", "golden"])
     def test_round_trip_through_run(self, tmp_path, system):
         g = tmp_path / "g.json"

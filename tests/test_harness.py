@@ -287,6 +287,14 @@ class TestUniversalInstance:
         with pytest.raises(ValueError, match="nondecreasing levels"):
             lazy.admit(lazy.vertex(Side.A, 2, 1))
 
+    def test_independent_opt_refuses_a_phase_below_the_top_level(self):
+        lazy = UniversalInstance(UniversalGraph(5))
+        lazy.admit(lazy.vertex(Side.B, 3, 3))
+        assert lazy.independent_opt(3) == 1
+        with pytest.raises(ValueError) as err:
+            lazy.independent_opt(2)
+        assert str(err.value) == "phase 2 is below the highest admitted level 3"
+
     @pytest.mark.parametrize("t, k", [(6, 1), (3, 4), (2, 0), (0, 0)])
     def test_rejects_vertices_outside_the_graph(self, t, k):
         inst = UniversalInstance(UniversalGraph(5))
