@@ -34,17 +34,22 @@ read at the wanted levels only.  With row bands, every set the lemma chain
 and ``union_sizes`` read, and every intersection of two of them, is one
 band per pool, so their sizes come from the band arrays by inclusion and
 exclusion, at most _ROW_CHUNK entries per call; a FrequencySet is built only
-for a reported witness.  The lemma chain and the gamma trace of any other
-system read S_tau and Z_t,k, and their unions and meets, on bit rows.
+for a reported witness.  Every other lemma chain, and every gamma trace, read
+``_chain_sizes``: a nested system's top sets, any other's bit rows.
 
 Every ratio inequality (competitiveness, ``min_lambda``, the lemma chain and
 the gamma trace) compares an integer with base - r*n for integers base and
 n, where r is in Q(sqrt5).  Since x >= base - r*n holds exactly when
 base - x <= floor(r*n) for an integer x, each is decided on integers: r is
-turned into its triple (u, v, w) once per call, and floor(r*n) is
-``floor_linear(u*n, v*n, w)``.  A GoldenNumber is built only for a value
+turned into its triple (u, v, w) once per call, and floor(r*n) is read as
+``golden._Floors(u, v, w)[n]``.  A GoldenNumber is built only for a value
 that is reported, such as a violation's right-hand side or the result of
 ``min_lambda``.
+
+``check_f2`` allocates its columns before its first level, so a horizon
+whose columns would pass F2_COLUMN_BYTES_CAP is refused through
+``harness.ResourceGuardError``: by ``check_f2``, and by ``run_checks`` and
+``falsify`` before their first sweep.
 """
 
 from __future__ import annotations
@@ -55,13 +60,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import and_, or_
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
-from .golden import GoldenNumber, _floor_memo, _triple
-from .harness import doubling_scale, doubling_scale_text
+from .golden import GoldenNumber, _Floors, _triple
+from .harness import ResourceGuardError, doubling_scale, doubling_scale_text
 from .systems import (_ROW_CHUNK, FSystemSpec, _meet, _width, level_blocks,
                       level_entries)
 
@@ -70,11 +75,29 @@ TEN_SEVENTHS = GoldenNumber(Fraction(10, 7))
 # verify and falsify, and the lemma chain in verify
 F2_DEFAULT_CAP = 100
 LEMMA_DEFAULT_CAP = 200
+# the most bytes check_f2 may allocate before its first level: the columns
+# of _check_f2_bands and its two buffers, 576 bytes per level, or the two
+# column lists of _check_f2_sets, 16 bytes per level
+F2_COLUMN_BYTES_CAP = 1 << 28
 
 
 def default_horizon(horizon: Optional[int], t_max: int, cap: int) -> int:
     """horizon if given, else min(t_max, cap)."""
     return min(t_max, cap) if horizon is None else horizon
+
+
+def _guard_f2(sys: FSystemSpec, t_max: int) -> None:
+    """Refuse, through ResourceGuardError, a disjointness horizon whose
+    up-front columns would pass F2_COLUMN_BYTES_CAP."""
+    if sys.row_bands_fn is not None:
+        need = 3 * len(SIDES) * 2 * POOL_COUNT * 8 * (t_max + 1)
+    else:
+        need = len(SIDES) * 8 * t_max
+    if need > F2_COLUMN_BYTES_CAP:
+        raise ResourceGuardError(
+            f"disjointness to level {t_max} needs {need} bytes of columns "
+            f"up front, over the guard of {F2_COLUMN_BYTES_CAP}"
+        )
 
 
 class ViolationKind(Enum):
@@ -176,10 +199,12 @@ def check_f2(
     covers every quadruple up to t_max exactly once.  Witnesses are
     recovered by re-scanning the offending range.  A system with row bands
     is swept on the hulls of its band arrays and any other on its bit rows;
-    both give the same violations in the same order.
+    both give the same violations in the same order.  A horizon whose
+    columns would pass F2_COLUMN_BYTES_CAP raises ResourceGuardError.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    _guard_f2(sys, t_max)
     if sys.row_bands_fn is not None:
         return _check_f2_bands(sys, t_max, limit)
     return _check_f2_sets(sys, t_max, limit)
@@ -351,10 +376,10 @@ def check_competitiveness(
     """|U_t| <= r*t + lambda for every t <= t_max, compared exactly."""
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
-    floor_rn = _floor_memo(*_triple(r))
+    floor_rn = _Floors(*_triple(r))
     out = []
     for t, size in union_sizes(sys, t_max):
-        if size - lam > floor_rn(t):
+        if size - lam > floor_rn[t]:
             out.append(
                 Violation(
                     kind=ViolationKind.COMPETITIVENESS,
@@ -373,12 +398,12 @@ def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
     the maximum of |U_t| - r*t over the horizon (may be negative)."""
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
-    floor_rn = _floor_memo(*_triple(r))
+    floor_rn = _Floors(*_triple(r))
     # the earliest (t, |U_t|) with the largest |U_t| - r*t so far; a later
     # level beats it when |U_t| - |U_b| > r*(t - t_b)
     best: Optional[tuple[int, int]] = None
     for t, size in union_sizes(sys, t_max):
-        if best is None or size - best[1] > floor_rn(t - best[0]):
+        if best is None or size - best[1] > floor_rn[t - best[0]]:
             best = (t, size)
     if best is None:
         raise ValueError("t_max must be >= 1")
@@ -423,7 +448,7 @@ def _shared_sets(
 
 def _overlap(sys: FSystemSpec, t: int, k: int) -> FrequencySet:
     """Z_{t,k}: the frequencies the two (t, k) sets have in common."""
-    return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
+    return and_(*_pair_sets(sys, t, k))
 
 
 def _shared_bits(sys: FSystemSpec, levels: Iterable[int]) -> dict[int, int]:
@@ -431,6 +456,11 @@ def _shared_bits(sys: FSystemSpec, levels: Iterable[int]) -> dict[int, int]:
     wanted = set(levels)
     return {tau: fa & fb for tau, fa, fb in
             _bit_unions(sys, max(wanted)) if tau in wanted}
+
+
+def _pair_sets(sys: FSystemSpec, t: int, k: int) -> list[FrequencySet]:
+    """The two (t, k) sets."""
+    return [sys.sets(side, t, k) for side in SIDES]
 
 
 def _pair_bits(sys: FSystemSpec, t: int, k: int) -> list[int]:
@@ -465,22 +495,24 @@ def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
-def _lemma_sizes_bits(
-    sys: FSystemSpec, evens: range
+def _chain_sizes(
+    sys: FSystemSpec, ts: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Per even t: t, then the sizes of Z_2t,t, S_t, S_2t,t, S_t u Z_3t/2,t,
-    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, as popcounts of bit rows,
-    with S_tau from ``_shared_bits``."""
-    shared = _shared_bits(sys, [*evens, *(2 * t for t in evens)])
-    for t in evens:
+    """Per even t in ts: t, then the sizes of Z_2t,t, S_t, S_2t,t,
+    S_t u Z_3t/2,t, Z_3t,2t, S_2t \\ Z_3t,2t, S_2t u Z_3t,2t and S_2t.  A
+    nested system is read on FrequencySets, S_tau from its top sets
+    (``_shared_sets``); any other on bit rows (``_shared_bits``), counted
+    by popcount."""
+    read, pair, size = ((_shared_sets, _pair_sets, len) if sys.nested
+                        else (_shared_bits, _pair_bits, int.bit_count))
+    shared = read(sys, [*ts, *(2 * t for t in ts)])
+    for t in ts:
         s_t, s_2t = shared[t], shared[2 * t]
-        a, b = _pair_bits(sys, 2 * t, t)
-        s_u_z = s_t | and_(*_pair_bits(sys, 3 * t // 2, t))
-        z_top = and_(*_pair_bits(sys, 3 * t, 2 * t))
-        yield (t, (a & b).bit_count(), s_t.bit_count(),
-               (s_2t & (a | b)).bit_count(), s_u_z.bit_count(),
-               z_top.bit_count(), (s_2t & ~z_top).bit_count(),
-               (s_2t | z_top).bit_count())
+        a, b = pair(sys, 2 * t, t)
+        s_u_z = s_t | and_(*pair(sys, 3 * t // 2, t))
+        z_top = and_(*pair(sys, 3 * t, 2 * t))
+        yield t, *map(size, (a & b, s_t, s_2t & (a | b), s_u_z, z_top,
+                             s_2t - (s_2t & z_top), s_2t | z_top, s_2t))
 
 
 # the (t, k) entries the lemma chain reads at an even level t, as multiples
@@ -491,7 +523,7 @@ _LEMMA_ENTRIES = ((2, 2), (4, 4), (4, 2), (3, 2), (6, 4))
 def _lemma_sizes_bands(
     sys: FSystemSpec, evens: range
 ) -> Iterator[tuple[int, ...]]:
-    """_lemma_sizes_bits of a nested system with row bands, on the band
+    """_chain_sizes of a nested system with row bands, on the band
     arrays.  S_tau is the meet of the top bands, and every set below, and
     the meet of any of them, is one band per pool, so each size is a sum of
     band widths by inclusion and exclusion.  Each call to ``row_bands_fn``
@@ -525,6 +557,7 @@ def _lemma_sizes_bands(
             n_top,
             n_2t - n_top_2t,
             n_2t + n_top - n_top_2t,
+            n_2t,
         )
         yield from zip((2 * half).tolist(), *(x.tolist() for x in sizes))
 
@@ -539,18 +572,16 @@ def lemma_chain_check(
     those properties the result is empty; a violation therefore indicates
     that the assumed properties fail somewhere on that horizon.  Generator
     queries reach level 3*t_max.  A nested system with row bands is read on
-    its band arrays, any other on its bit rows.
+    its band arrays, any other by ``_chain_sizes``.
     """
     out: list[Violation] = []
     if t_max < 2:
         return out
-    floor_rn = _floor_memo(*_triple(r))
-    evens = range(2, t_max + 1, 2)
-    if sys.nested and sys.row_bands_fn is not None:
-        sizes = _lemma_sizes_bands(sys, evens)
-    else:
-        sizes = _lemma_sizes_bits(sys, evens)
-    for t, n_clash, s_t, s_2t_t, s_u_z, z_top, packed, grown in sizes:
+    floor_rn = _Floors(*_triple(r))
+    banded = sys.nested and sys.row_bands_fn is not None
+    sizes = (_lemma_sizes_bands if banded else _chain_sizes)(
+        sys, range(2, t_max + 1, 2))
+    for t, n_clash, s_t, s_2t_t, s_u_z, z_top, packed, grown, _ in sizes:
         if n_clash:
             out.append(
                 Violation(
@@ -602,7 +633,7 @@ def lemma_chain_check(
             ),
         )
         for kind, lhs, (base, n), lhs_text, rhs_text in checks:
-            if base - lhs > floor_rn(n):
+            if base - lhs > floor_rn[n]:
                 out.append(
                     Violation(
                         kind=kind,
@@ -657,8 +688,9 @@ def gamma_trace(
 
     Step i uses the doubling recurrence at t_i: the level-(2t_i) numerator
     must gain at least (10 - 7R)t_i - 3*lambda over twice the level-t_i one,
-    and every numerator is capped by |S_{2t_i}| <= 2R*t_i + lambda.  A
-    nested system is read on its top sets, any other on its bit rows.
+    and every numerator is capped by |S_{2t_i}| <= 2R*t_i + lambda.  The
+    numerator and |S_2t| are the lemma chain's own, from ``_chain_sizes``:
+    a nested system is read on FrequencySets, which reach any level.
     """
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
@@ -667,26 +699,18 @@ def gamma_trace(
     if steps > theta:
         raise ValueError("trace cannot exceed theta steps")
     trace = GammaTrace(theta=theta, lam=lam)
-    floor_rn = _floor_memo(*_triple(r))
+    floor_rn = _Floors(*_triple(r))
     scales = [doubling_scale(theta, lam, i) for i in range(steps + 1)]
-    levels = [*scales, *(2 * t for t in scales)]
-    # per scale t, |S_t u Z_3t/2,t| and |S_2t|
-    if sys.nested:
-        shared = _shared_sets(sys, levels)
-        measured = [(len(shared[t] | _overlap(sys, 3 * t // 2, t)),
-                     len(shared[2 * t])) for t in scales]
-    else:
-        bits = _shared_bits(sys, levels)
-        measured = [((bits[t] | and_(*_pair_bits(sys, 3 * t // 2, t))
-                      ).bit_count(), bits[2 * t].bit_count()) for t in scales]
     sizes: list[int] = []
-    for i, (t, (size, s_2t)) in enumerate(zip(scales, measured)):
+    # per scale t, size is |S_t u Z_3t/2,t|
+    for i, (t, _, _, _, size, *_, s_2t) in enumerate(
+            _chain_sizes(sys, scales)):
         sizes.append(size)
         trace.entries.append(
             GammaEntry(i=i, t=t, numerator_size=size, gamma=Fraction(size, t))
         )
         # x > 2R*t + lambda exactly when x - lambda > floor(R*2t)
-        if max(size, s_2t) - lam > floor_rn(2 * t):
+        if max(size, s_2t) - lam > floor_rn[2 * t]:
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_CAP,
@@ -697,7 +721,7 @@ def gamma_trace(
             )
     for i, t in enumerate(scales[:-1]):
         base, n = _doubling_bound(sizes[i], lam, t)
-        if base - sizes[i + 1] > floor_rn(n):
+        if base - sizes[i + 1] > floor_rn[n]:
             trace.violations.append(
                 Violation(
                     kind=ViolationKind.GAMMA_STEP,
@@ -754,8 +778,11 @@ def run_checks(
     """Run the selected property checks against the system's own claims.
 
     A horizon of None skips that check; competitiveness also records the
-    smallest additive constant that would have sufficed on its horizon.
+    smallest additive constant that would have sufficed on its horizon.  An
+    F2 horizon past its guard (check_f2) is refused before any check runs.
     """
+    if f2_t_max is not None:
+        _guard_f2(sys, f2_t_max)
     r, lam = sys.claimed_ratio, sys.claimed_lambda
     violations: list[Violation] = []
     horizons: dict = {}
@@ -835,6 +862,7 @@ def falsify(
     if claimed_r < 1:
         raise ValueError("competitive ratio must be >= 1")
     f2_t_max = default_horizon(f2_t_max, t_max, F2_DEFAULT_CAP)
+    _guard_f2(sys, f2_t_max)
     violations = [
         *check_f1(sys, t_max, limit=5),
         *check_f2(sys, f2_t_max, limit=5),

@@ -7,9 +7,9 @@ consulted for a decision.
 
 A rate r = (u + v*sqrt5)/w enters hot loops as its integer triple
 (``_triple``), and r*n is floored in one exact step as ``floor_linear(u*n,
-v*n, w)``, memoised per rate by ``_floor_memo`` or listed by ``_extend_floors``.
-The band systems build their boundaries and the checker decides its
-inequalities this way, so neither builds a GoldenNumber per level.
+v*n, w)``, read as ``_Floors(u, v, w)[n]`` or listed by ``_extend_floors``.
+The band systems, the checker's inequalities and the replay's phase bounds
+floor this way, so none builds a GoldenNumber per level.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache, total_ordering
-from typing import Callable, NamedTuple, Union
+from functools import total_ordering
+from typing import NamedTuple, Union
 
 RatLike = Union[int, Fraction]
 
@@ -184,14 +184,15 @@ def _triple(rate: GoldenNumber) -> tuple[int, int, int]:
     return int(rate.a * w), int(rate.b * w), w
 
 
-def _floor_memo(u: int, v: int, w: int) -> Callable[[int], int]:
-    """n -> floor((u + v*sqrt5)*n/w), memoised."""
+class _Floors:
+    """floor((u + v*sqrt5)*n/w) read as floors[n], like a list of every n;
+    each read is one floor_linear call."""
 
-    @lru_cache(maxsize=1 << 16)
-    def floor_of(n: int) -> int:
-        return floor_linear(u * n, v * n, w)
+    def __init__(self, u: int, v: int, w: int) -> None:
+        self.u, self.v, self.w = u, v, w
 
-    return floor_of
+    def __getitem__(self, n: int) -> int:
+        return floor_linear(self.u * n, self.v * n, self.w)
 
 
 def _extend_floors(table: list[int], u: int, v: int, w: int, size: int) -> None:

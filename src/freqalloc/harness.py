@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
 from .frequencies import SIDES, Side
-from .golden import GoldenNumber
+from .golden import GoldenNumber, _Floors, _triple
 from .systems import FSystemSpec
 
 
@@ -298,6 +298,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     records are kept by key; only a collision message names the frequency.
     """
     r, add = system.claimed_ratio, system.claimed_lambda
+    floor_rt = _Floors(*_triple(r))
     inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     request = alloc.request_key
@@ -325,7 +326,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
                         mine[key] = (k, v)
         opt = inst.independent_opt(t)
         used = alloc.distinct_used()
-        bound = (r * t).floor() + add
+        bound = floor_rt[t] + add
         report.phases.append(
             PhaseRecord(
                 t=t,

@@ -32,7 +32,7 @@ Floors are monotone, so each min is exactly the construction's split at
 phi*k = t: below it the band ends at phi*beta*k (phi*rho*k), above it at
 beta*t (rho*t).  Every boundary is the floor of a rate in Q(sqrt5) times one
 integer, and rates equal as numbers share one per-system list of floors, read
-by index and grown in place to _SCALAR_LIMIT levels (memos serve later ones),
+by index and grown in place to _SCALAR_LIMIT levels (_Floors reads later ones),
 so a sweep to level t computes O(t) square-root floors, not several per set.
 
 Nonnegative rates make every band system nested: at k = t each band
@@ -48,7 +48,9 @@ flat block of (t, k) entries that may span many levels.  A band system
 gathers every boundary from per-system floor tables, one per distinct rate
 among alpha and each pool's x, y and z (for golden alpha, beta, phi*beta
 and rho), read at t, k and t - k.  The tables reach as many levels as keep
-the system's steepest rate exact in int32 (at most _VEC_LIMIT), and later
+every rate exact in int32 (at most _VEC_LIMIT, ``_table_reach``): a rational
+rate u/w as long as floor(u*n/w) + 1 fits, an irrational one only while its
+vector floor stays exact, a bound some 2**30 / (|u| + 3|v| + w).  Later
 levels come from the generator.  The tables start at the first
 ``row_bands`` call, not when the system is built, and the module imports
 numpy only inside its vector code: the generator, which reads the scalar
@@ -77,7 +79,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 from .frequencies import (KEY_BY_RANK, POOL_COUNT, FrequencySet, PoolTag, Side,
                           union_all)
 from .golden import (ALPHA, BETA, PHI, RHO, GoldenNumber, RatLike,
-                     _extend_floors, _floor_memo, _triple)
+                     _extend_floors, _Floors, _triple)
 # unused here, but bench/tracer.py patches floor_linear in systems too
 from .golden import floor_linear  # noqa: F401
 
@@ -91,14 +93,14 @@ if TYPE_CHECKING:
 
 # the most levels a band system's floor tables hold (4 bytes per level and
 # rate); a steeper rate holds fewer, so that every floor stays exact in int32
-# (the reach in band_system)
+# (_table_reach)
 _VEC_LIMIT = 3 * 10**7
 # (t, k) entries (or table entries) per vectorised pass: each pass holds a
 # few int64 arrays of POOL_COUNT times this length (a few hundred kB),
 # whatever the levels
 _ROW_CHUNK = 1 << 12
-# the most levels a band system's scalar floor lists hold per rate, the size
-# of the memos that serve later levels
+# the most levels a band system's scalar floor lists hold per rate; later
+# levels floor on each read
 _SCALAR_LIMIT = 1 << 16
 
 
@@ -283,14 +285,17 @@ def _floor_linear_vec(u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
     return np.where(v >= 0, (u + m) // w, (u - m - 1) // w)
 
 
-class _Memo:
-    """A rate's floors past the scalar lists, read as memo[n] like a list."""
-
-    def __init__(self, u: int, v: int, w: int) -> None:
-        self.floor_of = _floor_memo(u, v, w)
-
-    def __getitem__(self, n: int) -> int:
-        return self.floor_of(n)
+def _table_reach(u: int, v: int, w: int) -> int:
+    """The most levels n for which the floor table of rate (u + v*sqrt5)/w
+    stays exact.  A rational rate (v = 0) with w in int64 floors as u*n // w,
+    exact while floor(u*n/w) + 1 fits int32 and u*n fits int64; any other
+    keeps every value _floor_linear_vec forms below 2**30, so that its
+    squares stay below 2**60."""
+    if v or w >= 1 << 63:
+        return ((1 << 30) - 1) // (abs(u) + 3 * abs(v) + w)
+    if not u:
+        return _VEC_LIMIT
+    return min(((1 << 31) - 1) * w - 1, (1 << 63) - 1) // u
 
 
 def band_system(
@@ -335,28 +340,26 @@ def band_system(
         Side.B: (PoolTag.PRIVATE_B, ((sa, *cross), (sb, *own), (q, *sym))),
     }
     (i_alpha,) = rate(alpha)
-    # the levels the floor tables serve: up to here every value that
-    # _floor_linear_vec forms, and each table entry, stays below 2**30 (its
-    # squares below 2**60); row_bands reads any later level from gen
-    reach = min(_VEC_LIMIT, ((1 << 30) - 1) // max(
-        abs(u) + 3 * abs(v) + w for u, v, w in rates))
+    # the levels the floor tables serve; row_bands reads any later level
+    # from gen
+    reach = min(_VEC_LIMIT, *(_table_reach(*key) for key in rates))
 
     # scalars[i][n] = floor(rate_i * n) for each n below their common length,
-    # grown in place at least twofold up to _SCALAR_LIMIT entries; gen reads
-    # later levels through the per-rate memos.  Each layout is pools with
-    # rate index i read as floors[i], and alpha's floors after the private tag
+    # grown in place at least twofold up to _SCALAR_LIMIT entries; gen floors
+    # later levels on each read.  Each layout is pools with rate index i read
+    # as floors[i], and alpha's floors after the private tag
     scalars: list[list[int]] = [[] for _ in rates]
-    by_list, by_memo = (
+    by_list, by_read = (
         {side: (tag, floors[i_alpha],
                 tuple((pool, *(floors[i] for i in ixs)) for pool, *ixs in rows))
          for side, (tag, rows) in pools.items()}
-        for floors in (scalars, [_Memo(*key) for key in rates]))
+        for floors in (scalars, [_Floors(*key) for key in rates]))
     held = scalars[i_alpha]
 
     def floors_at(t: int) -> dict:
-        """by_list once the lists hold level t, or by_memo past the bound."""
+        """by_list once the lists hold level t, or by_read past the bound."""
         if t >= _SCALAR_LIMIT:
-            return by_memo
+            return by_read
         size = min(max(t + 1, 2 * len(held)), _SCALAR_LIMIT)
         for (u, v, w), table in zip(rates, scalars):
             _extend_floors(table, u, v, w, size)

@@ -283,8 +283,9 @@ def shared_sets_folds(sys, t_max: int) -> dict[int, FrequencySet]:
 
 def lemma_sizes_sets(sys, evens, shared) -> list[tuple[int, ...]]:
     """Per even t: t, then the sizes of Z_2t,t, S_t, S_2t,t, S_t u Z_3t/2,t,
-    Z_3t,2t, S_2t \\ Z_3t,2t and S_2t u Z_3t,2t, on sets, with S_tau from
-    ``shared`` (say ``shared_sets_folds``) and Z_t,k = F(A,t,k) & F(B,t,k)."""
+    Z_3t,2t, S_2t \\ Z_3t,2t, S_2t u Z_3t,2t and S_2t, on sets, with S_tau
+    from ``shared`` (say ``shared_sets_folds``) and
+    Z_t,k = F(A,t,k) & F(B,t,k)."""
     def overlap(t, k):
         return sys.sets(Side.A, t, k) & sys.sets(Side.B, t, k)
 
@@ -295,5 +296,5 @@ def lemma_sizes_sets(sys, evens, shared) -> list[tuple[int, ...]]:
         z_top = overlap(3 * t, 2 * t)
         out.append((t, len(overlap(2 * t, t)), len(s_t), len(s_2t & used),
                     len(s_t | overlap(3 * t // 2, t)), len(z_top),
-                    len(s_2t - z_top), len(s_2t | z_top)))
+                    len(s_2t - z_top), len(s_2t | z_top), len(s_2t)))
     return out

@@ -514,12 +514,13 @@ class TestF2Bits:
 
     @pytest.mark.parametrize("factory", BIT_SWEEP_CASES, ids=BIT_SWEEP_IDS)
     def test_lemma_sizes_by_popcount(self, factory):
-        # the lemma chain's sizes on bit rows against the same sizes on
+        # the chain reader's sizes on bit rows against the same sizes on
         # sets, S_tau from the folded unions; its S_2t reach level 40 and
         # its Z_3t,2t level 60
         sys_ = factory()
+        assert not sys_.nested
         evens = range(2, 21, 2)
-        assert list(checker._lemma_sizes_bits(sys_, evens)) == (
+        assert list(checker._chain_sizes(sys_, evens)) == (
             lemma_sizes_sets(sys_, evens, shared_sets_folds(sys_, 40)))
 
     def test_equal_keys_share_a_bit(self):
@@ -1223,6 +1224,31 @@ class TestNestedPaths:
                 seen |= {v.kind for v in got}
         # each case breaks some inequality of the chain at some (r, lambda)
         assert seen
+
+    def test_top_sets_without_row_bands(self):
+        # a nested system without row bands reads its lemma chain and its
+        # gamma trace on its top sets, as FrequencySets: it numbers no key
+        # for a bit row
+        sys_ = dataclasses.replace(golden_system(), row_bands_fn=None)
+        evens = range(2, 41, 2)
+        assert list(checker._chain_sizes(sys_, evens)) == lemma_sizes_sets(
+            sys_, evens, shared_sets_folds(sys_, 80))
+        for r in (sys_.claimed_ratio, parse_exact("1.42"), GoldenNumber(2)):
+            for lam in (1, 8):
+                assert lemma_chain_check(sys_, r, lam, 40) == (
+                    reference_lemma_chain_check(sys_, r, lam, 40))
+                assert gamma_trace(sys_, r, lam, theta=2, steps=2) == (
+                    reference_gamma_trace(sys_, r, lam, 2, 2))
+        assert not sys_._bit_of, "a nested system's chain read bit rows"
+
+    def test_gamma_trace_at_far_levels(self):
+        # forty doubling steps from t_0 = 1,920 to about 2.1e15, where the
+        # chain reads Z_3t,2t at about 6.3e15: the top sets of a nested
+        # system reach any level
+        r = parse_exact("1.42")
+        got = gamma_trace(golden_system(), r, 8, theta=40, steps=40)
+        assert got.entries[-1].t == 6 * 40 * 8 * 2**40
+        assert got == reference_gamma_trace(golden_system(), r, 8, 40, 40)
 
     def test_clash_witness_from_sets(self):
         # both sides draw symmetric 1..k: nested, and the (2t, t) sets meet

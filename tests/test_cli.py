@@ -1,14 +1,17 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from freqalloc import cli, harness
+from freqalloc import checker, cli, harness
 from freqalloc.cli import main
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
+from freqalloc.golden import parse_exact
 from freqalloc.systems import golden_system
 
 
@@ -591,6 +594,69 @@ class TestBadOutputs:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot write {out}: ")
+
+
+ODD_EVEN = Path(__file__).resolve().parents[1] / "bench" / "oddeven_plugin.py"
+
+
+class TestF2Guard:
+    """A disjointness horizon whose columns cannot be allocated is refused
+    before any sweep.  The sweeps are patched to fail if entered, so that a
+    missing guard fails at once instead of allocating the columns."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweeps(self, monkeypatch):
+        def entered(*args, **kwargs):
+            raise AssertionError("a sweep ran before the F2 guard")
+
+        for name in ("check_f1", "_check_f2_bands", "_check_f2_sets"):
+            monkeypatch.setattr(checker, name, entered)
+
+    @pytest.mark.parametrize(
+        "argv, need",
+        [
+            (["verify", "--system", "golden", "--r", "3/2", "--lambda", "2",
+              "--t-max", "10", "--f2-t-max", "100000000000"],
+             576 * (10**11 + 1)),
+            (["verify", "--system", f"plugin:{ODD_EVEN}", "--r", "2",
+              "--lambda", "0", "--t-max", "10", "--f2-t-max", "1000000000"],
+             16 * 10**9),
+            (["falsify", "--system", "golden", "--r", "1.42", "--lambda", "8",
+              "--f2-t-max", "100000000000"], 576 * (10**11 + 1)),
+            (["falsify", "--system", f"plugin:{ODD_EVEN}", "--r", "1.42",
+              "--lambda", "0", "--f2-t-max", "1000000000"], 16 * 10**9),
+        ],
+        ids=["verify-golden", "verify-plugin", "falsify-golden",
+             "falsify-plugin"],
+    )
+    def test_refused_before_any_sweep(self, capsys, argv, need):
+        assert main(argv) == 3
+        horizon = argv[argv.index("--f2-t-max") + 1]
+        assert capsys.readouterr().err == (
+            f"refused: disjointness to level {horizon} needs {need} bytes of "
+            f"columns up front, over the guard of "
+            f"{checker.F2_COLUMN_BYTES_CAP}\n")
+
+    def test_library_entries_refuse(self):
+        go = golden_system()
+        with pytest.raises(harness.ResourceGuardError):
+            checker.check_f2(go, 10**11)
+        with pytest.raises(harness.ResourceGuardError):
+            checker.run_checks(go, f1_t_max=10, f2_t_max=10**11)
+        with pytest.raises(harness.ResourceGuardError):
+            checker.falsify(go, parse_exact("1.42"), 8, 10, f2_t_max=10**11)
+
+    def test_bound_at_its_edge(self):
+        # the last admitted horizon of each sweep, far past every default,
+        # benchmark, test and README horizon (golden F2 to 10,000 among them)
+        cap = checker.F2_COLUMN_BYTES_CAP
+        banded = golden_system()
+        plain = dataclasses.replace(banded, row_bands_fn=None)
+        for sys_, last in ((banded, cap // 576 - 1), (plain, cap // 16)):
+            assert last > 10_000
+            checker._guard_f2(sys_, last)
+            with pytest.raises(harness.ResourceGuardError):
+                checker._guard_f2(sys_, last + 1)
 
 
 class TestSubprocessEntry:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -421,6 +423,28 @@ class TestRunUniversal:
                 picked.add((f.pool, f.index))
             assert p.distinct_used == len(picked) == 2 * p.t
         assert report.to_json() == reference_run_universal(system, 4).to_json()
+
+    def test_phase_bounds_build_no_golden_number(self, monkeypatch):
+        # each phase's bound floor(r*t) + lambda comes from golden's floor
+        # reader: no GoldenNumber is built in the replay, and the report's
+        # bytes are those of r*t built and floored as a GoldenNumber
+        sys_ = golden_system()
+        built = []
+        init = GoldenNumber.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GoldenNumber, "__init__", counting)
+        report = run_universal(sys_, 30)
+        monkeypatch.undo()
+        assert built == []
+        assert [p.bound for p in report.phases] == [
+            (C.r0 * t).floor() + 8 for t in range(1, 31)]
+        text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "11986aa0c64e4e0ad28c38be7faf568e5b815ed1f642128d8f48831b5dc5d957")
 
     def test_measure_ratio_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from freqalloc import golden, systems
-from freqalloc.checker import check_f2
+from freqalloc.checker import check_f1, check_f2
 from freqalloc.frequencies import (
     SIDES,
     FrequencySet,
@@ -487,17 +487,19 @@ class TestBandSystem:
             band_system("negative", **params)
 
     def test_steep_rates_build(self):
-        # each system's floor tables reach as far as its steepest rate keeps
-        # them exact in int32: beta = 40 to level 26,188,824, alpha = 10**-6
-        # (u + 3|v| + w = 10**6 + 1) to level 1,073; later entries come
-        # from the generator, one set at a time
-        steep = band_system("steep", alpha=0, kappa=0, pad=0, beta=40,
+        # each system's floor tables reach as far as its rates stay exact
+        # in int32.  A rational rate u/w reaches while floor(u*n/w) + 1
+        # fits: beta = 10**5 to level 21,474.  An irrational one reaches
+        # while every value of its vector floor stays below 2**30: alpha =
+        # (1 + sqrt5)/10**6 (|u| + 3|v| + w = 10**6 + 4) to level 1,073.
+        # Later entries come from the generator, one set at a time
+        steep = band_system("steep", alpha=0, kappa=0, pad=0, beta=10**5,
                             rho=0, phi=1)
         fine = functools.partial(
-            band_system, "fine", alpha=Fraction(1, 10**6), kappa=1, pad=0,
-            beta=Fraction(1, 3), rho=Fraction(1, 2), phi=2)
-        for sys_, near, far in ((steep, 300, 26_188_825),
-                                (fine(), 1073, 1074)):
+            band_system, "fine",
+            alpha=GoldenNumber(Fraction(1, 10**6), Fraction(1, 10**6)),
+            kappa=1, pad=0, beta=Fraction(1, 3), rho=Fraction(1, 2), phi=2)
+        for sys_, near, far in ((steep, 21_474, 21_475), (fine(), 1073, 1074)):
             entries = [(t, k) for t in (near - 1, near, far, far + 1, 10**12)
                        for k in (1, 2, t // 2, t - 1, t)]
             ts, ks = np.array(entries, dtype=np.int64).T
@@ -515,6 +517,46 @@ class TestBandSystem:
             assert sys_.generator.cache_info().misses == gen_calls
             want = generator_bands(sys_, Side.A, t, ks)
             assert canonical_bands(*got) == canonical_bands(*want), t
+
+    def test_table_reach(self):
+        # a rational rate's tables end where floor(u*n/w) + 1 would pass
+        # int32, or u*n int64; an irrational one's at the 2**30 bound
+        for u, w in ((10**5, 1), (7, 3), (2**40, 3), (1, 10**6)):
+            n = systems._table_reach(u, 0, w)
+            assert u * n // w + 1 < 2**31 <= u * (n + 1) // w + 1
+        assert systems._table_reach(10**5, 0, 1) == 21_474
+        assert systems._table_reach(2**62, 0, 2**40) == 1
+        assert systems._table_reach(0, 0, 1) == _VEC_LIMIT
+        assert systems._table_reach(1, 1, 10**6) == 1073
+        # a denominator past int64 cannot reach numpy: such a rate's system
+        # reads every row band from its generator
+        assert systems._table_reach(1, 0, 10**30) == 0
+        tiny = band_system("tiny", alpha=Fraction(1, 10**30), kappa=1, pad=0,
+                           beta=Fraction(1, 3), rho=Fraction(1, 2), phi=2)
+        ts, ks = systems.level_entries(1, 20)
+        for side in SIDES:
+            got = tiny.row_bands_fn(side, ts, ks)
+            want = generator_bands(tiny, side, ts, ks)
+            assert canonical_bands(*got) == canonical_bands(*want), side
+
+    def test_rational_rates_reach_the_limit(self):
+        # alpha = 10**-6 is rational, so its reach is not the irrational
+        # bound (1,073 levels) but _VEC_LIMIT: every row band to level 1,500
+        # comes from the tables, and check_f1 to T = 1500 calls no generator
+        sys_ = band_system("fine", alpha=Fraction(1, 10**6), kappa=1, pad=0,
+                           beta=Fraction(1, 3), rho=Fraction(1, 2), phi=2)
+        assert check_f1(sys_, 1500) == []
+        for ts, ks in systems._passes(1, 1500):
+            for side in SIDES:
+                sys_.row_bands_fn(side, ts, ks)
+        assert sys_.generator.cache_info().misses == 0
+        for t in (1, 1073, 1074, 1500):
+            ks = np.arange(1, t + 1, dtype=np.int64)
+            for side in SIDES:
+                got = sys_.row_bands_fn(side, np.full_like(ks, t), ks)
+                want = generator_bands(sys_, side, t, ks)
+                assert canonical_bands(*got) == canonical_bands(*want), (
+                    side, t)
 
     def test_pad_beyond_int32(self):
         # the pad and kappa*k are added in int64, past the int32 tables
