@@ -12,9 +12,13 @@ found band by band: each vertex keeps one next-free union-find over the
 keys of the frequencies it holds, so a request costs O(bands * log k)
 amortised rather than a canonical scan of O(k).  That union-find is the only
 record of a vertex's frequencies, and one check over ``neighbors`` serves
-``assignment_valid`` and ``validate="full"``.  ``Allocator.request_key``
-serves a request and returns the picked frequency's key; ``request`` returns
-the frequency itself.  The allocator builds each frequency once, on the
+``assignment_valid`` and ``validate="full"``.  ``Allocator.request`` serves
+one request and returns the frequency picked; ``Allocator.request_keys``
+serves a run of requests at one vertex, admitted with one ``admit`` call,
+and returns the picked keys.  Both pick each unit through one ``_pick``.
+If a pick raises in mid-run, the loads already count the whole run, so the
+allocator is left inconsistent, and every caller takes the error as the
+end of its replay.  The allocator builds each frequency once, on the
 first pick of its key, into a map from key to frequency, which also counts
 the distinct frequencies used and names those of ``assignment_sets``.
 
@@ -222,11 +226,13 @@ class BipartiteInstance:
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self.adjacency[v]
 
-    def admit(self, v: str) -> tuple[Side, int, int]:
-        """Add one unit of load at v; return v's side, its new load, and that
+    def admit(self, v: str, n: int = 1) -> tuple[Side, int, int]:
+        """Add n units of load at v; return v's side, its new load, and that
         load plus the largest neighbour load (a lone vertex counts alone)."""
+        if n < 1:
+            raise ValueError(f"a run of requests needs n >= 1, got {n}")
         loads = self.loads
-        lv = loads[v] + 1
+        lv = loads[v] + n
         loads[v] = lv
         best = 0
         for w in self.adjacency[v]:
@@ -268,19 +274,23 @@ def assignment_valid(
     instance: BipartiteInstance, assignment: dict[str, FrequencySet]
 ) -> bool:
     """Each vertex holds exactly its load and no edge shares a frequency."""
-    return _assignment_fault(instance, assignment) is None
+    return _assignment_fault(instance, assignment, instance.loads) is None
 
 
 def _assignment_fault(
-    instance: Instance, assignment: dict[Any, FrequencySet], context: str = ""
+    instance: Instance,
+    assignment: dict[Any, FrequencySet],
+    loads: Any,
+    context: str = "",
 ) -> Optional[str]:
-    """The first vertex whose set size is not its load, else the first edge
-    sharing a frequency (context appended), as a message; None if valid."""
+    """The first vertex whose set size is not its entry of loads, else the
+    first edge sharing a frequency (context appended), as a message; None if
+    valid."""
     empty = FrequencySet.empty()
     for v in instance.vertices:
         held = len(assignment.get(v, empty))
-        if held != instance.loads[v]:
-            return f"vertex {v} holds {held} frequencies for load {instance.loads[v]}"
+        if held != loads[v]:
+            return f"vertex {v} holds {held} frequencies for load {loads[v]}"
     for u in instance.vertices:
         su = assignment.get(u, empty)
         for w in instance.neighbors(u):
@@ -358,17 +368,21 @@ def _first_free(next_free: dict[int, int], i: int) -> int:
 
 
 class Instance(Protocol):
-    """What the Allocator reads of an instance: one ``admit`` call per
-    request, and for the validation modes only, ``neighbors``, ``vertices``
-    and ``loads`` (indexable by vertex: a dict by id or a list by dense id).
+    """What the Allocator reads of an instance: one ``admit`` call per run of
+    requests at a vertex, and for the validation modes only, ``neighbors``,
+    ``vertices`` and ``loads`` (indexable by vertex: a dict by id or a list
+    by dense id, either with ``copy``).
     """
 
     vertices: Iterable[Any]
     loads: Any
 
-    def admit(self, v: Any) -> tuple[Side, int, int]:
-        """Add one unit of load at v; return v's side, its new load, and the
-        running-optimum candidate: that load plus the largest neighbour load."""
+    def admit(self, v: Any, n: int = 1) -> tuple[Side, int, int]:
+        """Add n units of load at v (ValueError for n < 1); return v's side,
+        its new load, and the running-optimum candidate: that load plus the
+        largest neighbour load.  With no self-loops the neighbour loads do
+        not move during the run, so the candidate of its j-th unit is the
+        returned one less n - j."""
         ...
 
     def neighbors(self, v: Any) -> Iterable[Any]: ...
@@ -392,12 +406,16 @@ class Allocator:
     so most lookups end there or one hop from it, and only longer chains
     walk the union-find.
 
-    ``request_key`` does all of this and returns the picked key, which is
-    all a caller keeping its own records by key needs.  The first pick of a
-    key builds its ``Frequency`` (checking its index) into a map from key to
-    frequency; ``request`` looks the pick up there, ``distinct_used`` is the
-    map's size, and ``assignment_sets`` reads each held key's pool and index
-    from it.  The map holds one entry per distinct frequency used.
+    ``request(v)`` serves one request and returns the frequency picked;
+    ``request_keys(v, n)`` serves a run of n requests at v with one
+    ``admit`` call and returns the picked keys, which is all a caller
+    keeping its own records by key needs.  Both pick each unit through
+    ``_pick``, so a run picks what n single requests would.  The first
+    pick of a key builds its ``Frequency`` (checking its index) into a map
+    from key to frequency; ``request`` looks the pick up there,
+    ``distinct_used`` is the map's size, and ``assignment_sets`` reads each
+    held key's pool and index from it.  The map holds one entry per
+    distinct frequency used.
 
     With ``validate="neighbors"``, and only then, a map from each key to the
     vertices holding it refuses a pick that a neighbour holds, in one set
@@ -425,16 +443,39 @@ class Allocator:
         # key -> its frequency, for every key picked so far
         self._used: dict[int, Frequency] = {}
 
-    def request_key(self, v: Hashable) -> int:
-        """Serve one request at v and return the key of the frequency picked;
-        ``request`` returns the frequency itself."""
+    def request(self, v: Hashable) -> Frequency:
+        """Serve one request at v and return the frequency picked."""
         side, k, cand = self.instance.admit(v)
         if cand > self.t:
             self.t = cand
-        fs = self.system.sets(side, self.t, k)
         next_free = self._next_free.get(v)
         if next_free is None:
             next_free = self._next_free[v] = {}
+        return self._used[self._pick(v, next_free, side, k)]
+
+    def request_keys(self, v: Hashable, n: int) -> list[int]:
+        """Serve a run of n requests at v, admitted in one call, and return
+        the keys of the frequencies picked, in order."""
+        side, load, cand = self.instance.admit(v, n)
+        # the largest neighbour load, fixed for the run
+        partner = cand - load
+        next_free = self._next_free.get(v)
+        if next_free is None:
+            next_free = self._next_free[v] = {}
+        pick = self._pick
+        keys = []
+        for k in range(load - n + 1, load + 1):
+            if partner + k > self.t:
+                self.t = partner + k
+            keys.append(pick(v, next_free, side, k))
+        return keys
+
+    def _pick(
+        self, v: Hashable, next_free: dict[int, int], side: Side, k: int
+    ) -> int:
+        """Pick the first free key of the (side, t, k) set at v, whose
+        union-find is next_free, record it, validate, and return it."""
+        fs = self.system.sets(side, self.t, k)
         keys = KEY_BY_RANK
         best = best_first = best_scale = best_lo = 0
         best_pool: Optional[PoolTag] = None
@@ -476,14 +517,16 @@ class Allocator:
                 )
             holders.add(v)
         elif self.validate == "full":
+            # v's load already counts the rest of its run; v holds k so far
+            loads = self.instance.loads.copy()
+            loads[v] = k
             context = f" after assigning {pick} to {v}"
-            fault = _assignment_fault(self.instance, self.assignment_sets(), context)
+            fault = _assignment_fault(
+                self.instance, self.assignment_sets(), loads, context
+            )
             if fault is not None:
                 raise AllocationError(fault)
         return best
-
-    def request(self, v: Hashable) -> Frequency:
-        return self._used[self.request_key(v)]
 
     def distinct_used(self) -> int:
         return len(self._used)

@@ -8,7 +8,9 @@ so ``run_universal`` checks each phase's distinct frequencies against the
 claimed bound floor(r*t) + lambda.
 
 The replay runs on dense integer vertex ids: ``UniversalInstance`` serves
-the allocator's ``Instance`` protocol with one ``admit`` call per request.
+the allocator's ``Instance`` protocol with one ``admit`` call per vertex and
+phase, for the run of its k requests.  A collision or shortfall in mid-run
+ends the replay with the whole run counted in the loads.
 The edge rule is written twice, as the ``UniversalGraph.adjacent``
 predicate and as the id ranges of ``UniversalInstance.neighbors``, which
 ``UniversalGraph.materialize`` also reads.  The "A:t,k" string ids name
@@ -167,7 +169,11 @@ class UniversalInstance:
             first = other + t2 * (t2 - 1) // 2
             yield from range(first, first + min(t2, max(t, t2) - k))
 
-    def admit(self, v: int) -> tuple[Side, int, int]:
+    def admit(self, v: int, n: int = 1) -> tuple[Side, int, int]:
+        """The ``Instance`` protocol's admit: one level check, one raise of
+        v's side tree to the new load, one prefix query of the other."""
+        if n < 1:
+            raise ValueError(f"a run of requests needs n >= 1, got {n}")
         loads = self.loads
         if not 0 <= v < len(loads):
             raise ValueError(f"vertex {v} is outside the universal graph")
@@ -180,7 +186,7 @@ class UniversalInstance:
         self._top_level = t
         s = self._side[v]
         k = self._index[v]
-        load = loads[v] + 1
+        load = loads[v] + n
         loads[v] = load
         # raise the nodes covering k; each covers the one before, so the
         # first node already at load or above ends the walk
@@ -294,14 +300,16 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     exactly when k' <= t - k.  Any collision or size-floor shortfall aborts
     with a witness; per phase, the optimum is recomputed independently and
     the count of distinct frequencies is compared with floor(r*t) + lambda.
-    Picks come as frequency keys from ``Allocator.request_key`` and the
-    records are kept by key; only a collision message names the frequency.
+    Each vertex's k requests are served as one run, whose picks come as
+    frequency keys from ``Allocator.request_keys`` and are checked in
+    order; the records are kept by key, and only a collision message names
+    the frequency.
     """
     r, add = system.claimed_ratio, system.claimed_lambda
     floor_rt = _Floors(*_triple(r))
     inst = UniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
-    request = alloc.request_key
+    request_keys = alloc.request_keys
     # per side, by frequency key, the smallest k-index using the frequency
     # and its vertex
     min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
@@ -312,8 +320,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
             first = inst.vertex(side, t, 1)
             for k in range(1, t + 1):
                 v = first + k - 1
-                for _ in range(k):
-                    key = request(v)
+                for key in request_keys(v, k):
                     hit = theirs.get(key)
                     if hit is not None and hit[0] <= t - k:
                         raise CollisionError(

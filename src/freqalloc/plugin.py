@@ -24,6 +24,8 @@ Every sweep of the checker reads these ints; a ``FrequencySet`` is built,
 once, only for a reply that ``query`` asks for, from the values its bits
 stand for.  The child's stderr goes to an unnamed temporary file, and every
 fault raised after the start ends with the last _STDERR_TAIL_BYTES of it.
+``close`` ends the child's input and reaps the child when it exits, or
+kills it once ``EXIT_DEADLINE_S`` has passed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .systems import FSystemSpec
 # seconds a plugin may stay silent while a reply is due (or leave its input
 # full while a request waits)
 REPLY_DEADLINE_S = 60.0
+# seconds a plugin may take to exit once its input is closed, before it is
+# killed
+EXIT_DEADLINE_S = 5.0
 # request bytes per window, at most one pipe page.  Every reply of a window
 # is read before the next is sent, so a plugin that answers each line as it
 # reads it has emptied its input pipe by then, and a window always fits.
@@ -67,6 +72,30 @@ def _request(side: str, t: int, k: int) -> str:
 def _plain_set(values: list[int]) -> FrequencySet:
     """The plain frequencies of a validated reply's values."""
     return FrequencySet((PoolTag.PLAIN, v, v + 1) for v in values)
+
+
+def _wait_exit(proc: subprocess.Popen[bytes]) -> None:
+    """Reap proc as soon as it exits, or raise TimeoutExpired after
+    EXIT_DEADLINE_S.
+
+    ``Popen.wait(timeout=...)`` polls with sleeps that double from 1 ms (to
+    at most 50 ms), so it sees an exit up to twice as late as it happened.
+    A pidfd becomes readable at the exit itself; without one (not Linux, or
+    no descriptor to spare) the poll serves.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        proc.wait(timeout=EXIT_DEADLINE_S)
+        return
+    try:
+        with selectors.DefaultSelector() as exited:
+            exited.register(pidfd, selectors.EVENT_READ)
+            if not exited.select(EXIT_DEADLINE_S):
+                raise subprocess.TimeoutExpired(proc.args, EXIT_DEADLINE_S)
+    finally:
+        os.close(pidfd)
+    proc.wait()
 
 
 class PluginSystem:
@@ -274,7 +303,7 @@ class PluginSystem:
         self._unread = b""
         try:
             proc.stdin.close()
-            proc.wait(timeout=5)
+            _wait_exit(proc)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()

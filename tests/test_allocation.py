@@ -412,9 +412,9 @@ class TestFirstFitDifferential:
 
 
 class TestKeyPath:
-    """``request_key`` is ``request``'s core: a twin allocator serving the
-    same stream through it picks the keys of the frequencies ``request``
-    returns."""
+    """``request_keys`` serves through ``request``'s pick: a twin allocator
+    serving the same stream through it picks the keys of the frequencies
+    ``request`` returns."""
 
     @pytest.mark.parametrize(
         "system", [trivial_system, half_system, golden_system]
@@ -426,7 +426,7 @@ class TestKeyPath:
             by_frequency = Allocator(build(), system())
             by_key = Allocator(build(), system())
             for v in stream:
-                assert by_key.request_key(v) == by_frequency.request(v)._key()
+                assert by_key.request_keys(v, 1) == [by_frequency.request(v)._key()]
             assert by_key.distinct_used() == by_frequency.distinct_used()
 
     def test_key_path_clash_names_the_frequency(self):
@@ -441,12 +441,83 @@ class TestKeyPath:
             ),
         )
         clash = r"^frequency PA3 assigned to v is already used at adjacent u$"
-        for serve in (Allocator.request, Allocator.request_key):
+        for serve in (Allocator.request, lambda alloc, v: alloc.request_keys(v, 1)):
             inst = instance(["u", "v"], [("u", "v")])
             alloc = Allocator(inst, overlapping, validate="neighbors")
             serve(alloc, "u")
             with pytest.raises(AllocationError, match=clash):
                 serve(alloc, "v")
+
+
+def random_runs(rng, side_size=5, runs=40):
+    """A random_replay graph and a stream of (vertex, run length) pairs."""
+    build, stream = random_replay(rng, side_size, runs)
+    return build, [(v, rng.choice((1, 1, 2, 3, 7))) for v in stream]
+
+
+class TestRuns:
+    """A run of n requests at one vertex, admitted in one call, is n unit
+    requests."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_admit_run_is_unit_admits(self, seed):
+        rng = random.Random(f"admit runs {seed}")
+        build, runs = random_runs(rng)
+        by_run, by_unit = build(), build()
+        for v, n in runs:
+            for _ in range(n):
+                unit = by_unit.admit(v)
+            assert by_run.admit(v, n) == unit
+        assert by_run.loads == by_unit.loads
+
+    @pytest.mark.parametrize("validate", ["none", "neighbors", "full"])
+    @pytest.mark.parametrize(
+        "system", [trivial_system, half_system, golden_system]
+    )
+    def test_keys_match_unit_requests(self, system, validate):
+        rng = random.Random(f"runs {system.__name__} {validate}")
+        for _ in range(4):
+            build, runs = random_runs(rng)
+            by_run = Allocator(build(), system(), validate=validate)
+            by_unit = Allocator(build(), system(), validate=validate)
+            for v, n in runs:
+                units = [by_unit.request(v)._key() for _ in range(n)]
+                assert by_run.request_keys(v, n) == units
+                assert by_run.t == by_unit.t
+            assert by_run.distinct_used() == by_unit.distinct_used()
+            assert by_run.assignment_sets() == by_unit.assignment_sets()
+
+    def test_shortfall_in_mid_run_reads_as_the_unit_path(self):
+        # two frequencies at every k: the third unit of a run at u runs short
+        starved = FSystemSpec(
+            name="starved",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: pool_prefix(PoolTag.PLAIN, min(k, 2)),
+        )
+        errors = []
+        for serve in (
+            lambda alloc: alloc.request_keys("u", 5),
+            lambda alloc: [alloc.request("u") for _ in range(5)],
+        ):
+            alloc = Allocator(instance(["u", "v"], [("u", "v")]), starved)
+            with pytest.raises(AllocationError) as err:
+                serve(alloc)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == (
+            "system 'starved' offers only 2 frequencies for side A, t=3, k=3; "
+            "the size floor requires 3"
+        )
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_runs_are_refused(self, n):
+        inst = instance(["u", "v"], [("u", "v")])
+        alloc = Allocator(inst, golden_system())
+        for admit in (inst.admit, alloc.request_keys):
+            with pytest.raises(ValueError, match=f"needs n >= 1, got {n}$"):
+                admit("u", n)
+        assert inst.loads == {"u": 0, "v": 0}
+        assert alloc.t == 0 and not alloc.assignment_sets()
 
 
 CLASHING = FSystemSpec(

@@ -65,7 +65,9 @@ class StringUniversalInstance:
             self.loads.setdefault(v, 0)
         return meta
 
-    def admit(self, v):
+    def admit(self, v, n=1):
+        if n < 1:
+            raise ValueError(f"a run of requests needs n >= 1, got {n}")
         side, t, k = self._touch(v)
         if t < self._top_level:
             raise ValueError(
@@ -73,7 +75,7 @@ class StringUniversalInstance:
                 f"got level {t} after {self._top_level}"
             )
         self._top_level = t
-        self.loads[v] += 1
+        self.loads[v] += n
         self._prefix[side].update(k, self.loads[v])
         best = self._prefix[side.other].query(t - k) if t > k else 0
         return side, self.loads[v], self.loads[v] + best
@@ -261,11 +263,33 @@ class TestUniversalInstance:
                 assert t_lazy == static_opt(explicit) == t
                 assert lazy.independent_opt(t) == t
 
+    def test_run_admits_match_unit_admits(self):
+        # on the phase schedule, a vertex's k requests admitted as one run
+        # give the triple of the last of k unit admits, on the lazy
+        # instance and on the materialized graph
+        for T in (1, 2, 5, 8):
+            graph = UniversalGraph(T)
+            by_run = UniversalInstance(graph)
+            by_unit = UniversalInstance(graph)
+            explicit = graph.materialize()
+            for t in range(1, T + 1):
+                for side in (Side.A, Side.B):
+                    for k in range(1, t + 1):
+                        v = by_run.vertex(side, t, k)
+                        units = [by_unit.admit(v) for _ in range(k)]
+                        assert by_run.admit(v, k) == units[-1], (T, v)
+                        assert explicit.admit(vertex_id(side, t, k), k) == units[-1]
+                assert by_run.loads == by_unit.loads
+                assert by_run._prefix == by_unit._prefix
+                assert by_run.independent_opt(t) == t
+
     @pytest.mark.parametrize("seed", range(3))
     def test_admit_matches_generic_off_schedule(self, seed):
         # the phase schedule loads both sides alike, so a walk of the wrong
         # side's tree passes it; random requests in nondecreasing level
-        # order, any side, index and count, tell the sides apart
+        # order, any side, index and count, tell the sides apart.  Each
+        # entry is a run of random length, admitted in one call on the lazy
+        # instance and unit by unit on the explicit one
         rng = random.Random(seed)
         T = 9
         graph = UniversalGraph(T)
@@ -280,8 +304,18 @@ class TestUniversalInstance:
             ]
             rng.shuffle(level)
             for side, k in level:
-                got = lazy.admit(lazy.vertex(side, t, k))
-                assert got == explicit.admit(vertex_id(side, t, k))
+                n = rng.choice((1, 1, 2, 4))
+                got = lazy.admit(lazy.vertex(side, t, k), n)
+                for _ in range(n):
+                    want = explicit.admit(vertex_id(side, t, k))
+                assert got == want
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_empty_runs(self, n):
+        lazy = UniversalInstance(UniversalGraph(3))
+        with pytest.raises(ValueError, match=f"needs n >= 1, got {n}$"):
+            lazy.admit(lazy.vertex(Side.A, 2, 1), n)
+        assert not any(lazy.loads) and lazy._top_level == 0
 
     def test_rejects_level_regressions(self):
         lazy = UniversalInstance(UniversalGraph(5))

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -218,6 +220,39 @@ class TestDeadline:
         with spawn(tmp_path, NEVER_READS) as plug:
             with pytest.raises(PluginFault, match="read no input for 0.3 s"):
                 plug.bit_row(Side.A, 5000)
+
+
+# answers, then outlives the end of its input
+IGNORES_EOF = """
+import json, sys, time
+for line in sys.stdin:
+    sys.stdout.write(json.dumps({"freqs": [1]}) + "\\n")
+    sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+class TestClose:
+    @pytest.mark.parametrize("pidfd", ["pidfd", "no pidfd"])
+    @pytest.mark.parametrize("body, returncode", [
+        (WELL_BEHAVED, 0),  # exits at the end of its input
+        (IGNORES_EOF, -signal.SIGKILL),  # killed at the exit deadline
+    ], ids=["exits", "ignores-eof"])
+    def test_close_reaps_the_child(self, tmp_path, monkeypatch, pidfd, body,
+                                   returncode):
+        monkeypatch.setattr(plugin, "EXIT_DEADLINE_S", 1.0)
+        if pidfd == "no pidfd":
+            def refuse(pid):
+                raise OSError("pidfd_open refused")
+            monkeypatch.setattr(plugin.os, "pidfd_open", refuse,
+                                raising=False)
+        plug = spawn(tmp_path, body)
+        plug.query(Side.A, 1, 1)
+        proc = plug._proc
+        start = time.monotonic()
+        plug.close()
+        assert time.monotonic() - start < 5
+        assert proc.poll() == returncode
 
 
 # writes to stderr, then exits without answering
