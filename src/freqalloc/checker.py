@@ -495,6 +495,19 @@ def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
 
 
+def _chain(meet, size, s_t, s_2t, a, b, z, z_top) -> tuple:
+    """The eight sizes ``_chain_sizes`` yields after t, from S_t, S_2t, the
+    two (2t, t) sets a and b, z = Z_3t/2,t and z_top = Z_3t,2t, by
+    inclusion and exclusion over meets: ``meet`` and ``size`` may act on
+    sets, bit rows or chunks of band arrays."""
+    clash, n_s, n_2t, n_top = meet(a, b), size(s_t), size(s_2t), size(z_top)
+    n_top_2t = size(meet(s_2t, z_top))
+    # |S_2t & (a | b)|: a and b meet in clash
+    used = size(meet(s_2t, a)) + size(meet(s_2t, b)) - size(meet(s_2t, clash))
+    return (size(clash), n_s, used, n_s + size(z) - size(meet(s_t, z)), n_top,
+            n_2t - n_top_2t, n_2t + n_top - n_top_2t, n_2t)
+
+
 def _chain_sizes(
     sys: FSystemSpec, ts: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -507,12 +520,10 @@ def _chain_sizes(
                         else (_shared_bits, _pair_bits, int.bit_count))
     shared = read(sys, [*ts, *(2 * t for t in ts)])
     for t in ts:
-        s_t, s_2t = shared[t], shared[2 * t]
-        a, b = pair(sys, 2 * t, t)
-        s_u_z = s_t | and_(*pair(sys, 3 * t // 2, t))
-        z_top = and_(*pair(sys, 3 * t, 2 * t))
-        yield t, *map(size, (a & b, s_t, s_2t & (a | b), s_u_z, z_top,
-                             s_2t - (s_2t & z_top), s_2t | z_top, s_2t))
+        yield t, *_chain(and_, size, shared[t], shared[2 * t],
+                         *pair(sys, 2 * t, t),
+                         and_(*pair(sys, 3 * t // 2, t)),
+                         and_(*pair(sys, 3 * t, 2 * t)))
 
 
 # the (t, k) entries the lemma chain reads at an even level t, as multiples
@@ -525,9 +536,9 @@ def _lemma_sizes_bands(
 ) -> Iterator[tuple[int, ...]]:
     """_chain_sizes of a nested system with row bands, on the band
     arrays.  S_tau is the meet of the top bands, and every set below, and
-    the meet of any of them, is one band per pool, so each size is a sum of
-    band widths by inclusion and exclusion.  Each call to ``row_bands_fn``
-    holds at most _ROW_CHUNK entries."""
+    the meet of any of them, is one band per pool, so ``_chain`` runs on
+    whole chunks of band arrays, with ``_meet`` and ``_width``.  Each call
+    to ``row_bands_fn`` holds at most _ROW_CHUNK entries."""
     step = _ROW_CHUNK // len(_LEMMA_ENTRIES)
     for i in range(0, len(evens), step):
         half = np.asarray(evens[i : i + step], dtype=np.int64) // 2
@@ -537,28 +548,13 @@ def _lemma_sizes_bands(
         a_lo, a_hi = sys.row_bands_fn(Side.A, ts, ks)
         b_lo, b_hi = sys.row_bands_fn(Side.B, ts, ks)
         meet_lo, meet_hi = _meet((a_lo, a_hi), (b_lo, b_hi))
-        # the two sides' meet at each of the five entries: S_t, S_2t, the
-        # clash Z_2t,t, Z_3t/2,t and Z_3t,2t
+        # the two sides' meet at S_t, S_2t, Z_3t/2,t and Z_3t,2t, and both
+        # sides' (2t, t) bands
         part = [slice(j * n, (j + 1) * n) for j in range(len(_LEMMA_ENTRIES))]
-        s_t, s_2t, clash, z, z_top = (
-            (meet_lo[:, p], meet_hi[:, p]) for p in part)
-        used_a = (a_lo[:, part[2]], a_hi[:, part[2]])
-        used_b = (b_lo[:, part[2]], b_hi[:, part[2]])
-        n_2t, n_top = _width(*s_2t), _width(*z_top)
-        n_top_2t = _width(*_meet(s_2t, z_top))
-        n_s, n_z = _width(*s_t), _width(*z)
-        sizes = (
-            _width(*clash),
-            n_s,
-            # S_2t & (F(A, 2t, t) | F(B, 2t, t)); the two sets meet in clash
-            _width(*_meet(s_2t, used_a)) + _width(*_meet(s_2t, used_b))
-            - _width(*_meet(s_2t, clash)),
-            n_s + n_z - _width(*_meet(s_t, z)),
-            n_top,
-            n_2t - n_top_2t,
-            n_2t + n_top - n_top_2t,
-            n_2t,
-        )
+        s_t, s_2t, _, z, z_top = ((meet_lo[:, p], meet_hi[:, p]) for p in part)
+        used = [(lo[:, part[2]], hi[:, part[2]])
+                for lo, hi in ((a_lo, a_hi), (b_lo, b_hi))]
+        sizes = _chain(_meet, lambda x: _width(*x), s_t, s_2t, *used, z, z_top)
         yield from zip((2 * half).tolist(), *(x.tolist() for x in sizes))
 
 

@@ -37,7 +37,7 @@ from .allocation import (
     static_opt,
 )
 from .frequencies import Side
-from .golden import GoldenNumber, parse_exact
+from .golden import DigitLimitError, GoldenNumber, parse_exact
 from .plugin import PluginFault, PluginSystem
 from .systems import BUILTIN_SYSTEMS, FSystemSpec
 
@@ -364,7 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AllocationError as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return EXIT_VIOLATION
-    except (harness.ResourceGuardError, BudgetExceededError) as exc:
+    except (harness.ResourceGuardError, BudgetExceededError,
+            DigitLimitError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_RESOURCE
 

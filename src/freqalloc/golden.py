@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import NamedTuple, Union
@@ -38,6 +39,18 @@ def floor_linear(u: int, v: int, w: int) -> int:
     if v > 0:
         return (u + m) // w
     return (u - m - 1) // w
+
+
+def fits_digit_limit(n: int) -> bool:
+    """Whether n prints in decimal within the interpreter's digit limit
+    (``sys.get_int_max_str_digits``, 0 for none); 2^(3*limit) < 10^limit
+    spares most calls the power of ten."""
+    limit, n = sys.get_int_max_str_digits(), abs(n)
+    return not limit or n.bit_length() <= 3 * limit or n < 10**limit
+
+
+class DigitLimitError(Exception):
+    """An exact number whose decimal text would pass the digit limit."""
 
 
 @total_ordering
@@ -68,6 +81,13 @@ class GoldenNumber:
         return f"GoldenNumber({self._a!r}, {self._b!r})"
 
     def __str__(self) -> str:
+        terms = (self._a.numerator, self._a.denominator,
+                 self._b.numerator, self._b.denominator)
+        if not all(map(fits_digit_limit, terms)):
+            raise DigitLimitError(
+                "exact number too long to print: its decimal text passes the "
+                f"limit of {sys.get_int_max_str_digits()} digits"
+            )
         if self._b == 0:
             return str(self._a)
         tail = f"{abs(self._b)}*sqrt5"

@@ -9,8 +9,10 @@ claimed bound floor(r*t) + lambda.
 
 The replay runs on dense integer vertex ids: ``UniversalInstance`` serves
 the allocator's ``Instance`` protocol with one ``admit`` call per vertex and
-phase, for the run of its k requests.  A collision or shortfall in mid-run
-ends the replay with the whole run counted in the loads.
+phase, for the run of its k requests, and answers its neighbour maximum
+from one list per side of the largest load at each k-index.  A collision
+or shortfall in mid-run ends the replay with the whole run counted in the
+loads.
 The edge rule is written twice, as the ``UniversalGraph.adjacent``
 predicate and as the id ranges of ``UniversalInstance.neighbors``, which
 ``UniversalGraph.materialize`` also reads.  The "A:t,k" string ids name
@@ -26,13 +28,13 @@ raises ``ResourceGuardError`` (``ScaleCapError`` for a scale past its cap).
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
 
 from .allocation import Allocator, BipartiteInstance
 from .frequencies import SIDES, Side
-from .golden import GoldenNumber, _Floors, _triple
+from .golden import GoldenNumber, _Floors, _triple, fits_digit_limit
 from .systems import FSystemSpec
 
 
@@ -121,16 +123,15 @@ class UniversalInstance:
 
     Vertex (side, t, k) has id s*N + t(t-1)/2 + k-1, where s is 0 for side
     A and 1 for side B and N = T(T+1)/2 counts one side's vertices, so a
-    level's vertices are consecutive and side B follows side A.  Tables of
-    side, level and index per id are built once; loads are a list by id.
+    level's vertices are consecutive, side B follows side A, and the side
+    of id v is v // N.  Tables of level and index per id are built once;
+    loads are a list by id.
 
-    Neighbour maxima are answered from per-side prefix-max trees over the
-    k-index, which is exact as long as requests arrive in nondecreasing
-    level order (the phase schedule): then every loaded opposite vertex has
-    level at most the current one, and the eligible partners of (t, k) are
-    exactly the opposite indices up to t - k.  Each tree is a Fenwick list
-    whose node i holds the largest load at indices i - (i & -i) + 1 .. i;
-    loads only grow, so a node is the maximum of its range.
+    Neighbour maxima are answered from one list per side of the largest
+    load at each k-index, which is exact as long as requests arrive in
+    nondecreasing level order (the phase schedule): then every loaded
+    opposite vertex has level at most the current one, and the eligible
+    partners of (t, k) are exactly the opposite indices up to t - k.
     """
 
     def __init__(self, graph: UniversalGraph) -> None:
@@ -139,11 +140,10 @@ class UniversalInstance:
         self.per_side = T * (T + 1) // 2
         levels = [t for t in range(1, T + 1) for _ in range(t)]
         indices = [k for t in range(1, T + 1) for k in range(1, t + 1)]
-        self._side = [0] * self.per_side + [1] * self.per_side
         self._level = levels + levels
         self._index = indices + indices
         self.loads = [0] * (2 * self.per_side)
-        self._prefix = ([0] * (T + 1), [0] * (T + 1))
+        self._by_index = ([0] * (T + 1), [0] * (T + 1))
         self._top_level = 0
 
     @property
@@ -160,18 +160,19 @@ class UniversalInstance:
 
     def name(self, v: int) -> str:
         """The "A:t,k" id of dense vertex v."""
-        return vertex_id(SIDES[self._side[v]], self._level[v], self._index[v])
+        return vertex_id(
+            SIDES[v // self.per_side], self._level[v], self._index[v])
 
     def neighbors(self, v: int) -> Iterator[int]:
         t, k = self._level[v], self._index[v]
-        other = (1 - self._side[v]) * self.per_side
+        other = (1 - v // self.per_side) * self.per_side
         for t2 in range(1, self.graph.horizon + 1):
             first = other + t2 * (t2 - 1) // 2
             yield from range(first, first + min(t2, max(t, t2) - k))
 
     def admit(self, v: int, n: int = 1) -> tuple[Side, int, int]:
         """The ``Instance`` protocol's admit: one level check, one raise of
-        v's side tree to the new load, one prefix query of the other."""
+        v's entry in its side's list, one maximum over the other's."""
         if n < 1:
             raise ValueError(f"a run of requests needs n >= 1, got {n}")
         loads = self.loads
@@ -184,39 +185,31 @@ class UniversalInstance:
                 f"got level {t} after {self._top_level}"
             )
         self._top_level = t
-        s = self._side[v]
+        s = v // self.per_side
         k = self._index[v]
         load = loads[v] + n
         loads[v] = load
-        # raise the nodes covering k; each covers the one before, so the
-        # first node already at load or above ends the walk
-        tree = self._prefix[s]
-        size = len(tree)
-        i = k
-        while i < size and tree[i] < load:
-            tree[i] = load
-            i += i & -i
-        # the largest opposite load at indices 1 .. t - k
-        tree = self._prefix[1 - s]
-        best = 0
-        i = t - k
-        while i:
-            if tree[i] > best:
-                best = tree[i]
-            i &= i - 1
+        mine = self._by_index[s]
+        if load > mine[k]:
+            mine[k] = load
+        # the largest opposite load at indices 1 .. t - k (index 0 holds 0)
+        best = max(self._by_index[1 - s][: t - k + 1])
         return SIDES[s], load, load + best
 
     def independent_opt(self, phase: int) -> int:
         """Recompute the optimum of the loaded graph after a phase from the
         recorded loads and the edge rule, without reusing the allocator's
-        running counter.
+        running counter or ``admit``'s lists.
 
         Loaded vertices have level at most the highest level admitted, and
         those are the first ids of each side.  A phase below that level
         raises ValueError, so all of them have level <= phase.  Every loaded
         index m has a witness vertex at level phase, so the partners of a
-        loaded (t, k) are exactly the opposite indices up to phase - k >= 0,
-        and the best partner load is a prefix maximum over the index.
+        loaded (t, k) are exactly the opposite indices up to phase - k >= 0.
+        So the optimum is the largest load at an index k plus the largest
+        opposite load at an index up to phase - k, over both sides' indices;
+        an unloaded k adds 0 to a partner whose own term is at least as
+        large.
         """
         if phase < self._top_level:
             raise ValueError(
@@ -224,31 +217,19 @@ class UniversalInstance:
                 f"{self._top_level}"
             )
         top = self._top_level * (self._top_level + 1) // 2
-        indices = self._index[:top]
-        rows = [
-            self.loads[s * self.per_side : s * self.per_side + top] for s in (0, 1)
-        ]
-        prefix = []
-        for row in rows:
-            by_index = [0] * (phase + 1)
-            for load, k in zip(row, indices):
-                if load > by_index[k]:
-                    by_index[k] = load
-            acc = 0
-            for m in range(1, phase + 1):
-                acc = max(acc, by_index[m])
-                by_index[m] = acc
-            prefix.append(by_index)
-        best = 0
-        for s, row in enumerate(rows):
-            partner = prefix[1 - s]
-            for load, k in zip(row, indices):
-                if load <= 0:
-                    continue
-                total = load + partner[phase - k]
-                if total > best:
-                    best = total
-        return best
+        by_index = []
+        for first in (0, self.per_side):
+            row = [0] * (phase + 1)
+            for load, k in zip(self.loads[first : first + top], self._index):
+                if load > row[k]:
+                    row[k] = load
+            by_index.append(row)
+        prefix = [list(accumulate(row, max)) for row in by_index]
+        return max(
+            (by_index[s][k] + prefix[1 - s][phase - k]
+             for s in (0, 1) for k in range(1, phase + 1)),
+            default=0,
+        )
 
 
 @dataclass
@@ -357,13 +338,11 @@ def doubling_scale(theta: int, lam: int, i: int) -> int:
 
 def doubling_scale_text(theta: int, lam: int, i: int) -> str:
     """t_i as an exact integer up to i = 64 while its decimal fits the
-    interpreter's digit limit (``sys.get_int_max_str_digits``, 0 for none),
-    and otherwise, where it can be astronomic, as the text
-    6*theta*lambda*2^i."""
+    interpreter's digit limit (``golden.fits_digit_limit``), and otherwise,
+    where it can be astronomic, as the text 6*theta*lambda*2^i."""
     if i <= 64:
         scale = doubling_scale(theta, lam, i)
-        limit = sys.get_int_max_str_digits()
-        if not limit or scale < 10**limit:
+        if fits_digit_limit(scale):
             return str(scale)
     return f"6*{theta}*{lam}*2^{i}"
 

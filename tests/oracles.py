@@ -105,9 +105,9 @@ def measure_ratio(report, lam: int) -> Fraction:
 
 
 class PrefixMax:
-    """Fenwick tree for prefix maxima under increasing point updates, as a
-    class with a method per walk: the reference of the walks that
-    ``UniversalInstance.admit`` inlines."""
+    """Fenwick tree for prefix maxima under increasing point updates: the
+    string-keyed reference instance's neighbour maxima, kept apart from
+    ``UniversalInstance``'s per-index lists."""
 
     def __init__(self, size: int) -> None:
         self.size = size

@@ -469,6 +469,51 @@ class TestBadNumbers:
         assert "Traceback" not in proc.stderr
 
 
+def long_ratio_terms(digits):
+    """(P, Q) with P + Q*sqrt5 the first odd power of 2 + sqrt5 whose P has
+    the given number of digits: P - Q*sqrt5 = (2 - sqrt5)^n is then a tiny
+    negative number, so 2 + P - Q*sqrt5 is just below 2."""
+    p, q, n = 2, 1, 1
+    while len(str(p)) < digits or n % 2 == 0:
+        p, q, n = 2 * p + 5 * q, p + 2 * q, n + 1
+    return p, q
+
+
+class TestDigitLimit:
+    """An exact number whose decimal text would pass the interpreter's digit
+    limit is refused as it is printed, through main's one handler, before
+    any --out is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--system", "golden", "--r", "2+{P}-{Q}*sqrt5",
+             "--lambda", "-20", "--t-max", "30", "--checks", "competitiveness"],
+            ["falsify", "--system", "golden", "--r", "1.42+{P}-{Q}*sqrt5",
+             "--lambda", "8", "--t-max", "30"],
+            ["falsify", "--system", "golden", "--r", "1.42+{P}-{Q}*sqrt5",
+             "--lambda", "1", "--t-max", "30"],
+        ],
+        ids=["verify-bound", "falsify-claim", "falsify-check"],
+    )
+    def test_refused_without_traceback(self, tmp_path, capsys, argv):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            p, q = long_ratio_terms(4299)
+            argv = [a.format(P=p, Q=q) for a in argv]
+            out = tmp_path / "out.json"
+            assert main([*argv, "--out", str(out)]) == 3
+        finally:
+            sys.set_int_max_str_digits(saved)
+        err = capsys.readouterr().err
+        assert err == (
+            "refused: exact number too long to print: its decimal text "
+            "passes the limit of 4300 digits\n"
+        )
+        assert not out.exists()
+
+
 class TestBadGraphs:
     @pytest.mark.parametrize(
         "graph",

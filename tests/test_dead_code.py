@@ -5,7 +5,8 @@ A module-level function, class or assignment under ``src/freqalloc`` must be
 named in the code of another top-level statement under ``src/`` or
 ``bench/``, or be listed in ``freqalloc.__all__``.  A method of a class
 under ``src/freqalloc`` must be read as an attribute by code under ``src/``
-or ``bench/``.  A dataclass field there with a plain default, an option its
+or ``bench/``, and so must a private attribute that a method stores on
+``self``.  A dataclass field there with a plain default, an option its
 callers may leave out, must be passed by keyword to its class somewhere
 under ``src/`` or ``bench/``; ``default_factory`` fields are exempt.  Only
 code counts: docstrings and comments are not parsed as names, and an import
@@ -90,16 +91,20 @@ def test_every_module_level_name_is_used():
     assert unused_names() == []
 
 
+def attributes_read(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def uncalled_methods() -> list[str]:
     """Methods of the package's classes that no code reads as an attribute."""
     read = set()
     methods = []  # module.Class.method
     for path, tree in parsed_modules():
-        read |= {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        }
+        read |= attributes_read(tree)
         if path.parent != PACKAGE:
             continue
         for cls in ast.walk(tree):
@@ -174,3 +179,35 @@ def unpassed_defaults() -> list[str]:
 
 def test_every_field_default_is_overridden():
     assert unpassed_defaults() == []
+
+
+def stored_private_attributes(tree: ast.Module) -> set[str]:
+    """Private names stored as ``self.<name> = ...`` (plain, annotated or
+    augmented) anywhere in the module."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr.startswith("_")
+        and not is_dunder(node.attr)
+    }
+
+
+def unread_private_attributes() -> list[str]:
+    """Private attributes stored on ``self`` under ``src/freqalloc`` that no
+    code under ``src/`` or ``bench/`` reads as an attribute."""
+    read = set()
+    stored = []  # (module.attribute, attribute)
+    for path, tree in parsed_modules():
+        read |= attributes_read(tree)
+        if path.parent == PACKAGE:
+            stored.extend((f"{path.stem}.{name}", name)
+                          for name in sorted(stored_private_attributes(tree)))
+    return [where for where, name in stored if name not in read]
+
+
+def test_every_private_attribute_is_read():
+    assert unread_private_attributes() == []

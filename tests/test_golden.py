@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqalloc.golden import (
+    DigitLimitError,
     GoldenNumber,
     cmp,
     constants,
+    fits_digit_limit,
     floor_linear,
     parse_exact,
 )
@@ -240,3 +243,29 @@ class TestParseRender:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_exact(bad)
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_digit_limit_matches_str(self, limit):
+        # fits_digit_limit says exactly which integers str() prints, on
+        # both sides of its power-of-two shortcut
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            edges = [10**limit - 1, 10**limit, 2 ** (3 * limit),
+                     2 ** (3 * limit + 1), 2 ** (4 * limit)]
+            for n in [0, 7, *edges, *(-n for n in edges)]:
+                try:
+                    str(n)
+                    printable = True
+                except ValueError:
+                    printable = False
+                assert fits_digit_limit(n) is printable, (limit, n)
+            x = GoldenNumber(Fraction(1, 3), 10**limit - 1)
+            assert str(x) == f"1/3+{10**limit - 1}*sqrt5"
+            for bad in (GoldenNumber(Fraction(10**limit, 7)),
+                        GoldenNumber(0, Fraction(1, 10**limit)),
+                        x * 2):
+                with pytest.raises(DigitLimitError, match=f"limit of {limit} "):
+                    str(bad)
+        finally:
+            sys.set_int_max_str_digits(saved)

@@ -107,6 +107,25 @@ class StringUniversalInstance:
         return best
 
 
+def vertexwise_opt(inst, phase):
+    """``UniversalInstance.independent_opt`` vertex by vertex: the largest
+    load of a loaded vertex (side, t, k) plus the largest opposite load at
+    an index up to phase - k."""
+    loaded = [
+        (*parse_vertex_id(inst.name(v)), load)
+        for v, load in enumerate(inst.loads)
+        if load
+    ]
+    by_index = {side: [0] * (phase + 1) for side in (Side.A, Side.B)}
+    for side, _, k, load in loaded:
+        by_index[side][k] = max(by_index[side][k], load)
+    return max(
+        (load + max(by_index[side.other][: phase - k + 1])
+         for side, _, k, load in loaded),
+        default=0,
+    )
+
+
 def reference_run_universal(system, t_max):
     """The string-keyed phase replay, kept as the oracle of run_universal;
     its collision record is keyed by the Frequency objects themselves."""
@@ -280,13 +299,13 @@ class TestUniversalInstance:
                         assert by_run.admit(v, k) == units[-1], (T, v)
                         assert explicit.admit(vertex_id(side, t, k), k) == units[-1]
                 assert by_run.loads == by_unit.loads
-                assert by_run._prefix == by_unit._prefix
+                assert by_run._by_index == by_unit._by_index
                 assert by_run.independent_opt(t) == t
 
     @pytest.mark.parametrize("seed", range(3))
     def test_admit_matches_generic_off_schedule(self, seed):
-        # the phase schedule loads both sides alike, so a walk of the wrong
-        # side's tree passes it; random requests in nondecreasing level
+        # the phase schedule loads both sides alike, so a read of the wrong
+        # side's list passes it; random requests in nondecreasing level
         # order, any side, index and count, tell the sides apart.  Each
         # entry is a run of random length, admitted in one call on the lazy
         # instance and unit by unit on the explicit one
@@ -309,6 +328,41 @@ class TestUniversalInstance:
                 for _ in range(n):
                     want = explicit.admit(vertex_id(side, t, k))
                 assert got == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_independent_opt_matches_vertexwise(self, seed):
+        # random runs in nondecreasing level order, on both sides and at any
+        # index, leave some indices unloaded; the per-index fold must give
+        # the vertex-by-vertex optimum at the phase and at every later one
+        rng = random.Random(seed)
+        T = 10
+        inst = UniversalInstance(UniversalGraph(T))
+        for t in range(1, T + 1):
+            runs = [
+                (side, k)
+                for side in (Side.A, Side.B)
+                for k in range(1, t + 1)
+                if rng.random() < 0.4
+            ]
+            rng.shuffle(runs)
+            for side, k in runs:
+                inst.admit(inst.vertex(side, t, k), rng.choice((1, 2, 5)))
+            for phase in range(t, T + 1):
+                assert inst.independent_opt(phase) == vertexwise_opt(
+                    inst, phase), (seed, t, phase)
+
+    @pytest.mark.parametrize("t", [2, 3, 6])
+    def test_independent_opt_reads_the_loads(self, t):
+        # after phases 1..t the optimum is t; one more unit on (A, 1, 1),
+        # recorded behind admit's back, must show in the recomputed optimum
+        inst = UniversalInstance(UniversalGraph(6))
+        for tau in range(1, t + 1):
+            for side in (Side.A, Side.B):
+                for k in range(1, tau + 1):
+                    inst.admit(inst.vertex(side, tau, k), k)
+        assert inst.independent_opt(t) == t
+        inst.loads[inst.vertex(Side.A, 1, 1)] += 1
+        assert inst.independent_opt(t) == t + 1
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_rejects_empty_runs(self, n):
