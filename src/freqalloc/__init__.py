@@ -7,7 +7,7 @@ ratio on them.
 
 Importing the package loads the allocator, the systems and the replay, none
 of which loads numpy.  The names of the checker (which loads numpy) and of
-the plugin runner (which loads subprocess and selectors) are exported too,
+the plugin runner (which loads subprocess and select) are exported too,
 but each module is imported only when one of its names is first read.
 """
 

@@ -65,7 +65,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
-from .golden import GoldenNumber, _Floors, _triple
+from .golden import (DigitLimitError, GoldenNumber, _Floors, _triple,
+                     fits_digit_limit)
 from .harness import ResourceGuardError, doubling_scale, doubling_scale_text
 from .systems import (_ROW_CHUNK, FSystemSpec, _meet, _width, level_blocks,
                       level_entries)
@@ -878,6 +879,9 @@ def falsify(
         # smallest theta with claimed_r < 10/7 - 1/theta, i.e. theta > 1/gap
         gap = TEN_SEVENTHS - claimed_r  # > 0
         theta = max(1, (GoldenNumber(1) / gap).floor() + 1)
+        # the caveat prints theta and theta + 1; theta fits where theta + 1 does
+        if not fits_digit_limit(theta + 1):
+            raise DigitLimitError()
         # cap the measured steps so generator queries stay within the horizon
         budget = t_max // 3
         steps = 0

@@ -52,6 +52,12 @@ def fits_digit_limit(n: int) -> bool:
 class DigitLimitError(Exception):
     """An exact number whose decimal text would pass the digit limit."""
 
+    def __init__(self) -> None:
+        super().__init__(
+            "exact number too long to print: its decimal text passes the "
+            f"limit of {sys.get_int_max_str_digits()} digits"
+        )
+
 
 @total_ordering
 class GoldenNumber:
@@ -84,10 +90,7 @@ class GoldenNumber:
         terms = (self._a.numerator, self._a.denominator,
                  self._b.numerator, self._b.denominator)
         if not all(map(fits_digit_limit, terms)):
-            raise DigitLimitError(
-                "exact number too long to print: its decimal text passes the "
-                f"limit of {sys.get_int_max_str_digits()} digits"
-            )
+            raise DigitLimitError()
         if self._b == 0:
             return str(self._a)
         tail = f"{abs(self._b)}*sqrt5"

@@ -3,37 +3,39 @@
 An external system is a child process speaking line-delimited JSON on its
 standard streams: one request ``{"side": "A", "t": 5, "k": 3}`` per line, one
 reply ``{"freqs": [1, 2, 9]}`` per line, in order.  Requests may arrive
-pipelined: the sets of a row are asked for in windows of several lines,
-written before the first of their replies is read, so a plugin must answer
-each line as it reads it, in order, and never wait for the end of its
-input.  A plugin that sends nothing for ``REPLY_DEADLINE_S`` seconds while a
-reply is due, or reads nothing for as long while a request waits to be sent,
-is killed and faulted.  Replies must list strictly increasing positive
-integers; anything else is a plugin fault, not a property violation of the
-system under test.  Replies are cached, so each (side, t, k) is asked once,
-a repeated query is answered by replay, and determinism is enforced.
+pipelined: the uncached sets of a row are asked for in one exchange, which
+writes their lines as fast as the plugin reads them and reads its replies
+meanwhile, so a plugin must answer each line as it reads it, in order, and
+never wait for the end of its input.  A plugin that sends nothing for
+``REPLY_DEADLINE_S`` seconds while a reply is due, or reads nothing for as
+long while a request waits to be sent, is killed and faulted.  Replies must
+list strictly increasing positive integers; anything else is a plugin
+fault, not a property violation of the system under test.  Replies are
+cached, so each (side, t, k) is asked once, a repeated query is answered by
+replay, and determinism is enforced.
 
 The child starts at the first ``query``.  After that, a row's uncached
-requests all go out in windows of at most _WINDOW_BYTES, so a row of up to
-about a hundred sets costs one round trip.  Each reply is validated once
-and cached as its bit row alone: a Python int with bit i set for the i-th
-distinct value the plugin has replied with, in first-seen order.  So a
-plugin that replies 10**12 costs no more than one that replies 1..t.  Every
-value is a plain frequency, so values number frequency keys one to one.
-Every sweep of the checker reads these ints; a ``FrequencySet`` is built,
-once, only for a reply that ``query`` asks for, from the values its bits
-stand for.  The child's stderr goes to an unnamed temporary file, and every
-fault raised after the start ends with the last _STDERR_TAIL_BYTES of it.
-``close`` ends the child's input and reaps the child when it exits, or
-kills it once ``EXIT_DEADLINE_S`` has passed.
+requests all go out in one exchange, so a row of any length costs one
+round trip.  Each reply is validated once and cached as its bit row alone:
+a Python int with bit i set for the i-th distinct value the plugin has
+replied with, in first-seen order.  So a plugin that replies 10**12 costs
+no more than one that replies 1..t.  Every value is a plain frequency, so
+values number frequency keys one to one.  Every sweep of the checker reads
+these ints; a ``FrequencySet`` is built, once, only for a reply that
+``query`` asks for, from the values its bits stand for.  The child's stderr
+goes to an unnamed temporary file, and every fault raised after the start
+ends with the last _STDERR_TAIL_BYTES of it.  ``close`` ends the child's
+input and reaps the child when it exits, or kills it once
+``EXIT_DEADLINE_S`` has passed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
-import selectors
+import select
 import subprocess
 import tempfile
 from typing import IO, Optional, Sequence
@@ -48,10 +50,6 @@ REPLY_DEADLINE_S = 60.0
 # seconds a plugin may take to exit once its input is closed, before it is
 # killed
 EXIT_DEADLINE_S = 5.0
-# request bytes per window, at most one pipe page.  Every reply of a window
-# is read before the next is sent, so a plugin that answers each line as it
-# reads it has emptied its input pipe by then, and a window always fits.
-_WINDOW_BYTES = 4096
 # bytes of the child's stderr that a fault carries, from its end
 _STDERR_TAIL_BYTES = 2048
 
@@ -89,10 +87,10 @@ def _wait_exit(proc: subprocess.Popen[bytes]) -> None:
         proc.wait(timeout=EXIT_DEADLINE_S)
         return
     try:
-        with selectors.DefaultSelector() as exited:
-            exited.register(pidfd, selectors.EVENT_READ)
-            if not exited.select(EXIT_DEADLINE_S):
-                raise subprocess.TimeoutExpired(proc.args, EXIT_DEADLINE_S)
+        exited = select.poll()
+        exited.register(pidfd, select.POLLIN)
+        if not exited.poll(EXIT_DEADLINE_S * 1000):
+            raise subprocess.TimeoutExpired(proc.args, EXIT_DEADLINE_S)
     finally:
         os.close(pidfd)
     proc.wait()
@@ -114,7 +112,6 @@ class PluginSystem:
         self._bit_of: dict[int, int] = {}
         self._value_of: list[int] = []
         self._proc: Optional[subprocess.Popen[bytes]] = None
-        self._replies: Optional[selectors.BaseSelector] = None
         self._stderr: Optional[IO[bytes]] = None
         # plugin output read past the last reply taken
         self._unread = b""
@@ -134,8 +131,6 @@ class PluginSystem:
                 raise PluginFault(f"cannot start plugin {self.argv}: {exc}") from exc
             assert proc.stdin is not None and proc.stdout is not None
             os.set_blocking(proc.stdin.fileno(), False)
-            self._replies = selectors.DefaultSelector()
-            self._replies.register(proc.stdout, selectors.EVENT_READ)
             self._stderr = stderr
             self._proc = proc
         return self._proc
@@ -146,7 +141,7 @@ class PluginSystem:
         key = (side.value, t, k)
         if key not in self._cache:
             self._ensure_started()
-            self._exchange([(key, _request(*key))])
+            self._exchange([key])
         fs = self._sets.get(key)
         if fs is None:
             if len(self._value_of) < len(self._bit_of):
@@ -162,41 +157,78 @@ class PluginSystem:
         """The bit rows (module docstring) of F(side, t, k) for k in ks, each
         cached on return.  Before the child runs, the first uncached key
         goes through ``query``, which starts it; every other uncached key
-        goes out in windows of at most _WINDOW_BYTES request bytes."""
-        cache = self._cache
-        keys = [(side.value, t, k)
-                for k in (range(1, t + 1) if ks is None else ks)]
+        goes out in one ``_exchange``."""
+        cache, name = self._cache, side.value
+        keys = [(name, t, k) for k in (range(1, t + 1) if ks is None else ks)]
         missing = [key for key in keys if key not in cache]
         if missing and self._proc is None:
             self.query(side, t, missing.pop(0)[2])
-        window: list[tuple[Key, str]] = []
-        size = 0
-        for key in missing:
-            request = _request(*key)
-            if window and size + len(request) + 1 > _WINDOW_BYTES:
-                self._exchange(window)
-                window, size = [], 0
-            window.append((key, request))
-            size += len(request) + 1
-        if window:
-            self._exchange(window)
+        if missing:
+            self._exchange(missing)
         return [cache[key] for key in keys]
 
-    def _exchange(self, window: list[tuple[Key, str]]) -> None:
-        """Send a window of requests, then read and cache their replies; a
+    def _exchange(self, keys: list[Key]) -> None:
+        """Ask for keys and cache their replies, in one full-duplex loop:
+        requests are written as fast as the child's input takes them, and
+        a reply line is decoded once its request is fully written.  A
         fault on the way carries the tail of the child's stderr."""
-        requests = [request for _, request in window]
-        data = "".join(f"{request}\n" for request in requests).encode()
+        proc = self._proc
+        assert proc is not None and proc.stdin is not None and proc.stdout is not None
+        stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
+        requests = [_request(*key) for key in keys]
+        data = memoryview("".join(f"{request}\n" for request in requests).encode())
+        # the bytes sent once each request is fully written
+        ends = list(itertools.accumulate(len(request) + 1 for request in requests))
+        sent = done = 0
+        # plugin output not yet taken; the next reply line starts at start
+        buf, start = self._unread, 0
         try:
-            self._send(data, requests[0])
-            for (key, request), line in zip(window,
-                                             self._read_lines(requests)):
-                self._cache[key] = self._decode(line, request, self._bit_of)
+            while True:
+                if sent < len(data):
+                    try:
+                        sent += os.write(stdin, data[sent:])
+                    except BlockingIOError:
+                        pass
+                    except OSError as exc:
+                        raise PluginFault(
+                            f"plugin pipe closed while sending: {exc}") from exc
+                while done < len(keys) and ends[done] <= sent:
+                    end = buf.find(b"\n", start)
+                    if end < 0:
+                        break
+                    self._cache[keys[done]] = self._decode(
+                        buf[start:end], requests[done], self._bit_of)
+                    done, start = done + 1, end + 1
+                if done == len(keys):
+                    break
+                # requests[done] is sent and unanswered, or not yet sent
+                answering = ends[done] <= sent
+                poller = select.poll()
+                if sent < len(data):
+                    poller.register(stdin, select.POLLOUT)
+                if answering:
+                    poller.register(stdout, select.POLLIN)
+                ready = dict(poller.poll(REPLY_DEADLINE_S * 1000))
+                if not ready:
+                    # the child stopped talking: kill it, and say what it failed
+                    proc.kill()
+                    raise PluginFault(
+                        f"plugin sent nothing for {REPLY_DEADLINE_S} s while "
+                        f"answering {requests[done]}" if answering else
+                        f"plugin read no input for {REPLY_DEADLINE_S} s while "
+                        f"{requests[done]} waited to be sent")
+                if stdout in ready:
+                    chunk = os.read(stdout, 1 << 16)
+                    if not chunk:
+                        raise PluginFault("plugin closed its output stream "
+                                          f"answering {requests[done]}")
+                    buf, start = buf[start:] + chunk, 0
         except PluginFault as exc:
             tail = self._stderr_tail()
             if not tail:
                 raise
             raise PluginFault(f"{exc}; its stderr ends with {tail!r}") from exc
+        self._unread = buf[start:]
 
     def _stderr_tail(self) -> str:
         """At most the last _STDERR_TAIL_BYTES the child wrote to stderr.
@@ -207,50 +239,6 @@ class PluginSystem:
         size = os.fstat(fd).st_size
         start = max(0, size - _STDERR_TAIL_BYTES)
         return os.pread(fd, size - start, start).decode(errors="replace")
-
-    def _send(self, data: bytes, first: str) -> None:
-        """Write a window whose first request is ``first``."""
-        proc = self._proc
-        assert proc is not None and proc.stdin is not None
-        fd = proc.stdin.fileno()
-        view = memoryview(data)
-        while view:
-            try:
-                view = view[os.write(fd, view):]
-            except BlockingIOError:
-                with selectors.DefaultSelector() as room:
-                    room.register(fd, selectors.EVENT_WRITE)
-                    if not room.select(REPLY_DEADLINE_S):
-                        raise self._hung(f"read no input for {REPLY_DEADLINE_S} s "
-                                         f"while {first} waited to be sent")
-            except OSError as exc:
-                raise PluginFault(f"plugin pipe closed while sending: {exc}") from exc
-
-    def _read_lines(self, requests: list[str]) -> list[bytes]:
-        """The next len(requests) reply lines, without their newlines."""
-        proc, replies = self._proc, self._replies
-        assert proc is not None and proc.stdout is not None and replies is not None
-        buf = bytearray(self._unread)
-        have = buf.count(b"\n")
-        while have < len(requests):
-            if not replies.select(REPLY_DEADLINE_S):
-                raise self._hung(f"sent nothing for {REPLY_DEADLINE_S} s "
-                                 f"while answering {requests[have]}")
-            chunk = os.read(proc.stdout.fileno(), 1 << 16)
-            if not chunk:
-                raise PluginFault(
-                    f"plugin closed its output stream answering {requests[have]}"
-                )
-            buf += chunk
-            have += chunk.count(b"\n")
-        *lines, self._unread = bytes(buf).split(b"\n", len(requests))
-        return lines
-
-    def _hung(self, what: str) -> PluginFault:
-        """Kill the child, which stopped talking, and say what it failed."""
-        assert self._proc is not None
-        self._proc.kill()
-        return PluginFault(f"plugin {what}")
 
     @staticmethod
     def _decode(line: bytes, request: str, bit_of: dict[int, int]) -> int:
@@ -298,8 +286,6 @@ class PluginSystem:
         if proc is None:
             return
         assert proc.stdin is not None and proc.stdout is not None
-        assert self._replies is not None
-        self._replies.close()
         self._unread = b""
         try:
             proc.stdin.close()

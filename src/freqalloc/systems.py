@@ -220,7 +220,7 @@ class FSystemSpec:
     def row_union(self, side: Side, t: int) -> FrequencySet:
         """Union over 1 <= k <= t of the level-t sets for one side, after one
         ``bit_row_fn`` call for the row where the system has one: a plugin
-        asks for the row in windows and caches the replies."""
+        asks for the row in one exchange and caches the replies."""
         if self.bit_row_fn is not None:
             self.bit_row_fn(side, t, None)
         return union_all(self.sets(side, t, k) for k in range(1, t + 1))

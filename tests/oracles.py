@@ -212,7 +212,7 @@ def check_f2_exhaustive(sys, t_max: int) -> list[Violation]:
 def sets_row(sys, side: Side, t: int) -> list[FrequencySet]:
     """The level-t sets of one side for k = 1..t, one ``sets`` call per k,
     after one ``bit_row_fn`` call for the row where the system has one: a
-    plugin asks for the row in windows and caches the replies."""
+    plugin asks for the row in one exchange and caches the replies."""
     if sys.bit_row_fn is not None:
         sys.bit_row_fn(side, t, None)
     return [sys.sets(side, t, k) for k in range(1, t + 1)]

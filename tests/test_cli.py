@@ -493,15 +493,20 @@ class TestDigitLimit:
              "--lambda", "8", "--t-max", "30"],
             ["falsify", "--system", "golden", "--r", "1.42+{P}-{Q}*sqrt5",
              "--lambda", "1", "--t-max", "30"],
+            # 10/7 - 1/(N(N+1)): theta = N(N+1) + 1 has about 8,000 digits
+            ["falsify", "--system", "golden", "--r", "10/7-1/{N}+1/{N1}",
+             "--lambda", "8", "--t-max", "10"],
         ],
-        ids=["verify-bound", "falsify-claim", "falsify-check"],
+        ids=["verify-bound", "falsify-claim", "falsify-check",
+             "falsify-theta"],
     )
     def test_refused_without_traceback(self, tmp_path, capsys, argv):
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             p, q = long_ratio_terms(4299)
-            argv = [a.format(P=p, Q=q) for a in argv]
+            argv = [a.format(P=p, Q=q, N=10**4000, N1=10**4000 + 1)
+                    for a in argv]
             out = tmp_path / "out.json"
             assert main([*argv, "--out", str(out)]) == 3
         finally:

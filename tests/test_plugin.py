@@ -169,6 +169,22 @@ class TestPipelining:
             # them alike
             assert row == single.bit_row(Side.A, 3000)
 
+    def test_long_row_is_one_exchange(self, tmp_path, monkeypatch):
+        # after the query that starts the child, the row's other 2,999
+        # requests, some 100 KB, go out in one exchange
+        exchanges = []
+        exchange = PluginSystem._exchange
+
+        def counting(system, keys):
+            exchanges.append(len(keys))
+            return exchange(system, keys)
+
+        monkeypatch.setattr(PluginSystem, "_exchange", counting)
+        monkeypatch.setattr(plugin, "REPLY_DEADLINE_S", 10.0)
+        with spawn(tmp_path, RUN_OF_32) as plug:
+            assert len(plug.bit_row(Side.A, 3000)) == 3000
+        assert exchanges == [1, 2999]
+
     def test_exit_mid_row(self, tmp_path):
         with spawn(tmp_path, EXIT_AFTER % 5) as plug:
             request = '{"side": "A", "t": 20, "k": 6}'
