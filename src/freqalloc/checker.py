@@ -26,6 +26,8 @@ and a hit is exact.  ``union_sizes`` ORs the rows of every system but a
 nested one with row bands and counts bits, and ``check_f1`` reads a
 plugin's sizes as popcounts.  Both F2 sweeps report the same violations in
 the same order, each with its witness from ``_witness_pair`` on the sets.
+Every sweep yields its violations as it finds them, and a check with a
+``limit`` stops its sweep at the limit-th.
 
 A nested system (``FSystemSpec.nested``) needs no sweep for its unions:
 the union of all side-c sets up to level t is F(c, t, t).  So U_t is
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -163,30 +165,28 @@ def check_f1(
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    out = []
-    for t_lo, t_hi in level_blocks(1, t_max):
-        ts, ks = level_entries(t_lo, t_hi)
-        hits = []
-        for s, side in enumerate(SIDES):
-            sizes = np.asarray(sys.row_sizes(side, t_lo, t_hi))
-            short = np.flatnonzero(sizes < ks)
-            hits += [(t, s, k)
-                     for t, k in zip(ts[short].tolist(), ks[short].tolist())]
-        for t, s, k in sorted(hits):
-            # recover the witness from the generator proper
-            fs = sys.sets(SIDES[s], t, k)
-            out.append(
-                Violation(
+
+    def sweep() -> Iterator[Violation]:
+        for t_lo, t_hi in level_blocks(1, t_max):
+            ts, ks = level_entries(t_lo, t_hi)
+            hits = []
+            for s, side in enumerate(SIDES):
+                sizes = np.asarray(sys.row_sizes(side, t_lo, t_hi))
+                short = np.flatnonzero(sizes < ks)
+                hits += [(t, s, k) for t, k in
+                         zip(ts[short].tolist(), ks[short].tolist())]
+            for t, s, k in sorted(hits):
+                # recover the witness from the generator proper
+                fs = sys.sets(SIDES[s], t, k)
+                yield Violation(
                     kind=ViolationKind.F1,
                     params={"side": SIDES[s], "t": t, "k": k},
                     lhs=f"|F| = {len(fs)}",
                     rhs=f"k = {k}",
                     witness=fs,
                 )
-            )
-            if limit and len(out) >= limit:
-                return out
-    return out
+
+    return list(islice(sweep(), limit or None))
 
 
 def check_f2(
@@ -206,22 +206,22 @@ def check_f2(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     _guard_f2(sys, t_max)
-    if sys.row_bands_fn is not None:
-        return _check_f2_bands(sys, t_max, limit)
-    return _check_f2_sets(sys, t_max, limit)
+    sweep = _check_f2_sets if sys.row_bands_fn is None else _check_f2_bands
+    return list(islice(sweep(sys, t_max), limit or None))
 
 
 def _witness_pair(
     sys: FSystemSpec, side: Side, t: int, k: int, horizon: int
-) -> Optional[Violation]:
-    """The first opposite-side set, by (t', k'), that F(side, t, k) meets
-    among t' <= horizon and k' <= t - k, or None if it meets none."""
+) -> Iterator[Violation]:
+    """The violation of the first opposite-side set, by (t', k'), that
+    F(side, t, k) meets among t' <= horizon and k' <= t - k; nothing if it
+    meets none."""
     mine = sys.sets(side, t, k)
     for tp in range(1, horizon + 1):
         for kp in range(1, min(tp, t - k) + 1):
             hit = mine & sys.sets(side.other, tp, kp)
             if hit:
-                return Violation(
+                yield Violation(
                     kind=ViolationKind.F2,
                     params={
                         "side": side,
@@ -234,15 +234,12 @@ def _witness_pair(
                     rhs="0",
                     witness=hit,
                 )
-    return None
+                return
 
 
-def _check_f2_sets(
-    sys: FSystemSpec, t_max: int, limit: Optional[int]
-) -> list[Violation]:
+def _check_f2_sets(sys: FSystemSpec, t_max: int) -> Iterator[Violation]:
     """check_f2 on bit rows; any system.  A row meets a prefix union exactly
     when their AND is nonzero, so every flagged row has a witness."""
-    out: list[Violation] = []
     # cols[s][m - 1] is the OR over t' of the bit rows of F(SIDES[s], t', m);
     # it and rows are lists by side number, which hashes no Side enum
     cols = [[0] * t_max for _ in SIDES]
@@ -258,13 +255,8 @@ def _check_f2_sets(
             pre = list(accumulate(cols[1 - s][: t - 1], or_))
             for k, hit in enumerate(map(and_, rows[s], reversed(pre)), 1):
                 if hit:
-                    v = _witness_pair(sys, SIDES[s], t, k, t - s)
-                    if v is not None:
-                        out.append(v)
-                        if limit and len(out) >= limit:
-                            return out
+                    yield from _witness_pair(sys, SIDES[s], t, k, t - s)
         cols[0][:t] = map(or_, cols[0][:t], rows[0])
-    return out
 
 
 # A band [lo, hi) of one pool is the pair (-lo, hi) here.  The hull of two
@@ -275,13 +267,10 @@ def _check_f2_sets(
 _EMPTY = -(1 << 62)
 
 
-def _check_f2_bands(
-    sys: FSystemSpec, t_max: int, limit: Optional[int]
-) -> list[Violation]:
+def _check_f2_bands(sys: FSystemSpec, t_max: int) -> Iterator[Violation]:
     """_check_f2_sets on per-pool band hulls, both sides at once.  A hull
     covers its union, so every row that meets the union meets the hull;
     _witness_pair drops the rows that meet only the hull."""
-    out: list[Violation] = []
     pools = POOL_COUNT
     # cols[s, :, k']: per pool, the pair of the hull of the union over t' of
     # F(SIDES[s], t', k'), -lo in rows 0..pools-1 and hi in the rest
@@ -326,13 +315,8 @@ def _check_f2_bands(
             meets = (m[:, :pools] > 0).any(axis=1)
             for i in np.flatnonzero(meets).tolist():
                 s, k = divmod(i, t - 1)
-                v = _witness_pair(sys, SIDES[s], t, k + 1, t - s)
-                if v is not None:
-                    out.append(v)
-                    if limit and len(out) >= limit:
-                        return out
+                yield from _witness_pair(sys, SIDES[s], t, k + 1, t - s)
             np.maximum(col[0], rows[0], out=col[0])
-    return out
 
 
 def union_sizes(sys: FSystemSpec, t_max: int) -> Iterator[tuple[int, int]]:
@@ -378,20 +362,12 @@ def check_competitiveness(
     if r < 1:
         raise ValueError("competitive ratio must be >= 1")
     floor_rn = _Floors(*_triple(r))
-    out = []
-    for t, size in union_sizes(sys, t_max):
-        if size - lam > floor_rn[t]:
-            out.append(
-                Violation(
-                    kind=ViolationKind.COMPETITIVENESS,
-                    params={"t": t},
-                    lhs=f"|U_t| = {size}",
-                    rhs=f"r*t + lambda = {r * t + lam}",
-                )
-            )
-            if limit and len(out) >= limit:
-                break
-    return out
+    sweep = (Violation(kind=ViolationKind.COMPETITIVENESS, params={"t": t},
+                       lhs=f"|U_t| = {size}",
+                       rhs=f"r*t + lambda = {r * t + lam}")
+             for t, size in union_sizes(sys, t_max)
+             if size - lam > floor_rn[t])
+    return list(islice(sweep, limit or None))
 
 
 def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:

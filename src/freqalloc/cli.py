@@ -144,7 +144,7 @@ def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
+    with _open_system(args.system, args.r, args.lam) as spec:
         checks = set(args.checks.split(","))
         unknown = checks - {"f1", "f2", "competitiveness", "lemmas"}
         if unknown:
@@ -165,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
+    with _open_system(args.system, args.r, args.lam) as spec:
         try:
             verdict = checker.falsify(
                 spec,
@@ -181,7 +181,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
+    with _open_system(args.system, args.r, args.lam) as spec:
         inst, requests = _load_instance(args.graph, args.requests)
         mode = "full" if args.validate else "neighbors"
         alloc = Allocator(inst, spec, validate=mode)
@@ -235,7 +235,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_sets(args: argparse.Namespace) -> int:
-    with _open_system(args.system, args.r, getattr(args, "lam")) as spec:
+    with _open_system(args.system, args.r, args.lam) as spec:
         side = Side(args.side)
         rows = []
         for k in range(0, args.t + 1):
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--t-max", type=_positive_int, required=True)
     pu.add_argument("--out-graph", required=True)
     pu.add_argument("--out-requests", required=True)
-    pu.set_defaults(func=cmd_adversary, mode="universal")
+    pu.set_defaults(func=cmd_adversary)
     pl = adv.add_parser("lower-bound", help="doubling-recurrence instance")
     pl.add_argument("--theta", type=_positive_int, required=True)
     pl.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument("--out-graph", required=True)
     pl.add_argument("--out-requests", required=True)
-    pl.set_defaults(func=cmd_adversary, mode="lower-bound")
+    pl.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("opt", help="static optimum of a loaded graph")
     omode = p.add_subparsers(dest="mode", required=True)
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--graph", required=True)
     po.add_argument("--requests", required=True)
     po.add_argument("--out")
-    po.set_defaults(func=cmd_opt, mode="static")
+    po.set_defaults(func=cmd_opt)
     pb = omode.add_parser("brute", help="exhaustive-search optimum")
     pb.add_argument("--graph", required=True)
     pb.add_argument("--requests", required=True)
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_positive_int, default=BRUTE_FORCE_DEFAULT_BUDGET
     )
     pb.add_argument("--out")
-    pb.set_defaults(func=cmd_opt, mode="brute")
+    pb.set_defaults(func=cmd_opt)
 
     p = sub.add_parser(
         "plot-sets", help="band structure of a system's sets as CSV"

@@ -251,6 +251,9 @@ def constants() -> Constants:
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>\d+(?:\.\d+)?(?:/\d+)?)\*?)?(?P<sym>sqrt5|R0|phi)?$"
 )
+# the value of a term's symbol; a bare coefficient has none
+_SYMBOLS = {"sqrt5": GoldenNumber(0, 1), "R0": R0, "phi": PHI,
+            None: GoldenNumber(1)}
 
 
 def parse_exact(text: str) -> GoldenNumber:
@@ -264,40 +267,19 @@ def parse_exact(text: str) -> GoldenNumber:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty exact-number expression")
+    # signs and terms alternate, with a "+" before an unsigned first term
+    parts = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)[1:]
     total = GoldenNumber()
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while pos <= len(s):
-        nxt = len(s)
-        for i in range(pos, len(s)):
-            if s[i] in "+-":
-                nxt = i
-                break
-        term = s[pos:nxt]
+    for sign, term in zip(parts[::2], parts[1::2]):
         m = _TERM_RE.match(term)
-        if not m or (m.group("coef") is None and m.group("sym") is None):
+        if not m or not (m["coef"] or m["sym"]):
             raise ValueError(f"bad exact-number term {term!r} in {text!r}")
         try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            coef = Fraction(m["coef"] or 1)
         except ZeroDivisionError:
             raise ValueError(
                 f"zero denominator in term {term!r} of {text!r}"
             ) from None
-        sym = m.group("sym")
-        if sym == "sqrt5":
-            value = GoldenNumber(0, coef)
-        elif sym == "R0":
-            value = R0 * coef
-        elif sym == "phi":
-            value = PHI * coef
-        else:
-            value = GoldenNumber(coef)
-        total = total + (value if sign > 0 else -value)
-        if nxt == len(s):
-            break
-        sign = -1 if s[nxt] == "-" else 1
-        pos = nxt + 1
+        value = _SYMBOLS[m["sym"]] * coef
+        total = total + (value if sign == "+" else -value)
     return total

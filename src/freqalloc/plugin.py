@@ -2,7 +2,9 @@
 
 An external system is a child process speaking line-delimited JSON on its
 standard streams: one request ``{"side": "A", "t": 5, "k": 3}`` per line, one
-reply ``{"freqs": [1, 2, 9]}`` per line, in order.  Requests may arrive
+reply ``{"freqs": [1, 2, 9]}`` per line, in order.  k runs from 1 to t in
+every check, and from 0 in ``plot-sets``, so a plugin must answer k = 0 too;
+one that dies on it is a plugin fault (exit 2).  Requests may arrive
 pipelined: the uncached sets of a row are asked for in one exchange, which
 writes their lines as fast as the plugin reads them and reads its replies
 meanwhile, so a plugin must answer each line as it reads it, in order, and

@@ -1,11 +1,13 @@
 """Plain-Python references that tests compare the package with."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 from freqalloc.checker import Violation, ViolationKind, _witness_pair
 from freqalloc.frequencies import SIDES, FrequencySet, PoolTag, Side, union_all
-from freqalloc.golden import GoldenNumber
+from freqalloc.golden import PHI, R0, GoldenNumber, parse_exact
 from freqalloc.systems import FSystemSpec
 
 PRIVATE = {Side.A: PoolTag.PRIVATE_A, Side.B: PoolTag.PRIVATE_B}
@@ -245,11 +247,9 @@ def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
             pref = prefixes(cols[1 - s], t - 1)
             for k in range(1, t):
                 if not rows[s][k - 1].isdisjoint(pref[t - k]):
-                    v = _witness_pair(sys, SIDES[s], t, k, t - s)
-                    if v is not None:
-                        out.append(v)
-                        if limit and len(out) >= limit:
-                            return out
+                    out += _witness_pair(sys, SIDES[s], t, k, t - s)
+                    if limit and len(out) >= limit:
+                        return out
         for m in range(1, t + 1):
             cols[0][m] = cols[0][m] | rows[0][m - 1]
     return out
@@ -298,3 +298,183 @@ def lemma_sizes_sets(sys, evens, shared) -> list[tuple[int, ...]]:
                     len(s_t | overlap(3 * t // 2, t)), len(z_top),
                     len(s_2t - z_top), len(s_2t | z_top), len(s_2t)))
     return out
+
+
+_TERM_RE = re.compile(
+    r"^(?:(?P<coef>\d+(?:\.\d+)?(?:/\d+)?)\*?)?(?P<sym>sqrt5|R0|phi)?$"
+)
+
+
+def parse_exact_reference(text: str) -> GoldenNumber:
+    """golden.parse_exact as first written: a hand-indexed scan for the
+    signs, and an if/elif chain over the symbols.
+
+    Accepts sums and differences of terms, where a term is an integer, a
+    fraction ``p/q``, a decimal, ``sqrt5``, ``phi``, ``R0``, or a rational
+    multiple of those such as ``1/11*sqrt5``.  The output of ``str`` on a
+    GoldenNumber parses back to the same value.
+    """
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty exact-number expression")
+    total = GoldenNumber()
+    pos = 0
+    sign = 1
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        pos = 1
+    while pos <= len(s):
+        nxt = len(s)
+        for i in range(pos, len(s)):
+            if s[i] in "+-":
+                nxt = i
+                break
+        term = s[pos:nxt]
+        m = _TERM_RE.match(term)
+        if not m or (m.group("coef") is None and m.group("sym") is None):
+            raise ValueError(f"bad exact-number term {term!r} in {text!r}")
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in term {term!r} of {text!r}"
+            ) from None
+        sym = m.group("sym")
+        if sym == "sqrt5":
+            value = GoldenNumber(0, coef)
+        elif sym == "R0":
+            value = R0 * coef
+        elif sym == "phi":
+            value = PHI * coef
+        else:
+            value = GoldenNumber(coef)
+        total = total + (value if sign > 0 else -value)
+        if nxt == len(s):
+            break
+        sign = -1 if s[nxt] == "-" else 1
+        pos = nxt + 1
+    return total
+
+
+def encodings(fs: FrequencySet) -> list[int]:
+    """A set as a report's ``witness`` lists it."""
+    return [enc for enc, _, _ in fs.iter_encoded()]
+
+
+def lemma_rows(row, r: GoldenNumber, lam: int) -> list[tuple]:
+    """(kind, lhs, lhs text, rhs, rhs text) of each lemma inequality
+    lhs >= rhs, from one row of ``lemma_sizes_sets``."""
+    t, _, s_t, s_2t_t, s_u_z, z_top, packed, grown, _ = row
+    both = s_u_z + s_2t_t
+    return [
+        ("shared_lower", s_t, f"|S_t| = {s_t}", (2 - r) * t - lam,
+         "(2-R)t - lambda"),
+        ("shared_split_lower", s_2t_t, f"|S_2t,t| = {s_2t_t}",
+         (6 - 4 * r) * t - 2 * lam, "(6-4R)t - 2*lambda"),
+        ("shared_packing", packed, f"|S_2t \\ Z_3t,2t| = {packed}",
+         GoldenNumber(both), f"|S_t u Z| + |S_2t,t| = {both}"),
+        ("carry_lower", z_top, f"|Z_3t,2t| = {z_top}",
+         s_u_z - (3 * r - 4) * t - lam, "|S_t u Z| - (3R-4)t - lambda"),
+        ("recurrence", grown, f"|S_2t u Z_3t,2t| = {grown}",
+         2 * s_u_z + (10 - 7 * r) * t - 3 * lam,
+         "2|S_t u Z| + (10-7R)t - 3*lambda"),
+    ]
+
+
+def recheck(doc: dict, sys, samples: int = 12, seed: int = 0) -> None:
+    """Re-derive a ``verify`` or ``falsify`` report (its JSON) from
+    ``sys.sets`` alone, and raise AssertionError at the first claim that
+    does not hold.
+
+    Each violation is re-derived and its ``lhs`` and ``rhs`` re-rendered;
+    ``detail`` is not read.  So is each gamma trace entry's ``set_size``.
+    A report with no violation has a seeded sample of its claims re-checked
+    inside its horizons instead: ``samples`` (side, t, k) for F1 and for
+    F2, and ``samples`` levels for competitiveness and the lemma chain."""
+    r, lam = parse_exact(doc["claims"]["r"]), doc["claims"]["lambda"]
+    trace = doc["gamma_trace"] or {"entries": [], "lambda": lam}
+    horizons, violations = doc["horizons"], doc["violations"]
+    rng = random.Random(seed)
+    comp_ts = lemma_ts = []
+    if not violations and "competitiveness" in horizons:
+        comp_ts = [rng.randint(1, horizons["competitiveness"])
+                   for _ in range(samples)]
+    if not violations and horizons.get("lemma_chain", 0) > 1:
+        lemma_ts = [2 * rng.randint(1, horizons["lemma_chain"] // 2)
+                    for _ in range(samples)]
+    direct = ("f1", "f2", "competitiveness")
+    top = max([1, *comp_ts, *(2 * t for t in lemma_ts),
+               *(e["t"] for e in trace["entries"]),
+               *(2 * v["params"]["t"] for v in violations
+                 if v["kind"] not in direct)])
+    folds = [None, *row_union_folds(sys, top)]
+    shared = {t: fa & fb for t, (fa, fb) in enumerate(folds[1:], 1)}
+
+    def set_size(t):
+        # |S_t u Z_3t/2,t|, the gamma trace's numerator
+        z = sys.sets(Side.A, 3 * t // 2, t) & sys.sets(Side.B, 3 * t // 2, t)
+        return len(shared[t] | z)
+
+    for v in violations:
+        kind, p = v["kind"], v["params"]
+        texts = (v["lhs"], v["rhs"])
+        if kind == "f1":
+            fs = sys.sets(Side(p["side"]), p["t"], p["k"])
+            assert len(fs) < p["k"] and v["witness"] == encodings(fs), v
+            assert texts == (f"|F| = {len(fs)}", f"k = {p['k']}"), v
+        elif kind == "f2":
+            side = Side(p["side"])
+            hit = (sys.sets(side, p["t"], p["k"])
+                   & sys.sets(side.other, p["t_other"], p["k_other"]))
+            assert hit and v["witness"] == encodings(hit), v
+            assert p["k"] + p["k_other"] <= max(p["t"], p["t_other"]), v
+            assert texts in ((f"|F(t,k) & F'(t',k')| = {len(hit)}", "0"),
+                             (f"|overlap| = {len(hit)}", "0")), v
+        elif kind == "competitiveness":
+            size, bound = len(union_at(sys, p["t"])), r * p["t"] + lam
+            assert bound < size, v
+            assert texts == (f"|U_t| = {size}", f"r*t + lambda = {bound}"), v
+        elif kind == "gamma_cap":
+            t, lam_g = p["t"], trace["lambda"]
+            size, s_2t = set_size(t), len(shared[2 * t])
+            bound = r * (2 * t) + lam_g
+            assert bound < max(size, s_2t), v
+            assert texts == (f"|S u Z| = {size}, |S_2t| = {s_2t}",
+                             f"2R*t + lambda = {bound}"), v
+        elif kind == "gamma_step":
+            t, lam_g = p["t"], trace["lambda"]
+            grown = set_size(2 * t)
+            bound = 2 * set_size(t) + (10 - 7 * r) * t - 3 * lam_g
+            assert grown < bound, v
+            assert texts == (
+                f"|S u Z at 2t| = {grown}",
+                f"2|S u Z at t| + (10-7R)t - 3*lambda = {bound}"), v
+        else:
+            row, = lemma_sizes_sets(sys, [p["t"]], shared)
+            (lhs, lhs_text, rhs, rhs_text), = (
+                x[1:] for x in lemma_rows(row, r, p["lambda"]) if x[0] == kind)
+            assert lhs < rhs, v
+            assert texts == (lhs_text, f"{rhs_text} = {rhs}"), v
+    for e in trace["entries"]:
+        assert e["set_size"] == set_size(e["t"]), e
+        assert e["gamma"] == str(Fraction(e["set_size"], e["t"])), e
+    if violations:
+        return
+    for _ in range(samples if "f1" in horizons else 0):
+        t = rng.randint(1, horizons["f1"])
+        side, k = rng.choice(SIDES), rng.randint(1, t)
+        assert len(sys.sets(side, t, k)) >= k, ("f1", side, t, k)
+    for _ in range(samples if "f2" in horizons else 0):
+        t, tp = (rng.randint(1, horizons["f2"]) for _ in "tt")
+        side, k = rng.choice(SIDES), rng.randint(1, t)
+        if k < max(t, tp):
+            kp = rng.randint(1, min(tp, max(t, tp) - k))
+            assert sys.sets(side, t, k).isdisjoint(
+                sys.sets(side.other, tp, kp)), ("f2", side, t, k, tp, kp)
+    for t in comp_ts:
+        fa, fb = folds[t]
+        assert not r * t + lam < len(fa | fb), ("competitiveness", t)
+    for row in lemma_sizes_sets(sys, lemma_ts, shared):
+        assert row[1] == 0, ("lemma clash", row)
+        for kind, lhs, _, rhs, _ in lemma_rows(row, r, lam):
+            assert not lhs < rhs, (kind, row)

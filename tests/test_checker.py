@@ -3,6 +3,7 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -180,6 +181,11 @@ def sparse_system(seed: int) -> FSystemSpec:
     )
 
 
+def set_sweep(sys_, t_max, limit=None) -> list:
+    """The first limit violations of the bit-row F2 sweep, or all of them."""
+    return list(islice(checker._check_f2_sets(sys_, t_max), limit))
+
+
 def count_set_sweeps(monkeypatch) -> list:
     calls = []
     sweep = checker._check_f2_sets
@@ -302,7 +308,7 @@ class TestF1Oracle:
         for sys_, t_max in ((golden_system(), 60), (half_system(), 60),
                             (f2_mutant, 24)):
             want = check_f2_sets(sys_, t_max)
-            assert checker._check_f2_sets(sys_, t_max, None) == want
+            assert set_sweep(sys_, t_max) == want
             assert check_f2(sys_, t_max) == want
             assert check_f2(sys_, t_max, limit=4) == want[:4]
             assert f2_rows(check_f2(sys_, 16)) == exhaustive_f2_rows(sys_, 16)
@@ -376,13 +382,12 @@ class TestF2Bands:
         assert check_f2(golden_system(), 150) == []
         assert not calls, "golden left the band-array sweep"
         assert check_f2_sets(golden_system(), 150) == []
-        assert checker._check_f2_sets(golden_system(), 150, None) == []
+        assert set_sweep(golden_system(), 150) == []
 
     @pytest.mark.parametrize("limit", [None, 5])
     def test_mutant_identical_in_order(self, monkeypatch, limit):
         want = check_f2_sets(mutant_half_wide_shared(), 30, limit)
-        assert checker._check_f2_sets(mutant_half_wide_shared(), 30,
-                                      limit) == want
+        assert set_sweep(mutant_half_wide_shared(), 30, limit) == want
         calls = count_set_sweeps(monkeypatch)
         got = check_f2(with_row_bands(mutant_half_wide_shared()), 30,
                        limit=limit)
@@ -396,7 +401,7 @@ class TestF2Bands:
         # wrong prefix, or a prefix one column off, changes the result
         want = check_f2_sets(sparse_system(seed), 25)
         assert 0 < len(want) < 150  # of 600 (side, t, k) rows
-        assert checker._check_f2_sets(sparse_system(seed), 25, None) == want
+        assert set_sweep(sparse_system(seed), 25) == want
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(sparse_system(seed)), 25) == want
         assert not calls
@@ -408,7 +413,7 @@ class TestF2Bands:
                                              limit):
         want = check_f2_sets(factory(), 20, limit)
         assert want
-        assert checker._check_f2_sets(factory(), 20, limit) == want
+        assert set_sweep(factory(), 20, limit) == want
         calls = count_set_sweeps(monkeypatch)
         assert check_f2(with_row_bands(factory()), 20, limit=limit) == want
         assert not calls
@@ -418,7 +423,7 @@ class TestF2Bands:
         # collision at level t belongs to side A's row: a witness scan of
         # side B that reached level t would report that collision twice
         want = check_f2_sets(same_level_system(), 12)
-        assert checker._check_f2_sets(same_level_system(), 12, None) == want
+        assert set_sweep(same_level_system(), 12) == want
         calls = count_set_sweeps(monkeypatch)
         got = check_f2(with_row_bands(same_level_system()), 12)
         assert not calls
@@ -449,7 +454,7 @@ class TestF2Bands:
         assert check_f2(factory(), 150) == []
         assert not calls, "the system left the band-array sweep"
         assert check_f2_sets(factory(), 150) == []
-        assert checker._check_f2_sets(factory(), 150, None) == []
+        assert set_sweep(factory(), 150) == []
 
     def test_systems_without_bands_take_the_set_sweep(self, monkeypatch):
         calls = count_set_sweeps(monkeypatch)

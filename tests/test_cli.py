@@ -347,6 +347,29 @@ class TestPlotSets:
             ]
             assert FrequencySet(bands) == go.sets(Side.B, t, k)
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_golden_level_zero_is_its_private_band(self, tmp_path, side):
+        # F(c, t, 0) of golden is not empty: PA[1..6] for side A at t = 5
+        for t, hi in ((1, "4"), (3, "5"), (5, "6")):
+            out = tmp_path / "bands.csv"
+            assert run_cli("plot-sets", "--system", "golden", "--t", str(t),
+                           "--side", side, "--out", str(out)) == 0
+            rows = [r for r in csv.DictReader(out.read_text().splitlines())
+                    if r["k"] == "0"]
+            assert rows == [{"k": "0", "pool": f"P{side}", "lo": "0",
+                             "hi": hi}]
+
+    def test_plugin_answers_level_zero(self, tmp_path):
+        # plot-sets is the one command that asks for k = 0; the odd-even
+        # plugin answers it with no frequencies
+        out = tmp_path / "bands.csv"
+        assert run_cli("plot-sets", "--system", f"plugin:{ODD_EVEN}",
+                       "--r", "2", "--lambda", "0", "--t", "3",
+                       "--out", str(out)) == 0
+        assert out.read_text() == (
+            "k,pool,lo,hi\n1,F,0,1\n2,F,0,1\n2,F,2,3\n3,F,0,1\n3,F,2,3\n"
+            "3,F,4,5\n")
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):

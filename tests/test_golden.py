@@ -17,7 +17,7 @@ from freqalloc.golden import (
     parse_exact,
 )
 
-from oracles import floor_linear_corrected
+from oracles import floor_linear_corrected, parse_exact_reference
 
 C = constants()
 
@@ -216,6 +216,19 @@ class TestFloor:
             assert dyadic_bisection_floor(x) == bisection_floor(x), x
 
 
+# pieces of exact-number text, well formed or not
+PARSE_TOKENS = ["0", "1", "7", "11", "2.5", "3/2", "1/0", "/", ".", "*", "+",
+                "-", " ", "sqrt5", "R0", "phi", "sqrt", "e", "\n", "9" * 4400]
+
+
+def parse_outcome(parse, text):
+    """parse's value on text, or the message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestParseRender:
     @pytest.mark.parametrize(
         "text,value",
@@ -243,6 +256,15 @@ class TestParseRender:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_exact(bad)
+
+    @given(st.one_of(
+        st.text("0123456789./+-*sqrt5R0phi ", max_size=16),
+        st.lists(st.sampled_from(PARSE_TOKENS), max_size=8).map("".join)))
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_agrees_with_reference(self, text):
+        # the same value, or a ValueError with the same text
+        assert parse_outcome(parse_exact, text) == parse_outcome(
+            parse_exact_reference, text)
 
     @pytest.mark.parametrize("limit", [640, 4300])
     def test_digit_limit_matches_str(self, limit):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqalloc import checker, plugin
+from freqalloc import checker, plugin, systems
 from freqalloc.checker import (check_competitiveness, check_f1, check_f2,
                                shared_stats, union_sizes)
 from freqalloc.cli import main
@@ -23,6 +23,7 @@ from freqalloc.plugin import PluginFault, PluginSystem
 
 from oracles import (check_f1_exhaustive, check_f2_sets, from_indices,
                      shared_sets_folds, union_sizes_sets)
+from test_checker import mutant_half_wide_shared, with_row_bands
 
 WELL_BEHAVED = """
 import json, sys
@@ -414,6 +415,38 @@ class TestSetupAccounting:
             assert len(want) > 3
             assert got == want
             assert check_f1(spec, 12, limit=3) == want[:3]
+
+    def test_limits_stop_the_sweeps(self, tmp_path, monkeypatch):
+        # a check stops at its limit-th violation: F2 scans no witness past
+        # it, and F1 asks a plugin for no block of levels past it
+        scans = []
+        scan = checker._witness_pair
+
+        def counting_scan(*args):
+            scans.append(args[1:])
+            return scan(*args)
+
+        monkeypatch.setattr(checker, "_witness_pair", counting_scan)
+        for sys_ in (mutant_half_wide_shared(),
+                     with_row_bands(mutant_half_wide_shared())):
+            scans.clear()
+            assert len(check_f2(sys_, 30, limit=5)) == 5
+            assert len(scans) == 5
+        sent = []
+        exchange = PluginSystem._exchange
+
+        def counting_exchange(plug, keys):
+            sent.extend(keys)
+            return exchange(plug, keys)
+
+        monkeypatch.setattr(PluginSystem, "_exchange", counting_exchange)
+        # blocks of at most 16 entries: levels 1..5 hold the first three
+        # violations, and both sides of them are 30 requests
+        monkeypatch.setattr(systems, "_ROW_CHUNK", 16)
+        with spawn(tmp_path, SHORT_WHEN_ODD) as plug:
+            spec = plug.spec(GoldenNumber(2), 0)
+            assert len(check_f1(spec, 12, limit=3)) == 3
+        assert len(sent) == 30
 
 
 # the odd-even plugin, one value short of k whenever t + k is odd
