@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
-import io
 import json
 import sys
 from collections import Counter
@@ -237,18 +235,14 @@ def cmd_opt(args: argparse.Namespace) -> int:
 def cmd_plot_sets(args: argparse.Namespace) -> int:
     with _open_system(args.system, args.r, args.lam) as spec:
         side = Side(args.side)
-        rows = []
+        # boundaries rendered as the exclusive-below / inclusive-above floor
+        # pair: a row (k, pool, lo, hi) holds indices lo+1..hi; tokens and
+        # integers need no CSV quoting
+        lines = ["k,pool,lo,hi\n"]
         for k in range(0, args.t + 1):
-            fs = spec.sets(side, args.t, k)
-            for pool, lo, hi in fs.bands:
-                # boundaries rendered as the exclusive-below / inclusive-above
-                # floor pair: a row (k, pool, lo, hi) holds indices lo+1..hi
-                rows.append((k, pool.token, lo - 1, hi - 1))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "pool", "lo", "hi"])
-        writer.writerows(rows)
-        _write_text(args.out, buf.getvalue())
+            lines.extend(f"{k},{pool.token},{lo - 1},{hi - 1}\n"
+                         for pool, lo, hi in spec.sets(side, args.t, k).bands)
+        _write_text(args.out, "".join(lines))
         return EXIT_CLEAN
 
 

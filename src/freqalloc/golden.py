@@ -3,7 +3,9 @@
 Every boundary of every frequency band in this package is the floor of such
 a number.  A one-ulp float error would move a boundary by one frequency, so
 comparisons, signs and floors are computed exactly; floating point is never
-consulted for a decision.
+consulted for a decision.  Every order decision is one integer floor:
+``floor_linear`` here, or its vector twin ``systems._floor_linear_vec``; a
+sign or a comparison is the floor of a value or of a difference.
 
 A rate r = (u + v*sqrt5)/w enters hot loops as its integer triple
 (``_triple``), and r*n is floored in one exact step as ``floor_linear(u*n,
@@ -28,17 +30,14 @@ def floor_linear(u: int, v: int, w: int) -> int:
     """Floor of (u + v*sqrt(5)) / w for integers u, v and w > 0, in one step.
 
     For integer u and w > 0, floor((u + y)/w) = floor((u + floor(y))/w), and
-    floor(v*sqrt5) is isqrt(5v^2) for v > 0 and -isqrt(5v^2) - 1 for v < 0,
-    since v*sqrt5 is irrational; so no comparison corrects the result.
+    floor(v*sqrt5) is isqrt(5v^2) for v >= 0 (v = 0 included, as isqrt(0)
+    is 0) and -isqrt(5v^2) - 1 for v < 0, since v*sqrt5 is then irrational;
+    so no comparison corrects the result.
     """
     if w <= 0:
         raise ValueError("denominator must be positive")
-    if v == 0:
-        return u // w
     m = math.isqrt(5 * v * v)
-    if v > 0:
-        return (u + m) // w
-    return (u - m - 1) // w
+    return (u + m) // w if v >= 0 else (u - m - 1) // w
 
 
 def fits_digit_limit(n: int) -> bool:
@@ -149,17 +148,9 @@ class GoldenNumber:
         return GoldenNumber.coerce(other) / self
 
     def sign(self) -> int:
-        """Exact sign of the real value, -1, 0 or +1."""
-        sa = (self._a > 0) - (self._a < 0)
-        sb = (self._b > 0) - (self._b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        d = self._a * self._a - 5 * self._b * self._b
-        return sa * ((d > 0) - (d < 0))
+        """Exact sign of the real value, -1, 0 or +1: x < 0 exactly when
+        floor(x) < 0, and x = 0 only when a = b = 0."""
+        return -1 if self.floor() < 0 else int(bool(self))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GoldenNumber):
@@ -170,7 +161,7 @@ class GoldenNumber:
 
     def __lt__(self, other: GoldenNumber | RatLike) -> bool:
         if isinstance(other, (GoldenNumber, int, Fraction)):
-            return (self - GoldenNumber.coerce(other)).sign() < 0
+            return (self - other).floor() < 0
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -182,8 +173,6 @@ class GoldenNumber:
         return self._a != 0 or self._b != 0
 
     def __floor__(self) -> int:
-        if self._b == 0:
-            return self._a.numerator // self._a.denominator
         p, q = self._a.numerator, self._a.denominator
         r, s = self._b.numerator, self._b.denominator
         return floor_linear(p * s, r * q, q * s)

@@ -11,10 +11,11 @@ meanwhile, so a plugin must answer each line as it reads it, in order, and
 never wait for the end of its input.  A plugin that sends nothing for
 ``REPLY_DEADLINE_S`` seconds while a reply is due, or reads nothing for as
 long while a request waits to be sent, is killed and faulted.  Replies must
-list strictly increasing positive integers; anything else is a plugin
-fault, not a property violation of the system under test.  Replies are
-cached, so each (side, t, k) is asked once, a repeated query is answered by
-replay, and determinism is enforced.
+list strictly increasing positive integers, and output past an exchange's
+last reply is unasked for; anything else is a plugin fault (exit 2), not a
+property violation of the system under test.  Replies are cached, so each
+(side, t, k) is asked once, a repeated query is answered by replay, and
+determinism is enforced.
 
 The child starts at the first ``query``.  After that, a row's uncached
 requests all go out in one exchange, so a row of any length costs one
@@ -115,8 +116,6 @@ class PluginSystem:
         self._value_of: list[int] = []
         self._proc: Optional[subprocess.Popen[bytes]] = None
         self._stderr: Optional[IO[bytes]] = None
-        # plugin output read past the last reply taken
-        self._unread = b""
 
     def _ensure_started(self) -> subprocess.Popen[bytes]:
         if self._proc is None:
@@ -183,7 +182,7 @@ class PluginSystem:
         ends = list(itertools.accumulate(len(request) + 1 for request in requests))
         sent = done = 0
         # plugin output not yet taken; the next reply line starts at start
-        buf, start = self._unread, 0
+        buf, start = b"", 0
         try:
             while True:
                 if sent < len(data):
@@ -202,6 +201,10 @@ class PluginSystem:
                         buf[start:end], requests[done], self._bit_of)
                     done, start = done + 1, end + 1
                 if done == len(keys):
+                    if start < len(buf):
+                        raise PluginFault(
+                            f"plugin sent {buf[start:start + 80]!r} past its "
+                            f"reply to {requests[-1]}")
                     break
                 # requests[done] is sent and unanswered, or not yet sent
                 answering = ends[done] <= sent
@@ -230,7 +233,6 @@ class PluginSystem:
             if not tail:
                 raise
             raise PluginFault(f"{exc}; its stderr ends with {tail!r}") from exc
-        self._unread = buf[start:]
 
     def _stderr_tail(self) -> str:
         """At most the last _STDERR_TAIL_BYTES the child wrote to stderr.
@@ -288,7 +290,6 @@ class PluginSystem:
         if proc is None:
             return
         assert proc.stdin is not None and proc.stdout is not None
-        self._unread = b""
         try:
             proc.stdin.close()
             _wait_exit(proc)

@@ -47,6 +47,21 @@ def floor_linear_corrected(u: int, v: int, w: int) -> int:
     return n
 
 
+def sign_reference(x: GoldenNumber) -> int:
+    """Exact sign of x as first written: a case analysis on the signs of
+    its parts, and on the sign of a^2 - 5b^2 when theirs differ."""
+    sa = (x.a > 0) - (x.a < 0)
+    sb = (x.b > 0) - (x.b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    d = x.a * x.a - 5 * x.b * x.b
+    return sa * ((d > 0) - (d < 0))
+
+
 def set_to_pyset(s: FrequencySet) -> set[tuple[int, int]]:
     """Expand to a plain set of (pool rank, index) pairs."""
     return {(p.rank, i) for p, lo, hi in s.bands for i in range(lo, hi)}

@@ -11,7 +11,10 @@ callers may leave out, must be passed by keyword to its class somewhere
 under ``src/`` or ``bench/``; ``default_factory`` fields are exempt.  Only
 code counts: docstrings and comments are not parsed as names, and an import
 alone does not use what it imports.  Dunders are exempt, as is the
-console-script entry point that ``pyproject.toml`` names.
+console-script entry point that ``pyproject.toml`` names.  A module-level
+import under ``src/freqalloc`` must be read by code in its own module,
+unless ``freqalloc.__all__`` lists its name or its line carries
+``# noqa: F401``.
 """
 
 import ast
@@ -211,3 +214,39 @@ def unread_private_attributes() -> list[str]:
 
 def test_every_private_attribute_is_read():
     assert unread_private_attributes() == []
+
+
+def imported_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level import binds; ``__future__`` binds none."""
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0]
+                for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def unread_imports() -> list[str]:
+    """Module-level imports under ``src/freqalloc`` that no code in their
+    module reads, less the package's re-exports and ``# noqa: F401``
+    lines."""
+    exempt = set(freqalloc.__all__)
+    unread = []
+    for path, tree in parsed_modules():
+        if path.parent != PACKAGE:
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread.extend(
+            f"{path.stem}.{name}"
+            for stmt in tree.body
+            if "# noqa: F401" not in lines[stmt.lineno - 1]
+            for name in imported_names(stmt)
+            if name not in read and name not in exempt
+        )
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []

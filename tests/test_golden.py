@@ -17,7 +17,7 @@ from freqalloc.golden import (
     parse_exact,
 )
 
-from oracles import floor_linear_corrected, parse_exact_reference
+from oracles import floor_linear_corrected, parse_exact_reference, sign_reference
 
 C = constants()
 
@@ -79,6 +79,17 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=60
 )
 goldens = st.builds(GoldenNumber, rationals, rationals)
+# Pell pairs (p, r), with p^2 - 5r^2 in {+-1, +-4}: p - r*sqrt5 is within
+# 4/(p + r*sqrt5) of 0
+PELL_PAIRS = [(2, 1), (9, 4), (38, 17), (161, 72), (3, 1), (7, 3)]
+# q*(p - r*sqrt5) and its negation, for a random positive rational q
+near_zero = st.builds(
+    lambda pair, q, sign: GoldenNumber(pair[0], -pair[1]) * (q * sign),
+    st.sampled_from(PELL_PAIRS),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                 max_denominator=1000).filter(bool),
+    st.sampled_from([1, -1]),
+)
 
 
 class TestConstants:
@@ -144,6 +155,18 @@ class TestComparison:
     def test_trichotomy(self, x, y):
         assert (x < y) + (x == y) + (y < x) == 1
 
+    @given(st.one_of(goldens, near_zero),
+           st.one_of(goldens, near_zero, rationals))
+    @settings(max_examples=400, deadline=None)
+    def test_order_matches_sign_reference(self, x, y):
+        # sign and order come from one floor; the reference decides them by
+        # cases on the parts, and a^2 - 5b^2 next to 0
+        want = sign_reference(x - y)
+        assert x.sign() == sign_reference(x)
+        assert (x < y) == (want < 0)
+        assert (y < x) == (want > 0)
+        assert cmp(x, y) == want
+
     @given(goldens)
     @settings(max_examples=100, deadline=None)
     def test_sign_matches_float(self, x):
@@ -174,7 +197,8 @@ class TestFloor:
     def test_floor_linear_matches_corrected_oracle(self):
         # the one-step floor against the seed-and-correct form, whose loops
         # move the seed wherever it is off: random inputs of 4 to 200 bits,
-        # with every sign of u and v, and the edges v = 0 and w = 1
+        # with every sign of u and v, and the edges v = 0 (u < 0 and w > 1
+        # too) and w = 1
         rng = random.Random(23)
         cases = [(u, v, w) for u in (-7, -1, 0, 1, 7) for v in (-3, -1, 0, 1, 3)
                  for w in (1, 2, 11, 22)]
@@ -183,7 +207,8 @@ class TestFloor:
                 u = rng.randint(-(1 << bits), 1 << bits)
                 v = rng.randint(-(1 << bits), 1 << bits)
                 w = rng.randint(1, 1 << bits)
-                cases += [(u, v, w), (u, v, 1), (u, 0, w), (-abs(u), -abs(v), w)]
+                cases += [(u, v, w), (u, v, 1), (u, 0, w), (-abs(u), 0, w + 1),
+                          (-abs(u), -abs(v), w)]
         for u, v, w in cases:
             assert floor_linear(u, v, w) == floor_linear_corrected(u, v, w), (
                 u, v, w)

@@ -56,6 +56,16 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+# answers every request in order, but its first reply twice in one write
+ANSWERS_FIRST_TWICE = """
+import json, sys
+for n, line in enumerate(sys.stdin):
+    k = json.loads(line)["k"]
+    reply = json.dumps({"freqs": list(range(1, k + 1))}) + "\\n"
+    sys.stdout.write(reply * 2 if n == 0 else reply)
+    sys.stdout.flush()
+"""
+
 
 # 32 consecutive frequencies from k: about 200 reply bytes, one band
 RUN_OF_32 = """
@@ -89,7 +99,7 @@ with open(sys.argv[1], "a") as log:
         sys.stdout.flush()
 """
 
-# The next two misbehave for 10 s, then die: without a deadline the adapter
+# The next three misbehave for 10 s, then die: without a deadline the adapter
 # would wait that long and then fault for another reason.
 
 # reads a request but never answers
@@ -103,6 +113,19 @@ time.sleep(10)
 NEVER_READS = """
 import signal, sys
 signal.alarm(10)
+while True:
+    sys.stdout.write('{"freqs": [1]}\\n')
+"""
+
+# answers its first request, reads the next one, then answers without end
+# but never reads again
+STOPS_READING = """
+import signal, sys
+signal.alarm(10)
+sys.stdin.readline()
+sys.stdout.write('{"freqs": [1]}\\n')
+sys.stdout.flush()
+sys.stdin.readline()
 while True:
     sys.stdout.write('{"freqs": [1]}\\n')
 """
@@ -153,6 +176,21 @@ class TestProtocol:
             assert first == again
             assert min(f.index for f in again) == 1  # cached, not re-asked
             assert replied(plug, plug.bit_row(Side.B, 7)[3]) == first
+
+    def test_plugin_that_answers_before_asked_faults(self, tmp_path):
+        # its first exchange reads replies past the one it asked for, and
+        # the fault shows the first 80 bytes of them
+        extra = (b'{"freqs": [1]}\n' * 6)[:80]
+        request = '{"side": "A", "t": 5000, "k": 1}'
+        with spawn(tmp_path, NEVER_READS) as plug:
+            with pytest.raises(PluginFault, match=re.escape(
+                    f"plugin sent {extra!r} past its reply to {request}")):
+                plug.bit_row(Side.A, 5000)
+
+    def test_plugin_that_answers_twice_exits_2(self, tmp_path, capsys):
+        code, err = verify_exit(tmp_path, ANSWERS_FIRST_TWICE, capsys, 6)
+        assert code == 2
+        assert err.startswith("plugin fault: ")
 
 
 class TestPipelining:
@@ -234,7 +272,7 @@ class TestDeadline:
     def test_plugin_that_reads_nothing_faults(self, tmp_path, monkeypatch):
         # its replies keep coming, but its input pipe fills up
         monkeypatch.setattr(plugin, "REPLY_DEADLINE_S", 0.3)
-        with spawn(tmp_path, NEVER_READS) as plug:
+        with spawn(tmp_path, STOPS_READING) as plug:
             with pytest.raises(PluginFault, match="read no input for 0.3 s"):
                 plug.bit_row(Side.A, 5000)
 
