@@ -87,7 +87,7 @@ near_zero = st.builds(
     lambda pair, q, sign: GoldenNumber(pair[0], -pair[1]) * (q * sign),
     st.sampled_from(PELL_PAIRS),
     st.fractions(min_value=Fraction(1, 1000), max_value=1000,
-                 max_denominator=1000).filter(bool),
+                 max_denominator=1000),
     st.sampled_from([1, -1]),
 )
 
