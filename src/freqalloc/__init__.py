@@ -5,67 +5,53 @@ property checkers, the request-by-request allocator they induce, and
 adversarial instances with the phase replay that checks a system's claimed
 ratio on them.
 
-Importing the package loads the allocator, the systems and the replay, none
-of which loads numpy.  The names of the checker (which loads numpy) and of
-the plugin runner (which loads subprocess and select) are exported too,
-but each module is imported only when one of its names is first read.
+Importing the package loads none of its modules.  Each exported name is
+read from the module that defines it, which is imported when the first of
+its names is read (a module ``__getattr__``), together with the modules it
+imports: ``run_universal`` loads the harness, the allocator, the systems,
+the frequencies and the golden field, none of which loads numpy;
+``check_f2`` loads the checker, and with it numpy; ``PluginSystem`` loads
+the plugin runner, and with it subprocess and select.  ``from freqalloc
+import allocation, systems`` imports those two modules and what they
+import, not the harness.
 """
 
 import importlib
 
-from .allocation import (
-    AllocationError,
-    Allocator,
-    BipartiteInstance,
-    BudgetExceededError,
-    NotBipartiteError,
-    assignment_valid,
-    bipartition,
-    brute_force_opt,
-    static_allocate,
-    static_opt,
-)
-from .frequencies import (
-    Frequency,
-    FrequencySet,
-    PoolTag,
-    Side,
-    encode_global,
-)
-from .golden import GoldenNumber, cmp, constants, parse_exact
-from .harness import (
-    CollisionError,
-    RunReport,
-    ScaleCapError,
-    UniversalGraph,
-    lower_bound_instance,
-    run_universal,
-)
-from .systems import FSystemSpec, golden_system, half_system, trivial_system
-
 __version__ = "0.1.0"
 
-# exported names whose module is imported at first use, by __getattr__
-_LAZY = dict.fromkeys(
-    (
-        "CheckReport",
-        "FalsifyVerdict",
-        "GammaTrace",
-        "SharedStats",
-        "Violation",
-        "ViolationKind",
-        "check_competitiveness",
-        "check_f1",
-        "check_f2",
-        "falsify",
-        "gamma_trace",
-        "lemma_chain_check",
-        "min_lambda",
-        "run_checks",
-        "shared_stats",
-    ),
-    "checker",
-) | dict.fromkeys(("PluginFault", "PluginSystem"), "plugin")
+# the module that defines each exported name
+_LAZY = {
+    name: module
+    for module, names in {
+        "allocation": (
+            "AllocationError", "Allocator", "BipartiteInstance",
+            "BudgetExceededError", "NotBipartiteError", "assignment_valid",
+            "bipartition", "brute_force_opt", "static_allocate", "static_opt",
+        ),
+        "checker": (
+            "CheckReport", "FalsifyVerdict", "GammaTrace", "SharedStats",
+            "Violation", "ViolationKind", "check_competitiveness", "check_f1",
+            "check_f2", "falsify", "gamma_trace", "lemma_chain_check",
+            "min_lambda", "run_checks", "shared_stats",
+        ),
+        "frequencies": (
+            "Frequency", "FrequencySet", "PoolTag", "Side", "encode_global",
+        ),
+        "golden": ("GoldenNumber", "cmp", "constants", "parse_exact"),
+        "harness": (
+            "CollisionError", "RunReport", "ScaleCapError", "UniversalGraph",
+            "lower_bound_instance", "run_universal",
+        ),
+        "plugin": ("PluginFault", "PluginSystem"),
+        "systems": (
+            "FSystemSpec", "golden_system", "half_system", "trivial_system",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str):
@@ -79,52 +65,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _LAZY.keys())
-
-__all__ = [
-    "AllocationError",
-    "Allocator",
-    "BipartiteInstance",
-    "BudgetExceededError",
-    "CheckReport",
-    "CollisionError",
-    "FalsifyVerdict",
-    "Frequency",
-    "FrequencySet",
-    "FSystemSpec",
-    "GammaTrace",
-    "GoldenNumber",
-    "NotBipartiteError",
-    "PluginFault",
-    "PluginSystem",
-    "PoolTag",
-    "RunReport",
-    "ScaleCapError",
-    "SharedStats",
-    "Side",
-    "UniversalGraph",
-    "Violation",
-    "ViolationKind",
-    "assignment_valid",
-    "bipartition",
-    "brute_force_opt",
-    "check_competitiveness",
-    "check_f1",
-    "check_f2",
-    "cmp",
-    "constants",
-    "encode_global",
-    "falsify",
-    "gamma_trace",
-    "golden_system",
-    "half_system",
-    "lemma_chain_check",
-    "lower_bound_instance",
-    "min_lambda",
-    "parse_exact",
-    "run_checks",
-    "run_universal",
-    "shared_stats",
-    "static_allocate",
-    "static_opt",
-    "trivial_system",
-]

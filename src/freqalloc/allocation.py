@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
 from .frequencies import KEY_BY_RANK, Frequency, FrequencySet, PoolTag, Side
@@ -120,16 +119,16 @@ def _root_path(v: str, parents: dict[str, Optional[str]]) -> list[str]:
     return path
 
 
-@dataclass
 class BipartiteInstance:
-    vertices: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]]
-    sides: dict[str, Side]
-    loads: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("vertices", "adjacency", "sides", "loads")
 
-    def __post_init__(self) -> None:
-        for v in self.vertices:
-            self.loads.setdefault(v, 0)
+    def __init__(self, vertices: tuple[str, ...],
+                 adjacency: dict[str, tuple[str, ...]],
+                 sides: dict[str, Side]) -> None:
+        self.vertices = vertices
+        self.adjacency = adjacency
+        self.sides = sides
+        self.loads = dict.fromkeys(vertices, 0)
 
     @classmethod
     def from_edges(

@@ -56,7 +56,6 @@ whose columns would pass F2_COLUMN_BYTES_CAP is refused through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -121,13 +120,29 @@ class ViolationKind(Enum):
     GAMMA_CAP = "gamma_cap"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    params: dict
-    lhs: str
-    rhs: str
-    witness: Optional[FrequencySet] = None
+class _Record:
+    """Equality by value, field by field: lists of violations, and gamma
+    traces, are compared whole."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (tuple(getattr(self, f) for f in self.__slots__)
+                == tuple(getattr(other, f) for f in self.__slots__))
+
+
+class Violation(_Record):
+    __slots__ = ("kind", "params", "lhs", "rhs", "witness")
+
+    def __init__(self, kind: ViolationKind, params: dict, lhs: str, rhs: str,
+                 witness: Optional[FrequencySet] = None) -> None:
+        self.kind = kind
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.witness = witness
 
     def render(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -388,7 +403,6 @@ def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
     return GoldenNumber(size_b) - r * t_b
 
 
-@dataclass
 class SharedStats:
     """Shared-frequency statistics at an even level t.
 
@@ -398,10 +412,14 @@ class SharedStats:
     sets.
     """
 
-    t: int
-    s_t: FrequencySet
-    s_2t_t: FrequencySet
-    z_3t2_t: FrequencySet
+    __slots__ = ("t", "s_t", "s_2t_t", "z_3t2_t")
+
+    def __init__(self, t: int, s_t: FrequencySet, s_2t_t: FrequencySet,
+                 z_3t2_t: FrequencySet) -> None:
+        self.t = t
+        self.s_t = s_t
+        self.s_2t_t = s_2t_t
+        self.z_3t2_t = z_3t2_t
 
 
 def _shared_sets(
@@ -618,12 +636,15 @@ def lemma_chain_check(
     return out
 
 
-@dataclass
-class GammaEntry:
-    i: int
-    t: int
-    numerator_size: int
-    gamma: Fraction
+class GammaEntry(_Record):
+    __slots__ = ("i", "t", "numerator_size", "gamma")
+
+    def __init__(self, i: int, t: int, numerator_size: int,
+                 gamma: Fraction) -> None:
+        self.i = i
+        self.t = t
+        self.numerator_size = numerator_size
+        self.gamma = gamma
 
     def to_json(self) -> dict:
         return {
@@ -634,15 +655,17 @@ class GammaEntry:
         }
 
 
-@dataclass
-class GammaTrace:
+class GammaTrace(_Record):
     """Measured values gamma_i = |S_{t_i} u Z_{3t_i/2,t_i}| / t_i at the
     doubling scales t_i = 6*theta*lambda*2^i."""
 
-    theta: int
-    lam: int
-    entries: list[GammaEntry] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("theta", "lam", "entries", "violations")
+
+    def __init__(self, theta: int, lam: int) -> None:
+        self.theta = theta
+        self.lam = lam
+        self.entries: list[GammaEntry] = []
+        self.violations: list[Violation] = []
 
     def to_json(self) -> dict:
         return {
@@ -709,16 +732,22 @@ def gamma_trace(
     return trace
 
 
-@dataclass
 class CheckReport:
     """Verdicts for the defining properties of one system, serializable."""
 
-    system: str
-    claimed_r: GoldenNumber
-    claimed_lambda: int
-    horizons: dict
-    violations: list[Violation]
-    min_lambda_on_horizon: Optional[GoldenNumber] = None
+    __slots__ = ("system", "claimed_r", "claimed_lambda", "horizons",
+                 "violations", "min_lambda_on_horizon")
+
+    def __init__(self, system: str, claimed_r: GoldenNumber,
+                 claimed_lambda: int, horizons: dict,
+                 violations: list[Violation],
+                 min_lambda_on_horizon: Optional[GoldenNumber] = None) -> None:
+        self.system = system
+        self.claimed_r = claimed_r
+        self.claimed_lambda = claimed_lambda
+        self.horizons = horizons
+        self.violations = violations
+        self.min_lambda_on_horizon = min_lambda_on_horizon
 
     def clean(self) -> bool:
         return not self.violations
@@ -785,17 +814,23 @@ def run_checks(
     )
 
 
-@dataclass
 class FalsifyVerdict:
-    system: str
-    claimed_r: GoldenNumber
-    claimed_lambda: int
-    status: str  # "refuted" or "certificate"
-    horizons: dict
-    violations: list[Violation]
-    trace: Optional[GammaTrace]
-    certificate: Optional[dict]
-    caveats: list[str]
+    __slots__ = ("system", "claimed_r", "claimed_lambda", "status", "horizons",
+                 "violations", "trace", "certificate", "caveats")
+
+    def __init__(self, system: str, claimed_r: GoldenNumber,
+                 claimed_lambda: int, status: str, horizons: dict,
+                 violations: list[Violation], trace: Optional[GammaTrace],
+                 certificate: Optional[dict], caveats: list[str]) -> None:
+        self.system = system
+        self.claimed_r = claimed_r
+        self.claimed_lambda = claimed_lambda
+        self.status = status  # "refuted" or "certificate"
+        self.horizons = horizons
+        self.violations = violations
+        self.trace = trace
+        self.certificate = certificate
+        self.caveats = caveats
 
     def to_json(self) -> dict:
         return {

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import sys
@@ -94,8 +93,7 @@ def _open_system(
     if selector in BUILTIN_SYSTEMS:
         spec = BUILTIN_SYSTEMS[selector]()
         if r_text is not None or lam is not None:
-            spec = dataclasses.replace(
-                spec,
+            spec = spec.replace(
                 claimed_ratio=(
                     _parse_ratio(r_text) if r_text is not None else spec.claimed_ratio
                 ),

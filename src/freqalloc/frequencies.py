@@ -19,7 +19,6 @@ by key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from typing import Iterable, Iterator
@@ -65,22 +64,21 @@ POOL_COUNT = len(PoolTag)
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Frequency:
-    pool: PoolTag
-    index: int
+    __slots__ = ("pool", "index")
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"frequency index must be >= 1, got {self.index}")
+    def __init__(self, pool: PoolTag, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"frequency index must be >= 1, got {index}")
+        self.pool = pool
+        self.index = index
 
     @classmethod
     def _raw(cls, pool: PoolTag, index: int) -> "Frequency":
-        # caller guarantees index >= 1; skips the frozen __init__ round trip
+        # caller guarantees index >= 1; skips the check
         f = object.__new__(cls)
-        d = f.__dict__
-        d["pool"] = pool
-        d["index"] = index
+        f.pool = pool
+        f.index = index
         return f
 
     def encode(self) -> int:
@@ -94,6 +92,15 @@ class Frequency:
         if not isinstance(other, Frequency):
             return NotImplemented
         return self._key() < other._key()
+
+    # (pool, index) is one key, so equality and hash agree with the order
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frequency):
+            return NotImplemented
+        return self.pool is other.pool and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.pool, self.index))
 
     def __str__(self) -> str:
         if self.pool is PoolTag.PLAIN:

@@ -28,7 +28,6 @@ raises ``ResourceGuardError`` (``ScaleCapError`` for a scale past its cap).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator
 
@@ -62,15 +61,15 @@ def vertex_id(side: Side, t: int, k: int) -> str:
     return f"{side.value}:{t},{k}"
 
 
-@dataclass(frozen=True)
 class UniversalGraph:
     """The truncated universal bipartite graph up to level T (lazy edges)."""
 
-    horizon: int
+    __slots__ = ("horizon",)
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+    def __init__(self, horizon: int) -> None:
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        self.horizon = horizon
 
     @staticmethod
     def adjacent(t: int, k: int, t2: int, k2: int) -> bool:
@@ -232,13 +231,16 @@ class UniversalInstance:
         )
 
 
-@dataclass
 class PhaseRecord:
-    t: int
-    opt: int
-    distinct_used: int
-    bound: int
-    within_bound: bool
+    __slots__ = ("t", "opt", "distinct_used", "bound", "within_bound")
+
+    def __init__(self, t: int, opt: int, distinct_used: int, bound: int,
+                 within_bound: bool) -> None:
+        self.t = t
+        self.opt = opt
+        self.distinct_used = distinct_used
+        self.bound = bound
+        self.within_bound = within_bound
 
     def to_json(self) -> dict:
         return {
@@ -250,12 +252,14 @@ class PhaseRecord:
         }
 
 
-@dataclass
 class RunReport:
-    system: str
-    ratio: GoldenNumber
-    lam: int
-    phases: list[PhaseRecord] = field(default_factory=list)
+    __slots__ = ("system", "ratio", "lam", "phases")
+
+    def __init__(self, system: str, ratio: GoldenNumber, lam: int) -> None:
+        self.system = system
+        self.ratio = ratio
+        self.lam = lam
+        self.phases: list[PhaseRecord] = []
 
     def all_within_bound(self) -> bool:
         return all(p.within_bound for p in self.phases)

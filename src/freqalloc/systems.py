@@ -71,7 +71,6 @@ distinct frequencies, however large the keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
@@ -145,7 +144,6 @@ def _passes(t_lo: int, t_hi: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield np.full(len(ks), a, dtype=np.int64), ks
 
 
-@dataclass(frozen=True)
 class FSystemSpec:
     """An F-system oracle plus its claimed competitive ratio and constant.
 
@@ -176,17 +174,29 @@ class FSystemSpec:
     its floor tables up to its reach, and from its generator past it.
     """
 
-    name: str
-    claimed_ratio: GoldenNumber
-    claimed_lambda: int
-    generator: Generator
-    nested: bool = False
-    row_bands_fn: Optional[RowBands] = None
-    bit_row_fn: Optional[BitRow] = None
-    # the bit of each frequency key that bit_row has numbered, in first-seen
-    # order; a copy made by dataclasses.replace starts a fresh one
-    _bit_of: dict[int, int] = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
+    __slots__ = ("name", "claimed_ratio", "claimed_lambda", "generator",
+                 "nested", "row_bands_fn", "bit_row_fn", "_bit_of")
+
+    def __init__(self, name: str, claimed_ratio: GoldenNumber,
+                 claimed_lambda: int, generator: Generator,
+                 nested: bool = False, row_bands_fn: Optional[RowBands] = None,
+                 bit_row_fn: Optional[BitRow] = None) -> None:
+        self.name = name
+        self.claimed_ratio = claimed_ratio
+        self.claimed_lambda = claimed_lambda
+        self.generator = generator
+        self.nested = nested
+        self.row_bands_fn = row_bands_fn
+        self.bit_row_fn = bit_row_fn
+        # the bit of each frequency key that bit_row has numbered, in
+        # first-seen order; a copy made by replace starts a fresh one
+        self._bit_of: dict[int, int] = {}
+
+    def replace(self, **changes) -> "FSystemSpec":
+        """A copy with the given fields changed; an unknown field raises
+        TypeError."""
+        kept = {f: getattr(self, f) for f in self.__slots__ if f != "_bit_of"}
+        return type(self)(**(kept | changes))
 
     def sets(self, side: Side, t: int, k: int) -> FrequencySet:
         if t < 1:

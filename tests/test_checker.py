@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -100,7 +99,7 @@ def with_row_bands(sys_: FSystemSpec) -> FSystemSpec:
     def row_bands(side, ts, ks):
         return generator_bands(sys_, side, ts, ks)
 
-    return dataclasses.replace(sys_, row_bands_fn=row_bands)
+    return sys_.replace(row_bands_fn=row_bands)
 
 
 def spread_system() -> FSystemSpec:
@@ -471,7 +470,7 @@ class TestF2Bands:
 def without_bands(factory) -> FSystemSpec:
     """A built-in with its row bands and its nestedness stripped, so that
     every check reads its sets."""
-    return dataclasses.replace(factory(), row_bands_fn=None, nested=False)
+    return factory().replace(row_bands_fn=None, nested=False)
 
 
 BIT_SWEEP_CASES = [
@@ -962,18 +961,16 @@ def differential_system(name: str) -> FSystemSpec:
     if name.endswith("-sets"):
         base = without_bands(
             functools.partial(differential_system, name.removesuffix("-sets")))
-        cached = dataclasses.replace(base,
-                                     generator=functools.cache(base.generator))
+        cached = base.replace(generator=functools.cache(base.generator))
         # cached numbers the keys for its whole life, as a plugin does
-        return dataclasses.replace(cached, bit_row_fn=functools.cache(
+        return cached.replace(bit_row_fn=functools.cache(
             lambda side, t, ks: cached.bit_row(side, t, ks=ks)))
     if name != "mutant":
         return {"golden": golden_system, "half": half_system,
                 "trivial": trivial_system}[name]()
     base = mutant_half_wide_shared()
-    cached = dataclasses.replace(base,
-                                 generator=functools.cache(base.generator))
-    return dataclasses.replace(with_row_bands(cached), nested=True)
+    cached = base.replace(generator=functools.cache(base.generator))
+    return with_row_bands(cached).replace(nested=True)
 
 
 DIFF_RATIOS = ["R0", "3/2", "2", "1.42", "10/7-1/100", "1+1/3*sqrt5",
@@ -1155,7 +1152,7 @@ def counting_bands(sys_: FSystemSpec) -> tuple[FSystemSpec, list]:
         passes.append((side, len(ts)))
         return sys_.row_bands_fn(side, ts, ks)
 
-    return dataclasses.replace(sys_, row_bands_fn=row_bands), passes
+    return sys_.replace(row_bands_fn=row_bands), passes
 
 
 def rational_band_system(seed: int) -> FSystemSpec:
@@ -1234,7 +1231,7 @@ class TestNestedPaths:
         # a nested system without row bands reads its lemma chain and its
         # gamma trace on its top sets, as FrequencySets: it numbers no key
         # for a bit row
-        sys_ = dataclasses.replace(golden_system(), row_bands_fn=None)
+        sys_ = golden_system().replace(row_bands_fn=None)
         evens = range(2, 41, 2)
         assert list(checker._chain_sizes(sys_, evens)) == lemma_sizes_sets(
             sys_, evens, shared_sets_folds(sys_, 80))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import subprocess
 import sys
@@ -724,7 +723,7 @@ class TestF2Guard:
         # benchmark, test and README horizon (golden F2 to 10,000 among them)
         cap = checker.F2_COLUMN_BYTES_CAP
         banded = golden_system()
-        plain = dataclasses.replace(banded, row_bands_fn=None)
+        plain = banded.replace(row_bands_fn=None)
         for sys_, last in ((banded, cap // 576 - 1), (plain, cap // 16)):
             assert last > 10_000
             checker._guard_f2(sys_, last)

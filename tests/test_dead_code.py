@@ -6,10 +6,11 @@ named in the code of another top-level statement under ``src/`` or
 ``bench/``, or be listed in ``freqalloc.__all__``.  A method of a class
 under ``src/freqalloc`` must be read as an attribute by code under ``src/``
 or ``bench/``, and so must a private attribute that a method stores on
-``self``.  A dataclass field there with a plain default, an option its
-callers may leave out, must be passed by keyword to its class somewhere
-under ``src/`` or ``bench/``; ``default_factory`` fields are exempt.  Only
-code counts: docstrings and comments are not parsed as names, and an import
+``self``.  A record field there with a default, an option its callers may
+leave out, must be passed by keyword to its class somewhere under ``src/``
+or ``bench/``: such a field is a parameter of a class's ``__init__`` that
+has a default and that the ``__init__`` stores as ``self.<parameter>``.
+Only code counts: docstrings and comments are not parsed as names, and an import
 alone does not use what it imports.  Dunders are exempt, as is the
 console-script entry point that ``pyproject.toml`` names.  A module-level
 import under ``src/freqalloc`` must be read by code in its own module,
@@ -126,26 +127,29 @@ def test_every_method_is_called():
     assert uncalled_methods() == []
 
 
-def is_dataclass(cls: ast.ClassDef) -> bool:
-    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
-    return any(
-        isinstance(target, ast.Name) and target.id == "dataclass"
-        for dec in cls.decorator_list
-        for target in [dec.func if isinstance(dec, ast.Call) else dec]
-    )
-
-
-def has_plain_default(stmt: ast.stmt) -> bool:
-    """An annotated field whose default is a value, not a factory."""
-    if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
-        return False
-    value = stmt.value
-    return not (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id == "field"
-        and any(kw.arg == "default_factory" for kw in value.keywords)
-    )
+def defaulted_fields(cls: ast.ClassDef) -> list[str]:
+    """Parameters of the class's ``__init__`` that have a default and that
+    it stores as ``self.<parameter>``: the record's optional fields."""
+    init = next((stmt for stmt in cls.body
+                 if isinstance(stmt, ast.FunctionDef)
+                 and stmt.name == "__init__"), None)
+    if init is None:
+        return []
+    args = init.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    stored = {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    return [arg.arg for arg in defaulted if arg.arg in stored]
 
 
 def callee(call: ast.Call) -> str:
@@ -156,8 +160,8 @@ def callee(call: ast.Call) -> str:
 
 
 def unpassed_defaults() -> list[str]:
-    """Dataclass fields with a plain default that no call of their class
-    under ``src/`` or ``bench/`` passes by keyword."""
+    """Record fields with a default that no call of their class under
+    ``src/`` or ``bench/`` passes by keyword."""
     passed = set()  # (class name, keyword)
     fields = []  # (module.Class.field, class name, field)
     for path, tree in parsed_modules():
@@ -170,12 +174,10 @@ def unpassed_defaults() -> list[str]:
         if path.parent != PACKAGE:
             continue
         fields.extend(
-            (f"{path.stem}.{cls.name}.{stmt.target.id}", cls.name,
-             stmt.target.id)
+            (f"{path.stem}.{cls.name}.{name}", cls.name, name)
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
-            for stmt in cls.body
-            if has_plain_default(stmt)
+            if isinstance(cls, ast.ClassDef)
+            for name in defaulted_fields(cls)
         )
     return [where for where, cls, name in fields if (cls, name) not in passed]
 

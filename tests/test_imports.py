@@ -1,11 +1,14 @@
 """What each import loads.
 
 The allocator and the phase replay run no numpy code, so ``import
-freqalloc`` and the replay path must not load it: the package exports the
-checker's and the plugin runner's names lazily, and the systems module
-imports numpy only inside its vector code.  The checker, and so the CLI,
-load numpy when they are imported.  Each placement is checked in a fresh
-child interpreter, since this process has long loaded everything.
+freqalloc`` and the replay path must not load it: the package imports a
+module only when one of its names is first read, and the systems module
+imports numpy only inside its vector code.  The records are plain classes,
+so no module imports ``dataclasses``, and with it ``inspect``.  Serving
+requests through the allocator alone does not load the harness.  The
+checker, and so the CLI, load numpy when they are imported.  Each placement
+is checked in a fresh child interpreter, since this process has long loaded
+everything.
 
 The same parse pins two placements of the design: ``cli.main`` is the one
 function that maps an exception to an exit code, and the doubling scale's
@@ -48,7 +51,8 @@ for system in built:
         requests += 1
 listed = set(freqalloc.__all__) <= set(dir(freqalloc))
 loaded = [m for m in ("numpy", "freqalloc.checker", "freqalloc.plugin",
-                      "freqalloc.cli") if m in sys.modules]
+                      "freqalloc.cli", "dataclasses", "inspect")
+          if m in sys.modules]
 golden = built[0]
 sizes = [int(n) for n in golden.row_sizes(Side.A, 1, 20)]
 lengths = [len(golden.sets(Side.A, t, k))
@@ -56,6 +60,27 @@ lengths = [len(golden.sets(Side.A, t, k))
 print(json.dumps({{"requests": requests, "listed": listed, "loaded": loaded,
                   "sizes_match": sizes == lengths,
                   "numpy_after": "numpy" in sys.modules}}))
+"""
+
+ALLOCATE = """
+import json
+import sys
+sys.path.insert(0, {src!r})
+import freqalloc
+bare = sorted(m for m in sys.modules if m.startswith("freqalloc."))
+from freqalloc import allocation, systems
+
+a = [f"a{{i}}" for i in range(5)]
+b = [f"b{{i}}" for i in range(5)]
+edges = [(u, w) for i, u in enumerate(a) for j, w in enumerate(b)
+         if (i + j) % 3]
+alloc = allocation.Allocator(
+    allocation.BipartiteInstance.from_edges(a + b, edges),
+    systems.golden_system(), validate="neighbors")
+picks = [str(alloc.request((a + b)[7 * i % 10])) for i in range(50)]
+print(json.dumps({{"bare": bare, "picks": len(set(picks)),
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith("freqalloc."))}}))
 """
 
 CLI = """
@@ -87,14 +112,23 @@ def test_replay_path_loads_no_numpy():
     assert out["numpy_after"]
 
 
+def test_allocator_path_loads_no_harness():
+    out = json.loads(run_child(ALLOCATE))
+    # the bare package import loads no module of its own
+    assert out["bare"] == []
+    assert out["picks"] > 1
+    assert out["loaded"] == ["freqalloc.allocation", "freqalloc.frequencies",
+                             "freqalloc.golden", "freqalloc.systems"]
+
+
 def test_cli_loads_numpy():
     # the check workloads pay for numpy when importing the CLI, not in its
     # first call
     assert run_child(CLI).split() == ["True", "True"]
 
 
-def checker_importers() -> set[str]:
-    """Modules under src/freqalloc that import the checker, anywhere in
+def importers(modules: set[str]) -> set[str]:
+    """Modules under src/freqalloc that import one of modules, anywhere in
     their code."""
     out = set()
     for path in PACKAGE.glob("*.py"):
@@ -106,13 +140,17 @@ def checker_importers() -> set[str]:
                 names = [node.module] + [alias.name for alias in node.names]
             else:
                 continue
-            if {"checker", "freqalloc.checker"} & set(names):
+            if modules & set(names):
                 out.add(path.stem)
     return out
 
 
 def test_only_cli_imports_checker():
-    assert checker_importers() <= {"cli", "__init__"}
+    assert importers({"checker", "freqalloc.checker"}) <= {"cli", "__init__"}
+
+
+def test_no_module_imports_dataclasses():
+    assert importers({"dataclasses"}) == set()
 
 
 def test_only_checker_imports_numpy_at_module_level():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import signal
@@ -540,7 +539,7 @@ class TestBitRows:
         # numbering of values is a sweep's first-seen numbering of keys
         with spawn(tmp_path, OVERLAPPING) as plug:
             spec = plug.spec(GoldenNumber(2), 0)
-            converted = dataclasses.replace(spec, bit_row_fn=None)
+            converted = spec.replace(bit_row_fn=None)
             for t in range(1, 10):
                 for side in Side:
                     row = spec.bit_row(side, t)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -683,7 +682,7 @@ class TestBitRow:
 
     @staticmethod
     def stripped(factory):
-        return dataclasses.replace(factory(), row_bands_fn=None, nested=False)
+        return factory().replace(row_bands_fn=None, nested=False)
 
     @pytest.mark.parametrize("factory", [trivial_system, golden_system])
     def test_equal_sets_equal_rows_across_sweeps(self, factory):
@@ -706,11 +705,15 @@ class TestBitRow:
     def test_replace_starts_a_fresh_numbering(self):
         sys_ = self.stripped(trivial_system)
         sys_.bit_row(Side.B, 5)
-        copy = dataclasses.replace(sys_, name="copy")
+        copy = sys_.replace(name="copy")
         assert copy._bit_of == {}
         # F(A, 1, 1) is PA1, the first key the copy numbers
         assert copy.bit_row(Side.A, 1) == [1]
         assert len(sys_._bit_of) == 5 and sys_.bit_row(Side.A, 1) == [1 << 5]
+        # the numbering is no field a copy can be given, nor is a misspelling
+        for unknown in ("_bit_of", "nestd"):
+            with pytest.raises(TypeError, match=unknown):
+                sys_.replace(**{unknown: {}})
 
     def test_numbering_is_not_positional(self):
         # a stale numbering passed by position raises rather than landing
