@@ -61,7 +61,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
 from operator import and_, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,29 +120,12 @@ class ViolationKind(Enum):
     GAMMA_CAP = "gamma_cap"
 
 
-class _Record:
-    """Equality by value, field by field: lists of violations, and gamma
-    traces, are compared whole."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (tuple(getattr(self, f) for f in self.__slots__)
-                == tuple(getattr(other, f) for f in self.__slots__))
-
-
-class Violation(_Record):
-    __slots__ = ("kind", "params", "lhs", "rhs", "witness")
-
-    def __init__(self, kind: ViolationKind, params: dict, lhs: str, rhs: str,
-                 witness: Optional[FrequencySet] = None) -> None:
-        self.kind = kind
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
-        self.witness = witness
+class Violation(NamedTuple):
+    kind: ViolationKind
+    params: dict
+    lhs: str
+    rhs: str
+    witness: Optional[FrequencySet] = None
 
     def render(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -403,7 +386,7 @@ def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
     return GoldenNumber(size_b) - r * t_b
 
 
-class SharedStats:
+class SharedStats(NamedTuple):
     """Shared-frequency statistics at an even level t.
 
     s_t is the shared set F_A(t) & F_B(t), where F_c(t) unions every side-c
@@ -412,14 +395,10 @@ class SharedStats:
     sets.
     """
 
-    __slots__ = ("t", "s_t", "s_2t_t", "z_3t2_t")
-
-    def __init__(self, t: int, s_t: FrequencySet, s_2t_t: FrequencySet,
-                 z_3t2_t: FrequencySet) -> None:
-        self.t = t
-        self.s_t = s_t
-        self.s_2t_t = s_2t_t
-        self.z_3t2_t = z_3t2_t
+    t: int
+    s_t: FrequencySet
+    s_2t_t: FrequencySet
+    z_3t2_t: FrequencySet
 
 
 def _shared_sets(
@@ -636,15 +615,11 @@ def lemma_chain_check(
     return out
 
 
-class GammaEntry(_Record):
-    __slots__ = ("i", "t", "numerator_size", "gamma")
-
-    def __init__(self, i: int, t: int, numerator_size: int,
-                 gamma: Fraction) -> None:
-        self.i = i
-        self.t = t
-        self.numerator_size = numerator_size
-        self.gamma = gamma
+class GammaEntry(NamedTuple):
+    i: int
+    t: int
+    numerator_size: int
+    gamma: Fraction
 
     def to_json(self) -> dict:
         return {
@@ -655,17 +630,14 @@ class GammaEntry(_Record):
         }
 
 
-class GammaTrace(_Record):
+class GammaTrace(NamedTuple):
     """Measured values gamma_i = |S_{t_i} u Z_{3t_i/2,t_i}| / t_i at the
     doubling scales t_i = 6*theta*lambda*2^i."""
 
-    __slots__ = ("theta", "lam", "entries", "violations")
-
-    def __init__(self, theta: int, lam: int) -> None:
-        self.theta = theta
-        self.lam = lam
-        self.entries: list[GammaEntry] = []
-        self.violations: list[Violation] = []
+    theta: int
+    lam: int
+    entries: list[GammaEntry]
+    violations: list[Violation]
 
     def to_json(self) -> dict:
         return {
@@ -694,7 +666,7 @@ def gamma_trace(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > theta:
         raise ValueError("trace cannot exceed theta steps")
-    trace = GammaTrace(theta=theta, lam=lam)
+    trace = GammaTrace(theta=theta, lam=lam, entries=[], violations=[])
     floor_rn = _Floors(*_triple(r))
     scales = [doubling_scale(theta, lam, i) for i in range(steps + 1)]
     sizes: list[int] = []
@@ -732,22 +704,15 @@ def gamma_trace(
     return trace
 
 
-class CheckReport:
+class CheckReport(NamedTuple):
     """Verdicts for the defining properties of one system, serializable."""
 
-    __slots__ = ("system", "claimed_r", "claimed_lambda", "horizons",
-                 "violations", "min_lambda_on_horizon")
-
-    def __init__(self, system: str, claimed_r: GoldenNumber,
-                 claimed_lambda: int, horizons: dict,
-                 violations: list[Violation],
-                 min_lambda_on_horizon: Optional[GoldenNumber] = None) -> None:
-        self.system = system
-        self.claimed_r = claimed_r
-        self.claimed_lambda = claimed_lambda
-        self.horizons = horizons
-        self.violations = violations
-        self.min_lambda_on_horizon = min_lambda_on_horizon
+    system: str
+    claimed_r: GoldenNumber
+    claimed_lambda: int
+    horizons: dict
+    violations: list[Violation]
+    min_lambda_on_horizon: Optional[GoldenNumber] = None
 
     def clean(self) -> bool:
         return not self.violations
@@ -814,23 +779,16 @@ def run_checks(
     )
 
 
-class FalsifyVerdict:
-    __slots__ = ("system", "claimed_r", "claimed_lambda", "status", "horizons",
-                 "violations", "trace", "certificate", "caveats")
-
-    def __init__(self, system: str, claimed_r: GoldenNumber,
-                 claimed_lambda: int, status: str, horizons: dict,
-                 violations: list[Violation], trace: Optional[GammaTrace],
-                 certificate: Optional[dict], caveats: list[str]) -> None:
-        self.system = system
-        self.claimed_r = claimed_r
-        self.claimed_lambda = claimed_lambda
-        self.status = status  # "refuted" or "certificate"
-        self.horizons = horizons
-        self.violations = violations
-        self.trace = trace
-        self.certificate = certificate
-        self.caveats = caveats
+class FalsifyVerdict(NamedTuple):
+    system: str
+    claimed_r: GoldenNumber
+    claimed_lambda: int
+    status: str  # "refuted" or "certificate"
+    horizons: dict
+    violations: list[Violation]
+    trace: Optional[GammaTrace]
+    certificate: Optional[dict]
+    caveats: list[str]
 
     def to_json(self) -> dict:
         return {

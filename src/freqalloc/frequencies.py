@@ -188,13 +188,13 @@ class FrequencySet:
     __slots__ = ("_bands",)
 
     def __init__(self, bands: Iterable[Band] = ()) -> None:
-        object.__setattr__(self, "_bands", _normalize(bands))
+        self._bands = _normalize(bands)
 
     @classmethod
     def _raw(cls, bands: tuple[Band, ...]) -> "FrequencySet":
         # caller guarantees normalized input
         fs = cls.__new__(cls)
-        object.__setattr__(fs, "_bands", bands)
+        fs._bands = bands
         return fs
 
     @classmethod

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .allocation import Allocator, BipartiteInstance
 from .frequencies import SIDES, Side
@@ -231,16 +231,12 @@ class UniversalInstance:
         )
 
 
-class PhaseRecord:
-    __slots__ = ("t", "opt", "distinct_used", "bound", "within_bound")
-
-    def __init__(self, t: int, opt: int, distinct_used: int, bound: int,
-                 within_bound: bool) -> None:
-        self.t = t
-        self.opt = opt
-        self.distinct_used = distinct_used
-        self.bound = bound
-        self.within_bound = within_bound
+class PhaseRecord(NamedTuple):
+    t: int
+    opt: int
+    distinct_used: int
+    bound: int
+    within_bound: bool
 
     def to_json(self) -> dict:
         return {
@@ -252,14 +248,11 @@ class PhaseRecord:
         }
 
 
-class RunReport:
-    __slots__ = ("system", "ratio", "lam", "phases")
-
-    def __init__(self, system: str, ratio: GoldenNumber, lam: int) -> None:
-        self.system = system
-        self.ratio = ratio
-        self.lam = lam
-        self.phases: list[PhaseRecord] = []
+class RunReport(NamedTuple):
+    system: str
+    ratio: GoldenNumber
+    lam: int
+    phases: list[PhaseRecord]
 
     def all_within_bound(self) -> bool:
         return all(p.within_bound for p in self.phases)
@@ -298,7 +291,7 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     # per side, by frequency key, the smallest k-index using the frequency
     # and its vertex
     min_index: tuple[dict[int, tuple[int, int]], ...] = ({}, {})
-    report = RunReport(system=system.name, ratio=r, lam=add)
+    report = RunReport(system=system.name, ratio=r, lam=add, phases=[])
     for t in range(1, t_max + 1):
         for s, side in enumerate(SIDES):
             mine, theirs = min_index[s], min_index[1 - s]

@@ -30,6 +30,7 @@ from freqalloc.frequencies import (
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants, parse_exact
+from freqalloc.harness import PhaseRecord, RunReport
 from freqalloc.systems import (
     FSystemSpec,
     band_system,
@@ -90,6 +91,18 @@ def mutant_half_wide_shared() -> FSystemSpec:
         claimed_lambda=2,
         generator=gen,
     )
+
+
+def prefix_system() -> FSystemSpec:
+    """Both sides draw symmetric 1..k: nested, with row bands, and its
+    sides share 1..k at every level."""
+
+    def gen(side, t, k):
+        return FrequencySet([(PoolTag.SYMMETRIC, 1, k + 1)])
+
+    prefix = FSystemSpec(name="prefix", claimed_ratio=GoldenNumber(2),
+                         claimed_lambda=0, generator=gen, nested=True)
+    return with_row_bands(prefix)
 
 
 def with_row_bands(sys_: FSystemSpec) -> FSystemSpec:
@@ -748,6 +761,29 @@ class TestFalsify:
         assert verdict.certificate["contradiction_index"] >= 1
         assert verdict.caveats
 
+    def test_measured_trace_yields_certificate(self):
+        # r = 1 gives theta = 3, so t_0 = 18 fits the budget 54 // 3 and the
+        # extrapolation starts from the measured entry.  prefix's sides share
+        # 1..k, which breaks F2 from level 2 on: f2_t_max=1 hides that, and
+        # the certificate is only as good as its disjointness horizon
+        sys_ = prefix_system()
+        verdict = falsify(sys_, GoldenNumber(1), 1, 54, f2_t_max=1)
+        assert verdict.status == "certificate"
+        assert [e.to_json() for e in verdict.trace.entries] == [
+            {"i": 0, "t": 18, "set_size": 18, "gamma": "1"}]
+        cert = verdict.certificate
+        assert (cert["from_index"], cert["steps_needed"],
+                cert["contradiction_index"]) == (0, 1, 1)
+        assert verdict.caveats[0] == (
+            "gamma trace measured 1 of 4 scales; t_theta = 144 exceeds the "
+            "horizon budget 18")
+        assert falsify(sys_, GoldenNumber(1), 1, 54).status == "refuted"
+        # lambda = 0 is traced at lambda = 1, and says so first
+        zero = falsify(sys_, GoldenNumber(1), 0, 54, f2_t_max=1)
+        assert zero.status == "certificate"
+        assert zero.caveats[0].startswith(
+            "additive constant 0 was raised to 1 for the trace scales")
+
     def test_scale_text_is_exact_up_to_index_64(self):
         assert checker.doubling_scale(117, 8, 3) == 6 * 117 * 8 * 8
         assert checker.doubling_scale_text(1, 1, 64) == str(6 * 2**64)
@@ -913,7 +949,7 @@ def reference_lemma_chain_check(sys_, r, lam, t_max, shared=None):
 def reference_gamma_trace(sys_, r, lam, theta, steps):
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
-    trace = GammaTrace(theta=theta, lam=lam)
+    trace = GammaTrace(theta=theta, lam=lam, entries=[], violations=[])
     scales = [6 * theta * lam * (2**i) for i in range(steps + 1)]
     shared = checker._shared_sets(sys_, [*scales, *(2 * t for t in scales)])
     sizes = []
@@ -1253,14 +1289,9 @@ class TestNestedPaths:
         assert got == reference_gamma_trace(golden_system(), r, 8, 40, 40)
 
     def test_clash_witness_from_sets(self):
-        # both sides draw symmetric 1..k: nested, and the (2t, t) sets meet
-        # in 1..t, the one witness the band path builds as a set
-        def gen(side, t, k):
-            return FrequencySet([(PoolTag.SYMMETRIC, 1, k + 1)])
-
-        prefix = FSystemSpec(name="prefix", claimed_ratio=GoldenNumber(2),
-                             claimed_lambda=0, generator=gen, nested=True)
-        sys_ = with_row_bands(prefix)
+        # the (2t, t) sets meet in 1..t, the one witness the band path
+        # builds as a set
+        sys_ = prefix_system()
         got = lemma_chain_check(sys_, GoldenNumber(2), 0, 20)
         clashes = [v for v in got if v.kind is ViolationKind.F2]
         assert [v.params["t"] for v in clashes] == list(range(4, 41, 4))
@@ -1295,3 +1326,39 @@ class TestNestedPaths:
         assert report.clean()
         assert len(passes) > 2 * 50_000 // systems._ROW_CHUNK
         assert max(n for _, n in passes) <= systems._ROW_CHUNK
+
+
+# each result record, built from fresh fields, with one field to assign
+RECORDS = {
+    "Violation": (lambda: Violation(
+        kind=ViolationKind.F1, params={"t": 1}, lhs="|F| = 0", rhs="k = 1"),
+        "witness"),
+    "SharedStats": (lambda: checker.SharedStats(
+        t=2, s_t=FrequencySet(), s_2t_t=FrequencySet(),
+        z_3t2_t=FrequencySet()), "t"),
+    "GammaEntry": (lambda: checker.GammaEntry(
+        i=0, t=18, numerator_size=18, gamma=Fraction(1)), "gamma"),
+    "GammaTrace": (lambda: GammaTrace(
+        theta=1, lam=1, entries=[], violations=[]), "entries"),
+    "CheckReport": (lambda: checker.CheckReport(
+        system="x", claimed_r=GoldenNumber(2), claimed_lambda=0,
+        horizons={"f1": 1}, violations=[]), "violations"),
+    "FalsifyVerdict": (lambda: checker.FalsifyVerdict(
+        system="x", claimed_r=GoldenNumber(1), claimed_lambda=0,
+        status="certificate", horizons={}, violations=[], trace=None,
+        certificate=None, caveats=[]), "status"),
+    "PhaseRecord": (lambda: PhaseRecord(
+        t=1, opt=1, distinct_used=1, bound=2, within_bound=True),
+        "within_bound"),
+    "RunReport": (lambda: RunReport(
+        system="x", ratio=GoldenNumber(2), lam=0, phases=[]), "phases"),
+}
+
+
+@pytest.mark.parametrize("make, field", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_values(make, field):
+    # a result record is built once and compared by its fields
+    record, twin = make(), make()
+    assert record == twin and record is not twin
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))

@@ -8,7 +8,8 @@ under ``src/freqalloc`` must be read as an attribute by code under ``src/``
 or ``bench/``, and so must a private attribute that a method stores on
 ``self``.  A record field there with a default, an option its callers may
 leave out, must be passed by keyword to its class somewhere under ``src/``
-or ``bench/``: such a field is a parameter of a class's ``__init__`` that
+or ``bench/``: such a field is a class-body field with a value in a
+``NamedTuple`` class, or else a parameter of a class's ``__init__`` that
 has a default and that the ``__init__`` stores as ``self.<parameter>``.
 Only code counts: docstrings and comments are not parsed as names, and an import
 alone does not use what it imports.  Dunders are exempt, as is the
@@ -128,8 +129,15 @@ def test_every_method_is_called():
 
 
 def defaulted_fields(cls: ast.ClassDef) -> list[str]:
-    """Parameters of the class's ``__init__`` that have a default and that
-    it stores as ``self.<parameter>``: the record's optional fields."""
+    """The record's optional fields: in a ``NamedTuple`` class, the annotated
+    fields of its body that have a value; in any other class, the parameters
+    of its ``__init__`` that have a default and that it stores as
+    ``self.<parameter>``."""
+    if any(callee_name(base) == "NamedTuple" for base in cls.bases):
+        return [stmt.target.id for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.value is not None]
     init = next((stmt for stmt in cls.body
                  if isinstance(stmt, ast.FunctionDef)
                  and stmt.name == "__init__"), None)
@@ -152,8 +160,8 @@ def defaulted_fields(cls: ast.ClassDef) -> list[str]:
     return [arg.arg for arg in defaulted if arg.arg in stored]
 
 
-def callee(call: ast.Call) -> str:
-    func = call.func
+def callee_name(func: ast.expr) -> str:
+    """The last name of ``f`` or ``module.f``."""
     if isinstance(func, ast.Name):
         return func.id
     return func.attr if isinstance(func, ast.Attribute) else ""
@@ -166,7 +174,7 @@ def unpassed_defaults() -> list[str]:
     fields = []  # (module.Class.field, class name, field)
     for path, tree in parsed_modules():
         passed |= {
-            (callee(node), kw.arg)
+            (callee_name(node.func), kw.arg)
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             for kw in node.keywords

@@ -133,7 +133,7 @@ def reference_run_universal(system, t_max):
     inst = StringUniversalInstance(UniversalGraph(t_max))
     alloc = Allocator(inst, system)
     min_index = {Side.A: {}, Side.B: {}}
-    report = RunReport(system=system.name, ratio=r, lam=add)
+    report = RunReport(system=system.name, ratio=r, lam=add, phases=[])
     for t in range(1, t_max + 1):
         for side in (Side.A, Side.B):
             for k in range(1, t + 1):
@@ -536,7 +536,7 @@ class TestRunUniversal:
 
     def test_measure_ratio_empty_rejected(self):
         with pytest.raises(ValueError):
-            measure_ratio(RunReport("x", GoldenNumber(2), 0), 0)
+            measure_ratio(RunReport("x", GoldenNumber(2), 0, []), 0)
 
     def test_report_serialization(self):
         report = run_universal(trivial_system(), 5)

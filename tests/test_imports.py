@@ -3,12 +3,12 @@
 The allocator and the phase replay run no numpy code, so ``import
 freqalloc`` and the replay path must not load it: the package imports a
 module only when one of its names is first read, and the systems module
-imports numpy only inside its vector code.  The records are plain classes,
-so no module imports ``dataclasses``, and with it ``inspect``.  Serving
-requests through the allocator alone does not load the harness.  The
-checker, and so the CLI, load numpy when they are imported.  Each placement
-is checked in a fresh child interpreter, since this process has long loaded
-everything.
+imports numpy only inside its vector code.  The result records are
+``typing.NamedTuple`` classes and the others plain classes, so no module
+imports ``dataclasses``, and with it ``inspect``.  Serving requests through
+the allocator alone does not load the harness.  The checker, and so the
+CLI, load numpy when they are imported.  Each placement is checked in a
+fresh child interpreter, since this process has long loaded everything.
 
 The same parse pins two placements of the design: ``cli.main`` is the one
 function that maps an exception to an exit code, and the doubling scale's
