@@ -12,24 +12,26 @@ the allocator's ``Instance`` protocol with one ``admit`` call per vertex and
 phase, for the run of its k requests, and answers its neighbour maximum
 from one list per side of the largest load at each k-index.  A collision
 or shortfall in mid-run ends the replay with the whole run counted in the
-loads.
-The edge rule is written twice, as the ``UniversalGraph.adjacent``
-predicate and as the id ranges of ``UniversalInstance.neighbors``, which
-``UniversalGraph.materialize`` also reads.  The "A:t,k" string ids name
-vertices in exported graphs, request streams and collision witnesses.
+loads.  Its edge rule is the id ranges of ``UniversalInstance.neighbors``.
 
-``lower_bound_instance`` builds the sub-instance of the 10/7 argument at
-the doubling scales t_i = 6*theta*lambda*2^i.  ``doubling_scale`` and
-``doubling_scale_text``, which the falsifier also reads, are the one home
-of the scale and of its rendering.  A construction too large to build
-raises ``ResourceGuardError`` (``ScaleCapError`` for a scale past its cap).
+The explicit instances come from one builder that restricts the graph to a
+set of vertex classes (t, k) and decides each edge with the
+``UniversalGraph.adjacent`` predicate: ``UniversalGraph.materialize`` takes
+every class, ``lower_bound_instance`` the families of the 10/7 argument at
+the doubling scales t_i = 6*theta*lambda*2^i.  The "A:t,k" string ids name
+vertices in exported graphs, request streams and collision witnesses.
+``doubling_scale`` and ``doubling_scale_text``, which the falsifier also
+reads, are the one home of the scale and of its rendering.  A construction
+too large to build raises ``ResourceGuardError`` (``ScaleCapError`` for a
+scale past its cap).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
-from typing import Iterator, NamedTuple
+from bisect import bisect_left
+from itertools import accumulate, chain, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from .allocation import Allocator, BipartiteInstance
 from .frequencies import SIDES, Side
@@ -59,6 +61,14 @@ class ScaleCapError(ResourceGuardError):
 
 def vertex_id(side: Side, t: int, k: int) -> str:
     return f"{side.value}:{t},{k}"
+
+
+def _phase(t: int, ks: Sequence[int]) -> Iterator[str]:
+    """Phase t's requests: side A's, then side B's, k to each (t, k) in the
+    order of ks."""
+    for side in SIDES:
+        for k in ks:
+            yield from repeat(vertex_id(side, t, k), k)
 
 
 class UniversalGraph:
@@ -94,27 +104,39 @@ class UniversalGraph:
                 f"universal graph at T={self.horizon} has {est} edges, "
                 f"over the guard of {MAX_EDGES}"
             )
-        inst = UniversalInstance(self)
-        vertices = [inst.name(v) for v in inst.vertices]
-        sides = {name: SIDES[v // inst.per_side] for v, name in enumerate(vertices)}
-        edges = [
-            (vertices[v], vertices[w])
-            for v in range(inst.per_side)
-            for w in inst.neighbors(v)
-        ]
-        return BipartiteInstance.from_edges(vertices, edges, sides=sides)
+        return _restricted({(t, k) for t in range(1, self.horizon + 1)
+                            for k in range(1, t + 1)})[0]
 
     def phase_requests(self, t: int) -> Iterator[str]:
         """The k requests to each level-t vertex, in (side, k) order."""
-        for side in (Side.A, Side.B):
-            for k in range(1, t + 1):
-                vid = vertex_id(side, t, k)
-                for _ in range(k):
-                    yield vid
+        return _phase(t, range(1, t + 1))
 
     def request_stream(self) -> Iterator[str]:
         for t in range(1, self.horizon + 1):
             yield from self.phase_requests(t)
+
+
+def _restricted(classes: set[tuple[int, int]]
+                ) -> tuple[BipartiteInstance, Iterator[str]]:
+    """The universal graph on the vertex classes (t, k) of both sides, and
+    its phase-ordered request stream.  Vertices are side A's, then side
+    B's, each sorted by (t, k).  ``UniversalGraph.adjacent`` only falls as
+    k' grows, so a vertex's neighbours at one opposite level are a prefix
+    of that level's sorted k-values, found by bisection."""
+    levels: dict[int, list[int]] = {}
+    for t, k in sorted(classes):
+        levels.setdefault(t, []).append(k)
+    names = [{t: [vertex_id(side, t, k) for k in ks]
+              for t, ks in levels.items()} for side in SIDES]
+    edges = chain.from_iterable(
+        zip(repeat(a), names[1][t2][:bisect_left(ks2, True, key=lambda k2:
+            not UniversalGraph.adjacent(t, k, t2, k2))])
+        for t, ks in levels.items() for k, a in zip(ks, names[0][t])
+        for t2, ks2 in levels.items())
+    sides = {v: side for side, rows in zip(SIDES, names)
+             for row in rows.values() for v in row}
+    inst = BipartiteInstance.from_edges(list(sides), edges, sides=sides)
+    return inst, (r for t, ks in levels.items() for r in _phase(t, ks))
 
 
 class UniversalInstance:
@@ -352,46 +374,19 @@ def lower_bound_instance(
 
     Only the vertex families (t_i, t_i), (2t_i, t_i), (3t_i, 2t_i) and
     (3t_i/2, t_i) on both sides are included (duplicates across scales are
-    merged), with the edge rule restricted to them and the phase-ordered
-    request stream touching only those vertices.  A largest scale past
-    ``scale_cap`` is refused, and unformed once 2^theta alone exceeds it.
+    merged).  A largest scale past ``scale_cap`` is refused, and unformed
+    once 2^theta alone exceeds it.
     """
     if theta < 1 or lam < 1:
         raise ValueError("theta and lambda must be >= 1")
     if (theta >= scale_cap.bit_length()
             or doubling_scale(theta, lam, theta) > scale_cap):
         raise ScaleCapError(theta, lam, scale_cap)
-    families: set[tuple[int, int]] = set()
-    for i in range(theta + 1):
-        t = doubling_scale(theta, lam, i)
-        families.add((t, t))
-        families.add((2 * t, t))
-        families.add((3 * t, 2 * t))
-        families.add((3 * t // 2, t))
-    ordered = sorted(families)
-    vertices = []
-    sides = {}
-    for side in (Side.A, Side.B):
-        for t, k in ordered:
-            vid = vertex_id(side, t, k)
-            vertices.append(vid)
-            sides[vid] = side
-    edges = []
-    for t, k in ordered:
-        for t2, k2 in ordered:
-            if UniversalGraph.adjacent(t, k, t2, k2):
-                edges.append(
-                    (vertex_id(Side.A, t, k), vertex_id(Side.B, t2, k2))
-                )
-    inst = BipartiteInstance.from_edges(vertices, edges, sides=sides)
-    requests = []
-    levels = sorted({t for t, _ in ordered})
-    for level in levels:  # phase order: level, then side, then index
-        ks = sorted(k for t, k in ordered if t == level)
-        for side in (Side.A, Side.B):
-            for k in ks:
-                requests.extend([vertex_id(side, level, k)] * k)
-    return inst, requests
+    scales = (doubling_scale(theta, lam, i) for i in range(theta + 1))
+    families = {family for t in scales for family in (
+        (t, t), (2 * t, t), (3 * t, 2 * t), (3 * t // 2, t))}
+    inst, requests = _restricted(families)
+    return inst, list(requests)
 
 
 def requests_to_jsonl(requests: list[str]) -> str:

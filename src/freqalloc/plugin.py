@@ -28,12 +28,13 @@ these ints; a ``FrequencySet`` is built, once, only for a reply that
 ``query`` asks for, from the values its bits stand for.  The child's stderr
 goes to an unnamed temporary file, and every fault raised after the start
 ends with the last _STDERR_TAIL_BYTES of it.  ``close`` ends the child's
-input and reaps the child when it exits, or kills it once
+input and output and reaps the child when it exits, or kills it once
 ``EXIT_DEADLINE_S`` has passed.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import os
@@ -192,7 +193,9 @@ class PluginSystem:
                         pass
                     except OSError as exc:
                         raise PluginFault(
-                            f"plugin pipe closed while sending: {exc}") from exc
+                            "plugin pipe closed while sending "
+                            f"{requests[bisect.bisect_right(ends, sent)]}: {exc}"
+                        ) from exc
                 while done < len(keys) and ends[done] <= sent:
                     end = buf.find(b"\n", start)
                     if end < 0:
@@ -290,13 +293,15 @@ class PluginSystem:
         if proc is None:
             return
         assert proc.stdin is not None and proc.stdout is not None
+        # closing its output too lets a child blocked on a full pipe fail
+        # with EPIPE and exit, rather than wait out the deadline
+        proc.stdout.close()
         try:
             proc.stdin.close()
             _wait_exit(proc)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
-        proc.stdout.close()
         assert self._stderr is not None
         self._stderr.close()
         self._stderr = None

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -12,6 +14,8 @@ from freqalloc.cli import main
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import parse_exact
 from freqalloc.systems import golden_system
+
+from test_recheck import CHECK_GOLDEN
 
 
 def run_cli(*argv):
@@ -370,6 +374,22 @@ class TestPlotSets:
             "3,F,4,5\n")
 
 
+# each adversary command and the SHA-256s of its graph and request files,
+# so that its bytes are pinned across versions, not only between two runs
+ADVERSARY = {
+    "universal": (
+        ["universal", "--t-max", "6"],
+        "97940cf8ce550b8a521b67602b2502ab7a9b0a1184ca355c106173fb2a078f11",
+        "97ae06acc6aff24d354ed375e550332efdaafb9e9d59b4a5d6d93020a590d90c",
+    ),
+    "lower-bound": (
+        ["lower-bound", "--theta", "2", "--lambda", "1"],
+        "7be21b000ab5d3131b1554bf80f9b4d6f6363f6cbbe7c4c755d202909b148f26",
+        "76ad34234c3c7044e958718e07d1c787625c6d37cd249bf43c3883e8d47385a3",
+    ),
+}
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         outs = []
@@ -383,16 +403,44 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_adversary_byte_identical(self, tmp_path):
-        blobs = []
-        for tag in ("1", "2"):
-            g = tmp_path / f"g{tag}.json"
-            r = tmp_path / f"r{tag}.jsonl"
-            run_cli(
-                "adversary", "universal", "--t-max", "6",
-                "--out-graph", str(g), "--out-requests", str(r),
+        # between two runs, and against the SHA-256s pinned in ADVERSARY
+        for mode, (argv, *digests) in ADVERSARY.items():
+            blobs = []
+            for tag in ("1", "2"):
+                g = tmp_path / f"{mode}{tag}.json"
+                r = tmp_path / f"{mode}{tag}.jsonl"
+                run_cli("adversary", *argv,
+                        "--out-graph", str(g), "--out-requests", str(r))
+                blobs.append([g.read_bytes(), r.read_bytes()])
+            assert blobs[0] == blobs[1], mode
+            assert [hashlib.sha256(b).hexdigest() for b in blobs[0]] == digests
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        # check-golden's command lines and both adversary commands, in one
+        # fresh interpreter per PYTHONHASHSEED
+        script = ("import json, sys\n"
+                  "from freqalloc.cli import main\n"
+                  "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))")
+        runs = {}
+        for seed in ("0", "4242"):
+            where = tmp_path / seed
+            where.mkdir()
+            calls = [[*argv, "--out", str(where / f"{name}.json")]
+                     for name, argv in CHECK_GOLDEN.items()]
+            calls += [["adversary", *argv,
+                       "--out-graph", str(where / f"{mode}.json"),
+                       "--out-requests", str(where / f"{mode}.jsonl")]
+                      for mode, (argv, *_) in ADVERSARY.items()]
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(calls)],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120,
             )
-            blobs.append(g.read_bytes() + r.read_bytes())
-        assert blobs[0] == blobs[1]
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == [0, 1, 0, 0, 0]
+            runs[seed] = {p.name: p.read_bytes() for p in where.iterdir()}
+        assert len(runs["0"]) == 7
+        assert runs["0"] == runs["4242"]
 
 
     def test_one_parser_serves_every_call(self, tmp_path, capsys):

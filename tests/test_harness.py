@@ -225,6 +225,34 @@ class TestUniversalGraph:
             UniversalGraph(7).materialize()
 
 
+class TestRestricted:
+    def test_class_sets_with_gaps_follow_the_rule(self):
+        # the builder behind materialize and lower_bound_instance, on sets
+        # of classes with gaps in each level's k-values, against the
+        # predicate over every pair and the phase order written out
+        rng = random.Random(36)
+        for _ in range(40):
+            levels = rng.choices(range(1, 30), k=rng.randint(1, 25))
+            classes = {(t, rng.randint(1, t)) for t in levels}
+            inst, requests = harness._restricted(classes)
+            ordered = sorted(classes)
+            assert inst.vertices == tuple(
+                vertex_id(side, t, k) for side in (Side.A, Side.B)
+                for t, k in ordered)
+            assert all(inst.sides[v] is parse_vertex_id(v)[0]
+                       for v in inst.vertices)
+            for t, k in ordered:
+                assert set(inst.adjacency[vertex_id(Side.A, t, k)]) == {
+                    vertex_id(Side.B, t2, k2) for t2, k2 in ordered
+                    if UniversalGraph.adjacent(t, k, t2, k2)}, (classes, t, k)
+            assert list(requests) == [
+                vertex_id(side, t, k)
+                for t in sorted(set(levels))
+                for side in (Side.A, Side.B)
+                for t2, k in ordered if t2 == t
+                for _ in range(k)]
+
+
 class TestUniversalInstance:
     def test_dense_ids(self):
         # (side, t, k) -> s*N + t(t-1)/2 + k-1 with N = T(T+1)/2, a

@@ -129,6 +129,19 @@ while True:
     sys.stdout.write('{"freqs": [1]}\\n')
 """
 
+# answers its first request, then closes its input and waits for its
+# output to be closed
+CLOSES_INPUT = """
+import os, select, sys
+sys.stdin.readline()
+sys.stdout.write('{"freqs": [1]}\\n')
+sys.stdout.flush()
+os.close(0)
+hangup = select.poll()
+hangup.register(1, 0)
+hangup.poll(10000)
+"""
+
 
 def script(tmp_path, body, name="plug.py"):
     path = tmp_path / name
@@ -190,6 +203,18 @@ class TestProtocol:
         code, err = verify_exit(tmp_path, ANSWERS_FIRST_TWICE, capsys, 6)
         assert code == 2
         assert err.startswith("plugin fault: ")
+
+    def test_closed_input_fault_names_the_request(self, tmp_path):
+        # the row's requests overfill a pipe, so a write meets the closed
+        # input, and the fault names the request that write began in
+        with spawn(tmp_path, CLOSES_INPUT) as plug:
+            with pytest.raises(PluginFault) as caught:
+                plug.bit_row(Side.A, 20000)
+        sent = re.fullmatch(
+            r'plugin pipe closed while sending '
+            r'\{"side": "A", "t": 20000, "k": (\d+)\}: \[Errno 32\] .*',
+            str(caught.value))
+        assert sent and int(sent[1]) >= 2
 
 
 class TestPipelining:
@@ -285,13 +310,26 @@ for line in sys.stdin:
 time.sleep(60)
 """
 
+# answers each request, and at the end of its input writes without end
+FLOODS_AT_EOF = """
+import json, signal, sys
+signal.alarm(10)
+for line in sys.stdin:
+    sys.stdout.write(json.dumps({"freqs": [1]}) + "\\n")
+    sys.stdout.flush()
+while True:
+    sys.stdout.write('{"freqs": [1]}\\n')
+"""
+
 
 class TestClose:
     @pytest.mark.parametrize("pidfd", ["pidfd", "no pidfd"])
     @pytest.mark.parametrize("body, returncode", [
         (WELL_BEHAVED, 0),  # exits at the end of its input
         (IGNORES_EOF, -signal.SIGKILL),  # killed at the exit deadline
-    ], ids=["exits", "ignores-eof"])
+        # blocked on its full output until close shuts it: a BrokenPipeError
+        (FLOODS_AT_EOF, 1),
+    ], ids=["exits", "ignores-eof", "floods-at-eof"])
     def test_close_reaps_the_child(self, tmp_path, monkeypatch, pidfd, body,
                                    returncode):
         monkeypatch.setattr(plugin, "EXIT_DEADLINE_S", 1.0)
