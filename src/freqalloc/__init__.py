@@ -10,10 +10,10 @@ read from the module that defines it, which is imported when the first of
 its names is read (a module ``__getattr__``), together with the modules it
 imports: ``run_universal`` loads the harness, the allocator, the systems,
 the frequencies and the golden field, none of which loads numpy;
-``check_f2`` loads the checker, and with it numpy; ``PluginSystem`` loads
-the plugin runner, and with it subprocess and select.  ``from freqalloc
-import allocation, systems`` imports those two modules and what they
-import, not the harness.
+``check_f2`` loads the checker, and with it numpy, but not the harness or
+the allocator; ``PluginSystem`` loads the plugin runner, and with it
+subprocess and select.  ``from freqalloc import allocation, systems``
+imports those two modules and what they import, not the harness.
 """
 
 import importlib

@@ -208,13 +208,11 @@ class BipartiteInstance:
         return cls.from_edges(vertices, edges, sides=sides or None)
 
     def to_json(self) -> dict:
-        seen = set()
-        edges = []
-        for u in self.vertices:
-            for w in self.adjacency[u]:
-                if (w, u) not in seen:
-                    seen.add((u, w))
-                    edges.append([u, w])
+        # each edge once, at its endpoint listed first: adjacency holds no
+        # repeats and no self-loops
+        position = {v: i for i, v in enumerate(self.vertices)}
+        edges = [[u, w] for i, u in enumerate(self.vertices)
+                 for w in self.adjacency[u] if position[w] > i]
         return {
             "vertices": [
                 {"id": v, "side": self.sides[v].value} for v in self.vertices

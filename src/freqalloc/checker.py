@@ -50,7 +50,7 @@ that is reported, such as a violation's right-hand side or the result of
 
 ``check_f2`` allocates its columns before its first level, so a horizon
 whose columns would pass F2_COLUMN_BYTES_CAP is refused through
-``harness.ResourceGuardError``: by ``check_f2``, and by ``run_checks`` and
+``golden.ResourceGuardError``: by ``check_f2``, and by ``run_checks`` and
 ``falsify`` before their first sweep.
 """
 
@@ -66,9 +66,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .frequencies import POOL_COUNT, SIDES, FrequencySet, Side
-from .golden import (DigitLimitError, GoldenNumber, _Floors, _triple,
+from .golden import (DigitLimitError, GoldenNumber, ResourceGuardError,
+                     _Floors, _triple, doubling_scale, doubling_scale_text,
                      fits_digit_limit)
-from .harness import ResourceGuardError, doubling_scale, doubling_scale_text
 from .systems import (_ROW_CHUNK, FSystemSpec, _meet, _width, level_blocks,
                       level_entries)
 

@@ -3,8 +3,10 @@
 Exit codes are a contract: 0 clean, 1 property violation (or refuted claim),
 2 bad input or plugin fault, 3 resource refusal.  ``main`` alone turns an
 exception into an exit code and a stderr prefix; any other exception is a
-bug and keeps its traceback.  Each outside file is read under one guard, so
-a malformed, non-UTF-8 or deeply nested one exits 2.  All outputs are
+bug and keeps its traceback.  Each command imports the modules it runs as it
+runs, so ``verify`` and ``falsify`` on a built-in system load no allocator,
+harness or plugin runner.  Each outside file is read under one guard, so a
+malformed, non-UTF-8 or deeply nested one exits 2.  All outputs are
 deterministic byte for byte for identical inputs: JSON is written with
 sorted keys and exact numbers are rendered canonically.
 """
@@ -18,25 +20,16 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from . import checker, harness
-from .allocation import (
-    BRUTE_FORCE_DEFAULT_BUDGET,
-    AllocationError,
-    Allocator,
-    BipartiteInstance,
-    BudgetExceededError,
-    NotBipartiteError,
-    assignment_to_json,
-    brute_force_opt,
-    load_requests,
-    static_opt,
-)
+from . import checker
 from .frequencies import Side
-from .golden import DigitLimitError, GoldenNumber, parse_exact
-from .plugin import PluginFault, PluginSystem
+from .golden import (SCALE_DEFAULT_CAP, DigitLimitError, GoldenNumber,
+                     ResourceGuardError, parse_exact)
 from .systems import BUILTIN_SYSTEMS, FSystemSpec
+
+if TYPE_CHECKING:
+    from .allocation import BipartiteInstance
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
@@ -83,11 +76,8 @@ def _positive_int(text: str) -> int:
 
 
 @contextlib.contextmanager
-def _open_system(
-    selector: str,
-    r_text: Optional[str],
-    lam: Optional[int],
-) -> Iterator[FSystemSpec]:
+def _open_system(selector: str, r_text: Optional[str],
+                 lam: Optional[int]) -> Iterator[FSystemSpec]:
     """The selected system with the claims from the command line; a plugin
     is closed when the block exits."""
     if selector in BUILTIN_SYSTEMS:
@@ -106,6 +96,8 @@ def _open_system(
             raise _CliError(
                 "plugin systems need explicit --r and --lambda claims"
             )
+        from .plugin import PluginSystem
+
         argv = [sys.executable, path] if path.endswith(".py") else [path]
         with PluginSystem(argv) as plugin:
             yield plugin.spec(_parse_ratio(r_text), lam)
@@ -115,9 +107,10 @@ def _open_system(
         )
 
 
-def _load_instance(graph_path: str, requests_path: Optional[str]) -> tuple[
-    BipartiteInstance, list[str]
-]:
+def _load_instance(graph_path: str, requests_path: Optional[str]
+                   ) -> tuple[BipartiteInstance, list[str]]:
+    from .allocation import BipartiteInstance, load_requests
+
     try:
         data = Path(graph_path).read_bytes()
     except OSError as exc:
@@ -177,6 +170,8 @@ def cmd_falsify(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .allocation import Allocator, assignment_to_json
+
     with _open_system(args.system, args.r, args.lam) as spec:
         inst, requests = _load_instance(args.graph, args.requests)
         mode = "full" if args.validate else "neighbors"
@@ -203,6 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
+    from . import harness
+
     if args.mode == "universal":
         graph = harness.UniversalGraph(args.t_max)
         inst = graph.materialize()
@@ -217,6 +214,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def cmd_opt(args: argparse.Namespace) -> int:
+    from .allocation import brute_force_opt, static_opt
+
     inst, requests = _load_instance(args.graph, args.requests)
     for v, count in Counter(requests).items():
         inst.loads[v] = count
@@ -224,7 +223,9 @@ def cmd_opt(args: argparse.Namespace) -> int:
         value = static_opt(inst)
         method = "static"
     else:
-        value = brute_force_opt(inst, budget_cap=args.budget)
+        # without --budget, brute_force_opt's own default budget
+        budget = {} if args.budget is None else {"budget_cap": args.budget}
+        value = brute_force_opt(inst, **budget)
         method = "brute_force"
     _write_json(args.out, {"optimum": value, "method": method})
     return EXIT_CLEAN
@@ -308,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl = adv.add_parser("lower-bound", help="doubling-recurrence instance")
     pl.add_argument("--theta", type=_positive_int, required=True)
     pl.add_argument("--lambda", dest="lam", type=_positive_int, required=True)
-    pl.add_argument(
-        "--scale-cap", type=_positive_int, default=harness.SCALE_DEFAULT_CAP
-    )
+    pl.add_argument("--scale-cap", type=_positive_int,
+                    default=SCALE_DEFAULT_CAP)
     pl.add_argument("--out-graph", required=True)
     pl.add_argument("--out-requests", required=True)
     pl.set_defaults(func=cmd_adversary)
@@ -325,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = omode.add_parser("brute", help="exhaustive-search optimum")
     pb.add_argument("--graph", required=True)
     pb.add_argument("--requests", required=True)
-    pb.add_argument(
-        "--budget", type=_positive_int, default=BRUTE_FORCE_DEFAULT_BUDGET
-    )
+    pb.add_argument("--budget", type=_positive_int)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_opt)
 
@@ -343,20 +341,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _raised(module: str, *names: str) -> tuple[type[Exception], ...]:
+    """A loaded module's named exception classes; none of a module not loaded."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # an except clause reads its classes only when an exception reaches it
     try:
         return args.func(args)
-    except (_CliError, NotBipartiteError) as exc:
+    except (_CliError, *_raised("allocation", "NotBipartiteError")) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except PluginFault as exc:
+    except _raised("plugin", "PluginFault") as exc:
         sys.stderr.write(f"plugin fault: {exc}\n")
         return EXIT_INPUT
-    except AllocationError as exc:
+    except _raised("allocation", "AllocationError") as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return EXIT_VIOLATION
-    except (harness.ResourceGuardError, BudgetExceededError,
+    except (ResourceGuardError, *_raised("allocation", "BudgetExceededError"),
             DigitLimitError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_RESOURCE

@@ -11,7 +11,9 @@ A rate r = (u + v*sqrt5)/w enters hot loops as its integer triple
 (``_triple``), and r*n is floored in one exact step as ``floor_linear(u*n,
 v*n, w)``, read as ``_Floors(u, v, w)[n]`` or listed by ``_extend_floors``.
 The band systems, the checker's inequalities and the replay's phase bounds
-floor this way, so none builds a GoldenNumber per level.
+floor this way, so none builds a GoldenNumber per level.  The doubling
+scale, its text, its default cap and ``ResourceGuardError``, which the
+checker shares with the harness, live here, so the checker loads no harness.
 """
 
 from __future__ import annotations
@@ -56,6 +58,30 @@ class DigitLimitError(Exception):
             "exact number too long to print: its decimal text passes the "
             f"limit of {sys.get_int_max_str_digits()} digits"
         )
+
+
+# the largest doubling scale harness.lower_bound_instance builds by default
+SCALE_DEFAULT_CAP = 1_000_000
+
+
+class ResourceGuardError(Exception):
+    """A requested construction would not fit in memory or on disk."""
+
+
+def doubling_scale(theta: int, lam: int, i: int) -> int:
+    """The i-th doubling scale t_i = 6*theta*lambda*2^i of the 10/7 argument."""
+    return 6 * theta * lam * 2**i
+
+
+def doubling_scale_text(theta: int, lam: int, i: int) -> str:
+    """t_i as an exact integer up to i = 64 while its decimal fits the
+    interpreter's digit limit (``fits_digit_limit``), and otherwise, where
+    it can be astronomic, as the text 6*theta*lambda*2^i."""
+    if i <= 64:
+        scale = doubling_scale(theta, lam, i)
+        if fits_digit_limit(scale):
+            return str(scale)
+    return f"6*{theta}*{lam}*2^{i}"
 
 
 @total_ordering

@@ -20,10 +20,10 @@ set of vertex classes (t, k) and decides each edge with the
 every class, ``lower_bound_instance`` the families of the 10/7 argument at
 the doubling scales t_i = 6*theta*lambda*2^i.  The "A:t,k" string ids name
 vertices in exported graphs, request streams and collision witnesses.
-``doubling_scale`` and ``doubling_scale_text``, which the falsifier also
-reads, are the one home of the scale and of its rendering.  A construction
-too large to build raises ``ResourceGuardError`` (``ScaleCapError`` for a
-scale past its cap).
+The scale, its rendering and the default cap are read from ``golden``,
+which the falsifier shares without loading the harness.  A construction
+too large to build raises ``golden.ResourceGuardError`` (``ScaleCapError``
+for a scale past its cap).
 """
 
 from __future__ import annotations
@@ -35,19 +35,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .allocation import Allocator, BipartiteInstance
 from .frequencies import SIDES, Side
-from .golden import GoldenNumber, _Floors, _triple, fits_digit_limit
+from .golden import (SCALE_DEFAULT_CAP, GoldenNumber, ResourceGuardError,
+                     _Floors, _triple, doubling_scale, doubling_scale_text)
 from .systems import FSystemSpec
 
 
 # the most edges UniversalGraph.materialize builds, the edge count at T = 64
 MAX_EDGES = 2_839_200
-
-# the largest doubling scale lower_bound_instance builds unless told otherwise
-SCALE_DEFAULT_CAP = 1_000_000
-
-
-class ResourceGuardError(Exception):
-    """A requested construction would not fit in memory or on disk."""
 
 
 class ScaleCapError(ResourceGuardError):
@@ -348,22 +342,6 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
                 f"independent optimum after phase {t} is {opt}, expected {t}"
             )
     return report
-
-
-def doubling_scale(theta: int, lam: int, i: int) -> int:
-    """The i-th doubling scale t_i = 6*theta*lambda*2^i of the 10/7 argument."""
-    return 6 * theta * lam * 2**i
-
-
-def doubling_scale_text(theta: int, lam: int, i: int) -> str:
-    """t_i as an exact integer up to i = 64 while its decimal fits the
-    interpreter's digit limit (``golden.fits_digit_limit``), and otherwise,
-    where it can be astronomic, as the text 6*theta*lambda*2^i."""
-    if i <= 64:
-        scale = doubling_scale(theta, lam, i)
-        if fits_digit_limit(scale):
-            return str(scale)
-    return f"6*{theta}*{lam}*2^{i}"
 
 
 def lower_bound_instance(

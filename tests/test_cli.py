@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import parse_exact
 from freqalloc.systems import golden_system
 
+from test_plugin import ANSWERS_FIRST_TWICE
 from test_recheck import CHECK_GOLDEN
 
 
@@ -39,6 +39,15 @@ EDGE_GRAPH = {
     "vertices": [{"id": "u", "side": "A"}, {"id": "v", "side": "B"}],
     "edges": [["u", "v"]],
 }
+
+# the same frequencies 1..k for every request, on both sides
+COLLIDER = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    sys.stdout.write(json.dumps({"freqs": list(range(1, req["k"] + 1))}) + "\\n")
+    sys.stdout.flush()
+"""
 
 
 class TestVerify:
@@ -169,19 +178,8 @@ class TestRun:
         ) == 2
 
     def test_colliding_plugin_exit_1(self, tmp_path):
-        body = textwrap.dedent(
-            """
-            import json, sys
-            for line in sys.stdin:
-                req = json.loads(line)
-                sys.stdout.write(
-                    json.dumps({"freqs": list(range(1, req["k"] + 1))}) + "\\n"
-                )
-                sys.stdout.flush()
-            """
-        )
         plug = tmp_path / "collider.py"
-        plug.write_text(body)
+        plug.write_text(COLLIDER)
         g = write_graph(tmp_path, EDGE_GRAPH)
         r = write_requests(tmp_path, ["u", "v"])
         assert run_cli(
@@ -793,3 +791,52 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["violation_count"] == 0
+
+
+class TestFreshInterpreterExits:
+    """Each failure that main maps, raised in a fresh interpreter, where
+    the command has loaded only the modules it runs, so main's handler must
+    find the failure's class without having imported its module itself."""
+
+    @pytest.mark.parametrize(
+        "case, code, prefix",
+        [
+            ("odd-cycle", 2, "error: graph contains an odd cycle: "),
+            ("plugin-fault", 2, "plugin fault: "),
+            ("collision", 1, "violation: "),
+            ("digit-limit", 3, "refused: exact number too long to print"),
+        ],
+    )
+    def test_exit_code_and_prefix(self, tmp_path, case, code, prefix):
+        plugin = tmp_path / "plugin.py"
+        plugin.write_text(ANSWERS_FIRST_TWICE if case == "plugin-fault"
+                          else COLLIDER)
+        plugin_flags = ["--system", f"plugin:{plugin}", "--r", "2",
+                        "--lambda", "0"]
+        graph = write_graph(tmp_path, {
+            "vertices": [{"id": x} for x in "abc"],
+            "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+        } if case == "odd-cycle" else EDGE_GRAPH)
+        p, q = long_ratio_terms(4299)
+        argv = {
+            "odd-cycle": ["opt", "static", "--graph", graph, "--requests",
+                          write_requests(tmp_path, ["a"])],
+            "plugin-fault": ["verify", *plugin_flags, "--t-max", "6"],
+            "collision": ["run", *plugin_flags, "--graph", graph,
+                          "--requests", write_requests(tmp_path, ["u", "v"])],
+            "digit-limit": ["verify", "--system", "golden",
+                            "--r", f"2+{p}-{q}*sqrt5", "--lambda", "-20",
+                            "--t-max", "30", "--checks", "competitiveness"],
+        }[case]
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=4300",
+             "-m", "freqalloc.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(prefix)
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()

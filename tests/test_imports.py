@@ -7,12 +7,15 @@ imports numpy only inside its vector code.  The result records are
 ``typing.NamedTuple`` classes and the others plain classes, so no module
 imports ``dataclasses``, and with it ``inspect``.  Serving requests through
 the allocator alone does not load the harness.  The checker, and so the
-CLI, load numpy when they are imported.  Each placement is checked in a
-fresh child interpreter, since this process has long loaded everything.
+CLI, load numpy when they are imported.  Each CLI command loads the modules
+it runs as it runs: ``verify`` and ``falsify`` on a built-in system load no
+plugin runner (nor ``subprocess``), harness or allocator; a plugin system
+loads the runner, and ``opt`` the allocator.  Each placement is checked in
+a fresh child interpreter, since this process has long loaded everything.
 
 The same parse pins two placements of the design: ``cli.main`` is the one
 function that maps an exception to an exit code, and the doubling scale's
-text has one home, ``harness``.
+text has one home, ``golden``, which the checker and the harness share.
 """
 
 import ast
@@ -24,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import freqalloc
+
+from test_recheck import CHECK_GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "freqalloc"
@@ -90,10 +95,27 @@ from freqalloc import cli
 print("numpy" in sys.modules, "freqalloc.checker" in sys.modules)
 """
 
+# runs the command lines of argv 1 through cli.main, each writing its
+# --out under argv 2, and lists which of the watched modules are loaded
+# after the import and after the calls
+COMMANDS = """
+import json
+import sys
+sys.path.insert(0, {src!r})
+watched = ("freqalloc.plugin", "freqalloc.harness", "freqalloc.allocation",
+           "subprocess", "numpy", "freqalloc.checker")
+from freqalloc import cli
+imported = [m for m in watched if m in sys.modules]
+codes = [cli.main([*argv, "--out", f"{{sys.argv[2]}}/out{{i}}.json"])
+         for i, argv in enumerate(json.loads(sys.argv[1]))]
+print(json.dumps({{"imported": imported, "codes": codes,
+                  "loaded": [m for m in watched if m in sys.modules]}}))
+"""
 
-def run_child(template: str) -> str:
+
+def run_child(template: str, *args: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", template.format(src=str(ROOT / "src"))],
+        [sys.executable, "-c", template.format(src=str(ROOT / "src")), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -125,6 +147,37 @@ def test_cli_loads_numpy():
     # the check workloads pay for numpy when importing the CLI, not in its
     # first call
     assert run_child(CLI).split() == ["True", "True"]
+
+
+def run_commands(tmp_path: Path, *argvs: list[str]) -> dict:
+    return json.loads(run_child(COMMANDS, json.dumps(argvs), str(tmp_path)))
+
+
+def test_check_golden_loads_no_runner_harness_or_allocator(tmp_path):
+    out = run_commands(tmp_path, *CHECK_GOLDEN.values())
+    assert out["codes"] == [0, 1, 0]
+    assert out["imported"] == out["loaded"] == ["numpy", "freqalloc.checker"]
+
+
+def test_plugin_verify_loads_the_runner_only(tmp_path):
+    plugin = ROOT / "bench" / "oddeven_plugin.py"
+    out = run_commands(tmp_path, ["verify", "--system", f"plugin:{plugin}",
+                                  "--r", "2", "--lambda", "0", "--t-max", "10"])
+    assert out["codes"] == [0]
+    assert out["loaded"] == ["freqalloc.plugin", "subprocess", "numpy",
+                             "freqalloc.checker"]
+
+
+def test_opt_static_loads_the_allocator_only(tmp_path):
+    graph, requests = tmp_path / "graph.json", tmp_path / "requests.jsonl"
+    graph.write_text(json.dumps({"vertices": [{"id": "u"}, {"id": "v"}],
+                                 "edges": [["u", "v"]]}))
+    requests.write_text('{"vertex": "u"}\n{"vertex": "v"}\n')
+    out = run_commands(tmp_path, ["opt", "static", "--graph", str(graph),
+                                  "--requests", str(requests)])
+    assert out["codes"] == [0]
+    assert out["loaded"] == ["freqalloc.allocation", "numpy",
+                             "freqalloc.checker"]
 
 
 def importers(modules: set[str]) -> set[str]:
@@ -190,7 +243,7 @@ def test_only_main_maps_failures_to_exit_codes():
                 assert not REFUSALS & names_in(handler.type), func.name
 
 
-def test_doubling_scale_text_defined_in_harness_only():
+def test_doubling_scale_text_defined_in_golden_only():
     homes = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -198,7 +251,7 @@ def test_doubling_scale_text_defined_in_harness_only():
                and node.name == "doubling_scale_text"
                for node in ast.walk(tree)):
             homes.add(path.stem)
-    assert homes == {"harness"}
+    assert homes == {"golden"}
 
 
 class TestLazyExports:
