@@ -12,8 +12,10 @@ imports: ``run_universal`` loads the harness, the allocator, the systems,
 the frequencies and the golden field, none of which loads numpy;
 ``check_f2`` loads the checker, and with it numpy, but not the harness or
 the allocator; ``PluginSystem`` loads the plugin runner, and with it
-subprocess and select.  ``from freqalloc import allocation, systems``
-imports those two modules and what they import, not the harness.
+subprocess and select, but ``PluginFault``, like every exception that
+``cli.main`` maps, loads ``golden`` alone.  ``from freqalloc import
+allocation, systems`` imports those two modules and what they import, not
+the harness.
 """
 
 import importlib
@@ -25,9 +27,8 @@ _LAZY = {
     name: module
     for module, names in {
         "allocation": (
-            "AllocationError", "Allocator", "BipartiteInstance",
-            "BudgetExceededError", "NotBipartiteError", "assignment_valid",
-            "bipartition", "brute_force_opt", "static_allocate", "static_opt",
+            "Allocator", "BipartiteInstance", "assignment_valid",
+            "brute_force_opt", "static_allocate", "static_opt",
         ),
         "checker": (
             "CheckReport", "FalsifyVerdict", "GammaTrace", "SharedStats",
@@ -35,15 +36,16 @@ _LAZY = {
             "check_f2", "falsify", "gamma_trace", "lemma_chain_check",
             "min_lambda", "run_checks", "shared_stats",
         ),
-        "frequencies": (
-            "Frequency", "FrequencySet", "PoolTag", "Side", "encode_global",
+        "frequencies": ("Frequency", "FrequencySet", "PoolTag", "Side"),
+        "golden": (
+            "AllocationError", "BudgetExceededError", "GoldenNumber",
+            "NotBipartiteError", "PluginFault", "constants", "parse_exact",
         ),
-        "golden": ("GoldenNumber", "cmp", "constants", "parse_exact"),
         "harness": (
             "CollisionError", "RunReport", "ScaleCapError", "UniversalGraph",
             "lower_bound_instance", "run_universal",
         ),
-        "plugin": ("PluginFault", "PluginSystem"),
+        "plugin": ("PluginSystem",),
         "systems": (
             "FSystemSpec", "golden_system", "half_system", "trivial_system",
         ),

@@ -25,7 +25,8 @@ the distinct frequencies used and names those of ``assignment_sets``.
 The allocator reads an instance only through the ``Instance`` protocol.
 ``BipartiteInstance`` implements it over explicit adjacency and string ids,
 ``harness.UniversalInstance`` over dense integer ids and the lazy edge rule
-of the universal graph.
+of the universal graph.  ``BipartiteInstance.from_edges`` two-colours a
+graph into its ``sides``.  The errors raised here are defined in ``golden``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from collections import defaultdict, deque
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
 from .frequencies import KEY_BY_RANK, Frequency, FrequencySet, PoolTag, Side
+from .golden import AllocationError, BudgetExceededError, NotBipartiteError
 from .systems import FSystemSpec
 
 
@@ -43,35 +45,15 @@ from .systems import FSystemSpec
 BRUTE_FORCE_DEFAULT_BUDGET = 10
 
 
-class NotBipartiteError(Exception):
-    def __init__(self, cycle: Sequence[str]) -> None:
-        super().__init__(f"graph contains an odd cycle: {' - '.join(cycle)}")
-        self.cycle = list(cycle)
-
-
-class BudgetExceededError(Exception):
-    pass
-
-
-class AllocationError(Exception):
-    """The system under-delivered (size floor breach) or produced a clash."""
-
-
-def bipartition(
+def _colour(
     vertices: Sequence[str], adjacency: dict[str, Sequence[str]]
-) -> dict[str, Side]:
-    """Two-colour each component by BFS; deterministic for a fixed id order.
+) -> tuple[dict[str, Side], dict[str, str]]:
+    """Two-colour each component by BFS, deterministic for a fixed id order:
+    each vertex's side, and its component root.
 
     The lowest-id vertex of each component (isolated vertices included)
     gets side A.  An odd cycle raises NotBipartiteError with a witness.
     """
-    return _colour(vertices, adjacency)[0]
-
-
-def _colour(
-    vertices: Sequence[str], adjacency: dict[str, Sequence[str]]
-) -> tuple[dict[str, Side], dict[str, str]]:
-    """bipartition's sides, and each vertex's component root."""
     sides: dict[str, Side] = {}
     roots: dict[str, str] = {}
     parents: dict[str, Optional[str]] = {}
@@ -259,7 +241,7 @@ def static_allocate(instance: BipartiteInstance) -> dict[str, FrequencySet]:
     for v in instance.vertices:
         lv = instance.loads[v]
         if lv == 0:
-            out[v] = FrequencySet.empty()
+            out[v] = FrequencySet()
         elif instance.sides[v] is Side.A:
             out[v] = FrequencySet([(PoolTag.PLAIN, 1, lv + 1)])
         else:
@@ -283,7 +265,7 @@ def _assignment_fault(
     """The first vertex whose set size is not its entry of loads, else the
     first edge sharing a frequency (context appended), as a message; None if
     valid."""
-    empty = FrequencySet.empty()
+    empty = FrequencySet()
     for v in instance.vertices:
         held = len(assignment.get(v, empty))
         if held != loads[v]:

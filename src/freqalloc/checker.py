@@ -411,7 +411,7 @@ def _shared_sets(
     if sys.nested:
         return {tau: _overlap(sys, tau, tau) for tau in sorted(wanted)}
     out = {}
-    fa = fb = FrequencySet.empty()
+    fa = fb = FrequencySet()
     for tau in range(1, max(wanted) + 1):
         fa = fa | sys.row_union(Side.A, tau)
         fb = fb | sys.row_union(Side.B, tau)

@@ -2,13 +2,14 @@
 
 Exit codes are a contract: 0 clean, 1 property violation (or refuted claim),
 2 bad input or plugin fault, 3 resource refusal.  ``main`` alone turns an
-exception into an exit code and a stderr prefix; any other exception is a
-bug and keeps its traceback.  Each command imports the modules it runs as it
-runs, so ``verify`` and ``falsify`` on a built-in system load no allocator,
-harness or plugin runner.  Each outside file is read under one guard, so a
-malformed, non-UTF-8 or deeply nested one exits 2.  All outputs are
-deterministic byte for byte for identical inputs: JSON is written with
-sorted keys and exact numbers are rendered canonically.
+exception, of a class it names from ``golden``, into an exit code and a
+stderr prefix; any other exception is a bug and keeps its traceback.  Each
+command imports the modules it runs as it runs, so ``verify`` and
+``falsify`` on a built-in system load no allocator, harness or plugin
+runner.  Each outside file is read under one guard, so a malformed,
+non-UTF-8 or deeply nested one exits 2.  All outputs are deterministic byte
+for byte for identical inputs: JSON is written with sorted keys and
+streamed, and exact numbers are rendered canonically.
 """
 
 from __future__ import annotations
@@ -16,16 +17,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import checker
 from .frequencies import Side
-from .golden import (SCALE_DEFAULT_CAP, DigitLimitError, GoldenNumber,
-                     ResourceGuardError, parse_exact)
+from .golden import (SCALE_DEFAULT_CAP, AllocationError, BudgetExceededError,
+                     DigitLimitError, GoldenNumber, NotBipartiteError,
+                     PluginFault, ResourceGuardError, parse_exact)
 from .systems import BUILTIN_SYSTEMS, FSystemSpec
 
 if TYPE_CHECKING:
@@ -41,18 +44,24 @@ class _CliError(Exception):
     """Bad input the CLI itself detects: exit 2."""
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the chunks in order to stdout (path None or "-") or to the file
+    at path, where a failure to open or write it is bad input."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Optional[str], doc: object) -> None:
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # streamed as json.dump streams it: with indent set, json.dumps runs the
+    # same pure-Python encoder, so the bytes match without the whole text
+    encoded = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    _write(path, itertools.chain(encoded, "\n"))
 
 
 def _parse_ratio(text: str) -> GoldenNumber:
@@ -209,7 +218,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             args.theta, args.lam, scale_cap=args.scale_cap
         )
     _write_json(args.out_graph, inst.to_json())
-    _write_text(args.out_requests, harness.requests_to_jsonl(requests))
+    _write(args.out_requests, [harness.requests_to_jsonl(requests)])
     return EXIT_CLEAN
 
 
@@ -241,7 +250,7 @@ def cmd_plot_sets(args: argparse.Namespace) -> int:
         for k in range(0, args.t + 1):
             lines.extend(f"{k},{pool.token},{lo - 1},{hi - 1}\n"
                          for pool, lo, hi in spec.sets(side, args.t, k).bands)
-        _write_text(args.out, "".join(lines))
+        _write(args.out, lines)
         return EXIT_CLEAN
 
 
@@ -341,28 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _raised(module: str, *names: str) -> tuple[type[Exception], ...]:
-    """A loaded module's named exception classes; none of a module not loaded."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return tuple(getattr(loaded, name) for name in names) if loaded else ()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # an except clause reads its classes only when an exception reaches it
     try:
         return args.func(args)
-    except (_CliError, *_raised("allocation", "NotBipartiteError")) as exc:
+    except (_CliError, NotBipartiteError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except _raised("plugin", "PluginFault") as exc:
+    except PluginFault as exc:
         sys.stderr.write(f"plugin fault: {exc}\n")
         return EXIT_INPUT
-    except _raised("allocation", "AllocationError") as exc:
+    except AllocationError as exc:
         sys.stderr.write(f"violation: {exc}\n")
         return EXIT_VIOLATION
-    except (ResourceGuardError, *_raised("allocation", "BudgetExceededError"),
-            DigitLimitError) as exc:
+    except (ResourceGuardError, BudgetExceededError, DigitLimitError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_RESOURCE
 

@@ -82,7 +82,13 @@ class Frequency:
         return f
 
     def encode(self) -> int:
-        return encode_global(self)
+        """Injective encoding of built-in frequencies into the positive
+        integers.
+
+        The five built-in pools interleave: PA1=1, PB1=2, SA1=3, SB1=4, Q1=5,
+        PA2=6, ...  Plain frequencies map to their own index.
+        """
+        return self._key() // POOL_COUNT
 
     def _key(self) -> int:
         scale, offset = KEY_BY_RANK[self.pool.rank]
@@ -106,15 +112,6 @@ class Frequency:
         if self.pool is PoolTag.PLAIN:
             return str(self.index)
         return f"{self.pool.token}{self.index}"
-
-
-def encode_global(f: Frequency) -> int:
-    """Injective encoding of built-in frequencies into the positive integers.
-
-    The five built-in pools interleave: PA1=1, PB1=2, SA1=3, SB1=4, Q1=5,
-    PA2=6, ...  Plain frequencies map to their own index.
-    """
-    return f._key() // POOL_COUNT
 
 
 # key = scale * index + offset, by pool rank: POOL_COUNT * encoding + rank,
@@ -197,10 +194,6 @@ class FrequencySet:
         fs._bands = bands
         return fs
 
-    @classmethod
-    def empty(cls) -> "FrequencySet":
-        return _EMPTY
-
     @property
     def bands(self) -> tuple[Band, ...]:
         return self._bands
@@ -266,9 +259,6 @@ class FrequencySet:
 
     def isdisjoint(self, other: "FrequencySet") -> bool:
         return not (self & other)
-
-
-_EMPTY = FrequencySet()
 
 
 def union_all(sets: Iterable[FrequencySet]) -> FrequencySet:

@@ -14,6 +14,9 @@ The band systems, the checker's inequalities and the replay's phase bounds
 floor this way, so none builds a GoldenNumber per level.  The doubling
 scale, its text, its default cap and ``ResourceGuardError``, which the
 checker shares with the harness, live here, so the checker loads no harness.
+So does every other exception class that ``cli.main`` maps to an exit code:
+``main`` names them all without loading the allocator or plugin runner.
+``constants()`` gives phi and the golden rates alpha, beta, rho and r0.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import total_ordering
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -66,6 +69,24 @@ SCALE_DEFAULT_CAP = 1_000_000
 
 class ResourceGuardError(Exception):
     """A requested construction would not fit in memory or on disk."""
+
+
+class NotBipartiteError(Exception):
+    def __init__(self, cycle: Sequence[str]) -> None:
+        super().__init__(f"graph contains an odd cycle: {' - '.join(cycle)}")
+        self.cycle = list(cycle)
+
+
+class BudgetExceededError(Exception):
+    pass
+
+
+class AllocationError(Exception):
+    """The system under-delivered (size floor breach) or produced a clash."""
+
+
+class PluginFault(Exception):
+    """The external process broke the protocol (distinct from a violation)."""
 
 
 def doubling_scale(theta: int, lam: int, i: int) -> int:
@@ -187,7 +208,7 @@ class GoldenNumber:
 
     def __lt__(self, other: GoldenNumber | RatLike) -> bool:
         if isinstance(other, (GoldenNumber, int, Fraction)):
-            return (self - other).floor() < 0
+            return (self - other).sign() < 0
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -209,11 +230,6 @@ class GoldenNumber:
     def __float__(self) -> float:
         # diagnostics only; never used for a decision
         return float(self._a) + float(self._b) * math.sqrt(5.0)
-
-
-def cmp(x: GoldenNumber | RatLike, y: GoldenNumber | RatLike) -> int:
-    """Exact three-way comparison: -1 if x < y, 0 if equal, +1 if x > y."""
-    return (GoldenNumber.coerce(x) - GoldenNumber.coerce(y)).sign()
 
 
 def _triple(rate: GoldenNumber) -> tuple[int, int, int]:

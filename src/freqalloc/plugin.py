@@ -12,7 +12,8 @@ never wait for the end of its input.  A plugin that sends nothing for
 ``REPLY_DEADLINE_S`` seconds while a reply is due, or reads nothing for as
 long while a request waits to be sent, is killed and faulted.  Replies must
 list strictly increasing positive integers, and output past an exchange's
-last reply is unasked for; anything else is a plugin fault (exit 2), not a
+last reply, within it or waiting when the next one starts, is unasked for;
+anything else is a plugin fault (exit 2, a ``golden.PluginFault``), not a
 property violation of the system under test.  Replies are cached, so each
 (side, t, k) is asked once, a repeated query is answered by replay, and
 determinism is enforced.
@@ -45,7 +46,7 @@ import tempfile
 from typing import IO, Optional, Sequence
 
 from .frequencies import FrequencySet, PoolTag, Side
-from .golden import GoldenNumber
+from .golden import GoldenNumber, PluginFault
 from .systems import FSystemSpec
 
 # seconds a plugin may stay silent while a reply is due (or leave its input
@@ -60,10 +61,6 @@ _STDERR_TAIL_BYTES = 2048
 Key = tuple[str, int, int]
 # the k-values of some sets of one row; None for the whole row, k = 1..t
 Ks = Optional[Sequence[int]]
-
-
-class PluginFault(Exception):
-    """The external process broke the protocol (distinct from a violation)."""
 
 
 def _request(side: str, t: int, k: int) -> str:
@@ -117,6 +114,8 @@ class PluginSystem:
         self._value_of: list[int] = []
         self._proc: Optional[subprocess.Popen[bytes]] = None
         self._stderr: Optional[IO[bytes]] = None
+        # the last request of the child's last exchange; None before its first
+        self._answered: Optional[str] = None
 
     def _ensure_started(self) -> subprocess.Popen[bytes]:
         if self._proc is None:
@@ -185,6 +184,13 @@ class PluginSystem:
         # plugin output not yet taken; the next reply line starts at start
         buf, start = b"", 0
         try:
+            # output waiting before a request is written answers none
+            waiting = select.poll()
+            waiting.register(stdout, select.POLLIN)
+            if (self._answered and waiting.poll(0)
+                    and (extra := os.read(stdout, 80))):
+                raise PluginFault(
+                    f"plugin sent {extra!r} past its reply to {self._answered}")
             while True:
                 if sent < len(data):
                     try:
@@ -208,6 +214,7 @@ class PluginSystem:
                         raise PluginFault(
                             f"plugin sent {buf[start:start + 80]!r} past its "
                             f"reply to {requests[-1]}")
+                    self._answered = requests[-1]
                     break
                 # requests[done] is sent and unanswered, or not yet sent
                 answering = ends[done] <= sent
@@ -289,7 +296,7 @@ class PluginSystem:
         )
 
     def close(self) -> None:
-        proc, self._proc = self._proc, None
+        proc, self._proc, self._answered = self._proc, None, None
         if proc is None:
             return
         assert proc.stdin is not None and proc.stdout is not None

@@ -235,15 +235,11 @@ class FSystemSpec:
             self.bit_row_fn(side, t, None)
         return union_all(self.sets(side, t, k) for k in range(1, t + 1))
 
-    def row_sizes(
-        self, side: Side, t: int, t_hi: Optional[int] = None
-    ) -> Sequence[int]:
-        """Cardinalities of F(side, tau, k) for t <= tau <= t_hi (t_hi = t by
-        default) and k = 1..tau, in (tau, k) order: the widths of the row
-        bands, at most _ROW_CHUNK entries per pass, where the system has
-        them, else the popcounts of ``bit_row``, one level after another."""
-        if t_hi is None:
-            t_hi = t
+    def row_sizes(self, side: Side, t: int, t_hi: int) -> Sequence[int]:
+        """Cardinalities of F(side, tau, k) for t <= tau <= t_hi and
+        k = 1..tau, in (tau, k) order: the widths of the row bands, at most
+        _ROW_CHUNK entries per pass, where the system has them, else the
+        popcounts of ``bit_row``, one level after another."""
         if not 1 <= t <= t_hi:
             raise ValueError(f"need 1 <= t <= t_hi, got t={t}, t_hi={t_hi}")
         if self.row_bands_fn is None:

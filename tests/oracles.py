@@ -241,10 +241,10 @@ def check_f2_sets(sys, t_max: int, limit=None) -> list[Violation]:
     order."""
     out: list[Violation] = []
     # cols[s][k'] accumulates the union over t' of F(SIDES[s], t', k')
-    cols = [[FrequencySet.empty()] * (t_max + 1) for _ in SIDES]
+    cols = [[FrequencySet()] * (t_max + 1) for _ in SIDES]
 
     def prefixes(col: list[FrequencySet], t: int) -> list[FrequencySet]:
-        acc = FrequencySet.empty()
+        acc = FrequencySet()
         pref = [acc]
         for m in range(1, t + 1):
             acc = acc | col[m]
@@ -275,7 +275,7 @@ def row_union_folds(sys, t_max: int) -> list[tuple[FrequencySet, ...]]:
     set of level at most t: each row folded with ``union_all`` and the rows
     with ``|``, whether or not the system is nested."""
     out = []
-    fa = fb = FrequencySet.empty()
+    fa = fb = FrequencySet()
     for t in range(1, t_max + 1):
         fa = fa | union_all(sets_row(sys, Side.A, t))
         fb = fb | union_all(sets_row(sys, Side.B, t))

@@ -10,7 +10,6 @@ from freqalloc.allocation import (
     BudgetExceededError,
     NotBipartiteError,
     assignment_valid,
-    bipartition,
     brute_force_opt,
     static_allocate,
     static_opt,
@@ -37,26 +36,27 @@ def instance(vertices, edges, loads=None):
 
 class TestBipartition:
     def test_single_edge(self):
-        sides = bipartition(["u", "v"], {"u": ["v"], "v": ["u"]})
+        sides = BipartiteInstance.from_edges(["u", "v"], [("u", "v")]).sides
         assert sides == {"u": Side.A, "v": Side.B}
 
     def test_path(self):
-        sides = bipartition(
-            ["u", "v", "w"], {"u": ["v"], "v": ["u", "w"], "w": ["v"]}
-        )
+        sides = BipartiteInstance.from_edges(
+            ["u", "v", "w"], [("u", "v"), ("v", "w")]
+        ).sides
         assert sides == {"u": Side.A, "v": Side.B, "w": Side.A}
 
     def test_triangle_rejected_with_witness(self):
         adj = {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
         with pytest.raises(NotBipartiteError) as err:
-            bipartition(["a", "b", "c"], adj)
+            BipartiteInstance.from_edges(
+                ["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
         cycle = err.value.cycle
         assert len(cycle) % 2 == 1 and len(cycle) >= 3
         for x, y in zip(cycle, cycle[1:] + cycle[:1]):
             assert x == y or y in adj[x]
 
     def test_isolated_vertex_gets_a(self):
-        assert bipartition(["z"], {}) == {"z": Side.A}
+        assert BipartiteInstance.from_edges(["z"], []).sides == {"z": Side.A}
 
     def test_respects_given_sides(self):
         inst = BipartiteInstance.from_edges(

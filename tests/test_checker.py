@@ -234,9 +234,9 @@ class TestF1:
         base = mutant_golden_no_padding()
         want = check_f1(base, 25, limit=limit)
         assert want
-        assert isinstance(base.row_sizes(Side.A, 5), list)
+        assert isinstance(base.row_sizes(Side.A, 5, 5), list)
         banded = with_row_bands(base)
-        assert banded.row_sizes(Side.A, 5).dtype == np.int64
+        assert banded.row_sizes(Side.A, 5, 5).dtype == np.int64
         assert check_f1(banded, 25, limit=limit) == want
         # every set one frequency short of k
         short = FSystemSpec(
@@ -1096,7 +1096,7 @@ class TestIntegerDecisions:
 
         def gen(side, t, k):
             if side is Side.B:
-                return FrequencySet.empty()
+                return FrequencySet()
             return pool_prefix(PRIVATE[side], sizes[t])
 
         sys_ = with_row_bands(FSystemSpec(name="staircase", claimed_ratio=r,

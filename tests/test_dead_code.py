@@ -16,7 +16,10 @@ alone does not use what it imports.  Dunders are exempt, as is the
 console-script entry point that ``pyproject.toml`` names.  A module-level
 import under ``src/freqalloc`` must be read by code in its own module,
 unless ``freqalloc.__all__`` lists its name or its line carries
-``# noqa: F401``.
+``# noqa: F401``.  And every name ``freqalloc.__all__`` exports must be read
+by code under ``src/`` or ``bench/`` outside its own definition and the
+package's export table, or be named in README.md: an export that neither
+the program nor its documentation mentions is an alias or a dead end.
 """
 
 import ast
@@ -260,3 +263,23 @@ def unread_imports() -> list[str]:
 
 def test_every_import_is_read():
     assert unread_imports() == []
+
+
+def unmentioned_exports() -> list[str]:
+    """Names of ``freqalloc.__all__`` that no code under ``src/`` or
+    ``bench/`` reads, outside their defining statement and ``__init__``,
+    and that README.md does not name."""
+    reads = set()
+    for path, tree in parsed_modules():
+        if path == PACKAGE / "__init__.py":
+            continue
+        for stmt in tree.body:
+            # a definition's own body does not use the name it defines
+            reads |= read_names(stmt) - set(defined_names(stmt))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [name for name in freqalloc.__all__
+            if name not in reads and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_every_export_is_used_or_documented():
+    assert unmentioned_exports() == []

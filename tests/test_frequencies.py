@@ -12,7 +12,6 @@ from freqalloc.frequencies import (
     FrequencySet,
     PoolTag,
     Side,
-    encode_global,
     union_all,
 )
 from freqalloc.golden import GoldenNumber, constants
@@ -41,7 +40,7 @@ class TestSide:
 class TestEncoding:
     def test_interleaving_row(self):
         got = [
-            encode_global(Frequency(p, i))
+            Frequency(p, i).encode()
             for p, i in [
                 (PoolTag.PRIVATE_A, 1),
                 (PoolTag.PRIVATE_B, 1),
@@ -54,13 +53,13 @@ class TestEncoding:
         assert got == [1, 2, 3, 4, 5, 6]
 
     def test_plain_identity(self):
-        assert encode_global(Frequency(PoolTag.PLAIN, 7)) == 7
+        assert Frequency(PoolTag.PLAIN, 7).encode() == 7
 
     def test_bijection(self):
         # the five built-in pools' indices up to N encode onto exactly 1..5N
         n = 1000
         codes = [
-            encode_global(Frequency(p, i)) for p in BUILTIN for i in range(1, n + 1)
+            Frequency(p, i).encode() for p in BUILTIN for i in range(1, n + 1)
         ]
         assert sorted(codes) == list(range(1, 5 * n + 1))
 
@@ -72,7 +71,7 @@ class TestEncoding:
 class TestFrequencyOrder:
     def test_total_order_is_encoding_order(self):
         freqs = [Frequency(p, i) for p in BUILTIN for i in range(1, 30)]
-        by_enc = sorted(freqs, key=encode_global)
+        by_enc = sorted(freqs, key=Frequency.encode)
         assert sorted(freqs) == by_enc
 
     def test_keys_over_all_pools(self):
@@ -82,11 +81,11 @@ class TestFrequencyOrder:
         freqs = [Frequency(p, i) for p in POOLS for i in range(1, 60)]
         keys = [f._key() for f in freqs]
         assert len(set(keys)) == len(freqs)
-        canonical = sorted(freqs, key=lambda f: (encode_global(f), f.pool.rank))
+        canonical = sorted(freqs, key=lambda f: (f.encode(), f.pool.rank))
         assert sorted(freqs, key=Frequency._key) == canonical
         assert sorted(freqs) == canonical
         for f, key in zip(freqs, keys):
-            assert encode_global(f) == key // POOL_COUNT
+            assert f.encode() == key // POOL_COUNT
             assert key % POOL_COUNT == f.pool.rank
             scale = KEY_BY_RANK[f.pool.rank][0]
             assert Frequency(f.pool, f.index + 1)._key() == key + scale

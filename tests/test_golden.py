@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from freqalloc.golden import (
     DigitLimitError,
     GoldenNumber,
-    cmp,
     constants,
     fits_digit_limit,
     floor_linear,
@@ -140,9 +139,9 @@ class TestArithmetic:
 
 class TestComparison:
     def test_examples(self):
-        assert cmp(3, GoldenNumber(0, 1)) == 1
-        assert cmp(C.phi, C.phi) == 0
-        assert cmp(C.alpha, Fraction(1, 2)) == -1
+        assert (3 - GoldenNumber(0, 1)).sign() == 1
+        assert (C.phi - C.phi).sign() == 0
+        assert (C.alpha - Fraction(1, 2)).sign() == -1
 
     @given(goldens, goldens, goldens)
     @settings(max_examples=150, deadline=None)
@@ -165,7 +164,7 @@ class TestComparison:
         assert x.sign() == sign_reference(x)
         assert (x < y) == (want < 0)
         assert (y < x) == (want > 0)
-        assert cmp(x, y) == want
+        assert (x - y).sign() == want
 
     @given(goldens)
     @settings(max_examples=100, deadline=None)

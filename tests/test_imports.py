@@ -13,9 +13,11 @@ plugin runner (nor ``subprocess``), harness or allocator; a plugin system
 loads the runner, and ``opt`` the allocator.  Each placement is checked in
 a fresh child interpreter, since this process has long loaded everything.
 
-The same parse pins two placements of the design: ``cli.main`` is the one
-function that maps an exception to an exit code, and the doubling scale's
-text has one home, ``golden``, which the checker and the harness share.
+The same parse pins placements of the design: ``cli.main`` is the one
+function that maps an exception to an exit code, and it names each class it
+maps, in a fixed order; those classes and the doubling scale's text have
+one home, ``golden``, which the checker, the harness, the allocator and the
+plugin runner share.
 """
 
 import ast
@@ -252,6 +254,40 @@ def test_doubling_scale_text_defined_in_golden_only():
                for node in ast.walk(tree)):
             homes.add(path.stem)
     assert homes == {"golden"}
+
+
+# main's except clauses in order, each by the names it catches
+EXIT_CLAUSES = [["_CliError", "NotBipartiteError"], ["PluginFault"],
+                ["AllocationError"],
+                ["ResourceGuardError", "BudgetExceededError", "DigitLimitError"]]
+
+
+def test_main_names_the_classes_it_maps():
+    main = next(f for f in cli_functions() if f.name == "main")
+    clauses = [[n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)]
+               for handler in ast.walk(main)
+               if isinstance(handler, ast.ExceptHandler)]
+    assert clauses == EXIT_CLAUSES
+
+
+def test_mapped_classes_have_one_home():
+    # defined in golden only; the modules that raise them import them
+    from freqalloc import allocation, golden, plugin
+
+    names = [name for clause in EXIT_CLAUSES for name in clause][1:]
+    homes = {name: set() for name in names}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in homes:
+                homes[node.name].add(path.stem)
+    assert homes == {name: {"golden"} for name in names}
+    for module, name in [(allocation, "NotBipartiteError"),
+                         (allocation, "BudgetExceededError"),
+                         (allocation, "AllocationError"),
+                         (plugin, "PluginFault")]:
+        assert getattr(module, name) is getattr(golden, name)
+        assert getattr(freqalloc, name) is getattr(golden, name)
 
 
 class TestLazyExports:

@@ -1,5 +1,6 @@
 import json
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -63,6 +64,22 @@ for n, line in enumerate(sys.stdin):
     reply = json.dumps({"freqs": list(range(1, k + 1))}) + "\\n"
     sys.stdout.write(reply * 2 if n == 0 else reply)
     sys.stdout.flush()
+"""
+
+
+# answers every request; once the file named by its argument exists, sends
+# its first reply again, past the exchange that asked for it
+REPEATS_FIRST_LATE = """
+import json, os, sys, time
+for n, line in enumerate(sys.stdin):
+    reply = json.dumps({"freqs": [1]}) + "\\n"
+    sys.stdout.write(reply)
+    sys.stdout.flush()
+    if n == 0:
+        while not os.path.exists(sys.argv[1]):
+            time.sleep(0.01)
+        sys.stdout.write(reply)
+        sys.stdout.flush()
 """
 
 
@@ -198,6 +215,23 @@ class TestProtocol:
             with pytest.raises(PluginFault, match=re.escape(
                     f"plugin sent {extra!r} past its reply to {request}")):
                 plug.bit_row(Side.A, 5000)
+
+    def test_reply_between_exchanges_faults(self, tmp_path):
+        # the second exchange finds a line waiting before it asks anything:
+        # it answers no request of its own, so the fault names the last
+        # request of the first exchange
+        late = tmp_path / "late"
+        with spawn(tmp_path, REPEATS_FIRST_LATE, args=[late]) as plug:
+            plug.bit_row(Side.A, 1)
+            late.touch()
+            waiting = select.poll()
+            waiting.register(plug._proc.stdout, select.POLLIN)
+            assert waiting.poll(10_000)
+            extra = b'{"freqs": [1]}\n'
+            request = '{"side": "A", "t": 1, "k": 1}'
+            with pytest.raises(PluginFault, match=re.escape(
+                    f"plugin sent {extra!r} past its reply to {request}")):
+                plug.bit_row(Side.A, 2)
 
     def test_plugin_that_answers_twice_exits_2(self, tmp_path, capsys):
         code, err = verify_exit(tmp_path, ANSWERS_FIRST_TWICE, capsys, 6)

@@ -352,7 +352,7 @@ class TestGolden:
                 monkeypatch.setattr(systems, "_ROW_CHUNK", chunk)
                 for side in SIDES:
                     for t in range(1, 61):
-                        got = sys_.row_sizes(side, t)
+                        got = sys_.row_sizes(side, t, t)
                         assert got.tolist() == want[side][t - 1], (side, t)
                     for t_lo, t_hi in [(1, 60), (5, 17),
                                        *systems.level_blocks(1, 60)]:
@@ -403,7 +403,7 @@ class TestGolden:
             "from pathlib import Path\n"
             "from freqalloc.frequencies import Side\n"
             "from freqalloc.systems import golden_system\n"
-            "sizes = golden_system().row_sizes(Side.A, 2 * 10**6)\n"
+            "sizes = golden_system().row_sizes(Side.A, 2 * 10**6, 2 * 10**6)\n"
             "assert len(sizes) == 2 * 10**6\n"
             "status = Path('/proc/self/status').read_text().splitlines()\n"
             "print(next(x for x in status if x.startswith('VmHWM:')).split()[1])\n"
