@@ -48,10 +48,13 @@ turned into its triple (u, v, w) once per call, and floor(r*n) is read as
 that is reported, such as a violation's right-hand side or the result of
 ``min_lambda``.
 
-``check_f2`` allocates its columns before its first level, so a horizon
-whose columns would pass F2_COLUMN_BYTES_CAP is refused through
-``golden.ResourceGuardError``: by ``check_f2``, and by ``run_checks`` and
-``falsify`` before their first sweep.
+``run_checks`` and ``falsify`` share one routine for the direct checks
+(F1, F2 and competitiveness), in which one ``union_sizes`` sweep yields
+both the competitiveness violations and ``min_lambda``.  ``check_f2``
+allocates its columns before its first level, so a horizon whose columns
+would pass F2_COLUMN_BYTES_CAP is refused through
+``golden.ResourceGuardError``: by ``check_f2``, and by that routine before
+its first sweep.
 """
 
 from __future__ import annotations
@@ -348,42 +351,42 @@ def _bit_unions(
         yield t, fa, fb
 
 
+def _union_pass(
+    sys: FSystemSpec, r: GoldenNumber, lam: Optional[int], t_max: int,
+    best: list,
+) -> Iterator[Violation]:
+    """One ``union_sizes`` sweep to t_max: yield each competitiveness
+    violation |U_t| > r*t + lambda in order (none when lam is None), and
+    keep in best the earliest (t, |U_t|) with the largest |U_t| - r*t so
+    far; a later level beats it when |U_t| - |U_b| > r*(t - t_b)."""
+    if r < 1:
+        raise ValueError("competitive ratio must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    floor_rn = _Floors(*_triple(r))
+    for t, size in union_sizes(sys, t_max):
+        if not best or size - best[1] > floor_rn[t - best[0]]:
+            best[:] = t, size
+        if lam is not None and size - lam > floor_rn[t]:
+            yield Violation(kind=ViolationKind.COMPETITIVENESS, params={"t": t},
+                            lhs=f"|U_t| = {size}",
+                            rhs=f"r*t + lambda = {r * t + lam}")
+
+
 def check_competitiveness(
-    sys: FSystemSpec,
-    r: GoldenNumber,
-    lam: int,
-    t_max: int,
-    *,
+    sys: FSystemSpec, r: GoldenNumber, lam: int, t_max: int, *,
     limit: Optional[int] = None,
 ) -> list[Violation]:
     """|U_t| <= r*t + lambda for every t <= t_max, compared exactly."""
-    if r < 1:
-        raise ValueError("competitive ratio must be >= 1")
-    floor_rn = _Floors(*_triple(r))
-    sweep = (Violation(kind=ViolationKind.COMPETITIVENESS, params={"t": t},
-                       lhs=f"|U_t| = {size}",
-                       rhs=f"r*t + lambda = {r * t + lam}")
-             for t, size in union_sizes(sys, t_max)
-             if size - lam > floor_rn[t])
-    return list(islice(sweep, limit or None))
+    return list(islice(_union_pass(sys, r, lam, t_max, []), limit or None))
 
 
 def min_lambda(sys: FSystemSpec, r: GoldenNumber, t_max: int) -> GoldenNumber:
     """Smallest additive constant making the system r-competitive up to t_max:
     the maximum of |U_t| - r*t over the horizon (may be negative)."""
-    if r < 1:
-        raise ValueError("competitive ratio must be >= 1")
-    floor_rn = _Floors(*_triple(r))
-    # the earliest (t, |U_t|) with the largest |U_t| - r*t so far; a later
-    # level beats it when |U_t| - |U_b| > r*(t - t_b)
-    best: Optional[tuple[int, int]] = None
-    for t, size in union_sizes(sys, t_max):
-        if best is None or size - best[1] > floor_rn[t - best[0]]:
-            best = (t, size)
-    if best is None:
-        raise ValueError("t_max must be >= 1")
-    t_b, size_b = best
-    return GoldenNumber(size_b) - r * t_b
+    best: list = []
+    list(_union_pass(sys, r, None, t_max, best))  # yields nothing
+    return GoldenNumber(best[1]) - r * best[0]
 
 
 class SharedStats(NamedTuple):
@@ -450,23 +453,13 @@ def _doubling_bound(prev: int, lam: int, t: int) -> tuple[int, int]:
     return 2 * prev + 10 * t - 3 * lam, 7 * t
 
 
-def _stats_at(
-    sys: FSystemSpec, t: int, shared: dict[int, FrequencySet]
-) -> SharedStats:
-    """SharedStats at t, given S_tau at tau = t and 2t."""
-    used = sys.sets(Side.A, 2 * t, t) | sys.sets(Side.B, 2 * t, t)
-    return SharedStats(
-        t=t,
-        s_t=shared[t],
-        s_2t_t=shared[2 * t] & used,
-        z_3t2_t=_overlap(sys, 3 * t // 2, t),
-    )
-
-
 def shared_stats(sys: FSystemSpec, t: int) -> SharedStats:
     if t < 2 or t % 2:
         raise ValueError("t must be even and >= 2")
-    return _stats_at(sys, t, _shared_sets(sys, (t, 2 * t)))
+    shared = _shared_sets(sys, (t, 2 * t))
+    return SharedStats(t=t, s_t=shared[t],
+                       s_2t_t=shared[2 * t] & or_(*_pair_sets(sys, 2 * t, t)),
+                       z_3t2_t=_overlap(sys, 3 * t // 2, t))
 
 
 def _chain(meet, size, s_t, s_2t, a, b, z, z_top) -> tuple:
@@ -734,6 +727,31 @@ class CheckReport(NamedTuple):
         }
 
 
+def _direct_checks(
+    sys: FSystemSpec, r: GoldenNumber, lam: int, f1: Optional[int],
+    f2: Optional[int], comp: Optional[int], limit: Optional[int] = None,
+) -> tuple[list[Violation], dict, list]:
+    """F1, F2 and competitiveness against (r, lam) to the horizons f1, f2
+    and comp, each skipped when None: the first ``limit`` violations of
+    each kind (None keeps all) in report order, the horizons run, and the
+    ``_union_pass`` best of the levels read.  An F2 horizon past its guard
+    (check_f2) is refused before any sweep."""
+    if f2 is not None:
+        _guard_f2(sys, f2)
+    violations: list[Violation] = []
+    best: list = []
+    if f1 is not None:
+        violations += check_f1(sys, f1, limit=limit)
+    if f2 is not None:
+        violations += check_f2(sys, f2, limit=limit)
+    if comp is not None:
+        violations += islice(_union_pass(sys, r, lam, comp, best), limit or None)
+    horizons = {name: t for name, t in
+                (("f1", f1), ("f2", f2), ("competitiveness", comp))
+                if t is not None}
+    return violations, horizons, best
+
+
 def run_checks(
     sys: FSystemSpec,
     *,
@@ -748,24 +766,9 @@ def run_checks(
     smallest additive constant that would have sufficed on its horizon.  An
     F2 horizon past its guard (check_f2) is refused before any check runs.
     """
-    if f2_t_max is not None:
-        _guard_f2(sys, f2_t_max)
     r, lam = sys.claimed_ratio, sys.claimed_lambda
-    violations: list[Violation] = []
-    horizons: dict = {}
-    min_lam: Optional[GoldenNumber] = None
-    if f1_t_max is not None:
-        violations += check_f1(sys, f1_t_max)
-        horizons["f1"] = f1_t_max
-    if f2_t_max is not None:
-        violations += check_f2(sys, f2_t_max)
-        horizons["f2"] = f2_t_max
-    if comp_t_max is not None:
-        # each pass streams its own union sweep: holding every (t, |U_t|)
-        # for both would grow with the horizon
-        violations += check_competitiveness(sys, r, lam, comp_t_max)
-        min_lam = min_lambda(sys, r, comp_t_max)
-        horizons["competitiveness"] = comp_t_max
+    violations, horizons, best = _direct_checks(sys, r, lam, f1_t_max,
+                                                f2_t_max, comp_t_max)
     if lemma_t_max is not None:
         violations += lemma_chain_check(sys, r, lam, lemma_t_max)
         horizons["lemma_chain"] = lemma_t_max
@@ -775,7 +778,8 @@ def run_checks(
         claimed_lambda=lam,
         horizons=horizons,
         violations=violations,
-        min_lambda_on_horizon=min_lam,
+        min_lambda_on_horizon=(GoldenNumber(best[1]) - r * best[0]
+                               if best else None),
     )
 
 
@@ -828,13 +832,8 @@ def falsify(
     if claimed_r < 1:
         raise ValueError("competitive ratio must be >= 1")
     f2_t_max = default_horizon(f2_t_max, t_max, F2_DEFAULT_CAP)
-    _guard_f2(sys, f2_t_max)
-    violations = [
-        *check_f1(sys, t_max, limit=5),
-        *check_f2(sys, f2_t_max, limit=5),
-        *check_competitiveness(sys, claimed_r, claimed_lambda, t_max, limit=5),
-    ]
-    horizons = {"f1": t_max, "f2": f2_t_max, "competitiveness": t_max}
+    violations, horizons, _ = _direct_checks(
+        sys, claimed_r, claimed_lambda, t_max, f2_t_max, t_max, limit=5)
     caveats: list[str] = []
     trace: Optional[GammaTrace] = None
     certificate: Optional[dict] = None

@@ -593,6 +593,17 @@ class TestCompetitiveness:
                 trivial_system(), GoldenNumber(Fraction(1, 2)), 0, 10
             )
 
+    @pytest.mark.parametrize("t_max", [0, -3])
+    @pytest.mark.parametrize("check", [
+        lambda t: check_f1(golden_system(), t),
+        lambda t: check_f2(golden_system(), t),
+        lambda t: check_competitiveness(golden_system(), C.r0, 8, t),
+        lambda t: min_lambda(golden_system(), C.r0, t),
+    ], ids=["check_f1", "check_f2", "check_competitiveness", "min_lambda"])
+    def test_rejects_horizon_below_one(self, check, t_max):
+        with pytest.raises(ValueError, match=r"^t_max must be >= 1$"):
+            check(t_max)
+
 
 def brute_force_stats(sys_, t):
     """S_t, S_2t, S_2t,t and Z_3t/2,t by raw enumeration of generated sets."""
@@ -789,6 +800,39 @@ class TestFalsify:
         assert checker.doubling_scale_text(1, 1, 64) == str(6 * 2**64)
         assert checker.doubling_scale_text(117, 8, 65) == "6*117*8*2^65"
 
+    @pytest.mark.parametrize("sys_", [golden_system(), golden_padded(2)],
+                             ids=["golden", "pad2"])
+    def test_direct_checks_are_run_checks_first_five(self, sys_):
+        # the same claims and horizons: falsify keeps the first five
+        # violations of each direct check that run_checks reports
+        claim = parse_exact("1.42")
+        verdict = falsify(sys_, claim, 8, 100)
+        report = run_checks(sys_.replace(claimed_ratio=claim, claimed_lambda=8),
+                            f1_t_max=100, f2_t_max=100, comp_t_max=100)
+        want = [v for kind in (ViolationKind.F1, ViolationKind.F2,
+                               ViolationKind.COMPETITIVENESS)
+                for v in [v for v in report.violations if v.kind is kind][:5]]
+        assert verdict.status == "refuted"
+        assert verdict.horizons == report.horizons
+        assert verdict.violations == want
+        # golden meets (1.42, 8) up to t = 87; pad 2 breaks F1 from t = 4
+        first = report.violations[0]
+        assert (first.kind, first.params["t"]) == (
+            (ViolationKind.COMPETITIVENESS, 88) if sys_.name == "golden"
+            else (ViolationKind.F1, 4))
+
+    def test_padded_f1_stops_in_first_block(self):
+        # golden with pad 2 breaks F1 from t = 4, so falsify's F1 sweep to
+        # 400 stops at its fifth violation, in the first block of levels
+        sys_, passes = counting_bands(golden_padded(2))
+        check_f1(sys_, 400)
+        f1_passes = len(passes)
+        passes.clear()
+        verdict = falsify(sys_, parse_exact("1.42"), 8, 400)
+        assert [v.kind for v in verdict.violations[:6]] == (
+            [ViolationKind.F1] * 5 + [ViolationKind.COMPETITIVENESS])
+        assert len(passes) <= f1_passes // 4
+
     def test_rejects_claims_at_or_above_ten_sevenths(self):
         with pytest.raises(ValueError):
             falsify(golden_system(), parse_exact("10/7"), 8, 50)
@@ -878,11 +922,15 @@ def reference_lemma_chain_check(sys_, r, lam, t_max, shared=None):
     evens = range(2, t_max + 1, 2)
     if shared is None:
         shared = checker._shared_sets(sys_, [*evens, *(2 * t for t in evens)])
+
+    def overlap(t, k):
+        return sys_.sets(Side.A, t, k) & sys_.sets(Side.B, t, k)
+
     for t in evens:
-        stats = checker._stats_at(sys_, t, shared)
-        s_t, s_2t_t = stats.s_t, stats.s_2t_t
-        s_2t = shared[2 * t]
-        clash = checker._overlap(sys_, 2 * t, t)
+        s_t, s_2t = shared[t], shared[2 * t]
+        s_2t_t = s_2t & (sys_.sets(Side.A, 2 * t, t)
+                         | sys_.sets(Side.B, 2 * t, t))
+        clash = overlap(2 * t, t)
         if clash:
             out.append(
                 Violation(
@@ -894,8 +942,8 @@ def reference_lemma_chain_check(sys_, r, lam, t_max, shared=None):
                     witness=clash,
                 )
             )
-        z_top = checker._overlap(sys_, 3 * t, 2 * t)
-        s_u_z = s_t | stats.z_3t2_t
+        z_top = overlap(3 * t, 2 * t)
+        s_u_z = s_t | overlap(3 * t // 2, t)
         checks = (
             (
                 ViolationKind.SHARED_LOWER,
@@ -1172,11 +1220,10 @@ class TestIntegerDecisions:
         assert rows == []
         passes.clear()
         run_checks(sys_, comp_t_max=400)
-        # one streamed union sweep each for the violations and min_lambda:
-        # no level union, and per sweep one band-array pass of levels
-        # 1..400 per side
+        # one streamed union sweep for both the violations and min_lambda:
+        # no level union, and one band-array pass of levels 1..400 per side
         assert rows == []
-        assert passes == [(Side.A, 400), (Side.B, 400)] * 2
+        assert passes == [(Side.A, 400), (Side.B, 400)]
 
 
 def counting_bands(sys_: FSystemSpec) -> tuple[FSystemSpec, list]:
