@@ -16,11 +16,17 @@ record of a vertex's frequencies, and one check over ``neighbors`` serves
 one request and returns the frequency picked; ``Allocator.request_keys``
 serves a run of requests at one vertex, admitted with one ``admit`` call,
 and returns the picked keys.  Both pick each unit through one ``_pick``.
-If a pick raises in mid-run, the loads already count the whole run, so the
-allocator is left inconsistent, and every caller takes the error as the
-end of its replay.  The allocator builds each frequency once, on the
-first pick of its key, into a map from key to frequency, which also counts
-the distinct frequencies used and names those of ``assignment_sets``.
+A run at a vertex that holds nothing and had no load, at a t the run
+cannot raise, with no validation, picks what every such run on its side
+picks at that t: the first n keys of one list per side, extended through
+``_pick`` only when a longer run needs it and dropped when t rises.  So
+the universal replay, where every vertex takes one such run, picks each
+(side, t) sequence once, not once per vertex.  If a pick raises in
+mid-run, the loads already count the whole run, so the allocator is left
+inconsistent, and every caller takes the error as the end of its replay.
+The allocator builds each frequency once, on the first pick of its key,
+into a map from key to frequency, which also counts the distinct
+frequencies used and names those of ``assignment_sets``.
 
 The allocator reads an instance only through the ``Instance`` protocol.
 ``BipartiteInstance`` implements it over explicit adjacency and string ids,
@@ -36,7 +42,8 @@ import json
 from collections import defaultdict, deque
 from typing import Any, Hashable, Iterable, Optional, Protocol, Sequence
 
-from .frequencies import KEY_BY_RANK, Frequency, FrequencySet, PoolTag, Side
+from .frequencies import (KEY_BY_RANK, POOL_COUNT, Frequency, FrequencySet,
+                          PoolTag, Side)
 from .golden import AllocationError, BudgetExceededError, NotBipartiteError
 from .systems import FSystemSpec
 
@@ -389,12 +396,19 @@ class Allocator:
     ``request_keys(v, n)`` serves a run of n requests at v with one
     ``admit`` call and returns the picked keys, which is all a caller
     keeping its own records by key needs.  Both pick each unit through
-    ``_pick``, so a run picks what n single requests would.  The first
-    pick of a key builds its ``Frequency`` (checking its index) into a map
-    from key to frequency; ``request`` looks the pick up there,
-    ``distinct_used`` is the map's size, and ``assignment_sets`` reads each
-    held key's pool and index from it.  The map holds one entry per
-    distinct frequency used.
+    ``_pick``, so a run picks what n single requests would.  A fresh run
+    (no union-find at v, load 0 before it, a candidate not above t, and
+    ``validate="none"``) reads its keys from ``_runs``: per side, the keys
+    that fresh runs at the current t pick, in order, picked once into a
+    union-find of the memo's own.  v's union-find then points each key it
+    holds at the next key of its pool, which is a valid next-free map, so
+    later requests at v pick as before.  ``_runs`` is cleared whenever t
+    rises; a fresh run is at most t long, so it holds at most t keys per
+    side.  The first pick of a key builds its ``Frequency`` (checking its
+    index) into a map from key to frequency; ``request`` looks the pick up
+    there, ``distinct_used`` is the map's size, and ``assignment_sets``
+    reads each held key's pool and index from it.  The map holds one entry
+    per distinct frequency used.
 
     With ``validate="neighbors"``, and only then, a map from each key to the
     vertices holding it refuses a pick that a neighbour holds, in one set
@@ -421,12 +435,17 @@ class Allocator:
         self._holders: defaultdict[int, set[Hashable]] = defaultdict(set)
         # key -> its frequency, for every key picked so far
         self._used: dict[int, Frequency] = {}
+        # side -> the keys a fresh run at t picks, in order, the next key
+        # of each one's pool, and the union-find they were picked into;
+        # only runs at the current t
+        self._runs: dict[Side, tuple[list[int], list[int], dict[int, int]]] = {}
 
     def request(self, v: Hashable) -> Frequency:
         """Serve one request at v and return the frequency picked."""
         side, k, cand = self.instance.admit(v)
         if cand > self.t:
             self.t = cand
+            self._runs.clear()
         next_free = self._next_free.get(v)
         if next_free is None:
             next_free = self._next_free[v] = {}
@@ -436,11 +455,15 @@ class Allocator:
         """Serve a run of n requests at v, admitted in one call, and return
         the keys of the frequencies picked, in order."""
         side, load, cand = self.instance.admit(v, n)
-        # the largest neighbour load, fixed for the run
-        partner = cand - load
         next_free = self._next_free.get(v)
         if next_free is None:
+            if load == n and cand <= self.t and self.validate == "none":
+                return self._fresh_run(v, side, n)
             next_free = self._next_free[v] = {}
+        if cand > self.t:
+            self._runs.clear()
+        # the largest neighbour load, fixed for the run
+        partner = cand - load
         pick = self._pick
         keys = []
         for k in range(load - n + 1, load + 1):
@@ -448,6 +471,24 @@ class Allocator:
                 self.t = partner + k
             keys.append(pick(v, next_free, side, k))
         return keys
+
+    def _fresh_run(self, v: Hashable, side: Side, n: int) -> list[int]:
+        """The first n keys of the side's memo run at t, extended through
+        ``_pick`` as needed; if a pick raises, v holds the picks before it,
+        as on the unit path."""
+        run = self._runs.get(side)
+        if run is None:
+            run = self._runs[side] = ([], [], {})
+        keys, steps, memo_free = run
+        try:
+            for k in range(len(keys) + 1, n + 1):
+                key = self._pick(v, memo_free, side, k)
+                keys.append(key)
+                steps.append(key + KEY_BY_RANK[key % POOL_COUNT][0])
+        finally:
+            held = keys[:n]
+            self._next_free[v] = dict(zip(held, steps))
+        return held
 
     def _pick(
         self, v: Hashable, next_free: dict[int, int], side: Side, k: int

@@ -297,7 +297,10 @@ def run_universal(system: FSystemSpec, t_max: int) -> RunReport:
     Each vertex's k requests are served as one run, whose picks come as
     frequency keys from ``Allocator.request_keys`` and are checked in
     order; the records are kept by key, and only a collision message names
-    the frequency.
+    the frequency.  Every vertex is fresh when its run comes, so all runs
+    but those that raise t (the first at each level, on side A) take their
+    keys from the allocator's per-(side, t) memo: each side's picks at t
+    are made once, for the longest run, not once per vertex.
     """
     r, add = system.claimed_ratio, system.claimed_lambda
     floor_rt = _Floors(*_triple(r))

@@ -16,7 +16,7 @@ from freqalloc.allocation import (
 )
 from freqalloc.frequencies import FrequencySet, PoolTag, Side
 from freqalloc.golden import GoldenNumber
-from freqalloc.harness import UniversalGraph
+from freqalloc.harness import UniversalGraph, UniversalInstance
 from freqalloc.systems import (
     FSystemSpec,
     golden_system,
@@ -518,6 +518,140 @@ class TestRuns:
                 admit("u", n)
         assert inst.loads == {"u": 0, "v": 0}
         assert alloc.t == 0 and not alloc.assignment_sets()
+
+
+def unnested_system():
+    """Plain-pool sets whose k-th set skips the indices of residue k mod 3:
+    side A draws odd, side B even integers up to 2(t + k).  F(c, t, k) is
+    not a subset of F(c, t, k + 1), so a run's later picks cannot be read
+    off a larger set's first ones."""
+
+    def gen(side, t, k):
+        parity = 1 if side is Side.A else 0
+        return from_indices(
+            PoolTag.PLAIN,
+            (x for x in range(1, 2 * (t + k) + 1)
+             if x % 2 == parity and x % 3 != k % 3),
+        )
+
+    return FSystemSpec(
+        name="unnested",
+        claimed_ratio=GoldenNumber(2),
+        claimed_lambda=0,
+        generator=gen,
+    )
+
+
+class AnyLevel(UniversalInstance):
+    """The universal instance with its level-order check lifted, so that a
+    served vertex of any level can take one more request after the replay.
+    The neighbour maximum read below the top level is not the graph's, but
+    it is the same for two twins in the same state."""
+
+    def admit(self, v, n=1):
+        self._top_level = 0
+        return super().admit(v, n)
+
+
+def universal_runs(T):
+    """The phase schedule to T as (dense id, run length) pairs."""
+    ids = UniversalInstance(UniversalGraph(T))
+    return [(ids.vertex(side, t, k), k) for t in range(1, T + 1)
+            for side in (Side.A, Side.B) for k in range(1, t + 1)]
+
+
+class TestFreshRuns:
+    """A run at a vertex that holds nothing, at a t it cannot raise, takes
+    the first n keys of its (side, t) run from the memo, and leaves the
+    vertex as n unit requests would."""
+
+    @pytest.mark.parametrize(
+        "system", [trivial_system, half_system, golden_system, unnested_system]
+    )
+    def test_universal_replay_matches_unit_requests(self, system):
+        T = 30
+        by_run = Allocator(AnyLevel(UniversalGraph(T)), system())
+        by_unit = Allocator(AnyLevel(UniversalGraph(T)), system())
+        runs = universal_runs(T)
+        for v, n in runs:
+            units = [by_unit.request(v)._key() for _ in range(n)]
+            assert by_run.request_keys(v, n) == units
+            assert by_run.t == by_unit.t
+        assert by_run.distinct_used() == by_unit.distinct_used()
+        assert by_run.assignment_sets() == by_unit.assignment_sets()
+        # both sides' runs at T came from the memo
+        assert set(by_run._runs) == {Side.A, Side.B}
+        for v, _ in runs[::7]:
+            assert by_run.request(v) == by_unit.request(v)
+            assert by_run.t == by_unit.t
+        assert by_run.assignment_sets() == by_unit.assignment_sets()
+
+    def test_unnested_sets(self):
+        fs = unnested_system().sets
+        assert fs(Side.A, 9, 4) - fs(Side.A, 9, 5)
+        assert all(len(fs(side, t, k)) >= k for side in (Side.A, Side.B)
+                   for t in range(1, 31) for k in range(1, t + 1))
+
+    def test_shortfall_in_mid_run_reads_as_the_unit_path(self):
+        # side B may hold any number, side A two frequencies at every k;
+        # z raises t to 5 first, so u's run of 4 is fresh at a t it cannot
+        # raise, and its third unit runs short
+        starved = FSystemSpec(
+            name="starved",
+            claimed_ratio=GoldenNumber(2),
+            claimed_lambda=0,
+            generator=lambda side, t, k: pool_prefix(
+                PoolTag.PLAIN, k if side is Side.B else min(k, 2)),
+        )
+        outcomes = []
+        for serve in (
+            lambda alloc: alloc.request_keys("u", 4),
+            lambda alloc: [alloc.request("u") for _ in range(4)],
+        ):
+            inst = instance(["u", "v", "y", "z"], [("u", "v"), ("y", "z")])
+            alloc = Allocator(inst, starved)
+            alloc.request_keys("z", 5)
+            assert alloc.t == 5
+            with pytest.raises(AllocationError) as err:
+                serve(alloc)
+            outcomes.append((str(err.value), alloc.assignment_sets(),
+                             alloc.distinct_used(), alloc.t))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (
+            "system 'starved' offers only 2 frequencies for side A, t=5, k=3; "
+            "the size floor requires 3"
+        )
+        assert outcomes[0][1]["u"] == FrequencySet([(PoolTag.PLAIN, 1, 3)])
+
+    def test_preloaded_vertex_is_not_fresh(self):
+        # u carries load 2 before the allocator serves it, so its run of 2
+        # picks at k = 3 and 4, not at the memo's k = 1 and 2
+        picks = []
+        for serve in (
+            lambda alloc: alloc.request_keys("u", 2),
+            lambda alloc: [alloc.request("u")._key() for _ in range(2)],
+        ):
+            inst = instance(["u", "v", "y", "z"], [("u", "v"), ("y", "z")],
+                            loads={"u": 2})
+            alloc = Allocator(inst, unnested_system())
+            alloc.request_keys("z", 5)
+            picks.append((serve(alloc), alloc.assignment_sets()))
+        assert picks[0] == picks[1]
+
+    def test_memo_holds_runs_of_the_current_t_only(self):
+        T = 20
+        inst = UniversalInstance(UniversalGraph(T))
+        alloc = Allocator(inst, golden_system())
+        picked = {v: alloc.request_keys(v, n) for v, n in universal_runs(T)}
+        assert alloc.t == T
+        for side in (Side.A, Side.B):
+            keys, _, memo_free = alloc._runs[side]
+            assert keys == picked[inst.vertex(side, T, T)]
+            assert set(memo_free) == set(keys)
+        # a request that raises t drops the memo
+        alloc.request(inst.vertex(Side.A, T, T))
+        assert alloc.t == T + 1
+        assert alloc._runs == {}
 
 
 CLASHING = FSystemSpec(
